@@ -14,7 +14,7 @@ lint-static:  ## whole-program passes R009-R012, gated on lint-baseline.json
 		--sarif lint.sarif --shared-state shared_state.json \
 		src/repro benchmarks
 
-determinism:  ## two-run same-seed trace-digest determinism smoke
+determinism:  ## two-run same-seed telemetry- and result-digest determinism smoke
 	$(PYTHON) -m repro.lint --determinism --queries 2
 
 sanitize:  ## end-to-end run with runtime invariant checks
@@ -66,9 +66,10 @@ profile:  ## smoke benchmarks under the wall profiler (collapsed stacks)
 	$(PYTHON) -m repro bench --suite smoke --profile \
 		--profile-out bench.collapsed
 
-telemetry:  ## chaos run with telemetry capture + HTML dashboard render
+telemetry:  ## chaos run with telemetry capture; inspect + dashboard off the one archive
 	$(PYTHON) -m repro run --scheme bohr --workload bigdata-aggregation \
 		--queries 2 --chaos flaky-wan --telemetry telemetry.jsonl
+	$(PYTHON) -m repro inspect telemetry.jsonl --breakdown
 	$(PYTHON) -m repro report telemetry.jsonl --out report.html
 
 check: lint lint-static determinism sanitize chaos test parity bench-smoke serve-smoke slo telemetry  ## everything CI gates on

@@ -112,7 +112,7 @@ def simulate_with_retries(
     obs = instrument.current()
     telemetry = obs.telemetry
     outcome = RetryOutcome()
-    with obs.tracer.span(
+    with telemetry.span(
         "retry-transfers", stage="chaos", transfers=len(transfers)
     ):
         final: List[Optional[TransferResult]] = [None] * len(transfers)
@@ -169,15 +169,6 @@ def simulate_with_retries(
                 next_live.append(index)
             live = next_live
         outcome.results = [result for result in final if result is not None]
-    if obs.metrics.enabled and (outcome.retries or outcome.abandoned):
-        obs.metrics.counter("retries").inc(outcome.retries)
-        if outcome.abandoned:
-            obs.metrics.counter("wan_fault_abandoned_transfers").inc(
-                len(outcome.abandoned)
-            )
-            obs.metrics.counter("wan_fault_abandoned_bytes").inc(
-                outcome.abandoned_bytes
-            )
     if obs.sanitizer.enabled:
         obs.sanitizer.check_retry_outcome(outcome, policy)
     return outcome

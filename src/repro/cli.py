@@ -20,9 +20,10 @@ Results can be saved to JSON with ``--json`` and reloaded by
 trace-event format), ``--metrics FILE`` (metrics snapshot JSON) and
 ``--sanitize`` (runtime invariant sanitizer: bytes conservation,
 sim-clock monotonicity, LP feasibility — non-zero exit on violation);
-``inspect`` renders a saved JSONL trace as a per-stage latency
-breakdown and can convert it to the Chrome format; ``lint`` runs the
-project's simulation-aware static analysis (per-file rules R001–R008,
+``inspect`` renders a saved JSONL trace (or a ``--telemetry`` archive:
+spans and metrics are views of that one event stream) as a per-stage
+latency breakdown and can convert it to the Chrome format; ``lint`` runs
+the project's simulation-aware static analysis (per-file rules R001–R008,
 whole-program passes R009–R012 with ``--static``) and the two-run
 ``--determinism`` smoke.  ``--chaos PROFILE`` (with
 ``--chaos-seed``) injects a deterministic fault schedule — degraded and
@@ -90,6 +91,40 @@ WORKLOAD_CHOICES = (
 )
 
 
+def _add_input_arguments(
+    cmd: argparse.ArgumentParser, scheme: bool = True, describe: bool = False
+) -> None:
+    """The system-under-test flags ``run``/``compare``/``top``/``serve`` share."""
+    if scheme:
+        cmd.add_argument("--scheme", default="bohr", choices=SCHEME_NAMES)
+    cmd.add_argument("--workload", default="bigdata-aggregation",
+                     choices=WORKLOAD_CHOICES)
+    cmd.add_argument("--placement", default="random",
+                     choices=("random", "locality"))
+    cmd.add_argument("--base-uplink", default="2MB/s")
+    cmd.add_argument("--lag", type=float, default=8.0,
+                     help="query lag window T in seconds" if describe else None)
+    cmd.add_argument("--probe-k", type=int, default=30)
+
+
+def _add_seed_arguments(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("--seed", type=int, default=11)
+    cmd.add_argument("--scale", type=float, default=1.0)
+
+
+def _add_chaos_arguments(
+    cmd: argparse.ArgumentParser, describe: bool = False
+) -> None:
+    cmd.add_argument("--chaos", metavar="PROFILE", default=None,
+                     choices=CHAOS_PROFILES,
+                     help="inject a deterministic fault schedule "
+                     f"({', '.join(CHAOS_PROFILES)}) and run the "
+                     "scheme on the failure-aware runtime" if describe else None)
+    cmd.add_argument("--chaos-seed", type=int, default=13,
+                     help="seed deriving the fault schedule "
+                     "(same seed => identical faults)" if describe else None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -116,20 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
                 default="iridium,iridium-c,bohr",
                 help="comma-separated scheme names",
             )
-        else:
-            cmd.add_argument("--scheme", default="bohr", choices=SCHEME_NAMES)
-        cmd.add_argument("--workload", default="bigdata-aggregation",
-                         choices=WORKLOAD_CHOICES)
-        cmd.add_argument("--placement", default="random",
-                         choices=("random", "locality"))
-        cmd.add_argument("--base-uplink", default="2MB/s")
-        cmd.add_argument("--lag", type=float, default=8.0,
-                         help="query lag window T in seconds")
-        cmd.add_argument("--probe-k", type=int, default=30)
+        _add_input_arguments(cmd, scheme=not needs_schemes, describe=True)
         cmd.add_argument("--queries", type=int, default=6,
                          help="queries to execute per scheme")
-        cmd.add_argument("--seed", type=int, default=11)
-        cmd.add_argument("--scale", type=float, default=1.0)
+        _add_seed_arguments(cmd)
         cmd.add_argument("--json", metavar="PATH",
                          help="also write results to a JSON file")
         cmd.add_argument("--trace", metavar="FILE",
@@ -147,14 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "conservation, clock monotonicity, LP "
                          "feasibility) during the run; exit 1 on any "
                          "violation")
-        cmd.add_argument("--chaos", metavar="PROFILE", default=None,
-                         choices=CHAOS_PROFILES,
-                         help="inject a deterministic fault schedule "
-                         f"({', '.join(CHAOS_PROFILES)}) and run the "
-                         "scheme on the failure-aware runtime")
-        cmd.add_argument("--chaos-seed", type=int, default=13,
-                         help="seed deriving the fault schedule "
-                         "(same seed => identical faults)")
+        _add_chaos_arguments(cmd, describe=True)
         cmd.add_argument("--profile", action="store_true",
                          help="two-clock profiler: print the QCT stage "
                          "breakdown and collect wall-clock hotspots with "
@@ -190,14 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         "top",
         help="dynamic-dataset sweep with a live terminal telemetry view",
     )
-    top_cmd.add_argument("--scheme", default="bohr", choices=SCHEME_NAMES)
-    top_cmd.add_argument("--workload", default="bigdata-aggregation",
-                         choices=WORKLOAD_CHOICES)
-    top_cmd.add_argument("--placement", default="random",
-                         choices=("random", "locality"))
-    top_cmd.add_argument("--base-uplink", default="2MB/s")
-    top_cmd.add_argument("--lag", type=float, default=8.0)
-    top_cmd.add_argument("--probe-k", type=int, default=30)
+    _add_input_arguments(top_cmd)
     top_cmd.add_argument("--queries", type=int, default=12,
                          help="queries to execute in the sweep")
     top_cmd.add_argument("--replan-every", type=int, default=5)
@@ -206,11 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     top_cmd.add_argument("--initial-fraction", type=float, default=0.25)
     top_cmd.add_argument("--interval", type=float, default=20.0,
                          help="seconds between batch arrivals")
-    top_cmd.add_argument("--seed", type=int, default=11)
-    top_cmd.add_argument("--scale", type=float, default=1.0)
-    top_cmd.add_argument("--chaos", metavar="PROFILE", default=None,
-                         choices=CHAOS_PROFILES)
-    top_cmd.add_argument("--chaos-seed", type=int, default=13)
+    _add_seed_arguments(top_cmd)
+    _add_chaos_arguments(top_cmd)
     top_cmd.add_argument("--refresh", type=int, default=500,
                          help="repaint every N telemetry events")
     top_cmd.add_argument("--telemetry", metavar="FILE",
@@ -221,16 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="concurrent multi-tenant serving: Zipf load over one shared "
         "sim clock with WFQ fairness, admission control, and a cube cache",
     )
-    serve_cmd.add_argument("--scheme", default="bohr", choices=SCHEME_NAMES)
-    serve_cmd.add_argument("--workload", default="bigdata-aggregation",
-                           choices=WORKLOAD_CHOICES)
-    serve_cmd.add_argument("--placement", default="random",
-                           choices=("random", "locality"))
-    serve_cmd.add_argument("--base-uplink", default="2MB/s")
-    serve_cmd.add_argument("--lag", type=float, default=8.0)
-    serve_cmd.add_argument("--probe-k", type=int, default=30)
-    serve_cmd.add_argument("--seed", type=int, default=11)
-    serve_cmd.add_argument("--scale", type=float, default=1.0)
+    _add_input_arguments(serve_cmd)
+    _add_seed_arguments(serve_cmd)
     serve_cmd.add_argument("--tenants", type=int, default=4,
                            help="tenant population size")
     serve_cmd.add_argument("--weights", default="",
@@ -306,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiment(scheme: str, args: argparse.Namespace) -> ExperimentResult:
+def _build_inputs(args: argparse.Namespace):
+    """``(topology, config, chaos, workload factory)`` from the shared flags."""
     from repro.workloads import build_workload
 
     topology = ec2_ten_sites(base_uplink=args.base_uplink)
@@ -315,7 +316,7 @@ def _experiment(scheme: str, args: argparse.Namespace) -> ExperimentResult:
         partition_records=8,
     )
     chaos = None
-    if args.chaos:
+    if getattr(args, "chaos", None):
         from repro.chaos.profiles import build_schedule
         from repro.chaos.runtime import ChaosConfig
 
@@ -329,6 +330,46 @@ def _experiment(scheme: str, args: argparse.Namespace) -> ExperimentResult:
             seed=args.seed, scale=args.scale,
         )
 
+    return topology, config, chaos, factory
+
+
+def _observed(args: argparse.Namespace, record: bool):
+    """The instrumentation context the flags ask for: a live bus when an
+    output needs the event stream, the collecting sanitizer under
+    ``--sanitize``, the no-op twins otherwise."""
+    from repro.obs import instrument
+    from repro.obs.sanitize import Sanitizer
+    from repro.obs.telemetry import NULL_TELEMETRY, TelemetryBus
+
+    return instrument.instrumented(
+        telemetry=TelemetryBus() if record else NULL_TELEMETRY,
+        sanitizer=(
+            Sanitizer(mode="collect") if getattr(args, "sanitize", False) else None
+        ),
+    )
+
+
+def _finish_observed(args: argparse.Namespace, obs) -> int:
+    """Write the ``--telemetry`` archive, print the sanitizer's verdict;
+    returns the exit code."""
+    if args.telemetry:
+        from repro.obs.telemetry import write_jsonl
+
+        write_jsonl(obs.telemetry, args.telemetry)
+        print(
+            f"telemetry written to {args.telemetry} "
+            f"({len(obs.telemetry.events)} events)"
+        )
+    if obs.sanitizer.enabled:
+        print()
+        print(obs.sanitizer.summary())
+        if obs.sanitizer.violations:
+            return 1
+    return 0
+
+
+def _experiment(scheme: str, args: argparse.Namespace) -> ExperimentResult:
+    topology, config, chaos, factory = _build_inputs(args)
     return run_experiment(scheme, factory, topology, config,
                           query_limit=args.queries, chaos=chaos)
 
@@ -359,71 +400,41 @@ def _wants_observability(args: argparse.Namespace) -> bool:
     )
 
 
-def _fault_schedule(args: argparse.Namespace):
-    """The deterministic fault schedule the run executed under (or None).
-
-    Rebuilt from the same profile/seed/topology, so it is exactly the
-    schedule the runtime saw — used to annotate the Chrome trace.
-    """
-    if not getattr(args, "chaos", None):
-        return None
-    from repro.chaos.profiles import build_schedule
-
-    topology = ec2_ten_sites(base_uplink=args.base_uplink)
-    return build_schedule(args.chaos, topology, seed=args.chaos_seed)
-
-
-def _export_observability(args: argparse.Namespace, obs) -> None:
+def _export_views(args: argparse.Namespace, events) -> None:
+    """``--trace`` / ``--chrome-trace`` / ``--metrics``: views of the stream."""
     from repro.obs.export import export_chrome, export_jsonl
+    from repro.obs.views import metrics_from_events, spans_from_events
 
+    if args.trace or args.chrome_trace:
+        spans = spans_from_events(events)
     if args.trace:
-        export_jsonl(obs.tracer, args.trace)
-        print(f"trace written to {args.trace} ({len(obs.tracer.spans)} spans)")
+        export_jsonl(spans, args.trace)
+        print(f"trace written to {args.trace} ({len(spans)} spans)")
     if args.chrome_trace:
-        export_chrome(obs.tracer, args.chrome_trace, faults=_fault_schedule(args))
+        # Rebuilt from the same profile/seed/topology, so it is exactly
+        # the schedule the runtime saw.
+        chaos = _build_inputs(args)[2]
+        export_chrome(
+            spans, args.chrome_trace, faults=chaos.faults if chaos else None
+        )
         print(f"Chrome trace written to {args.chrome_trace}")
     if args.metrics:
-        obs.metrics.to_json(args.metrics)
+        metrics = metrics_from_events(events)
+        metrics.to_json(args.metrics)
         print(
             f"metrics written to {args.metrics} "
-            f"({len(obs.metrics.series())} series)"
-        )
-    if args.telemetry:
-        from repro.obs.telemetry import write_jsonl
-
-        write_jsonl(obs.telemetry, args.telemetry)
-        print(
-            f"telemetry written to {args.telemetry} "
-            f"({len(obs.telemetry.events)} events)"
+            f"({len(metrics.series())} series)"
         )
 
 
 def _run_top(args: argparse.Namespace) -> int:
     from repro import make_system
     from repro.core.dynamic import initial_workload_from_feeds, run_dynamic
-    from repro.obs import instrument
-    from repro.obs.telemetry import TelemetryBus, write_jsonl
     from repro.obs.top import TelemetryTop
-    from repro.workloads import build_workload
     from repro.workloads.dynamic import DynamicDataFeed
 
-    topology = ec2_ten_sites(base_uplink=args.base_uplink)
-    config = SystemConfig(
-        lag_seconds=args.lag, probe_k=args.probe_k, seed=args.seed,
-        partition_records=8,
-    )
-    chaos = None
-    if args.chaos:
-        from repro.chaos.profiles import build_schedule
-        from repro.chaos.runtime import ChaosConfig
-
-        chaos = ChaosConfig(
-            faults=build_schedule(args.chaos, topology, seed=args.chaos_seed)
-        )
-    template = build_workload(
-        args.workload, topology, placement=args.placement,
-        seed=args.seed, scale=args.scale,
-    )
+    topology, config, chaos, factory = _build_inputs(args)
+    template = factory()
     feeds = {
         dataset.dataset_id: DynamicDataFeed.split(
             dataset,
@@ -434,10 +445,9 @@ def _run_top(args: argparse.Namespace) -> int:
         for dataset in template.catalog
     }
     workload = initial_workload_from_feeds(template, feeds)
-    bus = TelemetryBus()
     view = TelemetryTop(refresh_events=args.refresh)
-    view.attach(bus)
-    with instrument.instrumented(telemetry=bus):
+    with _observed(args, record=True) as obs:
+        view.attach(obs.telemetry)
         # Built inside the slot so controller-construction events (the
         # chaos fault windows) reach the bus.
         controller = make_system(args.scheme, topology, config, chaos=chaos)
@@ -454,32 +464,15 @@ def _run_top(args: argparse.Namespace) -> int:
         f"{result.fault_replans} fault replans, "
         f"{result.aborted_queries} aborted"
     )
-    if args.telemetry:
-        write_jsonl(bus, args.telemetry)
-        print(
-            f"telemetry written to {args.telemetry} ({len(bus.events)} events)"
-        )
-    return 0
+    return _finish_observed(args, obs)
 
 
 def _run_serve(args: argparse.Namespace) -> int:
     import json
 
     from repro.serve import ServeConfig, serve_workload
-    from repro.workloads import build_workload
 
-    topology = ec2_ten_sites(base_uplink=args.base_uplink)
-    config = SystemConfig(
-        lag_seconds=args.lag, probe_k=args.probe_k, seed=args.seed,
-        partition_records=8,
-    )
-
-    def factory():
-        return build_workload(
-            args.workload, topology, placement=args.placement,
-            seed=args.seed, scale=args.scale,
-        )
-
+    topology, config, _chaos, factory = _build_inputs(args)
     weights = tuple(
         float(part) for part in args.weights.split(",") if part.strip()
     )
@@ -498,30 +491,13 @@ def _run_serve(args: argparse.Namespace) -> int:
         tenant_weights=weights,
     )
     analyze = bool(args.slo or args.slo_report)
-    bus = None
-    sanitizer = None
-    if args.telemetry or analyze or args.sanitize:
-        from repro.obs import instrument
-        from repro.obs.telemetry import TelemetryBus
-
-        if args.telemetry or analyze:
-            bus = TelemetryBus()
-        if args.sanitize:
-            from repro.obs.sanitize import Sanitizer
-
-            sanitizer = Sanitizer(mode="collect")
-        with instrument.instrumented(telemetry=bus, sanitizer=sanitizer):
-            report = serve_workload(
-                args.scheme, factory, topology, config, serve_config
-            )
-            crit = slo_report = None
-            if analyze:
-                crit, slo_report = _analyze_serve(args, report, bus)
-    else:
+    crit = slo_report = None
+    with _observed(args, record=bool(args.telemetry or analyze)) as obs:
         report = serve_workload(
             args.scheme, factory, topology, config, serve_config
         )
-        crit = slo_report = None
+        if analyze:
+            crit, slo_report = _analyze_serve(args, report, obs.telemetry)
 
     print(
         f"{report.scheme} serving {args.workload}: "
@@ -577,19 +553,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(report.to_dict(), handle, indent=2)
         print(f"serve report written to {args.json}")
-    if bus is not None and args.telemetry:
-        from repro.obs.telemetry import write_jsonl
-
-        write_jsonl(bus, args.telemetry)
-        print(
-            f"telemetry written to {args.telemetry} ({len(bus.events)} events)"
-        )
-    if sanitizer is not None:
-        print()
-        print(sanitizer.summary())
-        if sanitizer.violations:
-            return 1
-    return 0
+    return _finish_observed(args, obs)
 
 
 def _analyze_serve(args: argparse.Namespace, report, bus):
@@ -740,35 +704,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:  # compare
         schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
 
-    obs = None
-    sanitizer = None
     profiler = None
     if args.profile:
         from repro.obs.profile import WallProfiler
 
         profiler = WallProfiler()
-    if args.sanitize or _wants_observability(args):
-        from repro.obs import instrument
-
-        if args.sanitize:
-            from repro.obs.sanitize import Sanitizer
-
-            sanitizer = Sanitizer(mode="collect")
-        telemetry = None
-        if args.telemetry:
-            from repro.obs.telemetry import TelemetryBus
-
-            telemetry = TelemetryBus()
-        with instrument.instrumented(
-            sanitizer=sanitizer, telemetry=telemetry
-        ) as obs:
-            if profiler is not None:
-                with profiler:
-                    results = [_experiment(scheme, args) for scheme in schemes]
-            else:
+    with _observed(args, record=_wants_observability(args)) as obs:
+        if profiler is not None:
+            with profiler:
                 results = [_experiment(scheme, args) for scheme in schemes]
-    else:
-        results = [_experiment(scheme, args) for scheme in schemes]
+        else:
+            results = [_experiment(scheme, args) for scheme in schemes]
 
     for result in results:
         _print_result(result)
@@ -783,11 +729,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         save_results(results, args.json)
         print(f"\nresults written to {args.json}")
-    if profiler is not None and obs is not None:
+    events = obs.telemetry.events
+    if profiler is not None:
         from repro.obs.profile import qct_breakdown, render_breakdown
+        from repro.obs.views import spans_from_events
 
         print()
-        print(render_breakdown(qct_breakdown(obs.tracer.spans)))
+        print(render_breakdown(qct_breakdown(spans_from_events(events))))
         print()
         print(profiler.render_hotspots(limit=15))
         stack_lines = profiler.write_collapsed(args.profile_out)
@@ -795,15 +743,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"collapsed stacks written to {args.profile_out} "
             f"({stack_lines} lines)"
         )
-    if obs is not None and _wants_observability(args):
+    if _wants_observability(args):
         print()
-        _export_observability(args, obs)
-    if sanitizer is not None:
-        print()
-        print(sanitizer.summary())
-        if sanitizer.violations:
-            return 1
-    return 0
+        _export_views(args, events)
+    return _finish_observed(args, obs)
 
 
 if __name__ == "__main__":

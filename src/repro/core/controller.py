@@ -42,7 +42,6 @@ from repro.similarity.probes import Probe, ProbeBuilder
 from repro.systems.base import SystemConfig, SystemProfile
 from repro.wan.estimator import BandwidthEstimator
 from repro.wan.topology import WanTopology
-from repro.wan.transfer import TransferScheduler
 from repro.workloads.base import Workload
 
 
@@ -120,9 +119,9 @@ class Controller:
             faults=faults,
             stall_timeout_seconds=stall_timeout,
         )
-        self.scheduler = TransferScheduler(
-            topology, faults=faults, stall_timeout_seconds=stall_timeout
-        )
+        #: Movement runs on the engine's WAN scheduler: one topology, one
+        #: fault schedule, one stall timeout.
+        self.scheduler = self.engine.scheduler
         self.profiler = ReductionProfiler()
         self.bandwidth = BandwidthEstimator(topology)
         self.checker = SimilarityChecker()
@@ -158,7 +157,7 @@ class Controller:
     def prepare(self, workload: Workload) -> PreparationReport:
         """Run pre-processing, similarity checking, placement, movement."""
         obs = instrument.current()
-        with obs.tracer.span(
+        with obs.telemetry.span(
             "prepare", stage="prepare", scheme=self.profile.name
         ):
             return self._prepare(workload, obs)
@@ -166,19 +165,14 @@ class Controller:
     def _prepare(self, workload: Workload, obs) -> PreparationReport:
         report = PreparationReport(scheme=self.profile.name)
         if self.profile.uses_cubes:
-            with obs.tracer.span("cube-build", stage="cube"):
+            with obs.telemetry.span("cube-build", stage="cube"):
                 self._build_cubes(workload, report)
-            obs.metrics.histogram("cube_build_seconds").observe(
-                report.cube_build_seconds
-            )
         if self.profile.uses_similarity:
-            with obs.tracer.span("similarity", stage="probe"):
+            with obs.telemetry.span("similarity", stage="probe") as span:
                 self._check_similarity(workload, report)
-            obs.metrics.histogram("probe_build_seconds").observe(
-                report.probe_build_seconds
-            )
+                span.set(probe_build_wall_seconds=report.probe_build_seconds)
 
-        with obs.tracer.span("placement", stage="placement"):
+        with obs.telemetry.span("placement", stage="placement"):
             alive = [
                 site
                 for site in self.topology.site_names
@@ -212,7 +206,9 @@ class Controller:
             reduce_fractions=decision.reduce_fractions,
             policy=policy,
         )
-        with obs.tracer.span("movement", stage="movement", policy=policy.name):
+        with obs.telemetry.span(
+            "movement", stage="movement", policy=policy.name
+        ):
             report.movement = execute_plan(
                 workload.catalog,
                 plan,
@@ -226,9 +222,6 @@ class Controller:
             obs.sanitizer.check_movement(
                 report.movement, self.config.lag_seconds
             )
-        obs.metrics.counter("moved_bytes", scheme=self.profile.name).inc(
-            report.movement.total_moved_bytes
-        )
         self.bandwidth.observe_transfers(
             report.movement.transfers, truth=self.scheduler.effective_bps
         )
@@ -317,7 +310,7 @@ class Controller:
             for key, fraction in self._movement_fractions.items()
             if key[1] not in dead and key[2] not in dead
         }
-        with obs.tracer.span(
+        with obs.telemetry.span(
             "degraded-replan",
             stage="chaos",
             scheme=self.profile.name,
@@ -377,9 +370,6 @@ class Controller:
                 )
                 self._fractions = dict(decision.reduce_fractions)
         self.degraded_replans += 1
-        obs.metrics.counter(
-            "degraded_replans", scheme=self.profile.name
-        ).inc()
         if obs.telemetry.enabled:
             obs.telemetry.emit(
                 "degraded-replan",
@@ -405,12 +395,12 @@ class Controller:
                 dataset=spec.dataset_id,
                 scheme=self.profile.name,
             )
-        with obs.tracer.span(
+        with obs.telemetry.span(
             f"query:{spec.dataset_id}",
             stage="query",
             dataset=spec.dataset_id,
             scheme=self.profile.name,
-        ) as span:
+        ):
             schema = workload.schema(spec.dataset_id)
             job_spec = compile_query(
                 spec,
@@ -424,22 +414,16 @@ class Controller:
                 reduce_fractions=self._fractions,
                 cube_sorted=self.profile.uses_cubes,
             )
-        if span is not None:
-            span.attrs["qct"] = result.qct
-            span.sim_start, span.sim_end = 0.0, result.qct
-        if obs.telemetry.enabled:
-            obs.telemetry.emit(
-                "query-finish",
-                t=result.qct,
-                dataset=spec.dataset_id,
-                scheme=self.profile.name,
-                qct=result.qct,
-                wan_bytes=result.total_wan_bytes,
-                lost_bytes=result.total_lost_bytes,
-            )
-        obs.metrics.histogram(
-            "qct_seconds", scheme=self.profile.name
-        ).observe(result.qct)
+            if obs.telemetry.enabled:
+                obs.telemetry.emit(
+                    "query-finish",
+                    t=result.qct,
+                    dataset=spec.dataset_id,
+                    scheme=self.profile.name,
+                    qct=result.qct,
+                    wan_bytes=result.total_wan_bytes,
+                    lost_bytes=result.total_lost_bytes,
+                )
         self.profiler.observe(spec, result)
         query.record_execution()
         return result
@@ -486,9 +470,6 @@ class Controller:
                 for site in outcome.completed_sites
             )
             outcome.partial_fraction = done / total if total > 0 else 1.0
-            obs.metrics.counter(
-                "query_aborts", scheme=self.profile.name
-            ).inc()
             if obs.telemetry.enabled:
                 obs.telemetry.emit(
                     "query-abort",

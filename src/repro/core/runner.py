@@ -112,7 +112,7 @@ def run_experiment(
 
     controller = make_system(system_name, topology, config, chaos=chaos)
     workload = workload_factory()
-    with obs.tracer.span(
+    with obs.telemetry.span(
         f"experiment:{system_name}",
         stage="experiment",
         scheme=system_name,
@@ -158,7 +158,7 @@ def run_experiment(
             job_spec = compile_query(
                 query.spec, schema, num_reduce_tasks=config.num_reduce_tasks
             )
-            with obs.tracer.span(
+            with obs.telemetry.span(
                 f"query:{query.spec.dataset_id}",
                 stage="query",
                 dataset=query.spec.dataset_id,
@@ -169,12 +169,7 @@ def run_experiment(
                     job_spec,
                     cube_sorted=False,
                 )
-            if span is not None:
-                span.attrs["qct"] = job.qct
-                span.sim_start, span.sim_end = 0.0, job.qct
-            obs.metrics.histogram(
-                "qct_seconds", scheme="vanilla-baseline"
-            ).observe(job.qct)
+                span.set(qct=job.qct)
             result.baseline_runs.append(_to_run(query, job))
     return result
 

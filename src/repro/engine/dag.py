@@ -177,38 +177,32 @@ def execute_dag(
                 )
         start = max(finish_times[ref] for ref in refs)
 
-        if isinstance(stage, MapReduceStage):
-            [result] = engine.run_many(
-                [(available[stage.input_ref], stage.spec)],
-                reduce_fractions=fractions,
-                cube_sorted=cube_sorted,
-                collect_keys=True,
-            )
-            output = _materialize_map_reduce(stage, result, fractions)
-            stage_qct: float = result.qct
-        else:
-            result = run_join(
-                engine,
-                available[stage.left_ref],
-                available[stage.right_ref],
-                stage.spec,
-                reduce_fractions=fractions,
-                cube_sorted=cube_sorted,
-            )
-            output = _materialize_join(stage, result, fractions)
-            stage_qct = result.qct
-
-        finish = start + stage_qct
-        obs = instrument.current()
-        if obs.enabled:
-            obs.tracer.record(
-                f"stage:{stage.name}",
-                stage="dag-stage",
+        telemetry = instrument.current().telemetry
+        with telemetry.span(f"stage:{stage.name}", stage="dag-stage") as span:
+            if isinstance(stage, MapReduceStage):
+                [result] = engine.run_many(
+                    [(available[stage.input_ref], stage.spec)],
+                    reduce_fractions=fractions,
+                    cube_sorted=cube_sorted,
+                    collect_keys=True,
+                )
+                output = _materialize_map_reduce(stage, result, fractions)
+            else:
+                result = run_join(
+                    engine,
+                    available[stage.left_ref],
+                    available[stage.right_ref],
+                    stage.spec,
+                    reduce_fractions=fractions,
+                    cube_sorted=cube_sorted,
+                )
+                output = _materialize_join(stage, result, fractions)
+            finish = start + result.qct
+            span.set(
                 sim_start=start,
                 sim_end=finish,
                 output_records=output.total_records,
             )
-            obs.metrics.counter("dag_stages").inc()
         available[stage.name] = output
         finish_times[stage.name] = finish
         dag.executions.append(

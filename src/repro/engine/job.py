@@ -362,10 +362,6 @@ class MapReduceEngine:
         obs = instrument.current()
         if obs.sanitizer.enabled:
             obs.sanitizer.check_job(job_result)
-        if obs.tracer.enabled:
-            self._record_job_spans(
-                obs.tracer, job_result, map_start=planned.start_offset
-            )
         if obs.telemetry.enabled:
             self._emit_job_telemetry(
                 obs.telemetry,
@@ -402,6 +398,8 @@ class MapReduceEngine:
                     job=job,
                     start=map_start,
                     input_bytes=site_metrics.input_bytes,
+                    input_records=site_metrics.input_records,
+                    map_output_bytes=site_metrics.map_output_bytes,
                     intermediate_bytes=site_metrics.intermediate_bytes,
                     rdd_overhead_seconds=site_metrics.rdd_overhead_seconds,
                 )
@@ -435,52 +433,6 @@ class MapReduceEngine:
             wan_bytes=result.total_wan_bytes,
             lost_bytes=result.total_lost_bytes,
         )
-
-    @staticmethod
-    def _record_job_spans(tracer, result: JobResult, map_start: float = 0.0) -> None:
-        """Emit simulated-clock map/shuffle/reduce spans for one job.
-
-        The spans nest under whatever span is open on the active tracer
-        (normally the ``query`` span) and carry the phase intervals the
-        post-hoc :class:`~repro.engine.timeline.Timeline` reconstructs —
-        but as machine-readable trace output instead of ASCII art.
-        """
-        for site, site_metrics in result.per_site.items():
-            if site_metrics.input_records or site_metrics.map_finish > map_start:
-                tracer.record(
-                    f"map@{site}",
-                    stage="map",
-                    sim_start=map_start,
-                    sim_end=site_metrics.map_finish,
-                    site=site,
-                    input_records=site_metrics.input_records,
-                    map_output_bytes=site_metrics.map_output_bytes,
-                    intermediate_bytes=site_metrics.intermediate_bytes,
-                    rdd_overhead_seconds=site_metrics.rdd_overhead_seconds,
-                )
-        for transfer_result in result.transfers:
-            transfer = transfer_result.transfer
-            tracer.record(
-                f"shuffle {transfer.src}->{transfer.dst}",
-                stage="shuffle",
-                sim_start=transfer.start_time,
-                sim_end=transfer_result.finish_time,
-                site=transfer.dst,
-                src=transfer.src,
-                dst=transfer.dst,
-                bytes=transfer.num_bytes,
-            )
-        for site, site_metrics in result.per_site.items():
-            if site_metrics.reduce_seconds > 0:
-                tracer.record(
-                    f"reduce@{site}",
-                    stage="reduce",
-                    sim_start=site_metrics.finish_time
-                    - site_metrics.reduce_seconds,
-                    sim_end=site_metrics.finish_time,
-                    site=site,
-                    downloaded_bytes=site_metrics.downloaded_bytes,
-                )
 
     # ------------------------------------------------------------------
 
@@ -593,26 +545,6 @@ class MapReduceEngine:
             site_metrics.rdd_overhead_seconds if self.charge_rdd_overhead else 0.0
         )
         site_metrics.map_finish = site_metrics.map_seconds + overhead
-        metrics = instrument.current().metrics
-        if metrics.enabled:
-            # Combiner hit rate per site = 1 - output/input over these two.
-            metrics.counter("combiner_input_bytes", site=site_name).inc(
-                site_metrics.map_output_bytes
-            )
-            metrics.counter("combiner_output_bytes", site=site_name).inc(
-                site_metrics.intermediate_bytes
-            )
-            metrics.histogram("map_seconds", site=site_name).observe(
-                site_metrics.map_finish
-            )
-            if site_metrics.rdd_overhead_seconds > 0:
-                metrics.histogram("rdd_overhead_seconds", site=site_name).observe(
-                    site_metrics.rdd_overhead_seconds
-                )
-            if site_metrics.task_retry_waves > 0:
-                metrics.counter("task_retries", site=site_name).inc(
-                    site_metrics.task_retry_waves
-                )
         return executor_outputs
 
     def _plan_shuffle(
@@ -656,9 +588,7 @@ class MapReduceEngine:
             for dst, code in dst_codes.items():
                 selected = size_array[codes == code]
                 volume[(src, dst)] = float(np.cumsum(selected)[-1])
-        obs = instrument.current()
-        registry = obs.metrics
-        telemetry = obs.telemetry
+        telemetry = instrument.current().telemetry
         transfers: List[Transfer] = []
         wan_bytes = 0.0
         lan_bytes = 0.0
@@ -671,11 +601,6 @@ class MapReduceEngine:
                 metrics[src].uploaded_bytes += num_bytes
                 metrics[dst].downloaded_bytes += num_bytes
                 wan_bytes += num_bytes
-            link = "lan" if src == dst else "wan"
-            if registry.enabled:
-                registry.counter(
-                    "shuffle_bytes", src=src, dst=dst, link=link
-                ).inc(num_bytes)
             start = metrics[src].map_finish
             if earliest_start is None or start < earliest_start:
                 earliest_start = start

@@ -100,16 +100,10 @@ class ReduceTaskMap:
         if any(frac < 0 for frac in fractions.values()):
             raise EngineError("reduce fractions must be >= 0")
         counts = largest_remainder_allocation(positive, num_tasks)
-        obs = instrument.current()
-        metrics = obs.metrics
-        if metrics.enabled:
-            for site, count in counts.items():
-                metrics.gauge("reduce_tasks", site=site).set(count)
-        if obs.telemetry.enabled:
+        telemetry = instrument.current().telemetry
+        if telemetry.enabled:
             for site in sorted(counts):
-                obs.telemetry.emit(
-                    "reduce-tasks", site=site, tasks=counts[site]
-                )
+                telemetry.emit("reduce-tasks", site=site, tasks=counts[site])
         # Interleave: repeatedly deal one task to each site that still has quota.
         remaining = dict(counts)
         order = [site for site in fractions if counts.get(site, 0) > 0]

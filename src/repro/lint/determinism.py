@@ -1,14 +1,15 @@
 """Two-run same-seed determinism smoke (``repro lint --determinism``).
 
 Runs the same experiment twice with identical seeds, each under a fresh
-tracer and telemetry bus, and compares a digest of the *simulated* trace
-content, a digest of the reported numbers, and a digest of the telemetry
-event stream (:func:`repro.obs.telemetry.telemetry_digest`).  Wall-clock fields (span wall times, the
-measured offline-prep costs) legitimately differ between runs and are
-excluded; everything else — span structure, sim-clock intervals, byte
-counts, similarities, placement fractions — must be byte-identical, or
-the simulator has nondeterministic state (the WANify failure mode: a
-silently drifting simulator corrupts every seed-controlled comparison).
+telemetry bus, and compares a digest of the reported numbers and a
+digest of the telemetry event stream
+(:func:`repro.obs.telemetry.telemetry_digest`).  Wall-clock fields (span
+wall stamps, the measured offline-prep costs) legitimately differ between
+runs and are excluded; everything else — span structure, sim-clock
+intervals, byte counts, similarities, placement fractions — must be
+byte-identical, or the simulator has nondeterministic state (the WANify
+failure mode: a silently drifting simulator corrupts every
+seed-controlled comparison).
 
 ``charge_rdd_overhead`` is forced off for the check: the paper's RDD
 overhead is a *measured wall time* charged to QCT, so with it on, QCT is
@@ -20,14 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
-
-from repro.obs.span import Span
-
-#: Span attributes carrying measured wall time (excluded from digests).
-_WALL_ATTRS = frozenset(
-    {"wall_seconds", "rdd_overhead_seconds", "overhead_seconds"}
-)
+from typing import Iterable, List, Tuple
 
 #: Significant digits kept when digesting floats; identical computations
 #: produce bit-identical floats, so this only guards repr formatting.
@@ -44,29 +38,6 @@ def _canonical(value: object) -> object:
     if isinstance(value, (list, tuple)):
         return [_canonical(item) for item in value]
     return value
-
-
-def trace_digest(spans: Sequence[Span]) -> str:
-    """SHA-256 over the sim-relevant content of a span list, in order."""
-    payload: List[object] = []
-    for span in spans:
-        attrs = {
-            key: _canonical(value)
-            for key, value in sorted(span.attrs.items())
-            if key not in _WALL_ATTRS
-        }
-        payload.append(
-            [
-                span.name,
-                span.stage,
-                span.parent_id,
-                _canonical(span.sim_start) if span.sim_start is not None else None,
-                _canonical(span.sim_end) if span.sim_end is not None else None,
-                attrs,
-            ]
-        )
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 def result_digest(results: Iterable) -> str:
@@ -94,24 +65,19 @@ class DeterminismReport:
     """Outcome of the two-run comparison."""
 
     deterministic: bool
-    trace_digests: Tuple[str, str]
     result_digests: Tuple[str, str]
-    spans: int
+    #: SHA-256 of the telemetry event streams (wall attrs excluded).
+    telemetry_digests: Tuple[str, str]
+    telemetry_events: int
     scheme: str
     workload: str
     seed: int
-    #: SHA-256 of the telemetry event streams (wall attrs excluded).
-    telemetry_digests: Tuple[str, str] = ("", "")
-    telemetry_events: int = 0
 
     def render(self) -> str:
         verdict = "DETERMINISTIC" if self.deterministic else "NON-DETERMINISTIC"
         lines = [
             f"{verdict}: {self.scheme} on {self.workload} "
-            f"(seed {self.seed}, {self.spans} spans/run, "
-            f"{self.telemetry_events} telemetry events/run)",
-            f"  trace digests:     {self.trace_digests[0][:16]}… vs "
-            f"{self.trace_digests[1][:16]}…",
+            f"(seed {self.seed}, {self.telemetry_events} telemetry events/run)",
             f"  result digests:    {self.result_digests[0][:16]}… vs "
             f"{self.result_digests[1][:16]}…",
             f"  telemetry digests: {self.telemetry_digests[0][:16]}… vs "
@@ -144,7 +110,7 @@ def run_determinism_check(
     from repro.wan.presets import ec2_ten_sites
     from repro.workloads import build_workload
 
-    digests: List[Tuple[str, str, int, str, int]] = []
+    digests: List[Tuple[str, str, int]] = []
     for _ in range(2):
         topology = ec2_ten_sites(base_uplink=base_uplink)
         config = SystemConfig(
@@ -168,33 +134,22 @@ def run_determinism_check(
             )
 
         bus = TelemetryBus()
-        with instrument.instrumented(telemetry=bus) as obs:
+        with instrument.instrumented(telemetry=bus):
             result = run_experiment(
                 scheme, factory, topology, config, query_limit=queries,
                 chaos=chaos,
             )
         digests.append(
-            (
-                trace_digest(obs.tracer.spans),
-                result_digest([result]),
-                len(obs.tracer.spans),
-                telemetry_digest(bus),
-                len(bus.events),
-            )
+            (result_digest([result]), telemetry_digest(bus), len(bus.events))
         )
 
-    (trace_a, result_a, spans_a, tele_a, events_a) = digests[0]
-    (trace_b, result_b, _spans_b, tele_b, _events_b) = digests[1]
+    (result_a, tele_a, events_a), (result_b, tele_b, _events_b) = digests
     return DeterminismReport(
-        deterministic=(
-            trace_a == trace_b and result_a == result_b and tele_a == tele_b
-        ),
-        trace_digests=(trace_a, trace_b),
+        deterministic=result_a == result_b and tele_a == tele_b,
         result_digests=(result_a, result_b),
-        spans=spans_a,
+        telemetry_digests=(tele_a, tele_b),
+        telemetry_events=events_a,
         scheme=scheme,
         workload=workload,
         seed=seed,
-        telemetry_digests=(tele_a, tele_b),
-        telemetry_events=events_a,
     )

@@ -1,26 +1,29 @@
-"""Observability: tracing, metrics and instrumentation (`repro.obs`).
+"""Observability: one event stream and its views (`repro.obs`).
 
 Bohr's whole argument is a latency decomposition — QCT dominated by WAN
 shuffle, similarity checking "a small fraction of QCT", the LP solving
 fast enough to run per query.  This package makes that decomposition a
 first-class, machine-readable artifact instead of a post-hoc guess:
 
-* :mod:`repro.obs.span` / :mod:`repro.obs.tracer` — hierarchical spans
-  (``experiment > query > probe/lp/map/shuffle/reduce``) carrying both
-  wall-clock and simulated-clock intervals;
-* :mod:`repro.obs.metrics` — counters, gauges and labeled histograms
-  (bytes shuffled per link, combiner hit rate, LP iterations, ...);
+* :mod:`repro.obs.telemetry` — the streaming runtime event bus, the one
+  recorder (flow/link/stage/fault/plan events plus ``span-begin`` /
+  ``span-end`` pairs around wall-clock work; versioned JSONL behind
+  ``--telemetry``);
+* :mod:`repro.obs.views` — the two views of that stream: hierarchical
+  :mod:`repro.obs.span` trees (``experiment > query > probe/lp/map/
+  shuffle/reduce``, wall and simulated clocks) and
+  :mod:`repro.obs.metrics` series (bytes shuffled per link, combiner
+  hit rate, LP iterations, ...);
 * :mod:`repro.obs.export` — JSONL and Chrome ``chrome://tracing``
   trace-event export, with JSONL round-trip loading;
-* :mod:`repro.obs.instrument` — the process-wide instrumentation slot;
-  the default is a no-op, so uninstrumented runs pay ~zero cost;
+* :mod:`repro.obs.instrument` — the process-wide instrumentation slot
+  (bus + sanitizer); the default is a no-op, so uninstrumented runs pay
+  ~zero cost;
 * :mod:`repro.obs.sanitize` — the runtime invariant sanitizer (bytes
   conservation, sim-clock monotonicity, LP feasibility) behind the CLI
   ``--sanitize`` flag;
 * :mod:`repro.obs.inspect` — per-stage latency breakdown of a saved
   trace (the ``python -m repro inspect`` command);
-* :mod:`repro.obs.telemetry` — the streaming runtime event bus behind
-  ``--telemetry`` (flow/link/stage/fault/plan events, versioned JSONL);
 * :mod:`repro.obs.series` — derivations from event streams to sim-time
   time-series (link utilization, site busy fraction, estimator error);
 * :mod:`repro.obs.report_html` / :mod:`repro.obs.top` — the static
@@ -33,14 +36,7 @@ from repro.obs.instrument import (
     current,
     instrumented,
 )
-from repro.obs.metrics import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetrics,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.sanitize import NULL_SANITIZER, NullSanitizer, Sanitizer
 from repro.obs.span import Span
 from repro.obs.telemetry import (
@@ -50,7 +46,7 @@ from repro.obs.telemetry import (
     TelemetryEvent,
     telemetry_digest,
 )
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.obs.views import metrics_from_events, spans_from_events
 
 __all__ = [
     "Counter",
@@ -59,20 +55,17 @@ __all__ = [
     "Instrumentation",
     "MetricsRegistry",
     "NULL_INSTRUMENTATION",
-    "NULL_METRICS",
     "NULL_SANITIZER",
     "NULL_TELEMETRY",
-    "NULL_TRACER",
-    "NullMetrics",
     "NullSanitizer",
     "NullTelemetryBus",
-    "NullTracer",
     "Sanitizer",
     "Span",
     "TelemetryBus",
     "TelemetryEvent",
-    "Tracer",
     "current",
     "instrumented",
+    "metrics_from_events",
+    "spans_from_events",
     "telemetry_digest",
 ]

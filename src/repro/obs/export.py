@@ -1,7 +1,9 @@
 """Trace export: JSONL (with round-trip loading) and Chrome trace events.
 
-JSONL is the machine-readable archive format — one :class:`Span` dict per
+JSONL is the machine-readable span format — one :class:`Span` dict per
 line, loadable with :func:`load_jsonl` (the ``inspect`` command's input).
+:func:`load_jsonl` also accepts a ``--telemetry`` archive and derives the
+spans from its events, so one archive feeds ``inspect`` and ``report``.
 
 Chrome export targets the ``chrome://tracing`` / Perfetto trace-event
 JSON format (``{"traceEvents": [...]}``, complete events with ``ph: "X"``
@@ -17,11 +19,12 @@ from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ObservabilityError
 from repro.obs.span import Span
-from repro.obs.tracer import Tracer
+from repro.obs.telemetry import load_jsonl as load_telemetry, read_jsonl
+from repro.obs.views import spans_from_events
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chaos.schedule import FaultSchedule
@@ -30,8 +33,7 @@ _WALL_PID = 1
 _SIM_PID = 2
 
 
-def _spans_of(source: Union[Tracer, Sequence[Span]]) -> List[Span]:
-    spans = source.spans if isinstance(source, Tracer) else list(source)
+def _spans_of(spans: Sequence[Span]) -> List[Span]:
     return sorted(spans, key=lambda span: span.span_id)
 
 
@@ -40,30 +42,21 @@ def _spans_of(source: Union[Tracer, Sequence[Span]]) -> List[Span]:
 # ----------------------------------------------------------------------
 
 
-def export_jsonl(source: Union[Tracer, Sequence[Span]], path: str) -> None:
+def export_jsonl(spans: Sequence[Span], path: str) -> None:
     """Write one span per line, in span-id order."""
     with open(path, "w", encoding="utf-8") as handle:
-        for span in _spans_of(source):
+        for span in _spans_of(spans):
             handle.write(json.dumps(span.to_dict(), sort_keys=True))
             handle.write("\n")
 
 
 def load_jsonl(path: str) -> List[Span]:
-    """Load spans written by :func:`export_jsonl`."""
-    spans: List[Span] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ObservabilityError(
-                    f"{path}:{line_number}: invalid JSON ({error})"
-                ) from None
-            spans.append(Span.from_dict(record))
-    return spans
+    """Load spans written by :func:`export_jsonl`, or derive them from a
+    telemetry archive (recognised by its header line)."""
+    records = read_jsonl(path)
+    if records and "telemetry" in records[0][1]:
+        return spans_from_events(load_telemetry(path)[1])
+    return [Span.from_dict(record) for _, record in records]
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +128,7 @@ def _fault_trace_events(
 
 
 def chrome_trace_events(
-    source: Union[Tracer, Sequence[Span]],
+    spans: Sequence[Span],
     faults: "Optional[FaultSchedule]" = None,
 ) -> List[Dict[str, Any]]:
     """All spans as Chrome trace-event dicts (metadata events first).
@@ -144,7 +137,7 @@ def chrome_trace_events(
     schedule's windows so blackouts and stragglers render inline with
     the spans they disturbed.
     """
-    spans = _spans_of(source)
+    spans = _spans_of(spans)
     events: List[Dict[str, Any]] = [
         _metadata_event(_WALL_PID, 0, "wall-clock", "process_name"),
         _metadata_event(_SIM_PID, 0, "simulated-clock", "process_name"),
@@ -193,13 +186,13 @@ def chrome_trace_events(
 
 
 def export_chrome(
-    source: Union[Tracer, Sequence[Span]],
+    spans: Sequence[Span],
     path: str,
     faults: "Optional[FaultSchedule]" = None,
 ) -> None:
     """Write the Chrome ``chrome://tracing`` JSON object format."""
     document = {
-        "traceEvents": chrome_trace_events(source, faults=faults),
+        "traceEvents": chrome_trace_events(spans, faults=faults),
         "displayTimeUnit": "ms",
     }
     with open(path, "w", encoding="utf-8") as handle:

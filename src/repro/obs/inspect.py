@@ -15,30 +15,10 @@ did the time go?*  The report has three parts:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.obs.span import Span
+from repro.obs.span import Span, children_index, descendants
 from repro.util.tabulate import format_table
-
-
-def _children_index(spans: Sequence[Span]) -> Dict[Optional[int], List[Span]]:
-    index: Dict[Optional[int], List[Span]] = {}
-    for span in spans:
-        index.setdefault(span.parent_id, []).append(span)
-    return index
-
-
-def _descendants(
-    span: Span, index: Dict[Optional[int], List[Span]]
-) -> List[Span]:
-    out: List[Span] = []
-    frontier = [span]
-    while frontier:
-        node = frontier.pop()
-        for child in index.get(node.span_id, []):
-            out.append(child)
-            frontier.append(child)
-    return out
 
 
 def _union_length(intervals: List[Tuple[float, float]], horizon: float) -> float:
@@ -60,7 +40,7 @@ def _union_length(intervals: List[Tuple[float, float]], horizon: float) -> float
 
 def query_coverage(spans: Sequence[Span]) -> List[Dict[str, float]]:
     """Per-query-span QCT coverage by descendant simulated intervals."""
-    index = _children_index(spans)
+    index = children_index(spans)
     rows: List[Dict[str, float]] = []
     for span in spans:
         if span.stage != "query":
@@ -70,7 +50,7 @@ def query_coverage(spans: Sequence[Span]) -> List[Dict[str, float]]:
             continue
         intervals = [
             (descendant.sim_start, descendant.sim_end)
-            for descendant in _descendants(span, index)
+            for descendant in descendants(span, index)
             if descendant.is_simulated
         ]
         covered = _union_length(intervals, qct)
@@ -98,7 +78,7 @@ def _stage_active_seconds(spans: Sequence[Span]) -> Dict[str, float]:
     """Per stage, the summed union length of its simulated intervals
     inside each query's [0, qct] window — "how long was this stage
     active", immune to overlap inflation from concurrent spans."""
-    index = _children_index(spans)
+    index = children_index(spans)
     active: Dict[str, float] = {}
     for query in spans:
         if query.stage != "query":
@@ -107,7 +87,7 @@ def _stage_active_seconds(spans: Sequence[Span]) -> Dict[str, float]:
         if qct <= 0:
             continue
         intervals: Dict[str, List[Tuple[float, float]]] = {}
-        for span in [query] + _descendants(query, index):
+        for span in [query] + descendants(query, index):
             if span.is_simulated:
                 intervals.setdefault(span.stage, []).append(
                     (span.sim_start, span.sim_end)

@@ -1,24 +1,27 @@
-"""The process-wide instrumentation slot.
+"""The process-wide instrumentation slot: one recorder, one checker.
 
 Every instrumented call site does::
 
     from repro.obs import instrument
     ...
-    obs = instrument.current()
-    with obs.tracer.span("lp", stage="lp"):
+    telemetry = instrument.current().telemetry
+    with telemetry.span("lp-solve", stage="placement") as span:
         ...
-    obs.metrics.counter("lp_solves").inc()
+        span.set(backend="scipy")
+    if telemetry.enabled:
+        telemetry.emit("plan", scheme="bohr", moved_bytes=...)
 
-By default :func:`current` returns :data:`NULL_INSTRUMENTATION`, whose
-tracer and metrics are the no-op twins — a disabled call site costs a
-function call and a couple of attribute lookups, keeping the
-tracing-off overhead of ``run_experiment`` well under the 3% budget.
-
-Enable collection for a region with :func:`instrumented`::
+The slot has two members: ``telemetry`` (the event bus — the only
+recorder; spans and metric snapshots are views of its stream, see
+:mod:`repro.obs.views`) and ``sanitizer`` (the runtime invariant
+checker).  By default :func:`current` returns
+:data:`NULL_INSTRUMENTATION`, whose members are the no-op twins — a
+disabled call site costs a function call and a couple of attribute
+lookups.  Enable collection for a region with :func:`instrumented`::
 
     with instrument.instrumented() as obs:
         run_experiment(...)
-    export_jsonl(obs.tracer, "trace.jsonl")
+    export_jsonl(spans_from_events(obs.telemetry.events), "trace.jsonl")
 
 The slot is deliberately process-global rather than threaded through
 every constructor: the engine, solver, WAN simulator and similarity
@@ -29,38 +32,23 @@ instrumentation must not reshape those APIs.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry, NullMetrics
 from repro.obs.sanitize import NULL_SANITIZER, NullSanitizer, Sanitizer
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetryBus, TelemetryBus
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 
 @dataclass
 class Instrumentation:
-    """The tracer/metrics/sanitizer/telemetry bundle handed to call sites."""
+    """The telemetry/sanitizer pair handed to call sites."""
 
-    tracer: Union[Tracer, NullTracer] = field(default_factory=lambda: NULL_TRACER)
-    metrics: Union[MetricsRegistry, NullMetrics] = field(
-        default_factory=lambda: NULL_METRICS
-    )
-    sanitizer: Union[Sanitizer, NullSanitizer] = field(
-        default_factory=lambda: NULL_SANITIZER
-    )
-    telemetry: Union[TelemetryBus, NullTelemetryBus] = field(
-        default_factory=lambda: NULL_TELEMETRY
-    )
+    telemetry: Union[TelemetryBus, NullTelemetryBus] = NULL_TELEMETRY
+    sanitizer: Union[Sanitizer, NullSanitizer] = NULL_SANITIZER
 
     @property
     def enabled(self) -> bool:
-        return (
-            self.tracer.enabled
-            or self.metrics.enabled
-            or self.sanitizer.enabled
-            or self.telemetry.enabled
-        )
+        return self.telemetry.enabled or self.sanitizer.enabled
 
 
 NULL_INSTRUMENTATION = Instrumentation()
@@ -82,23 +70,18 @@ def install(instrumentation: Optional[Instrumentation] = None) -> Instrumentatio
 
 @contextmanager
 def instrumented(
-    tracer: Optional[Union[Tracer, NullTracer]] = None,
-    metrics: Optional[Union[MetricsRegistry, NullMetrics]] = None,
     sanitizer: Optional[Union[Sanitizer, NullSanitizer]] = None,
     telemetry: Optional[Union[TelemetryBus, NullTelemetryBus]] = None,
 ) -> Iterator[Instrumentation]:
     """Activate live collection for a region, restoring the prior slot.
 
-    With no arguments, a fresh :class:`Tracer` and
-    :class:`MetricsRegistry` are created (the sanitizer and telemetry bus
-    stay off); pass explicit instances (or the null twins) to share or
-    suppress any part.
+    With no ``telemetry`` a fresh :class:`TelemetryBus` is created (the
+    sanitizer stays off unless given); pass explicit instances (or the
+    null twins) to share or suppress either member.
     """
     instrumentation = Instrumentation(
-        tracer=tracer if tracer is not None else Tracer(),
-        metrics=metrics if metrics is not None else MetricsRegistry(),
+        telemetry=telemetry if telemetry is not None else TelemetryBus(),
         sanitizer=sanitizer if sanitizer is not None else NULL_SANITIZER,
-        telemetry=telemetry if telemetry is not None else NULL_TELEMETRY,
     )
     previous = current()
     install(instrumentation)

@@ -6,18 +6,16 @@ a frozen label set, Prometheus-style::
     metrics.counter("shuffle_bytes", src="tokyo", dst="oregon").inc(4096)
     metrics.histogram("lp_solve_seconds").observe(0.012)
 
-Snapshots serialize every series to a plain dict (for ``--metrics FILE``)
-and render as an ASCII table (reusing :mod:`repro.util.tabulate`).
-
-:data:`NULL_METRICS` is the no-op twin: every factory returns a shared
-dummy whose mutators do nothing, so instrumented hot paths stay ~free
-when metrics are disabled.
+Nothing records into a registry while the system runs: it is the
+accumulator :func:`repro.obs.views.metrics_from_events` folds a
+telemetry stream into, and its snapshot (every series as a plain dict)
+is what ``--metrics FILE`` writes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.errors import ObservabilityError
 
@@ -59,9 +57,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
 
 
 class Histogram:
@@ -111,9 +106,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Process-local registry of labeled metric series."""
-
-    enabled = True
+    """Registry of labeled metric series."""
 
     def __init__(self) -> None:
         self._series: "Dict[_SeriesKey, Counter | Gauge | Histogram]" = {}
@@ -176,80 +169,3 @@ class MetricsRegistry:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.snapshot(), handle, indent=2, sort_keys=True)
             handle.write("\n")
-
-    def render_text(self, title: Optional[str] = "metrics") -> str:
-        from repro.util.tabulate import format_table
-
-        rows: List[List[object]] = []
-        for record in self.snapshot():
-            labels = ",".join(
-                f"{key}={value}" for key, value in sorted(record["labels"].items())
-            )
-            if record["type"] == "histogram":
-                value = (
-                    f"count={record['count']} mean={record['mean']:.4g} "
-                    f"p50={record['p50']:.4g} p90={record['p90']:.4g} "
-                    f"p99={record['p99']:.4g}"
-                )
-            else:
-                value = f"{record['value']:.6g}"
-            rows.append([record["name"], labels, record["type"], value])
-        return format_table(
-            rows, headers=("metric", "labels", "type", "value"), title=title
-        )
-
-
-class _NullMetric:
-    """Shared dummy accepted by every metric call site."""
-
-    __slots__ = ()
-    name = ""
-    value = 0.0
-
-    # Fresh containers per read: a class-level ``labels = {}`` would be
-    # one dict shared by every null metric in the process, and a single
-    # stray ``metric.samples.append(...)`` would contaminate them all
-    # (flagged by the R010 shared-state inventory).
-    @property
-    def labels(self) -> Dict[str, str]:
-        return {}
-
-    @property
-    def samples(self) -> List[float]:
-        return []
-
-    def inc(self, amount: float = 1.0) -> None:
-        return None
-
-    def set(self, value: float) -> None:
-        return None
-
-    def observe(self, value: float) -> None:
-        return None
-
-
-_NULL_METRIC = _NullMetric()
-
-
-class NullMetrics:
-    """Registry twin whose factories return a shared no-op metric."""
-
-    enabled = False
-
-    def counter(self, name: str, **labels: Any) -> _NullMetric:
-        return _NULL_METRIC
-
-    def gauge(self, name: str, **labels: Any) -> _NullMetric:
-        return _NULL_METRIC
-
-    def histogram(self, name: str, **labels: Any) -> _NullMetric:
-        return _NULL_METRIC
-
-    def series(self) -> List[Any]:
-        return []
-
-    def snapshot(self) -> List[Dict[str, Any]]:
-        return []
-
-
-NULL_METRICS = NullMetrics()

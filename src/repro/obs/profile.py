@@ -2,10 +2,10 @@
 
 **Simulation clock** — :func:`qct_breakdown` answers "what share of the
 query completion time went to each stage" from the span tree alone, so
-it works identically on a live tracer and on a saved ``--trace`` JSONL
-file (``repro inspect --breakdown``).  Every instant of a query's
-``[0, qct]`` window is attributed to exactly *one* stage by a
-downstream-wins sweep: where phases overlap (map at a straggler site
+it works identically on a live bus's span view and on a saved ``--trace``
+or ``--telemetry`` file (``repro inspect --breakdown``).  Every instant
+of a query's ``[0, qct]`` window is attributed to exactly *one* stage by
+a downstream-wins sweep: where phases overlap (map at a straggler site
 while shuffles are already in flight), the most-downstream active stage
 claims the instant, because upstream work off the critical path cannot
 delay completion once a later phase is running.  Instants covered by no
@@ -38,7 +38,7 @@ from pathlib import PurePath
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ObservabilityError
-from repro.obs.span import Span
+from repro.obs.span import Span, children_index, descendants
 from repro.util.tabulate import format_table
 
 #: Canonical display order; also the attribution precedence (later =
@@ -163,29 +163,9 @@ def _attribute_window(
     return attributed
 
 
-def _children_index(spans: Sequence[Span]) -> Dict[Optional[int], List[Span]]:
-    index: Dict[Optional[int], List[Span]] = {}
-    for span in spans:
-        index.setdefault(span.parent_id, []).append(span)
-    return index
-
-
-def _descendants(
-    span: Span, index: Dict[Optional[int], List[Span]]
-) -> List[Span]:
-    out: List[Span] = []
-    frontier = [span]
-    while frontier:
-        node = frontier.pop()
-        for child in index.get(node.span_id, []):
-            out.append(child)
-            frontier.append(child)
-    return out
-
-
 def qct_breakdown(spans: Sequence[Span]) -> QctBreakdown:
     """Attribute every query's QCT across stages; see module docstring."""
-    index = _children_index(spans)
+    index = children_index(spans)
     breakdown = QctBreakdown()
     stage_of: Dict[int, str] = {
         span.span_id: canonical_stage(span.stage or span.name)
@@ -203,7 +183,7 @@ def qct_breakdown(spans: Sequence[Span]) -> QctBreakdown:
             )
             if qct > 0:
                 intervals = []
-                for descendant in _descendants(span, index):
+                for descendant in descendants(span, index):
                     if not descendant.is_simulated:
                         continue
                     descendant_stage = stage_of[descendant.span_id]

@@ -27,7 +27,7 @@ when the simulator is healthy, checked at the existing
   QCT within 1e-9.
 
 A disabled call site costs one attribute check (``sanitizer.enabled``),
-mirroring the tracer/metrics no-op twins.  In ``collect`` mode (the CLI
+mirroring the telemetry bus's no-op twin.  In ``collect`` mode (the CLI
 default) violations accumulate for a summary report; in ``raise`` mode
 (the test default) the first violation raises
 :class:`~repro.errors.InvariantViolation` at the offending call site.

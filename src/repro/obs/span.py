@@ -6,20 +6,21 @@ offline machinery — cube building, probe construction, LP solving — costs
 real wall-clock seconds (what Tables 3–5 report).  A span therefore
 carries two independent intervals:
 
-* ``wall_start``/``wall_end`` — seconds of real time since the tracer's
+* ``wall_start``/``wall_end`` — seconds of real time since the bus's
   epoch, measured with ``time.perf_counter``;
 * ``sim_start``/``sim_end`` — seconds on the simulated clock, taken from
   the engine/WAN simulator; ``None`` for spans that only exist in real
   time.
 
 Spans form a tree via ``parent_id``; the root spans of an export have
-``parent_id is None``.
+``parent_id is None``.  Nothing records spans directly: they are a view
+of the telemetry stream (:func:`repro.obs.views.spans_from_events`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ObservabilityError
 
@@ -130,3 +131,25 @@ class Span:
             )
         except (KeyError, TypeError, ValueError) as error:
             raise ObservabilityError(f"malformed span record: {error}") from None
+
+
+def children_index(spans: Sequence[Span]) -> Dict[Optional[int], List[Span]]:
+    """Spans grouped by ``parent_id`` (``None`` holds the roots)."""
+    index: Dict[Optional[int], List[Span]] = {}
+    for span in spans:
+        index.setdefault(span.parent_id, []).append(span)
+    return index
+
+
+def descendants(
+    span: Span, index: Dict[Optional[int], List[Span]]
+) -> List[Span]:
+    """Every span below ``span`` in the tree ``index`` describes."""
+    out: List[Span] = []
+    frontier = [span]
+    while frontier:
+        node = frontier.pop()
+        for child in index.get(node.span_id, []):
+            out.append(child)
+            frontier.append(child)
+    return out

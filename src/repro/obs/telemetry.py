@@ -1,20 +1,22 @@
-"""Streaming runtime telemetry: a typed event bus the hot paths publish into.
+"""Streaming runtime telemetry: the one recorder the hot paths publish into.
 
-PR 1's tracer and metrics observe the system *after* it ran (spans close,
-counters dump).  The telemetry bus observes it *while* it runs: the WAN
-simulator, the engine, the chaos runtime, and the controller publish
-small typed events as simulation advances, and consumers — the JSONL
-archive (``--telemetry FILE``), the ``repro report`` dashboard, the
-``repro top`` live view — either subscribe to the stream or replay the
-archive.
+The bus observes the system *while* it runs: the WAN simulator, the
+engine, the chaos runtime, the planners and the controller publish small
+typed events as simulation advances, and every consumer — the JSONL
+archive (``--telemetry FILE``), the span and metric views of
+:mod:`repro.obs.views` (``--trace``/``--metrics``/``inspect``), the
+``repro report`` dashboard, the ``repro top`` live view — either
+subscribes to the stream or replays the archive.
 
-Like the instrument slot's other members, the bus has a no-op twin
-(:data:`NULL_TELEMETRY`): a disabled call site costs one attribute lookup
-and a truthiness check, so the telemetry-off hot path is unchanged.
+The bus has a no-op twin (:data:`NULL_TELEMETRY`): a disabled call site
+costs one attribute lookup and a truthiness check, so the telemetry-off
+hot path is unchanged.
 
-Event model (schema v3, specified in DESIGN.md; v2 = v1 plus the
+Event model (schema v4, specified in DESIGN.md; v2 = v1 plus the
 serving-layer kinds, v3 = v2 plus the explicit queue/slot wait kinds and
-the SLO tracker's ``slo-*`` kinds — old archives load unchanged):
+the SLO tracker's ``slo-*`` kinds, v4 = v3 plus the ``span-begin`` /
+``span-end`` pairs :meth:`TelemetryBus.span` brackets wall-clock work
+with — old archives load unchanged):
 
 * ``seq`` — monotonically increasing per bus, fixing a total order;
 * ``t`` — simulated-clock seconds the event describes, or ``None`` for
@@ -37,18 +39,19 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ObservabilityError
 
 #: Schema version written into the JSONL header line.
-TELEMETRY_VERSION = 3
+TELEMETRY_VERSION = 4
 
 #: Archive versions :func:`load_jsonl` still understands.  Each version
 #: is a strict superset of the previous one (kinds were added, nothing
 #: was renamed or removed), so old archives stay loadable forever.
-SUPPORTED_VERSIONS = frozenset({1, 2, 3})
+SUPPORTED_VERSIONS = frozenset({1, 2, 3, 4})
 
 #: Every event kind the v1 schema admitted, grouped by emitting layer.
 V1_EVENT_KINDS = frozenset(
@@ -118,8 +121,15 @@ V3_EVENT_KINDS = frozenset(
     }
 )
 
+#: Kinds added by schema v4: the pair :meth:`TelemetryBus.span` brackets
+#: wall-clock work with; both carry ``name`` and ``at_wall_seconds``
+#: (offset from the bus epoch), and nesting is stream order.
+V4_EVENT_KINDS = frozenset({"span-begin", "span-end"})
+
 #: The full closed kind set of the current schema version.
-EVENT_KINDS = V1_EVENT_KINDS | SERVE_EVENT_KINDS | V3_EVENT_KINDS
+EVENT_KINDS = (
+    V1_EVENT_KINDS | SERVE_EVENT_KINDS | V3_EVENT_KINDS | V4_EVENT_KINDS
+)
 
 #: Attribute keys carrying wall-measured values (excluded from digests;
 #: keys ending in ``wall_seconds`` are excluded by suffix as well).
@@ -178,6 +188,27 @@ class TelemetryEvent:
 Subscriber = Callable[[TelemetryEvent], None]
 
 
+class _OpenSpan:
+    """Context manager for one wall-clock span (see :meth:`TelemetryBus.span`)."""
+
+    __slots__ = ("_bus", "_name", "_late")
+
+    def __init__(self, bus: "TelemetryBus", name: str) -> None:
+        self._bus = bus
+        self._name = name
+        self._late: Dict[str, _Scalar] = {}
+
+    def set(self, **attrs: _Scalar) -> None:
+        """Attach attrs known only once the work is done (ride on span-end)."""
+        self._late.update(attrs)
+
+    def __enter__(self) -> "_OpenSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._bus._stamp("span-end", self._name, **self._late)
+
+
 class TelemetryBus:
     """Collects (and optionally streams) telemetry events for one run.
 
@@ -195,6 +226,8 @@ class TelemetryBus:
     enabled = True
 
     def __init__(self) -> None:
+        # Wall-clock by design: the epoch span stamps are offsets from.
+        self._epoch = time.perf_counter()  # lint: allow[R001]
         self._kinds: List[str] = []
         self._ts: List[Optional[float]] = []
         self._attr_rows: List[Dict[str, _Scalar]] = []
@@ -241,6 +274,30 @@ class TelemetryBus:
             return event
         return None
 
+    def span(self, name: str, stage: str = "", **attrs: _Scalar) -> _OpenSpan:
+        """Bracket wall-clock work with a ``span-begin``/``span-end`` pair.
+
+        ::
+
+            with bus.span("lp-solve", stage="placement", variables=n) as span:
+                solution = solve(...)
+                span.set(backend=solution.backend)
+
+        ``span-begin`` is emitted now, ``span-end`` when the block exits
+        (also on error).  Events emitted in between nest under the span:
+        nesting is stream order, rebuilt (and checked) by the reader.
+        """
+        self._stamp("span-begin", name, stage=stage or name, **attrs)
+        return _OpenSpan(self, name)
+
+    def _stamp(self, kind: str, name: str, **attrs: _Scalar) -> None:
+        self.emit(
+            kind,
+            name=name,
+            at_wall_seconds=time.perf_counter() - self._epoch,  # lint: allow[R001]
+            **attrs,
+        )
+
     def subscribe(self, subscriber: Subscriber) -> None:
         """Register a live consumer; called synchronously on every emit."""
         self._subscribers.append(subscriber)
@@ -250,6 +307,24 @@ class TelemetryBus:
         for kind in self._kinds:
             counts[kind] = counts.get(kind, 0) + 1
         return counts
+
+
+class _NullSpan:
+    """Shared no-op span returned by :meth:`NullTelemetryBus.span`."""
+
+    __slots__ = ()
+
+    def set(self, **attrs: Any) -> None:
+        return None
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        return None
+
+
+_NULL_SPAN = _NullSpan()
 
 
 class NullTelemetryBus:
@@ -265,6 +340,9 @@ class NullTelemetryBus:
 
     def emit(self, kind: str, t: Optional[float] = None, **attrs: Any) -> None:
         return None
+
+    def span(self, name: str, stage: str = "", **attrs: Any) -> "_NullSpan":
+        return _NULL_SPAN
 
     def subscribe(self, subscriber: Subscriber) -> None:
         return None
@@ -307,16 +385,28 @@ def write_jsonl(
     return len(events)
 
 
+def read_jsonl(path: str) -> List[Tuple[int, Any]]:
+    """``(line number, parsed JSON)`` for every non-blank line of a file."""
+    records: List[Tuple[int, Any]] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append((line_number, json.loads(line)))
+            except json.JSONDecodeError as error:
+                raise ObservabilityError(
+                    f"{path}:{line_number}: invalid JSON ({error})"
+                ) from None
+    return records
+
+
 def load_jsonl(path: str) -> Tuple[Dict[str, Any], List[TelemetryEvent]]:
     """Load ``(header, events)`` from an archive written by :func:`write_jsonl`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    if not lines:
+    records = read_jsonl(path)
+    if not records:
         raise ObservabilityError(f"{path}: empty telemetry file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as error:
-        raise ObservabilityError(f"{path}:1: invalid JSON ({error})") from None
+    header = records[0][1]
     if not isinstance(header, dict) or header.get("telemetry") != "repro.obs.telemetry":
         raise ObservabilityError(
             f"{path}: missing telemetry header line (is this a span trace?)"
@@ -328,16 +418,7 @@ def load_jsonl(path: str) -> Tuple[Dict[str, Any], List[TelemetryEvent]]:
             f"{path}: telemetry schema v{version} is not supported "
             f"(supported: {supported})"
         )
-    events: List[TelemetryEvent] = []
-    for line_number, line in enumerate(lines[1:], start=2):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ObservabilityError(
-                f"{path}:{line_number}: invalid JSON ({error})"
-            ) from None
-        events.append(TelemetryEvent.from_dict(record))
-    return header, events
+    return header, [TelemetryEvent.from_dict(record) for _, record in records[1:]]
 
 
 # ----------------------------------------------------------------------

@@ -164,20 +164,19 @@ def execute_plan(
             if records
         ]
         outcome = None
-        if not transfers:
-            makespan = 0.0
-        elif retry_policy is not None:
+        results: List[TransferResult] = []
+        if retry_policy is not None and transfers:
             from repro.chaos.runtime import simulate_with_retries
 
             outcome = simulate_with_retries(scheduler, transfers, retry_policy)
-            makespan = outcome.makespan_seconds
-        else:
-            makespan = scheduler.makespan(transfers)
+            results = outcome.results
+        elif transfers:
+            results = scheduler.simulate(transfers)
+        makespan = max((result.finish_time for result in results), default=0.0)
         last_round = round_index == max_rescale_rounds - 1
         fits = makespan <= lag_seconds * 1.0001
         if fits or not transfers or (retry_policy is not None and last_round):
             if outcome is not None:
-                results = outcome.results
                 failed_moves = {
                     (result.transfer.tag, result.transfer.src, result.transfer.dst)
                     for result in results
@@ -186,7 +185,6 @@ def execute_plan(
                 retries = outcome.retries
                 abandoned_bytes = outcome.abandoned_bytes
             else:
-                results = scheduler.simulate(transfers) if transfers else []
                 failed_moves = set()
                 retries = 0
                 abandoned_bytes = 0.0

@@ -20,23 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SolverError
-from repro.obs import instrument
 
 _TOL = 1e-9
-
-
-def _record_iterations(result: "SimplexResult") -> "SimplexResult":
-    """Publish iteration counts to the active metrics registry."""
-    metrics = instrument.current().metrics
-    if metrics.enabled:
-        metrics.counter("simplex_solves", status=result.status).inc()
-        metrics.counter("simplex_iterations").inc(result.iterations)
-        metrics.histogram("simplex_iterations_per_solve").observe(
-            result.iterations
-        )
-        if result.warm_started:
-            metrics.counter("simplex_warm_starts").inc()
-    return result
 
 
 @dataclass
@@ -195,12 +180,8 @@ def simplex_solve(
     if not rows:
         # Unconstrained (beyond x >= 0): optimum at 0 unless some c < 0.
         if np.any(c < -_TOL):
-            return _record_iterations(
-                SimplexResult(np.zeros(num_vars), -np.inf, 0, "unbounded")
-            )
-        return _record_iterations(
-            SimplexResult(np.zeros(num_vars), 0.0, 0, "optimal")
-        )
+            return SimplexResult(np.zeros(num_vars), -np.inf, 0, "unbounded")
+        return SimplexResult(np.zeros(num_vars), 0.0, 0, "optimal")
 
     matrix = np.vstack(rows)
     b = np.asarray(rhs, dtype=float)
@@ -262,9 +243,7 @@ def simplex_solve(
             tableau_a, b, phase1_c, basis, max_iterations
         )
         if status != "optimal":
-            return _record_iterations(
-                SimplexResult(np.zeros(num_vars), 0.0, iterations1, status)
-            )
+            return SimplexResult(np.zeros(num_vars), 0.0, iterations1, status)
         phase1_value = float(
             sum(
                 phase1_c[basis[row]] * b[row]
@@ -272,9 +251,7 @@ def simplex_solve(
             )
         )
         if phase1_value > 1e-7:
-            return _record_iterations(
-                SimplexResult(np.zeros(num_vars), 0.0, iterations1, "infeasible")
-            )
+            return SimplexResult(np.zeros(num_vars), 0.0, iterations1, "infeasible")
         _pivot_out_artificials(tableau_a, b, basis, total_real)
         tableau_a = tableau_a[:, :total_real]
         basis = [col if col < total_real else -1 for col in basis]
@@ -311,15 +288,13 @@ def _finish_phase2(
         x_full[column] = b[row]
     x = x_full[:num_vars]
     objective = float(c @ x)
-    return _record_iterations(
-        SimplexResult(
-            x,
-            objective,
-            iterations1 + iterations2,
-            status,
-            basis_columns=list(basis),
-            warm_started=warm_started,
-        )
+    return SimplexResult(
+        x,
+        objective,
+        iterations1 + iterations2,
+        status,
+        basis_columns=list(basis),
+        warm_started=warm_started,
     )
 
 

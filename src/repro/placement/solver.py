@@ -78,27 +78,24 @@ def solve_lp(
     """
     if backend not in ("auto", "scipy", "simplex"):
         raise SolverError(f"unknown backend {backend!r}")
-    obs = instrument.current()
-    with obs.tracer.span(
+    telemetry = instrument.current().telemetry
+    with telemetry.span(
         "lp-solve", stage="placement", variables=program.num_variables
     ) as span:
-        solution = _solve(program, backend, warm_names)
-    if span is not None:
-        span.attrs["backend"] = solution.backend
-        span.attrs["objective"] = solution.objective
-    if obs.metrics.enabled:
-        obs.metrics.counter("lp_solves", backend=solution.backend).inc()
-        obs.metrics.histogram("lp_solve_seconds").observe(solution.solve_seconds)
-        obs.metrics.gauge("lp_variables").set(program.num_variables)
-        if solution.warm_started:
-            obs.metrics.counter("lp_warm_starts").inc()
+        solution = _solve(program, backend, warm_names, span)
+        span.set(
+            backend=solution.backend,
+            objective=solution.objective,
+            warm_started=solution.warm_started,
+        )
     return solution
 
 
 def _solve(
     program: LinearProgram,
     backend: str,
-    warm_names: Optional[List[str]] = None,
+    warm_names: Optional[List[str]],
+    span,
 ) -> LpSolution:
     # Wall-clock on purpose: LP solve cost reported by Table 5.
     started = time.perf_counter()  # lint: allow[R001]
@@ -148,6 +145,7 @@ def _solve(
         program.b_eq,
         warm_columns=warm_columns,
     )
+    span.set(simplex_status=result.status, simplex_iterations=result.iterations)
     if not result.ok:
         raise SolverError(f"simplex failed: {result.status}")
     num_vars = program.num_variables

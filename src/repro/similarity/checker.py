@@ -54,52 +54,47 @@ class SimilarityChecker:
         matches when its key exists as a cell of the target's dimension
         cube for the same query type.
         """
-        # Wall-clock on purpose: offline probe-checking cost, Table 3.
-        started = time.perf_counter()  # lint: allow[R001]
-        matched_weight: Dict[QueryTypeKey, float] = {}
-        total_weight: Dict[QueryTypeKey, float] = {}
-        for record in probe.records:
-            cube = target_cubes.cube_for(list(record.query_type))
-            total_weight[record.query_type] = (
-                total_weight.get(record.query_type, 0.0) + record.weight
-            )
-            if record.key in cube.cells:
-                matched_weight[record.query_type] = (
-                    matched_weight.get(record.query_type, 0.0) + record.weight
+        telemetry = instrument.current().telemetry
+        with telemetry.span(
+            f"similarity-check {probe.origin_site}->{target_site}",
+            stage="probe",
+            dataset=probe.dataset_id,
+            origin=probe.origin_site,
+            target=target_site,
+        ) as span:
+            # Wall-clock on purpose: offline probe-checking cost, Table 3.
+            started = time.perf_counter()  # lint: allow[R001]
+            matched_weight: Dict[QueryTypeKey, float] = {}
+            total_weight: Dict[QueryTypeKey, float] = {}
+            for record in probe.records:
+                cube = target_cubes.cube_for(list(record.query_type))
+                total_weight[record.query_type] = (
+                    total_weight.get(record.query_type, 0.0) + record.weight
                 )
-        per_type = {
-            type_key: matched_weight.get(type_key, 0.0) / weight
-            for type_key, weight in total_weight.items()
-        }
-        overall_total = sum(total_weight.values())
-        overall_matched = sum(matched_weight.values())
-        similarity = overall_matched / overall_total if overall_total else 0.0
-        elapsed = time.perf_counter() - started  # lint: allow[R001]
-        result = SiteSimilarity(
-            dataset_id=probe.dataset_id,
-            origin_site=probe.origin_site,
-            target_site=target_site,
-            similarity=similarity,
-            per_query_type=per_type,
-            elapsed_seconds=elapsed,
-        )
-        self.total_checks += 1
-        self.total_seconds += elapsed
-        self._history.append(result)
-        obs = instrument.current()
-        if obs.enabled:
-            obs.tracer.record(
-                f"similarity-check {probe.origin_site}->{target_site}",
-                stage="probe",
-                wall_seconds=elapsed,
-                dataset=probe.dataset_id,
-                origin=probe.origin_site,
-                target=target_site,
+                if record.key in cube.cells:
+                    matched_weight[record.query_type] = (
+                        matched_weight.get(record.query_type, 0.0) + record.weight
+                    )
+            per_type = {
+                type_key: matched_weight.get(type_key, 0.0) / weight
+                for type_key, weight in total_weight.items()
+            }
+            overall_total = sum(total_weight.values())
+            overall_matched = sum(matched_weight.values())
+            similarity = overall_matched / overall_total if overall_total else 0.0
+            elapsed = time.perf_counter() - started  # lint: allow[R001]
+            result = SiteSimilarity(
+                dataset_id=probe.dataset_id,
+                origin_site=probe.origin_site,
+                target_site=target_site,
                 similarity=similarity,
+                per_query_type=per_type,
+                elapsed_seconds=elapsed,
             )
-            obs.metrics.counter("similarity_checks").inc()
-            obs.metrics.histogram("similarity_check_seconds").observe(elapsed)
-            obs.metrics.histogram("cross_site_similarity").observe(similarity)
+            self.total_checks += 1
+            self.total_seconds += elapsed
+            self._history.append(result)
+            span.set(similarity=similarity)
         return result
 
     def check_against_sites(

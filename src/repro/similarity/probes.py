@@ -120,34 +120,28 @@ class ProbeBuilder:
             {"|".join(key): weight for key, weight in canonical.items()}, budget
         )
         probe = Probe(dataset_id=dataset_id, origin_site=origin_site)
-        for type_key in canonical:
-            share = allocation["|".join(type_key)]
-            if share == 0:
-                continue
-            cube = cube_set.cube_for(list(type_key))
-            for coordinate, cell in cube.cells_by_weight()[:share]:
-                probe.records.append(
-                    ProbeRecord(key=coordinate, weight=cell.count, query_type=type_key)
-                )
+        telemetry = instrument.current().telemetry
+        with telemetry.span(
+            f"probe-build {dataset_id}",
+            stage="probe",
+            dataset=dataset_id,
+            origin=origin_site,
+        ) as span:
+            for type_key in canonical:
+                share = allocation["|".join(type_key)]
+                if share == 0:
+                    continue
+                cube = cube_set.cube_for(list(type_key))
+                for coordinate, cell in cube.cells_by_weight()[:share]:
+                    probe.records.append(
+                        ProbeRecord(
+                            key=coordinate, weight=cell.count, query_type=type_key
+                        )
+                    )
+            span.set(records=len(probe.records), bytes=probe.size_bytes)
         if not probe.records:
             raise SimilarityError(
                 f"probe for dataset {dataset_id!r} is empty; are the cubes empty?"
-            )
-        obs = instrument.current()
-        if obs.enabled:
-            obs.tracer.record(
-                f"probe-build {dataset_id}",
-                stage="probe",
-                dataset=dataset_id,
-                origin=origin_site,
-                records=len(probe.records),
-                bytes=probe.size_bytes,
-            )
-            obs.metrics.counter("probe_records", dataset=dataset_id).inc(
-                len(probe.records)
-            )
-            obs.metrics.counter("probe_bytes", dataset=dataset_id).inc(
-                probe.size_bytes
             )
         return probe
 

@@ -149,6 +149,9 @@ class WanSession:
         # Telemetry coalescing state (see _emit_round_samples).
         self._site_multipliers: Dict[str, float] = {}
         self._pending_samples: Dict[_Resource, List[float]] = {}
+        # True while the previous telemetry-sampled round parked flows;
+        # keeps per-flow park bookkeeping off the fault-free hot path.
+        self._had_parked = False
 
     @property
     def drained(self) -> bool:
@@ -254,7 +257,7 @@ class WanSession:
                 break
 
             sample: Optional[Dict[str, Any]] = (
-                {} if telemetry.enabled else None
+                {"had_parked": self._had_parked} if telemetry.enabled else None
             )
             scheduler._assign_rates(active, now, sample)
             self.filling_rounds += 1
@@ -268,6 +271,7 @@ class WanSession:
                 active, next_arrival, now, extra_bound=extra_bound
             )
             if sample is not None:
+                self._had_parked = bool(sample["parked"])
                 scheduler._emit_round_samples(
                     telemetry, sample, now, horizon, self._site_multipliers,
                     self._pending_samples,
@@ -310,6 +314,7 @@ class WanSession:
                             dst=flow.transfer.dst,
                             num_bytes=flow.transfer.num_bytes,
                             tag=flow.transfer.tag,
+                            start=flow.transfer.start_time,
                             parked_seconds=flow.parked_seconds,
                         )
                 else:
@@ -394,9 +399,6 @@ class TransferScheduler:
         self.propagation_seconds = propagation_seconds
         self.faults = faults
         self.stall_timeout_seconds = stall_timeout_seconds
-        # True while the previous telemetry-sampled round parked flows;
-        # keeps per-flow park bookkeeping off the fault-free hot path.
-        self._had_parked = False
         unknown = set(self.profiles) - set(topology.site_names)
         if unknown:
             raise TopologyError(f"profiles name unknown sites {sorted(unknown)}")
@@ -412,49 +414,26 @@ class TransferScheduler:
     # ------------------------------------------------------------------
 
     def simulate(self, transfers: Sequence[Transfer]) -> List[TransferResult]:
-        """Simulate all transfers; returns results in input order."""
-        obs = instrument.current()
-        with obs.tracer.span(
-            "wan-simulate", stage="wan", transfers=len(transfers)
-        ):
-            results, filling_rounds, parked_seconds = self._simulate(transfers)
-        if obs.metrics.enabled:
-            obs.metrics.counter("wan_simulations").inc()
-            obs.metrics.counter("wan_filling_rounds").inc(filling_rounds)
-            obs.metrics.counter("wan_transfers").inc(len(transfers))
-            for result in results:
-                if result.transfer.src != result.transfer.dst and not result.failed:
-                    obs.metrics.counter(
-                        "wan_bytes",
-                        src=result.transfer.src,
-                        dst=result.transfer.dst,
-                    ).inc(result.transfer.num_bytes)
-            if parked_seconds > 0:
-                obs.metrics.counter("wan_fault_parked_seconds").inc(parked_seconds)
-            failed = [result for result in results if result.failed]
-            if failed:
-                obs.metrics.counter("wan_fault_failed_transfers").inc(len(failed))
-                obs.metrics.counter("wan_fault_failed_bytes").inc(
-                    sum(result.transfer.num_bytes for result in failed)
-                )
-        return results
+        """Simulate all transfers; returns results in input order.
 
-    def _simulate(
-        self, transfers: Sequence[Transfer]
-    ) -> Tuple[List[TransferResult], int, float]:
-        """The batch event loop: a :class:`WanSession` run to drain.
-
-        Returns results (in input order), progressive-filling rounds, and
-        total seconds flows spent parked at zero capacity (0.0 on
-        fault-free runs).  Admission walks an index cursor over the
-        start-sorted flow list, so a batch of n flows admits in O(n)
-        total instead of the O(n²) that popping the head of a list costs.
+        The batch event loop is a :class:`WanSession` run to drain.
+        Admission walks an index cursor over the start-sorted flow list,
+        so a batch of n flows admits in O(n) total instead of the O(n²)
+        that popping the head of a list costs.
         """
-        session = WanSession(self)
-        session.submit(transfers)
-        session.advance(stop_on_completion=False)
-        session.flush_telemetry()
-        return session.all_results(), session.filling_rounds, session.parked_seconds
+        telemetry = instrument.current().telemetry
+        with telemetry.span(
+            "wan-simulate", stage="wan", transfers=len(transfers)
+        ) as span:
+            session = WanSession(self)
+            session.submit(transfers)
+            session.advance(stop_on_completion=False)
+            session.flush_telemetry()
+            span.set(
+                filling_rounds=session.filling_rounds,
+                parked_seconds=session.parked_seconds,
+            )
+        return session.all_results()
 
     def session(self) -> WanSession:
         """Open a resumable shared-clock session (the serving substrate)."""
@@ -571,6 +550,7 @@ class TransferScheduler:
             num_bytes=flow.transfer.num_bytes,
             tag=flow.transfer.tag,
             wan=flow.transfer.src != flow.transfer.dst,
+            start=flow.transfer.start_time,
             seconds=seconds,
             throughput_bps=throughput,
             parked_seconds=flow.parked_seconds,
@@ -716,10 +696,11 @@ class TransferScheduler:
     ) -> None:
         """Max-min fair (progressive filling) rate assignment.
 
-        When ``sample`` (an empty dict) is passed — the telemetry-on path
-        — it is filled with the per-resource aggregates link sampling
-        needs: the original capacities, the residual capacities after
-        filling (their difference is the carried rate, which
+        When ``sample`` is passed — the telemetry-on path; the session
+        seeds it with ``had_parked``, whether its previous round parked
+        flows — it is filled with the per-resource aggregates link
+        sampling needs: the original capacities, the residual capacities
+        after filling (their difference is the carried rate, which
         water-filling leaves behind for free), per-resource flow-id
         sets, and the parked flows.  This keeps round sampling
         O(resources) instead of adding a second O(flows) pass per round;
@@ -790,7 +771,7 @@ class TransferScheduler:
             for flow in wan_flows:
                 flow.rate = rates[flow.flow_id]
             return
-        if parked_possible or self._had_parked:
+        if parked_possible or sample["had_parked"]:
             # Fault-window path: track park episodes per flow.
             parked = sample["parked"]
             for flow in wan_flows:
@@ -800,7 +781,6 @@ class TransferScheduler:
                     parked.append(flow)
                 elif flow.was_parked:
                     flow.was_parked = False
-            self._had_parked = bool(parked)
         else:
             for flow in wan_flows:
                 flow.rate = rates[flow.flow_id]

@@ -72,6 +72,8 @@ class TestPrepare:
         report = controller.prepare(make_workload(topology))
         assert report.movement.within_lag
         assert report.movement.makespan_seconds <= CONFIG.lag_seconds * 1.01
+        # Movement and shuffle share one (stateless) WAN scheduler.
+        assert controller.scheduler is controller.engine.scheduler
 
 
 class TestRunQuery:

@@ -1,6 +1,7 @@
 """Persistence round-trip and CLI tests."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -114,3 +115,22 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["run", "--scheme", "hadoop"])
+
+    @pytest.mark.parametrize(
+        "command",
+        ["root", "schemes", "topology", "run", "compare", "inspect", "report",
+         "top", "serve", "bench", "lint"],
+    )
+    def test_help_text_is_pinned(self, command, capsys, monkeypatch):
+        """Every subcommand's ``--help`` is byte-identical to the snapshot
+        taken (at COLUMNS=80) before the flag declarations were factored:
+        no flag added, dropped, renamed, reordered or re-worded."""
+        from repro.cli import main
+
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["--help"] if command == "root" else [command, "--help"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        golden = Path(__file__).parent / "golden_help" / f"help_{command}.txt"
+        assert capsys.readouterr().out == golden.read_text()

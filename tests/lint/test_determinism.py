@@ -1,42 +1,6 @@
 """Two-run determinism check: digest mechanics plus an end-to-end smoke."""
 
-from repro.lint.determinism import run_determinism_check, trace_digest
-from repro.obs.span import Span
-
-
-def _span(**overrides):
-    base = dict(
-        span_id=1, name="map", stage="engine", parent_id=None,
-        sim_start=0.0, sim_end=2.5,
-        attrs={"bytes": 1024, "wall_seconds": 0.001},
-    )
-    base.update(overrides)
-    return Span(**base)
-
-
-class TestTraceDigest:
-    def test_wall_attrs_do_not_affect_digest(self):
-        fast = _span(attrs={"bytes": 1024, "wall_seconds": 0.001})
-        slow = _span(attrs={"bytes": 1024, "wall_seconds": 7.5})
-        assert trace_digest([fast]) == trace_digest([slow])
-
-    def test_rdd_overhead_seconds_excluded(self):
-        a = _span(attrs={"rdd_overhead_seconds": 0.1})
-        b = _span(attrs={"rdd_overhead_seconds": 0.9})
-        assert trace_digest([a]) == trace_digest([b])
-
-    def test_sim_content_changes_digest(self):
-        assert trace_digest([_span(sim_end=2.5)]) != trace_digest(
-            [_span(sim_end=3.5)]
-        )
-        assert trace_digest([_span(attrs={"bytes": 1})]) != trace_digest(
-            [_span(attrs={"bytes": 2})]
-        )
-
-    def test_span_order_matters(self):
-        first = _span(name="map")
-        second = _span(name="reduce", span_id=2)
-        assert trace_digest([first, second]) != trace_digest([second, first])
+from repro.lint.determinism import run_determinism_check
 
 
 class TestEndToEnd:
@@ -45,11 +9,9 @@ class TestEndToEnd:
             scheme="bohr", workload="bigdata-aggregation", seed=11, queries=1
         )
         assert report.deterministic
-        assert report.trace_digests[0] == report.trace_digests[1]
         assert report.result_digests[0] == report.result_digests[1]
         assert report.telemetry_digests[0] == report.telemetry_digests[1]
         assert report.telemetry_digests[0] != ""
-        assert report.spans > 0
         assert report.telemetry_events > 0
         assert "DETERMINISTIC" in report.render()
         assert "telemetry digests" in report.render()

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs import Tracer
+from repro.obs import TelemetryBus, spans_from_events
 from repro.obs.export import (
     chrome_trace_events,
     export_chrome,
@@ -13,31 +13,34 @@ from repro.obs.export import (
     load_jsonl,
     validate_chrome_events,
 )
+from repro.obs.telemetry import write_jsonl
 
 
-def build_trace() -> Tracer:
-    tracer = Tracer()
-    with tracer.span("experiment", stage="experiment", scheme="bohr"):
-        with tracer.span("query", stage="query", dataset="d0") as query:
-            tracer.record(
-                "map@a", stage="map", sim_start=0.0, sim_end=1.5, site="a"
-            )
-            tracer.record(
-                "shuffle a->b", stage="shuffle", sim_start=1.5, sim_end=4.0,
-                site="b", src="a", dst="b", bytes=1000,
-            )
-            query.attrs["qct"] = 4.0
-    return tracer
+def build_bus() -> TelemetryBus:
+    bus = TelemetryBus()
+    with bus.span("experiment", stage="experiment", scheme="bohr"):
+        with bus.span("query", stage="query", dataset="d0") as query:
+            bus.emit("stage-finish", t=1.5, stage="map", site="a",
+                     job="job-0", start=0.0)
+            bus.emit("flow-finish", t=4.0, src="a", dst="b", num_bytes=1000,
+                     tag="job-0", wan=True, start=1.5)
+            bus.emit("job-finish", t=4.0, job="job-0", qct=4.0)
+            query.set(qct=4.0)
+    return bus
+
+
+def build_trace():
+    return spans_from_events(build_bus().events)
 
 
 class TestJsonlRoundTrip:
     def test_round_trip_preserves_everything(self, tmp_path):
-        tracer = build_trace()
+        spans = build_trace()
         path = tmp_path / "trace.jsonl"
-        export_jsonl(tracer, str(path))
+        export_jsonl(spans, str(path))
         loaded = load_jsonl(str(path))
-        assert len(loaded) == len(tracer.spans)
-        for original, restored in zip(tracer.spans, loaded):
+        assert len(loaded) == len(spans)
+        for original, restored in zip(spans, loaded):
             assert restored.span_id == original.span_id
             assert restored.parent_id == original.parent_id
             assert restored.name == original.name
@@ -47,6 +50,14 @@ class TestJsonlRoundTrip:
             assert restored.attrs == original.attrs
             assert restored.wall_start == pytest.approx(original.wall_start)
             assert restored.wall_end == pytest.approx(original.wall_end)
+
+    def test_telemetry_archive_loads_as_the_same_spans(self, tmp_path):
+        """``inspect`` reads a ``--telemetry`` archive directly: the
+        header line is recognised and the spans derived from the events."""
+        bus = build_bus()
+        path = tmp_path / "tele.jsonl"
+        write_jsonl(bus, str(path))
+        assert load_jsonl(str(path)) == spans_from_events(bus.events)
 
     def test_one_json_object_per_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -98,12 +109,12 @@ class TestChromeExport:
 
     def test_chrome_round_trip_from_jsonl(self, tmp_path):
         """JSONL trace → loaded spans → Chrome events (the inspect
-        --chrome path) must equal exporting the live tracer directly."""
-        tracer = build_trace()
+        --chrome path) must equal exporting the live span view directly."""
+        spans = build_trace()
         jsonl = tmp_path / "trace.jsonl"
-        export_jsonl(tracer, str(jsonl))
+        export_jsonl(spans, str(jsonl))
         from_disk = chrome_trace_events(load_jsonl(str(jsonl)))
-        live = chrome_trace_events(tracer)
+        live = chrome_trace_events(spans)
         assert len(from_disk) == len(live)
         for disk_event, live_event in zip(from_disk, live):
             assert disk_event["name"] == live_event["name"]
@@ -180,9 +191,9 @@ class TestFaultAnnotations:
         )
 
     def test_no_faults_is_unchanged(self):
-        tracer = build_trace()
-        assert chrome_trace_events(tracer) == chrome_trace_events(
-            tracer, faults=None
+        spans = build_trace()
+        assert chrome_trace_events(spans) == chrome_trace_events(
+            spans, faults=None
         )
 
     def test_validation_rejects_instant_without_ts(self):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import Span, instrument
+from repro.obs import Span, instrument, metrics_from_events, spans_from_events
 from repro.obs.export import export_jsonl
 from repro.obs.inspect import (
     overall_coverage,
@@ -35,7 +35,7 @@ def run_instrumented_experiment():
     with instrument.instrumented() as obs:
         result = run_experiment("bohr", factory, topology, config,
                                 query_limit=2)
-    return result, obs
+    return result, obs.telemetry.events
 
 
 class TestEndToEndTrace:
@@ -45,26 +45,27 @@ class TestEndToEndTrace:
 
     def test_spans_cover_reported_qct(self, experiment):
         """The acceptance bar: spans cover >= 95% of every query's QCT."""
-        _, obs = experiment
-        rows = query_coverage(obs.tracer.spans)
+        _, events = experiment
+        spans = spans_from_events(events)
+        rows = query_coverage(spans)
         assert rows, "no query spans traced"
         for row in rows:
             assert row["coverage"] >= 0.95
-        assert overall_coverage(obs.tracer.spans) >= 0.95
+        assert overall_coverage(spans) >= 0.95
 
     def test_all_stages_present(self, experiment):
-        _, obs = experiment
-        stages = {span.stage for span in obs.tracer.spans}
+        _, events = experiment
+        stages = {span.stage for span in spans_from_events(events)}
         assert {
             "experiment", "prepare", "probe", "placement", "movement",
             "query", "map", "shuffle", "reduce", "wan", "cube",
         } <= stages
 
     def test_query_spans_carry_qct(self, experiment):
-        result, obs = experiment
+        result, events = experiment
         scheme_queries = [
             span
-            for span in obs.tracer.spans
+            for span in spans_from_events(events)
             if span.stage == "query" and span.attrs.get("scheme") == "bohr"
         ]
         assert len(scheme_queries) == len(result.runs)
@@ -72,8 +73,8 @@ class TestEndToEndTrace:
             assert span.attrs["qct"] == pytest.approx(run.qct)
 
     def test_metrics_cover_the_paper_tables(self, experiment):
-        _, obs = experiment
-        names = {series.name for series in obs.metrics.series()}
+        _, events = experiment
+        names = {series.name for series in metrics_from_events(events).series()}
         assert {
             "shuffle_bytes",          # bytes per link
             "combiner_input_bytes",   # combiner hit rate
@@ -86,23 +87,23 @@ class TestEndToEndTrace:
         } <= names
 
     def test_breakdown_renders(self, experiment):
-        _, obs = experiment
-        report = render_inspection(obs.tracer.spans)
+        _, events = experiment
+        report = render_inspection(spans_from_events(events))
         assert "per-stage latency breakdown" in report
         assert "QCT span coverage" in report
         assert "shuffle" in report
 
     def test_stage_shares_bounded(self, experiment):
-        _, obs = experiment
-        rows = stage_breakdown(obs.tracer.spans)
+        _, events = experiment
+        rows = stage_breakdown(spans_from_events(events))
         for row in rows:
             if row[5] != "-":
                 assert 0.0 <= float(row[5]) <= 100.0 + 1e-6
 
     def test_inspect_cli_round_trip(self, experiment, tmp_path, capsys):
-        _, obs = experiment
+        _, events = experiment
         trace = tmp_path / "trace.jsonl"
-        export_jsonl(obs.tracer, str(trace))
+        export_jsonl(spans_from_events(events), str(trace))
         chrome = tmp_path / "trace.json"
         assert main(["inspect", str(trace), "--chrome", str(chrome)]) == 0
         out = capsys.readouterr().out

@@ -1,11 +1,11 @@
-"""Metrics registry: labeled series, histogram percentiles, null twin."""
+"""Metrics registry: labeled series, histogram percentiles, sorted dumps."""
 
 import json
 
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs import NULL_METRICS, MetricsRegistry
+from repro.obs import MetricsRegistry
 
 
 class TestCountersAndGauges:
@@ -92,32 +92,6 @@ class TestSnapshot:
         path = tmp_path / "metrics.json"
         registry.to_json(str(path))
         assert json.loads(path.read_text()) == snapshot
-
-    def test_render_text_is_a_table(self):
-        registry = MetricsRegistry()
-        registry.counter("bytes", src="a").inc(1)
-        text = registry.render_text()
-        assert "metric" in text and "bytes" in text and "src=a" in text
-
-
-class TestNullMetrics:
-    def test_all_operations_noop(self):
-        NULL_METRICS.counter("x", a="b").inc(5)
-        NULL_METRICS.gauge("y").set(1)
-        NULL_METRICS.histogram("z").observe(2.0)
-        assert NULL_METRICS.snapshot() == []
-        assert NULL_METRICS.series() == []
-        assert not NULL_METRICS.enabled
-
-    def test_stray_mutation_cannot_contaminate_other_readers(self):
-        # R010 regression: labels/samples must be fresh containers per
-        # read, not class-level dict/list shared by every null metric.
-        metric = NULL_METRICS.counter("x")
-        metric.samples.append(1.0)
-        metric.labels["k"] = "v"
-        other = NULL_METRICS.histogram("y")
-        assert other.samples == [] and other.labels == {}
-        assert metric.samples == [] and metric.labels == {}
 
 
 class TestDeterministicDumps:

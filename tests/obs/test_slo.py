@@ -216,7 +216,7 @@ class TestEmission:
         path = str(tmp_path / "slo.jsonl")
         write_jsonl(bus, path)
         header, events = load_jsonl(path)
-        assert header["version"] == 3
+        assert header["version"] == 4
         assert events == bus.events
 
     def test_same_feed_same_digest(self):

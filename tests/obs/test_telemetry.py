@@ -6,6 +6,8 @@ use ``charge_rdd_overhead=False`` because the RDD surcharge is a
 *measured wall time* folded into QCT by design.
 """
 
+import json
+
 import pytest
 
 from repro.chaos.profiles import build_schedule
@@ -17,6 +19,9 @@ from repro.obs.series import wan_bytes_carried
 from repro.obs.telemetry import (
     EVENT_KINDS,
     NULL_TELEMETRY,
+    SERVE_EVENT_KINDS,
+    V1_EVENT_KINDS,
+    V3_EVENT_KINDS,
     NullTelemetryBus,
     TelemetryBus,
     TelemetryEvent,
@@ -105,6 +110,8 @@ class TestBus:
     def test_null_bus_records_nothing(self):
         NULL_TELEMETRY.emit("flow-start", t=0.0, src="a")
         NULL_TELEMETRY.subscribe(lambda event: None)
+        with NULL_TELEMETRY.span("x", stage="query") as span:
+            span.set(qct=1.0)
         assert NULL_TELEMETRY.events == []
         assert not NULL_TELEMETRY.enabled
 
@@ -118,7 +125,7 @@ class TestBus:
     def test_disabled_run_emits_zero_events(self):
         """The no-op guard: without a bus installed, hot paths emit nothing."""
         topology = ec2_ten_sites()
-        with instrument.instrumented() as obs:
+        with instrument.instrumented(telemetry=NULL_TELEMETRY) as obs:
             run_experiment(
                 "bohr",
                 lambda: build_workload(
@@ -141,7 +148,7 @@ class TestJsonlArchive:
         count = write_jsonl(bus, path)
         header, events = load_jsonl(path)
         assert count == len(bus.events)
-        assert header["version"] == 3
+        assert header["version"] == 4
         assert header["events"] == count
         assert events == bus.events
         assert telemetry_digest(events) == telemetry_digest(bus)
@@ -153,6 +160,47 @@ class TestJsonlArchive:
         )
         with pytest.raises(ObservabilityError, match="v99"):
             load_jsonl(str(path))
+
+    @pytest.mark.parametrize(
+        "version, kinds, extra",
+        [
+            (1, V1_EVENT_KINDS, []),
+            (2, V1_EVENT_KINDS | SERVE_EVENT_KINDS,
+             [("serve-queue", 0.5, {"tenant": "t0", "qid": 0})]),
+            (3, V1_EVENT_KINDS | SERVE_EVENT_KINDS | V3_EVENT_KINDS,
+             [("serve-queue", 0.5, {"tenant": "t0", "qid": 0}),
+              ("queue-enter", 0.5, {"tenant": "t0", "qid": 0})]),
+        ],
+    )
+    def test_old_archives_load_and_render(
+        self, recorded, tmp_path, version, kinds, extra
+    ):
+        """v1-v3 archives (no span events) load unchanged and still feed
+        ``report`` and the span view."""
+        from repro.obs.report_html import write_report
+        from repro.obs.views import spans_from_events
+
+        bus, _ = recorded
+        records = [
+            {"kind": event.kind, "t": event.t, "attrs": dict(event.attrs)}
+            for event in bus.events
+            if event.kind in kinds
+        ] + [{"kind": kind, "t": t, "attrs": attrs} for kind, t, attrs in extra]
+        path = tmp_path / f"v{version}.jsonl"
+        lines = [
+            {"telemetry": "repro.obs.telemetry", "version": version,
+             "events": len(records)}
+        ] + [dict(record, seq=seq) for seq, record in enumerate(records)]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        header, events = load_jsonl(str(path))
+        assert header["version"] == version
+        assert len(events) == len(records)
+        assert not iter_kind(events, "span-begin", "span-end")
+        out = tmp_path / "report.html"
+        write_report(events, str(out), title=f"v{version}", source=str(path))
+        assert "Stage Gantt" in out.read_text()
+        stages = {span.stage for span in spans_from_events(events)}
+        assert {"map", "shuffle", "reduce"} <= stages
 
     def test_rejects_headerless_file(self, tmp_path):
         path = tmp_path / "spans.jsonl"

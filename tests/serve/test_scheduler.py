@@ -48,15 +48,22 @@ class TestDeterminism:
         second = run(ServeConfig(seed=12, num_tenants=3, num_queries=12))
         assert first.sim_digest() != second.sim_digest()
 
-    def test_telemetry_is_pure_observer(self):
-        from repro.obs import instrument
+    def test_telemetry_is_pure_observer(self, monkeypatch):
+        from repro.obs import instrument, metrics, span
         from repro.obs.telemetry import TelemetryBus
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the bus is the only recorder")
 
         config = ServeConfig(seed=11, num_tenants=2, num_queries=8)
         plain = run(config)
         bus = TelemetryBus()
-        with instrument.instrumented(telemetry=bus):
-            observed = run(config)
+        with monkeypatch.context() as patch:
+            # An observed serve run builds no Span and no metric series.
+            patch.setattr(span.Span, "__init__", forbidden)
+            patch.setattr(metrics.MetricsRegistry, "_get", forbidden)
+            with instrument.instrumented(telemetry=bus):
+                observed = run(config)
         assert plain.sim_digest() == observed.sim_digest()
         kinds = {event.kind for event in bus.events}
         assert {"serve-queue", "serve-admit", "serve-start",

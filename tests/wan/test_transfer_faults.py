@@ -113,6 +113,37 @@ class TestParking:
             assert left.finish_time == right.finish_time
 
 
+class TestSchedulerIsStateless:
+    def test_back_to_back_simulations_park_like_fresh_schedulers(self):
+        """Park-episode bookkeeping lives on the per-run session: a
+        simulation that ends with flows parked (stall-timeout failures)
+        leaves nothing behind for the next one on the same scheduler."""
+        from repro.obs import instrument
+
+        def make():
+            return TransferScheduler(
+                two_sites(), faults=blackout(1.0, 6.0),
+                stall_timeout_seconds=2.0,
+            )
+
+        batch = [Transfer("a", "b", 100.0), Transfer("a", "b", 40.0)]
+
+        def parks(scheduler, runs):
+            with instrument.instrumented() as obs:
+                results = [scheduler.simulate(batch) for _ in range(runs)]
+            assert all(result.failed for result in results[0])
+            return [
+                (event.t, dict(event.attrs))
+                for event in obs.telemetry.events
+                if event.kind == "flow-park"
+            ]
+
+        assert not hasattr(make(), "_had_parked")
+        shared = parks(make(), runs=2)
+        fresh = parks(make(), runs=1) + parks(make(), runs=1)
+        assert shared and shared == fresh
+
+
 class TestSerialTimeRegression:
     """``serial_time`` must honour propagation delay and capacity
     profiles, like the fair simulator it is the baseline for."""
