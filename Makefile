@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-static determinism sanitize chaos test parity bench-smoke serve-smoke slo profile telemetry check
+.PHONY: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke serve-smoke slo profile telemetry check
 
 lint:  ## static analysis: per-file rules R001-R008 over the shipped tree
 	$(PYTHON) -m repro.lint src/repro benchmarks
@@ -35,8 +35,18 @@ parity:  ## scalar/columnar hot-path parity suite (bit-identity oracle)
 		tests/placement/test_warm_start.py
 
 bench-smoke:  ## smoke benchmarks vs the committed baseline (sim gate only)
-	$(PYTHON) -m repro bench --suite smoke --compare BENCH_4.json \
+	$(PYTHON) -m repro bench --suite smoke --compare BENCH_5.json \
 		--ignore-wall --out bench_smoke.json
+
+perfbench-smoke:  ## the driver's benchmark, quick: its tests, then all six workloads traced
+	$(PYTHON) -m pytest perfbench/tests -q
+	$(PYTHON) -m perfbench --quick --trace
+	$(PYTHON) -c "import glob, json; \
+		traces = sorted(glob.glob('perfbench/out/*.trace.json')); \
+		assert len(traces) == 6, traces; \
+		missing = {t: json.load(open(t))['metrics']['harness.missing_targets']['value'] for t in traces}; \
+		assert not any(missing.values()), f'perfbench targets missing: {missing}'; \
+		print(f'perfbench: {len(traces)} workloads traced, no missing target')"
 
 serve-smoke:  ## two same-seed serve runs: bit-identical sim + analyzer digests
 	$(PYTHON) -m repro serve --tenants 3 --queries 12 --seed 11 \
@@ -72,4 +82,4 @@ telemetry:  ## chaos run with telemetry capture; inspect + dashboard off the one
 	$(PYTHON) -m repro inspect telemetry.jsonl --breakdown
 	$(PYTHON) -m repro report telemetry.jsonl --out report.html
 
-check: lint lint-static determinism sanitize chaos test parity bench-smoke serve-smoke slo telemetry  ## everything CI gates on
+check: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke serve-smoke slo telemetry  ## everything CI gates on

@@ -1,4 +1,5 @@
-"""Hot-path microbenchmarks: combine, shuffle routing, MinHash, DIMSUM.
+"""Hot-path microbenchmarks: combine, shuffle routing, MinHash, DIMSUM,
+and the WAN session's per-advance cost.
 
 The table/figure benches wrap these paths in WAN simulation, LP solves
 and workload generation, so even large hot-path speedups dilute to
@@ -28,6 +29,8 @@ from repro.similarity.dimsum import DimsumConfig, dimsum_similarity_matrix
 from repro.similarity.minhash import MinHasher
 from repro.types import Record
 from repro.util.rng import derive_rng
+from repro.wan.presets import ec2_ten_sites
+from repro.wan.transfer import Transfer, TransferScheduler, WanSession
 
 
 @lru_cache(maxsize=4)
@@ -73,6 +76,32 @@ def _dimsum_partitions(seed):
         offset = int(rng.integers(0, 60))
         partitions.append(frozenset(range(base + offset, base + offset + 200)))
     return tuple(partitions)
+
+
+def _session_queries(seed):
+    """2 000 query-shaped submissions, one per sim second: every site
+    ships three 1-5 MB shuffle partitions, so each query is 30 flows
+    that drain (slowest uplink: 20 MB/s) before the next one arrives.
+    Built per call, outside the timed region: the case runs it once."""
+    rng = derive_rng(seed, "hotpaths", "wan-session")
+    names = ec2_ten_sites().site_names
+    queries = []
+    for index in range(2000):
+        sizes = rng.uniform(1.0e6, 5.0e6, size=3 * len(names))
+        queries.append(
+            tuple(
+                Transfer(
+                    src,
+                    names[(position + hop) % len(names)],
+                    float(sizes[3 * position + hop - 1]),
+                    start_time=float(index),
+                    tag=f"q{index}",
+                )
+                for position, src in enumerate(names)
+                for hop in (1, 2, 3)
+            )
+        )
+    return queries
 
 
 @register_bench(
@@ -167,3 +196,27 @@ def bench_hotpath_dimsum():
         "dimsum.pairs_skipped": float(stats.pairs_skipped),
     }
     return {"sim": sim, "wall": {"dimsum_seconds": elapsed}}
+
+
+@register_bench(
+    "hotpath-wan-session",
+    suites=("hotpaths",),
+    description="2000 query-shaped submits into one WanSession, driven like serve",
+)
+def bench_hotpath_wan_session():
+    queries = _session_queries(bench_seed())
+    session = WanSession(TransferScheduler(ec2_ten_sites()))
+    started = time.perf_counter()  # lint: allow[R001]
+    for index, transfers in enumerate(queries):
+        session.submit(transfers)
+        # As the serve loop drives it: one call per completion round up
+        # to the next arrival, so the per-call cost is what is measured.
+        while session.advance(limit=index + 1.0):
+            pass
+    elapsed = time.perf_counter() - started  # lint: allow[R001]
+    results = session.all_results()
+    sim = {
+        "wan_session.last_finish": max(r.finish_time for r in results),
+        "wan_session.flows": float(len(results)),
+    }
+    return {"sim": sim, "wall": {"session_seconds": elapsed}}

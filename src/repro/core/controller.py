@@ -172,51 +172,30 @@ class Controller:
                 self._check_similarity(workload, report)
                 span.set(probe_build_wall_seconds=report.probe_build_seconds)
 
+        alive = [
+            site
+            for site in self.topology.site_names
+            if site not in self.dead_sites
+        ]
         with obs.telemetry.span("placement", stage="placement"):
-            alive = [
-                site
-                for site in self.topology.site_names
-                if site not in self.dead_sites
-            ]
-            problem = self._placement_problem(
+            decision = self._decide(
                 workload, report, sites=alive if self.dead_sites else None
             )
-            decision = self._plan(problem, workload)
-        if obs.sanitizer.enabled:
-            obs.sanitizer.check_placement(
-                problem, decision.reduce_fractions, decision.moves
-            )
-        report.lp_solve_seconds = decision.solve_seconds
-        report.planner_iterations = decision.iterations
-        report.estimated_shuffle_seconds = decision.estimated_shuffle_seconds
-        report.reduce_fractions = dict(decision.reduce_fractions)
 
-        policy = (
+        self._policy = (
             MovementPolicy.SIMILARITY
             if self.profile.uses_similarity
             else MovementPolicy.RANDOM
         )
-        self._policy = policy
         pre_move_bytes = {
             dataset.dataset_id: dataset.bytes_by_site()
             for dataset in workload.catalog
         }
-        plan = PlacementPlan(
-            moves=decision.moves,
-            reduce_fractions=decision.reduce_fractions,
-            policy=policy,
-        )
         with obs.telemetry.span(
-            "movement", stage="movement", policy=policy.name
+            "movement", stage="movement", policy=self._policy.name
         ):
-            report.movement = execute_plan(
-                workload.catalog,
-                plan,
-                workload.key_indices(),
-                self.scheduler,
-                lag_seconds=self.config.lag_seconds,
-                seed=self.config.seed,
-                retry_policy=self.chaos.retry if self.chaos is not None else None,
+            report.movement = self._move(
+                workload, decision.moves, decision.reduce_fractions
             )
         if obs.sanitizer.enabled:
             obs.sanitizer.check_movement(
@@ -273,19 +252,7 @@ class Controller:
                 moves[(dataset_id, src, dst)] = fraction * batch
         if not moves:
             return None
-        plan = PlacementPlan(
-            moves=moves,
-            reduce_fractions=self._fractions or {},
-            policy=self._policy,
-        )
-        return execute_plan(
-            workload.catalog,
-            plan,
-            workload.key_indices(),
-            self.scheduler,
-            lag_seconds=self.config.lag_seconds,
-            seed=self.config.seed,
-        )
+        return self._move(workload, moves, self._fractions or {}, retry=False)
 
     def prepare_degraded(
         self, workload: Workload, dead_sites: List[str]
@@ -325,7 +292,6 @@ class Controller:
                 self._fractions = {alive[0]: 1.0}
                 report.reduce_fractions = dict(self._fractions)
             else:
-                problem = self._placement_problem(workload, report, sites=alive)
                 # Seed the LP from the incumbent basis restricted to the
                 # survivors: "t" always carries over, and each surviving
                 # site's r-variable keeps its name in the smaller program.
@@ -335,35 +301,13 @@ class Controller:
                     for name in self._task_basis
                     if name == "t" or name in alive_names
                 ]
-                decision = self._plan(
-                    problem, workload, warm_task_basis=warm_basis or None
+                decision = self._decide(
+                    workload, report, sites=alive,
+                    warm_task_basis=warm_basis or None,
                 )
                 self._task_basis = list(decision.task_basis)
-                if obs.sanitizer.enabled:
-                    obs.sanitizer.check_placement(
-                        problem, decision.reduce_fractions, decision.moves
-                    )
-                report.lp_solve_seconds = decision.solve_seconds
-                report.planner_iterations = decision.iterations
-                report.estimated_shuffle_seconds = (
-                    decision.estimated_shuffle_seconds
-                )
-                report.reduce_fractions = dict(decision.reduce_fractions)
-                plan = PlacementPlan(
-                    moves=decision.moves,
-                    reduce_fractions=decision.reduce_fractions,
-                    policy=self._policy,
-                )
-                report.movement = execute_plan(
-                    workload.catalog,
-                    plan,
-                    workload.key_indices(),
-                    self.scheduler,
-                    lag_seconds=self.config.lag_seconds,
-                    seed=self.config.seed,
-                    retry_policy=(
-                        self.chaos.retry if self.chaos is not None else None
-                    ),
+                report.movement = self._move(
+                    workload, decision.moves, decision.reduce_fractions
                 )
                 self.bandwidth.observe_transfers(
                     report.movement.transfers, truth=self.scheduler.effective_bps
@@ -401,16 +345,9 @@ class Controller:
             dataset=spec.dataset_id,
             scheme=self.profile.name,
         ):
-            schema = workload.schema(spec.dataset_id)
-            job_spec = compile_query(
-                spec,
-                schema,
-                self.profiler,
-                num_reduce_tasks=self.config.num_reduce_tasks,
-            )
             result = self.engine.run(
                 workload.catalog.get(spec.dataset_id),
-                job_spec,
+                self.compile(workload, spec),
                 reduce_fractions=self._fractions,
                 cube_sorted=self.profile.uses_cubes,
             )
@@ -424,8 +361,7 @@ class Controller:
                     wan_bytes=result.total_wan_bytes,
                     lost_bytes=result.total_lost_bytes,
                 )
-        self.profiler.observe(spec, result)
-        query.record_execution()
+        self.record_observation(query, result)
         return result
 
     def run_query_outcome(
@@ -769,6 +705,52 @@ class Controller:
             lag_seconds=self.config.lag_seconds,
             cross_similarity=cross,
             compute_bps=compute,
+        )
+
+    def _decide(
+        self,
+        workload: Workload,
+        report: PreparationReport,
+        sites: Optional[List[str]],
+        warm_task_basis: Optional[List[str]] = None,
+    ) -> PlacementDecision:
+        """Solve the placement over ``sites`` (None = every site), check
+        it, and record what the planner did in ``report``."""
+        problem = self._placement_problem(workload, report, sites=sites)
+        decision = self._plan(problem, workload, warm_task_basis=warm_task_basis)
+        sanitizer = instrument.current().sanitizer
+        if sanitizer.enabled:
+            sanitizer.check_placement(
+                problem, decision.reduce_fractions, decision.moves
+            )
+        report.lp_solve_seconds = decision.solve_seconds
+        report.planner_iterations = decision.iterations
+        report.estimated_shuffle_seconds = decision.estimated_shuffle_seconds
+        report.reduce_fractions = dict(decision.reduce_fractions)
+        return decision
+
+    def _move(
+        self,
+        workload: Workload,
+        moves: Dict[Tuple[str, str, str], float],
+        reduce_fractions: Dict[str, float],
+        retry: bool = True,
+    ) -> MovementReport:
+        """Move data over the WAN under the standing policy; ``retry``
+        applies the chaos retry policy when one is configured."""
+        plan = PlacementPlan(
+            moves=moves, reduce_fractions=reduce_fractions, policy=self._policy
+        )
+        return execute_plan(
+            workload.catalog,
+            plan,
+            workload.key_indices(),
+            self.scheduler,
+            lag_seconds=self.config.lag_seconds,
+            seed=self.config.seed,
+            retry_policy=(
+                self.chaos.retry if retry and self.chaos is not None else None
+            ),
         )
 
     def _plan(

@@ -137,9 +137,6 @@ def run_experiment(
                 if outcome.aborted:
                     result.aborted_queries += 1
                 result.total_lost_bytes += outcome.lost_bytes
-                result.total_retries += sum(
-                    r.attempts - 1 for r in job.transfers
-                )
             else:
                 job = controller.run_query(workload, query)
             result.runs.append(_to_run(query, job))

@@ -230,10 +230,7 @@ class MapReduceEngine:
         """
         if not jobs:
             return []
-        fractions = self._resolve_fractions(reduce_fractions)
-        dead_sites = self._dead_sites()
-        if dead_sites:
-            fractions = self._exclude_dead_fractions(fractions, dead_sites)
+        fractions, dead_sites = self._live_fractions(reduce_fractions)
         if share_task_map:
             task_counts = {spec.num_reduce_tasks for _dataset, spec in jobs}
             if len(task_counts) != 1:
@@ -291,10 +288,7 @@ class MapReduceEngine:
         Returns the key→site routing plus the set of dead sites (to pass
         through to :meth:`plan_job`).
         """
-        fractions = self._resolve_fractions(reduce_fractions)
-        dead_sites = self._dead_sites()
-        if dead_sites:
-            fractions = self._exclude_dead_fractions(fractions, dead_sites)
+        fractions, dead_sites = self._live_fractions(reduce_fractions)
         return ReduceTaskMap.from_fractions(fractions, num_reduce_tasks), dead_sites
 
     def plan_job(
@@ -457,10 +451,15 @@ class MapReduceEngine:
             if self.faults.site_dead_at(name, 0.0)
         )
 
-    def _exclude_dead_fractions(
-        self, fractions: Dict[str, float], dead_sites: "frozenset[str]"
-    ) -> Dict[str, float]:
-        """Re-route reduce work away from dead sites (renormalized)."""
+    def _live_fractions(
+        self, reduce_fractions: Optional[Mapping[str, float]]
+    ) -> "tuple[Dict[str, float], frozenset[str]]":
+        """Reduce fractions over the sites alive at job start, plus the
+        dead sites reduce work was re-routed away from (renormalized)."""
+        fractions = self._resolve_fractions(reduce_fractions)
+        dead_sites = self._dead_sites()
+        if not dead_sites:
+            return fractions, dead_sites
         alive = {
             site: fraction
             for site, fraction in fractions.items()
@@ -472,7 +471,7 @@ class MapReduceEngine:
                 "all reduce fractions land on dead sites "
                 f"{sorted(dead_sites)}; nothing can host reduce tasks"
             )
-        return {site: fraction / total for site, fraction in alive.items()}
+        return {site: fraction / total for site, fraction in alive.items()}, dead_sites
 
     def _map_stage(
         self,

@@ -369,12 +369,14 @@ class ServeScheduler:
     def run(self) -> ServeReport:
         """Drive the event loop to completion; returns the report."""
         started_wall = time.perf_counter()  # lint: allow[R001]
-        engine = self.controller.engine
-        session = engine.scheduler.session()
+        # One run's state; the event handlers below read it off self.
+        self._engine = self.controller.engine
+        self._session = session = self._engine.scheduler.session()
+        self._records: Dict[int, ServedQuery] = {}
+        self._running: Dict[int, _Running] = {}
+        self._finish_heap: List[Tuple[float, int]] = []
+        running, finish_heap = self._running, self._finish_heap
         arrivals = self.loadgen.generate(self.config.num_queries)
-        records: Dict[int, ServedQuery] = {}
-        running: Dict[int, _Running] = {}
-        finish_heap: List[Tuple[float, int]] = []
         cursor = 0
         clock = 0.0
 
@@ -393,7 +395,7 @@ class ServeScheduler:
                 done = session.advance(limit=limit, stop_on_completion=True)
                 if done:
                     clock = session.now
-                    self._absorb_flows(done, running, finish_heap, engine)
+                    self._absorb_flows(done)
                     continue
             if math.isinf(limit):
                 stuck = self.tenants.queued
@@ -405,7 +407,7 @@ class ServeScheduler:
             # Tie order: finishes, then batches, then arrivals — a query
             # arriving at the batch instant sees the invalidated cache.
             if next_finish <= limit:
-                self._drain_finishes(clock, finish_heap, running, records)
+                self._drain_finishes(clock)
             elif next_batch <= limit:
                 self._apply_batches(clock)
             else:
@@ -413,12 +415,12 @@ class ServeScheduler:
                     cursor < len(arrivals)
                     and arrivals[cursor].time <= clock + _EPSILON
                 ):
-                    self._arrive(arrivals[cursor], records)
+                    self._arrive(arrivals[cursor])
                     cursor += 1
-            self._admit(clock, session, running, finish_heap, records, engine)
+            self._admit(clock)
 
         session.flush_telemetry()
-        report = self._build_report(records)
+        report = self._build_report()
         report.wall_seconds = time.perf_counter() - started_wall  # lint: allow[R001]
         return report
 
@@ -426,7 +428,7 @@ class ServeScheduler:
     # event handlers
     # ------------------------------------------------------------------
 
-    def _arrive(self, arrival: Arrival, records: Dict[int, ServedQuery]) -> None:
+    def _arrive(self, arrival: Arrival) -> None:
         """Cache-check, then queue or shed one offered query."""
         query = self.workload.queries[arrival.query_index]
         record = ServedQuery(
@@ -435,7 +437,7 @@ class ServeScheduler:
             dataset_id=query.spec.dataset_id,
             arrival=arrival.time,
         )
-        records[arrival.index] = record
+        self._records[arrival.index] = record
         telemetry = instrument.current().telemetry
         key = canonical_query_key(query.spec)
         entry = self.cache.lookup(key, arrival.time)
@@ -487,24 +489,17 @@ class ServeScheduler:
                 queued_total=self.tenants.queued,
             )
 
-    def _admit(
-        self,
-        clock: float,
-        session,
-        running: Dict[int, _Running],
-        finish_heap: List[Tuple[float, int]],
-        records: Dict[int, ServedQuery],
-        engine,
-    ) -> None:
+    def _admit(self, clock: float) -> None:
         """Admit queued queries under WFQ until a cap binds."""
         telemetry = instrument.current().telemetry
+        engine = self._engine
         while True:
             picked = self.tenants.next_admission()
             if picked is None:
                 return
             tenant, arrival = picked
             query = self.workload.queries[arrival.query_index]
-            record = records[arrival.index]
+            record = self._records[arrival.index]
             start = self._slot_start(clock)
             job_spec = self.controller.compile(self.workload, query.spec)
             task_map, dead_sites = engine.resolve_routing(
@@ -557,44 +552,37 @@ class ServeScheduler:
                 planned=planned,
                 remaining_flows=len(planned.transfers),
             )
-            running[arrival.index] = entry
+            self._running[arrival.index] = entry
             if planned.transfers:
-                session.submit(planned.transfers)
+                self._session.submit(planned.transfers)
             else:
                 # No shuffle at all: the finish time is known right away.
                 entry.job = engine.complete_job(planned, [])
-                heapq.heappush(finish_heap, (entry.job.qct, arrival.index))
+                heapq.heappush(
+                    self._finish_heap, (entry.job.qct, arrival.index)
+                )
 
-    def _absorb_flows(
-        self,
-        done,
-        running: Dict[int, _Running],
-        finish_heap: List[Tuple[float, int]],
-        engine,
-    ) -> None:
+    def _absorb_flows(self, done) -> None:
         """Route completed WAN flows to their queries; finish drained jobs."""
         for result in done:
             index = int(result.transfer.tag[1:])
-            entry = running[index]
+            entry = self._running[index]
             entry.results.append(result)
             entry.remaining_flows -= 1
             if entry.remaining_flows == 0:
-                entry.job = engine.complete_job(entry.planned, entry.results)
-                heapq.heappush(finish_heap, (entry.job.qct, index))
+                entry.job = self._engine.complete_job(
+                    entry.planned, entry.results
+                )
+                heapq.heappush(self._finish_heap, (entry.job.qct, index))
 
-    def _drain_finishes(
-        self,
-        clock: float,
-        finish_heap: List[Tuple[float, int]],
-        running: Dict[int, _Running],
-        records: Dict[int, ServedQuery],
-    ) -> None:
+    def _drain_finishes(self, clock: float) -> None:
         """Retire every query whose reduce stage ended by ``clock``."""
         telemetry = instrument.current().telemetry
+        finish_heap = self._finish_heap
         while finish_heap and finish_heap[0][0] <= clock + _EPSILON:
             finish, index = heapq.heappop(finish_heap)
-            entry = running.pop(index)
-            record = records[index]
+            entry = self._running.pop(index)
+            record = self._records[index]
             record.status = "executed"
             record.finish = finish
             record.wan_bytes = entry.job.total_wan_bytes
@@ -675,7 +663,8 @@ class ServeScheduler:
 
     # ------------------------------------------------------------------
 
-    def _build_report(self, records: Dict[int, ServedQuery]) -> ServeReport:
+    def _build_report(self) -> ServeReport:
+        records = self._records
         queries = [records[index] for index in sorted(records)]
         makespan = max(
             (q.finish for q in queries if q.finish is not None), default=0.0

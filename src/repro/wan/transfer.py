@@ -22,14 +22,23 @@ longer than ``stall_timeout_seconds`` (cumulatively) fails its attempt
 instead — all-or-nothing, like a dropped connection — and surfaces as a
 :class:`TransferResult` with ``failed=True`` for the retry layer
 (:func:`repro.chaos.runtime.simulate_with_retries`) to handle.
+
+Two objects divide the work.  :class:`TransferScheduler` is the network
+as configured plus the *capacity oracle* over it (what a link carries at
+time ``t``, when capacity next changes, when a transfer's first byte can
+land); it holds no run state.  :class:`WanSession` is one run over that
+network: the clock, the flows — each carrying its effective start, its
+link keys and, once known, its finish time — the progressive-filling
+rounds and the telemetry coalescing state.  Every driver (batch
+``simulate()``, data movement, chaos retries, the serve event loop) is a
+session; ``simulate()`` is one run to drain.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import TopologyError
 from repro.obs import instrument
@@ -40,6 +49,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Resource key: ("up"|"down", site_name).
 _Resource = Tuple[str, str]
+#: What a sampled filling round hands to link telemetry: the WAN flow
+#: count, capacities before and after filling, flow ids per resource,
+#: and the parked flows.
+_RoundSample = Tuple[
+    int,
+    Dict[_Resource, float],
+    Dict[_Resource, float],
+    Dict[_Resource, Set[int]],
+    List["_Flow"],
+]
 
 _EPSILON_BYTES = 1e-6
 _EPSILON_TIME = 1e-12
@@ -96,28 +115,43 @@ class TransferResult:
 
 @dataclass
 class _Flow:
+    """One submitted transfer and everything the run learns about it."""
+
     flow_id: int
     transfer: Transfer
     remaining: float
+    #: When data starts landing: the requested start plus WAN propagation.
+    start: float
+    #: ``("up", src), ("down", dst)``; empty for an intra-site hop.
+    resources: Tuple[_Resource, ...]
     rate: float = 0.0
     parked_seconds: float = 0.0
     failed: bool = False
+    #: Completion (or abandonment) time; None while pending or in flight.
+    finish: Optional[float] = None
     #: Telemetry-only: whether the last round left this flow parked, so
     #: flow-park events mark episode starts rather than every round.
     was_parked: bool = False
 
+    def result(self) -> TransferResult:
+        return TransferResult(
+            transfer=self.transfer, finish_time=self.finish, failed=self.failed
+        )
+
 
 class WanSession:
-    """A resumable WAN simulation sharing one clock across submitters.
+    """One WAN run: the clock, the flows and the filling rounds.
 
-    :meth:`TransferScheduler.simulate` runs one batch to completion and
-    resets; a session instead stays open so *independent queries* can
-    keep injecting flows while earlier flows are still in flight — the
-    substrate of the concurrent serving layer (:mod:`repro.serve`).
-    Flows from every submitter contend for the same uplink/downlink
-    capacity epochs under the same max-min fair filling the batch path
-    uses; in fact the batch path is this class run to drain, so the two
-    cannot diverge.
+    All run state lives here — pending and in-flight flows, the clock,
+    round and park counters, and the telemetry coalescing state — and
+    the session asks its :class:`TransferScheduler` only for
+    configuration and the capacity oracle.  A session stays open, so
+    *independent queries* can keep injecting flows while earlier flows
+    are still in flight — the substrate of the concurrent serving layer
+    (:mod:`repro.serve`).  Flows from every submitter contend for the
+    same uplink/downlink capacity epochs under one max-min fair filling;
+    :meth:`TransferScheduler.simulate` is a session run to drain, so
+    batch and serving cannot diverge.
 
     Protocol::
 
@@ -132,6 +166,10 @@ class WanSession:
     moves on), at ``limit``, or when the session drains.  Completions
     are returned as :class:`TransferResult` in flow-submission order
     within each call.
+
+    Flow ids are dense (``self._flows[flow_id]`` is the flow), and each
+    flow records its effective start, link keys and finish time once, so
+    no round re-derives them and no call walks finished flows.
     """
 
     def __init__(self, scheduler: "TransferScheduler") -> None:
@@ -139,12 +177,10 @@ class WanSession:
         self.now = 0.0
         self.filling_rounds = 0
         self.parked_seconds = 0.0
-        self._counter = itertools.count()
         self._pending: List[_Flow] = []
         self._head = 0
         self._active: List[_Flow] = []
         self._flows: List[_Flow] = []
-        self._finish_times: Dict[int, float] = {}
         self._last_now = 0.0
         # Telemetry coalescing state (see _emit_round_samples).
         self._site_multipliers: Dict[str, float] = {}
@@ -162,35 +198,34 @@ class WanSession:
         """Inject flows; every effective start must be >= ``now``."""
         scheduler = self.scheduler
         scheduler._check_sites(transfers)
-        telemetry = instrument.current().telemetry
         flows = [
             _Flow(
-                flow_id=next(self._counter),
+                flow_id=len(self._flows) + offset,
                 transfer=transfer,
                 remaining=transfer.num_bytes,
+                start=scheduler._effective_start(transfer),
+                resources=(
+                    ()
+                    if transfer.src == transfer.dst
+                    else (("up", transfer.src), ("down", transfer.dst))
+                ),
             )
-            for transfer in transfers
+            for offset, transfer in enumerate(transfers)
         ]
         for flow in flows:
-            if scheduler._effective_start(flow.transfer) < self.now - _EPSILON_TIME:
+            if flow.start < self.now - _EPSILON_TIME:
                 raise TopologyError(
                     f"flow {flow.transfer.src}->{flow.transfer.dst} starts at "
-                    f"{scheduler._effective_start(flow.transfer)} but the "
-                    f"session clock is already at {self.now}"
+                    f"{flow.start} but the session clock is already at "
+                    f"{self.now}"
                 )
         self._flows.extend(flows)
         self._pending = self._pending[self._head:] + flows
-        self._pending.sort(
-            key=lambda flow: (
-                scheduler._effective_start(flow.transfer),
-                flow.flow_id,
-            )
-        )
+        self._pending.sort(key=lambda flow: (flow.start, flow.flow_id))
         self._head = 0
-        if telemetry.enabled:
-            # A submission can change per-link occupancy mid-segment;
-            # flush so coalesced samples never span the injection point.
-            self.scheduler._flush_link_samples(telemetry, self._pending_samples)
+        # A submission can change per-link occupancy mid-segment; flush
+        # so coalesced samples never span the injection point.
+        self.flush_telemetry()
 
     def advance(
         self, limit: float = math.inf, stop_on_completion: bool = True
@@ -201,21 +236,18 @@ class WanSession:
         during this call, in submission order.  The session clock ends at
         ``min(limit, drain time)`` unless a completion stopped it first.
         """
-        scheduler = self.scheduler
         obs = instrument.current()
         sanitizer = obs.sanitizer
         telemetry = obs.telemetry
+        stall_timeout = self.scheduler.stall_timeout_seconds
         pending = self._pending
         active = self._active
-        finish_times = self._finish_times
-        completed: List[int] = []
+        completed: List[_Flow] = []
 
         while self._head < len(pending) or active:
             now = self.now
             if not active:
-                next_start = scheduler._effective_start(
-                    pending[self._head].transfer
-                )
+                next_start = pending[self._head].start
                 if next_start >= limit - _EPSILON_TIME and next_start > now:
                     break
                 now = max(now, next_start)
@@ -223,8 +255,7 @@ class WanSession:
             # Admit every flow whose (latency-adjusted) start has arrived.
             while (
                 self._head < len(pending)
-                and scheduler._effective_start(pending[self._head].transfer)
-                <= now + _EPSILON_TIME
+                and pending[self._head].start <= now + _EPSILON_TIME
             ):
                 flow = pending[self._head]
                 self._head += 1
@@ -236,17 +267,13 @@ class WanSession:
                         dst=flow.transfer.dst,
                         num_bytes=flow.transfer.num_bytes,
                         tag=flow.transfer.tag,
-                        wan=flow.transfer.src != flow.transfer.dst,
+                        wan=bool(flow.resources),
                     )
                 if flow.remaining <= _EPSILON_BYTES:
-                    finish_times[flow.flow_id] = max(
-                        now, scheduler._effective_start(flow.transfer)
-                    )
-                    completed.append(flow.flow_id)
+                    flow.finish = max(now, flow.start)
+                    completed.append(flow)
                     if telemetry.enabled:
-                        scheduler._emit_flow_finish(
-                            telemetry, flow, finish_times[flow.flow_id]
-                        )
+                        self._emit_flow_finish(telemetry, flow)
                 else:
                     active.append(flow)
             if not active:
@@ -256,26 +283,11 @@ class WanSession:
             if now >= limit - _EPSILON_TIME:
                 break
 
-            sample: Optional[Dict[str, Any]] = (
-                {"had_parked": self._had_parked} if telemetry.enabled else None
-            )
-            scheduler._assign_rates(active, now, sample)
+            sample = self._assign_rates(now, telemetry.enabled)
             self.filling_rounds += 1
-            next_arrival = (
-                scheduler._effective_start(pending[self._head].transfer)
-                if self._head < len(pending)
-                else None
-            )
-            extra_bound = None if math.isinf(limit) else limit - now
-            horizon = scheduler._next_event_horizon(
-                active, next_arrival, now, extra_bound=extra_bound
-            )
+            horizon = self._next_event_horizon(now, limit)
             if sample is not None:
-                self._had_parked = bool(sample["parked"])
-                scheduler._emit_round_samples(
-                    telemetry, sample, now, horizon, self._site_multipliers,
-                    self._pending_samples,
-                )
+                self._emit_round_samples(telemetry, now, horizon, *sample)
             for flow in active:
                 if flow.rate > 0:
                     flow.remaining -= flow.rate * horizon
@@ -292,19 +304,18 @@ class WanSession:
             round_completed = False
             for flow in active:
                 if flow.remaining <= _EPSILON_BYTES:
-                    finish_times[flow.flow_id] = now
-                    completed.append(flow.flow_id)
+                    flow.finish = now
+                    completed.append(flow)
                     round_completed = True
                     if telemetry.enabled:
-                        scheduler._emit_flow_finish(telemetry, flow, now)
+                        self._emit_flow_finish(telemetry, flow)
                 elif (
                     flow.rate <= 0.0
-                    and flow.parked_seconds
-                    >= scheduler.stall_timeout_seconds - _EPSILON_TIME
+                    and flow.parked_seconds >= stall_timeout - _EPSILON_TIME
                 ):
                     flow.failed = True
-                    finish_times[flow.flow_id] = now
-                    completed.append(flow.flow_id)
+                    flow.finish = now
+                    completed.append(flow)
                     round_completed = True
                     if telemetry.enabled:
                         telemetry.emit(
@@ -327,40 +338,264 @@ class WanSession:
             # Idle session: snap the clock forward so the caller's next
             # submission (at its event time == limit) is never "late".
             self.now = max(self.now, limit)
-        flow_index = {flow.flow_id: flow for flow in self._flows}
-        return [
-            TransferResult(
-                transfer=flow_index[flow_id].transfer,
-                finish_time=finish_times[flow_id],
-                failed=flow_index[flow_id].failed,
-            )
-            for flow_id in sorted(completed)
-        ]
+        completed.sort(key=lambda flow: flow.flow_id)
+        return [flow.result() for flow in completed]
 
     def flush_telemetry(self) -> None:
         """Emit every pending coalesced link segment (call at drain)."""
         telemetry = instrument.current().telemetry
         if telemetry.enabled:
-            self.scheduler._flush_link_samples(telemetry, self._pending_samples)
+            for resource, segment in self._pending_samples.items():
+                _emit_link_sample(telemetry, resource, segment)
+            self._pending_samples.clear()
 
     def all_results(self) -> List[TransferResult]:
         """Results for every finished flow, in submission order."""
         return [
-            TransferResult(
-                transfer=flow.transfer,
-                finish_time=self._finish_times[flow.flow_id],
-                failed=flow.failed,
-            )
-            for flow in self._flows
-            if flow.flow_id in self._finish_times
+            flow.result() for flow in self._flows if flow.finish is not None
         ]
+
+    # ------------------------------------------------------------------
+    # one filling round
+    # ------------------------------------------------------------------
+
+    def _assign_rates(self, now: float, sampling: bool) -> Optional[_RoundSample]:
+        """Max-min fair (progressive filling) rate assignment.
+
+        Sets ``rate`` on every in-flight flow.  When ``sampling`` — the
+        telemetry-on path — it also returns the per-resource aggregates
+        link sampling needs: the WAN flow count, the original
+        capacities, the residual capacities after filling (their
+        difference is the carried rate, which water-filling leaves
+        behind for free), per-resource flow-id sets, and the parked
+        flows.  This keeps round sampling O(resources) instead of adding
+        a second O(flows) pass per round; per-flow park bookkeeping only
+        runs while a fault window is actually parking flows.
+
+        The resource → flows map is rebuilt from the in-flight flows
+        every round; an incremental assignment would keep it here, on
+        the session, and patch it at admission and completion.
+        """
+        scheduler = self.scheduler
+        flows = self._flows
+        capacity: Dict[_Resource, float] = {}
+        users: Dict[_Resource, Set[int]] = {}
+        unfrozen: Set[int] = set()
+        for flow in self._active:
+            if not flow.resources:
+                flow.rate = scheduler.lan_bps
+                continue
+            unfrozen.add(flow.flow_id)
+            for resource in flow.resources:
+                if resource not in capacity:
+                    direction, site = resource
+                    capacity[resource] = scheduler.effective_bps(
+                        site, direction, now
+                    )
+                    users[resource] = set()
+                users[resource].add(flow.flow_id)
+
+        wan = len(unfrozen)
+        original_capacity = dict(capacity) if sampling else None
+        parked_possible = False
+        while unfrozen:
+            bottleneck: Optional[_Resource] = None
+            bottleneck_share = math.inf
+            for resource, resource_users in users.items():
+                live = resource_users & unfrozen
+                if not live:
+                    continue
+                share = capacity[resource] / len(live)
+                if share < bottleneck_share:
+                    bottleneck_share = share
+                    bottleneck = resource
+            assert bottleneck is not None
+            if bottleneck_share <= 0.0:
+                parked_possible = True
+            for flow_id in users[bottleneck] & unfrozen:
+                flow = flows[flow_id]
+                flow.rate = bottleneck_share
+                unfrozen.discard(flow_id)
+                for resource in flow.resources:
+                    capacity[resource] = max(0.0, capacity[resource] - bottleneck_share)
+
+        if original_capacity is None:
+            return None
+        parked: List[_Flow] = []
+        if parked_possible or self._had_parked:
+            # Fault-window path: track park episodes per flow.
+            for flow in self._active:
+                if not flow.resources:
+                    continue
+                if flow.rate <= 0.0:
+                    parked.append(flow)
+                elif flow.was_parked:
+                    flow.was_parked = False
+        self._had_parked = bool(parked)
+        return wan, original_capacity, capacity, users, parked
+
+    def _next_event_horizon(self, now: float, limit: float) -> float:
+        """Time until the next completion, arrival, capacity change,
+        park-timeout expiry, or the caller's ``limit``.
+
+        Parked flows (rate zero under a fault blackout) contribute no
+        completion event, but an upcoming capacity change point or a
+        finite stall timeout still bounds the horizon; only when *none*
+        of the event sources lies ahead is the simulation genuinely
+        stuck and the stall error raised.  A finite ``limit`` also
+        rescues an otherwise stalled round — the session will simply
+        stop there.
+        """
+        stall_timeout = self.scheduler.stall_timeout_seconds
+        horizon = math.inf
+        for flow in self._active:
+            if flow.rate > 0:
+                horizon = min(horizon, flow.remaining / flow.rate)
+            else:
+                horizon = min(horizon, stall_timeout - flow.parked_seconds)
+        if self._head < len(self._pending):
+            horizon = min(horizon, max(self._pending[self._head].start - now, 0.0))
+        next_change = self.scheduler._next_capacity_change(now)
+        if next_change is not None:
+            horizon = min(horizon, next_change - now)
+        if not math.isinf(limit):
+            horizon = min(horizon, limit - now)
+        if math.isinf(horizon):
+            raise TopologyError("transfer simulation stalled (all rates zero)")
+        return max(horizon, _EPSILON_TIME)
+
+    def _emit_flow_finish(self, telemetry, flow: _Flow) -> None:
+        """flow-finish telemetry, with achieved throughput over the flow."""
+        seconds = flow.finish - flow.start
+        throughput = flow.transfer.num_bytes / seconds if seconds > 0 else 0.0
+        telemetry.emit(
+            "flow-finish",
+            t=flow.finish,
+            src=flow.transfer.src,
+            dst=flow.transfer.dst,
+            num_bytes=flow.transfer.num_bytes,
+            tag=flow.transfer.tag,
+            wan=bool(flow.resources),
+            start=flow.transfer.start_time,
+            seconds=seconds,
+            throughput_bps=throughput,
+            parked_seconds=flow.parked_seconds,
+        )
+
+    def _emit_round_samples(
+        self,
+        telemetry,
+        now: float,
+        horizon: float,
+        wan: int,
+        capacities: Dict[_Resource, float],
+        residual: Dict[_Resource, float],
+        users: Dict[_Resource, Set[int]],
+        parked: List[_Flow],
+    ) -> None:
+        """Per-round link occupancy telemetry (telemetry-on path only).
+
+        Consumes the aggregates :meth:`_assign_rates` returned for this
+        round, so the per-round cost is O(resources in use).  Link
+        samples are coalesced: contiguous rounds in which a link keeps
+        the same capacity and flow count extend one pending ``[start,
+        end, bytes, capacity_bps, flows]`` segment (accumulating the
+        bytes carried) instead of emitting per round.  A segment is
+        flushed as a single link-sample whose ``used_bps`` is the
+        byte-weighted mean rate over the segment — so ``used_bps`` ×
+        ``dt`` still integrates to the bytes the link actually carried,
+        and utilization series reconcile with the sanitizer's byte
+        conservation — when the link's capacity or flow count changes,
+        the link goes idle, a submission arrives, or the caller flushes
+        at drain (:meth:`flush_telemetry`).  Also emits capacity-epoch
+        events when a site's effective multiplier changes between
+        rounds, flow-park at park-episode starts, and one flows-sample
+        per round with occupancy counts.
+        """
+        for flow in parked:
+            if not flow.was_parked:
+                flow.was_parked = True
+                telemetry.emit(
+                    "flow-park",
+                    t=now,
+                    src=flow.transfer.src,
+                    dst=flow.transfer.dst,
+                    tag=flow.transfer.tag,
+                    remaining_bytes=flow.remaining,
+                )
+        end = now + horizon
+        pending_samples = self._pending_samples
+        # Insertion order of the capacity map follows deterministic flow
+        # order, so iteration needs no sort to stay reproducible.
+        for resource, capacity in capacities.items():
+            rate = capacity - residual[resource]
+            flows_on = len(users[resource])
+            segment = pending_samples.get(resource)
+            if (
+                segment is not None
+                and segment[1] == now
+                and segment[3] == capacity
+                and segment[4] == flows_on
+            ):
+                # Contiguous, same capacity, same flow count: extend the
+                # segment and accumulate the bytes this round carries.
+                segment[1] = end
+                segment[2] += rate * horizon
+                continue
+            site = resource[1]
+            # A multiplier change always changes capacity_bps, so epoch
+            # detection only needs to run on segment breaks.
+            multiplier = self.scheduler._capacity_multiplier(site, now)
+            if self._site_multipliers.get(site) != multiplier:
+                self._site_multipliers[site] = multiplier
+                telemetry.emit(
+                    "capacity-epoch", t=now, site=site, multiplier=multiplier
+                )
+            if segment is not None:
+                _emit_link_sample(telemetry, resource, segment)
+            pending_samples[resource] = [
+                now, end, rate * horizon, capacity, flows_on,
+            ]
+        if len(pending_samples) > len(capacities):
+            for resource in [r for r in pending_samples if r not in capacities]:
+                _emit_link_sample(telemetry, resource, pending_samples.pop(resource))
+        telemetry.emit(
+            "flows-sample",
+            t=now,
+            active=wan - len(parked),
+            parked=len(parked),
+            lan=len(self._active) - wan,
+            dt=horizon,
+        )
+
+
+def _emit_link_sample(telemetry, resource: _Resource, segment: List[float]) -> None:
+    """One coalesced ``[start, end, bytes, capacity_bps, flows]`` segment."""
+    direction, site = resource
+    duration = segment[1] - segment[0]
+    telemetry.emit(
+        "link-sample",
+        t=segment[0],
+        site=site,
+        direction=direction,
+        used_bps=segment[2] / duration if duration > 0 else 0.0,
+        capacity_bps=segment[3],
+        flows=int(segment[4]),
+        dt=duration,
+    )
 
 
 class TransferScheduler:
-    """Simulates a batch of transfers over a :class:`WanTopology`.
+    """The WAN as configured, and the capacity oracle over it.
 
-    The scheduler is stateless across :meth:`simulate` calls; each call
-    simulates an independent epoch starting at time zero.
+    Holds validated configuration (topology, LAN rate, bandwidth
+    profiles, propagation delay, fault schedule, stall timeout) and
+    answers questions about it: a link's capacity at ``t``
+    (:meth:`effective_bps`), the next capacity change after ``t``, when
+    a transfer's first byte can land, whether its sites exist.  It holds
+    no run state at all — every run is a :class:`WanSession` — so one
+    scheduler backs any number of independent or concurrent runs, and
+    each :meth:`simulate` call is a fresh epoch starting at time zero.
     """
 
     def __init__(
@@ -416,10 +651,7 @@ class TransferScheduler:
     def simulate(self, transfers: Sequence[Transfer]) -> List[TransferResult]:
         """Simulate all transfers; returns results in input order.
 
-        The batch event loop is a :class:`WanSession` run to drain.
-        Admission walks an index cursor over the start-sorted flow list,
-        so a batch of n flows admits in O(n) total instead of the O(n²)
-        that popping the head of a list costs.
+        A :class:`WanSession` run to drain.
         """
         telemetry = instrument.current().telemetry
         with telemetry.span(
@@ -496,7 +728,7 @@ class TransferScheduler:
         return now
 
     # ------------------------------------------------------------------
-    # internals
+    # capacity oracle (what a WanSession asks)
     # ------------------------------------------------------------------
 
     def _effective_start(self, transfer: Transfer) -> float:
@@ -537,146 +769,6 @@ class TransferScheduler:
             raise TopologyError(f"direction must be 'up' or 'down', got {direction!r}")
         return nominal * self._capacity_multiplier(site, now)
 
-    def _emit_flow_finish(self, telemetry, flow: _Flow, finish: float) -> None:
-        """flow-finish telemetry, with achieved throughput over the flow."""
-        start = self._effective_start(flow.transfer)
-        seconds = finish - start
-        throughput = flow.transfer.num_bytes / seconds if seconds > 0 else 0.0
-        telemetry.emit(
-            "flow-finish",
-            t=finish,
-            src=flow.transfer.src,
-            dst=flow.transfer.dst,
-            num_bytes=flow.transfer.num_bytes,
-            tag=flow.transfer.tag,
-            wan=flow.transfer.src != flow.transfer.dst,
-            start=flow.transfer.start_time,
-            seconds=seconds,
-            throughput_bps=throughput,
-            parked_seconds=flow.parked_seconds,
-        )
-
-    def _emit_round_samples(
-        self,
-        telemetry,
-        sample: Dict[str, Any],
-        now: float,
-        horizon: float,
-        site_multipliers: Dict[str, float],
-        pending_samples: Dict[_Resource, List[float]],
-    ) -> None:
-        """Per-round link occupancy telemetry (telemetry-on path only).
-
-        Consumes the aggregates :meth:`_assign_rates` collected for this
-        round, so the per-round cost is O(resources in use).  Link
-        samples are coalesced: contiguous rounds in which a link keeps
-        the same capacity and flow count extend one pending ``[start,
-        end, bytes, capacity_bps, flows]`` segment (accumulating the
-        bytes carried) instead of emitting per round.  A segment is
-        flushed as a single link-sample whose ``used_bps`` is the
-        byte-weighted mean rate over the segment — so ``used_bps`` ×
-        ``dt`` still integrates to the bytes the link actually carried,
-        and utilization series reconcile with the sanitizer's byte
-        conservation — when the link's capacity or flow count changes,
-        the link goes idle, or the simulation drains
-        (:meth:`_flush_link_samples`).  Also emits capacity-epoch events
-        when a site's effective multiplier changes between rounds,
-        flow-park at park-episode starts, and one flows-sample per round
-        with occupancy counts.
-        """
-        parked = sample["parked"]
-        for flow in parked:
-            if not flow.was_parked:
-                flow.was_parked = True
-                telemetry.emit(
-                    "flow-park",
-                    t=now,
-                    src=flow.transfer.src,
-                    dst=flow.transfer.dst,
-                    tag=flow.transfer.tag,
-                    remaining_bytes=flow.remaining,
-                )
-        capacities = sample["capacity"]
-        residual = sample["residual"]
-        users = sample["users"]
-        end = now + horizon
-        pending_get = pending_samples.get
-        # Insertion order of the capacity map follows deterministic flow
-        # order, so iteration needs no sort to stay reproducible.
-        for resource, capacity in capacities.items():
-            rate = capacity - residual[resource]
-            flows_on = len(users[resource])
-            segment = pending_get(resource)
-            if (
-                segment is not None
-                and segment[1] == now
-                and segment[3] == capacity
-                and segment[4] == flows_on
-            ):
-                # Contiguous, same capacity, same flow count: extend the
-                # segment and accumulate the bytes this round carries.
-                segment[1] = end
-                segment[2] += rate * horizon
-                continue
-            direction, site = resource
-            # A multiplier change always changes capacity_bps, so epoch
-            # detection only needs to run on segment breaks.
-            multiplier = self._capacity_multiplier(site, now)
-            if site_multipliers.get(site) != multiplier:
-                site_multipliers[site] = multiplier
-                telemetry.emit(
-                    "capacity-epoch", t=now, site=site, multiplier=multiplier
-                )
-            if segment is not None:
-                duration = segment[1] - segment[0]
-                telemetry.emit(
-                    "link-sample",
-                    t=segment[0],
-                    site=site,
-                    direction=direction,
-                    used_bps=segment[2] / duration if duration > 0 else 0.0,
-                    capacity_bps=segment[3],
-                    flows=int(segment[4]),
-                    dt=duration,
-                )
-            pending_samples[resource] = [
-                now, end, rate * horizon, capacity, flows_on,
-            ]
-        if len(pending_samples) > len(capacities):
-            idle = {
-                resource: pending_samples.pop(resource)
-                for resource in list(pending_samples)
-                if resource not in capacities
-            }
-            self._flush_link_samples(telemetry, idle)
-        telemetry.emit(
-            "flows-sample",
-            t=now,
-            active=sample["wan"] - len(parked),
-            parked=len(parked),
-            lan=sample["lan"],
-            dt=horizon,
-        )
-
-    @staticmethod
-    def _flush_link_samples(
-        telemetry, pending_samples: Dict[_Resource, List[float]]
-    ) -> None:
-        """Emit every pending coalesced link segment and clear the map."""
-        for (direction, site), segment in pending_samples.items():
-            duration = segment[1] - segment[0]
-            telemetry.emit(
-                "link-sample",
-                t=segment[0],
-                site=site,
-                direction=direction,
-                used_bps=segment[2] / duration if duration > 0 else 0.0,
-                capacity_bps=segment[3],
-                flows=int(segment[4]),
-                dt=duration,
-            )
-        pending_samples.clear()
-
     def _next_capacity_change(self, now: float) -> Optional[float]:
         """Earliest upcoming profile epoch or fault window boundary."""
         upcoming = [
@@ -687,145 +779,3 @@ class TransferScheduler:
             upcoming.append(self.faults.next_change_after(now))
         upcoming = [epoch for epoch in upcoming if epoch is not None]
         return min(upcoming) if upcoming else None
-
-    def _assign_rates(
-        self,
-        active: List[_Flow],
-        now: float = 0.0,
-        sample: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Max-min fair (progressive filling) rate assignment.
-
-        When ``sample`` is passed — the telemetry-on path; the session
-        seeds it with ``had_parked``, whether its previous round parked
-        flows — it is filled with the per-resource aggregates link
-        sampling needs: the original capacities, the residual capacities
-        after filling (their difference is the carried rate, which
-        water-filling leaves behind for free), per-resource flow-id
-        sets, and the parked flows.  This keeps round sampling
-        O(resources) instead of adding a second O(flows) pass per round;
-        per-flow park bookkeeping only runs while a fault window is
-        actually parking flows.
-        """
-        wan_flows = [flow for flow in active if flow.transfer.src != flow.transfer.dst]
-        for flow in active:
-            if flow.transfer.src == flow.transfer.dst:
-                flow.rate = self.lan_bps
-        if sample is not None:
-            sample["wan"] = len(wan_flows)
-            sample["lan"] = len(active) - len(wan_flows)
-            sample["parked"] = []
-        if not wan_flows:
-            if sample is not None:
-                sample["capacity"] = {}
-                sample["residual"] = {}
-                sample["users"] = {}
-            return
-
-        capacity: Dict[_Resource, float] = {}
-        users: Dict[_Resource, Set[int]] = {}
-        flow_resources: Dict[int, Tuple[_Resource, _Resource]] = {}
-        for flow in wan_flows:
-            up: _Resource = ("up", flow.transfer.src)
-            down: _Resource = ("down", flow.transfer.dst)
-            capacity.setdefault(
-                up,
-                self.topology.uplink(flow.transfer.src)
-                * self._capacity_multiplier(flow.transfer.src, now),
-            )
-            capacity.setdefault(
-                down,
-                self.topology.downlink(flow.transfer.dst)
-                * self._capacity_multiplier(flow.transfer.dst, now),
-            )
-            users.setdefault(up, set()).add(flow.flow_id)
-            users.setdefault(down, set()).add(flow.flow_id)
-            flow_resources[flow.flow_id] = (up, down)
-
-        original_capacity = dict(capacity) if sample is not None else None
-        unfrozen: Set[int] = {flow.flow_id for flow in wan_flows}
-        rates: Dict[int, float] = {}
-        parked_possible = False
-        while unfrozen:
-            bottleneck: Optional[_Resource] = None
-            bottleneck_share = math.inf
-            for resource, resource_users in users.items():
-                live = resource_users & unfrozen
-                if not live:
-                    continue
-                share = capacity[resource] / len(live)
-                if share < bottleneck_share:
-                    bottleneck_share = share
-                    bottleneck = resource
-            assert bottleneck is not None
-            if bottleneck_share <= 0.0:
-                parked_possible = True
-            frozen_now = users[bottleneck] & unfrozen
-            for flow_id in frozen_now:
-                rates[flow_id] = bottleneck_share
-                unfrozen.discard(flow_id)
-                for resource in flow_resources[flow_id]:
-                    capacity[resource] = max(0.0, capacity[resource] - bottleneck_share)
-
-        if sample is None:
-            for flow in wan_flows:
-                flow.rate = rates[flow.flow_id]
-            return
-        if parked_possible or sample["had_parked"]:
-            # Fault-window path: track park episodes per flow.
-            parked = sample["parked"]
-            for flow in wan_flows:
-                rate = rates[flow.flow_id]
-                flow.rate = rate
-                if rate <= 0.0:
-                    parked.append(flow)
-                elif flow.was_parked:
-                    flow.was_parked = False
-        else:
-            for flow in wan_flows:
-                flow.rate = rates[flow.flow_id]
-        sample["capacity"] = original_capacity
-        sample["residual"] = capacity
-        sample["users"] = users
-
-    def _next_event_horizon(
-        self,
-        active: List[_Flow],
-        next_arrival: Optional[float],
-        now: float,
-        extra_bound: Optional[float] = None,
-    ) -> float:
-        """Time until the next completion, arrival, capacity change, or
-        park-timeout expiry.
-
-        Parked flows (rate zero under a fault blackout) contribute no
-        completion event, but an upcoming capacity change point or a
-        finite stall timeout still bounds the horizon; only when *none*
-        of the four event sources lies ahead is the simulation genuinely
-        stuck and the stall error raised.  ``extra_bound`` (a session's
-        advance limit) caps the horizon and also rescues an otherwise
-        stalled round — the session will simply stop at its limit.
-        """
-        horizon = math.inf
-        parked = False
-        for flow in active:
-            if flow.rate > 0:
-                horizon = min(horizon, flow.remaining / flow.rate)
-            else:
-                parked = True
-                if not math.isinf(self.stall_timeout_seconds):
-                    horizon = min(
-                        horizon,
-                        self.stall_timeout_seconds - flow.parked_seconds,
-                    )
-        if next_arrival is not None:
-            horizon = min(horizon, max(next_arrival - now, 0.0))
-        if parked or self.profiles or self.faults is not None:
-            next_change = self._next_capacity_change(now)
-            if next_change is not None:
-                horizon = min(horizon, next_change - now)
-        if extra_bound is not None:
-            horizon = min(horizon, extra_bound)
-        if math.isinf(horizon):
-            raise TopologyError("transfer simulation stalled (all rates zero)")
-        return max(horizon, _EPSILON_TIME)

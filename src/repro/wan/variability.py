@@ -70,10 +70,8 @@ class BandwidthProfile:
 
     def next_change_after(self, now: float) -> Optional[float]:
         """Start time of the next epoch strictly after ``now``."""
-        for start, _ in self.epochs:
-            if start > now + 1e-12:
-                return start
-        return None
+        index = bisect.bisect_right(self._starts, now + 1e-12)
+        return self._starts[index] if index < len(self._starts) else None
 
 
 def diurnal_profile(

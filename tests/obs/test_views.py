@@ -304,6 +304,20 @@ def parity(request, golden, observed):
     return request.param, golden[request.param], events
 
 
+def test_chaos_stream_equals_the_parent_commit(observed):
+    """The ``--chaos flaky-wan`` run above (``repro run --scheme bohr
+    --queries 2 --chaos flaky-wan --seed 11`` with the RDD surcharge
+    off): the whole event stream, digested at 2081b01, before the WAN
+    run machinery moved from ``TransferScheduler`` onto ``WanSession``."""
+    from repro.obs.telemetry import telemetry_digest
+
+    events, _result = observed["chaos"]
+    assert len(events) == 1988
+    assert telemetry_digest(events) == (
+        "3dd3ea8647b0bbb5ef71fe58e1b00bb0955a9b058e22003f305e238b44c333c7"
+    )
+
+
 def _span_rows(spans):
     by_id = {span.span_id: span for span in spans}
 

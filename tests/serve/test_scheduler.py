@@ -69,6 +69,26 @@ class TestDeterminism:
         assert {"serve-queue", "serve-admit", "serve-start",
                 "serve-finish"} <= kinds
 
+    def test_cli_run_stream_equals_the_parent_commit(self, tmp_path, capsys):
+        """``repro serve --tenants 3 --queries 12 --seed 11 --cache-size
+        4``: the whole event stream, digested at 2081b01 (before the WAN
+        run machinery moved onto ``WanSession`` and the serve handlers
+        stopped threading run state as parameters)."""
+        from repro.cli import main
+        from repro.obs.telemetry import load_jsonl, telemetry_digest
+
+        archive = tmp_path / "serve.jsonl"
+        assert main([
+            "serve", "--tenants", "3", "--queries", "12", "--seed", "11",
+            "--cache-size", "4", "--telemetry", str(archive),
+        ]) == 0
+        capsys.readouterr()
+        _header, events = load_jsonl(str(archive))
+        assert len(events) == 4125
+        assert telemetry_digest(events) == (
+            "9df6d98641dfe2abaabb1f29c51b21237bc262fafcd2d9b82cc1cb730c655652"
+        )
+
 
 class TestAccounting:
     def test_every_arrival_accounted(self):

@@ -127,3 +127,46 @@ class TestAdvanceSemantics:
         drain(session)
         assert session.drained
         assert len(session.all_results()) == 1
+
+
+class TestFinishedFlowsAreNotRevisited:
+    def test_late_submit_returns_only_the_new_flow(self):
+        """After 300 flows drained, one more submit + advance hands back
+        that flow alone, and all_results() still lists all 301 in
+        submission order."""
+        session = WanSession(TransferScheduler(two_sites(up_a=1000.0)))
+        for index in range(300):
+            session.submit(
+                [Transfer("a", "b", 10.0, start_time=float(index), tag=str(index))]
+            )
+            assert [r.transfer.tag for r in drain(session)] == [str(index)]
+        session.submit([Transfer("b", "a", 5.0, start_time=400.0, tag="late")])
+        [late] = session.advance()
+        assert late.transfer.tag == "late"
+        assert late.finish_time == pytest.approx(400.05)
+        assert session.advance() == []
+        everything = session.all_results()
+        assert [r.transfer.tag for r in everything] == [
+            str(index) for index in range(300)
+        ] + ["late"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a round starting within 1e-12 before a capacity change reads "
+    "the old capacity, and next_change_after(now + 1e-12) skips the change",
+)
+def test_limit_just_before_a_capacity_change_still_sees_it():
+    from repro.wan.variability import BandwidthProfile
+
+    scheduler = TransferScheduler(
+        two_sites(up_a=1000.0, down_b=1000.0),
+        profiles={"a": BandwidthProfile.steps([(0.0, 1.0), (0.25, 0.5)])},
+    )
+    [batch] = scheduler.simulate([Transfer("a", "b", 1000.0)])
+    assert batch.finish_time == pytest.approx(1.75)
+    session = WanSession(scheduler)
+    session.submit([Transfer("a", "b", 1000.0)])
+    assert session.advance(limit=0.24999999999999997) == []
+    [result] = drain(session)
+    assert result.finish_time == pytest.approx(1.75)  # today: 1.0

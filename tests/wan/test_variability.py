@@ -31,6 +31,36 @@ class TestBandwidthProfile:
         assert profile.next_change_after(10.0) == 20.0
         assert profile.next_change_after(20.0) is None
 
+    def test_next_change_bisect_agrees_with_a_linear_scan(self):
+        """Both lookups — this one and the fault schedule's — must match
+        the scan they replaced on every boundary, 1e-12 either side of
+        it, and past the last epoch."""
+        from repro.chaos.schedule import FaultEvent, FaultSchedule
+
+        def scan(starts, now):
+            return next((s for s in starts if s > now + 1e-12), None)
+
+        profile = diurnal_profile(period=48.0, steps_per_period=48, num_periods=1)
+        starts = [start for start, _ in profile.epochs]
+        faults = FaultSchedule(
+            events=tuple(
+                FaultEvent("link-blackout", "a", start + 0.25, start + 0.5)
+                for start in starts
+            )
+        )
+        changes = sorted(
+            {event.start for event in faults.events}
+            | {event.end for event in faults.events}
+        )
+        for points, lookup in (
+            (starts, profile.next_change_after),
+            (changes, faults.next_change_after),
+        ):
+            probes = [p + d for p in points for d in (-1e-12, 0.0, 1e-12)]
+            for now in probes + [-1.0, points[-1] + 5.0]:
+                assert lookup(now) == scan(points, now), now
+        assert profile.next_change_after(starts[-1]) is None
+
     def test_validation(self):
         with pytest.raises(TopologyError):
             BandwidthProfile(epochs=())
