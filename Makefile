@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke serve-smoke slo profile telemetry check
+.PHONY: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke perfbench-full serve-smoke slo profile telemetry check
 
 lint:  ## static analysis: per-file rules R001-R008 over the shipped tree
 	$(PYTHON) -m repro.lint src/repro benchmarks
@@ -47,6 +47,17 @@ perfbench-smoke:  ## the driver's benchmark, quick: its tests, then all six work
 		missing = {t: json.load(open(t))['metrics']['harness.missing_targets']['value'] for t in traces}; \
 		assert not any(missing.values()), f'perfbench targets missing: {missing}'; \
 		print(f'perfbench: {len(traces)} workloads traced, no missing target')"
+
+perfbench-full:  ## the PR driver's own command, full size, every workload of BENCHMARK.json (~2.5 min; not in `check`)
+	@set -e; \
+	for w in $$($(PYTHON) -c "import json; print(*[w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']])"); do \
+		out=$$(python3 perfbench/run.py --workload $$w --seed 11 --trace 0) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | tail -n 1 | $(PYTHON) -c "import json, sys; \
+			result = json.loads(sys.stdin.read()); \
+			assert result['correct'] is True and result['failed'] == 0, result; \
+			print('perfbench-full: $$w correct, 0 failed of', result['attempted'], \
+				'- wall_s', round(result['metrics']['wall_s']['value'], 3))"; \
+	done
 
 serve-smoke:  ## two same-seed serve runs: bit-identical sim + analyzer digests
 	$(PYTHON) -m repro serve --tenants 3 --queries 12 --seed 11 \

@@ -27,18 +27,22 @@ Two objects divide the work.  :class:`TransferScheduler` is the network
 as configured plus the *capacity oracle* over it (what a link carries at
 time ``t``, when capacity next changes, when a transfer's first byte can
 land); it holds no run state.  :class:`WanSession` is one run over that
-network: the clock, the flows — each carrying its effective start, its
-link keys and, once known, its finish time — the progressive-filling
-rounds and the telemetry coalescing state.  Every driver (batch
-``simulate()``, data movement, chaos retries, the serve event loop) is a
-session; ``simulate()`` is one run to drain.
+network: the clock, the flows, the progressive-filling rounds and the
+telemetry coalescing state.  Its in-flight state is columnar — parallel
+lists of flow, ``(src, dst)`` pair id, bytes left and seconds parked —
+and a round water-fills over the distinct *pairs* (flows of one pair
+share both links, hence one rate), then moves the flows in whole-column
+passes.  Every driver (batch ``simulate()``, data movement, chaos retries,
+the serve event loop) is a session; ``simulate()`` is one run to drain.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from operator import truediv
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TopologyError
 from repro.obs import instrument
@@ -47,18 +51,12 @@ from repro.wan.topology import WanTopology
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chaos.schedule import FaultSchedule
 
-#: Resource key: ("up"|"down", site_name).
+#: Link key: ("up"|"down", site_name).
 _Resource = Tuple[str, str]
 #: What a sampled filling round hands to link telemetry: the WAN flow
-#: count, capacities before and after filling, flow ids per resource,
-#: and the parked flows.
-_RoundSample = Tuple[
-    int,
-    Dict[_Resource, float],
-    Dict[_Resource, float],
-    Dict[_Resource, Set[int]],
-    List["_Flow"],
-]
+#: count, the link ids in use, then by link id the capacities before and
+#: after filling and the flow counts, and whether a share was zero.
+_RoundSample = Tuple[int, List[int], List[float], List[float], List[int], bool]
 
 _EPSILON_BYTES = 1e-6
 _EPSILON_TIME = 1e-12
@@ -113,19 +111,17 @@ class TransferResult:
         return self.delivered_bytes / self.duration
 
 
-@dataclass
+@dataclass(slots=True)
 class _Flow:
-    """One submitted transfer and everything the run learns about it."""
+    """One submitted transfer and what the run learns about it (bytes
+    left and seconds parked are session columns while it is in flight)."""
 
     flow_id: int
     transfer: Transfer
-    remaining: float
     #: When data starts landing: the requested start plus WAN propagation.
     start: float
-    #: ``("up", src), ("down", dst)``; empty for an intra-site hop.
-    resources: Tuple[_Resource, ...]
-    rate: float = 0.0
-    parked_seconds: float = 0.0
+    #: Interned ``(src, dst)`` id; 0 for an intra-site hop.
+    pair: int
     failed: bool = False
     #: Completion (or abandonment) time; None while pending or in flight.
     finish: Optional[float] = None
@@ -134,22 +130,19 @@ class _Flow:
     was_parked: bool = False
 
     def result(self) -> TransferResult:
-        return TransferResult(
-            transfer=self.transfer, finish_time=self.finish, failed=self.failed
-        )
+        return TransferResult(self.transfer, self.finish, self.failed)
 
 
 class WanSession:
     """One WAN run: the clock, the flows and the filling rounds.
 
-    All run state lives here — pending and in-flight flows, the clock,
-    round and park counters, and the telemetry coalescing state — and
-    the session asks its :class:`TransferScheduler` only for
-    configuration and the capacity oracle.  A session stays open, so
-    *independent queries* can keep injecting flows while earlier flows
-    are still in flight — the substrate of the concurrent serving layer
-    (:mod:`repro.serve`).  Flows from every submitter contend for the
-    same uplink/downlink capacity epochs under one max-min fair filling;
+    All run state lives here; the session asks its
+    :class:`TransferScheduler` only for configuration and the capacity
+    oracle.  A session stays open, so *independent queries* can keep
+    injecting flows while earlier flows are still in flight — the
+    substrate of the concurrent serving layer (:mod:`repro.serve`).
+    Flows from every submitter contend for the same uplink/downlink
+    capacity epochs under one max-min fair filling;
     :meth:`TransferScheduler.simulate` is a session run to drain, so
     batch and serving cannot diverge.
 
@@ -167,9 +160,10 @@ class WanSession:
     are returned as :class:`TransferResult` in flow-submission order
     within each call.
 
-    Flow ids are dense (``self._flows[flow_id]`` is the flow), and each
-    flow records its effective start, link keys and finish time once, so
-    no round re-derives them and no call walks finished flows.
+    Flow ids are dense (``self._flows[flow_id]`` is the flow), the
+    in-flight columns are parallel lists in admission order, and pairs
+    and links are interned to small ints at submission: a round indexes
+    lists — it hashes no tuple and walks no finished flow.
     """
 
     def __init__(self, scheduler: "TransferScheduler") -> None:
@@ -179,12 +173,24 @@ class WanSession:
         self.parked_seconds = 0.0
         self._pending: List[_Flow] = []
         self._head = 0
-        self._active: List[_Flow] = []
         self._flows: List[_Flow] = []
+        self._active: List[_Flow] = []
+        self._pairs: List[int] = []
+        self._remaining: List[float] = []
+        self._parked: List[float] = []
+        # Interning tables; pair 0 is "intra-site": no links, LAN rate.
+        self._pair_ids: Dict[Tuple[str, str], int] = {}
+        self._pair_links: List[Tuple[int, ...]] = [()]
+        self._link_ids: Dict[_Resource, int] = {}
+        self._links: List[_Resource] = []
+        # Without profiles or faults a link carries its nominal rate for
+        # the whole run: read it once, when the link is interned.
+        self._static = not scheduler.profiles and scheduler.faults is None
+        self._static_capacity: List[float] = []
         self._last_now = 0.0
         # Telemetry coalescing state (see _emit_round_samples).
         self._site_multipliers: Dict[str, float] = {}
-        self._pending_samples: Dict[_Resource, List[float]] = {}
+        self._pending_samples: Dict[int, List[float]] = {}
         # True while the previous telemetry-sampled round parked flows;
         # keeps per-flow park bookkeeping off the fault-free hot path.
         self._had_parked = False
@@ -202,13 +208,8 @@ class WanSession:
             _Flow(
                 flow_id=len(self._flows) + offset,
                 transfer=transfer,
-                remaining=transfer.num_bytes,
                 start=scheduler._effective_start(transfer),
-                resources=(
-                    ()
-                    if transfer.src == transfer.dst
-                    else (("up", transfer.src), ("down", transfer.dst))
-                ),
+                pair=self._pair_id(transfer.src, transfer.dst),
             )
             for offset, transfer in enumerate(transfers)
         ]
@@ -227,6 +228,29 @@ class WanSession:
         # so coalesced samples never span the injection point.
         self.flush_telemetry()
 
+    def _pair_id(self, src: str, dst: str) -> int:
+        """Intern ``(src, dst)`` and its two links; 0 when intra-site."""
+        if src == dst:
+            return 0
+        pair = self._pair_ids.get((src, dst))
+        if pair is None:
+            pair = self._pair_ids[(src, dst)] = len(self._pair_links)
+            self._pair_links.append(
+                (self._link_id("up", src), self._link_id("down", dst))
+            )
+        return pair
+
+    def _link_id(self, direction: str, site: str) -> int:
+        link = self._link_ids.get((direction, site))
+        if link is None:
+            link = self._link_ids[(direction, site)] = len(self._links)
+            self._links.append((direction, site))
+            if self._static:
+                self._static_capacity.append(
+                    self.scheduler.effective_bps(site, direction, 0.0)
+                )
+        return link
+
     def advance(
         self, limit: float = math.inf, stop_on_completion: bool = True
     ) -> List[TransferResult]:
@@ -235,6 +259,17 @@ class WanSession:
         Returns the flows that finished (or failed their stall attempt)
         during this call, in submission order.  The session clock ends at
         ``min(limit, drain time)`` unless a completion stopped it first.
+
+        A round assigns one rate per pair (:meth:`_assign_rates`) and
+        moves the flows in whole-column passes: rates by pair, earliest
+        completion, bytes left.  When every rate is positive — every
+        round outside a fault window — those three C-level passes are
+        all, and the completion scan runs only if a flow came within
+        ``_EPSILON_BYTES`` of done.  A parked flow (rate zero) instead
+        bounds the horizon by what is left of its stall timeout, accrues
+        the horizon (onto ``parked_seconds`` once per parked flow, in
+        flow order: float sums are order sensitive) and fails once
+        parked ``stall_timeout_seconds``.
         """
         obs = instrument.current()
         sanitizer = obs.sanitizer
@@ -267,15 +302,18 @@ class WanSession:
                         dst=flow.transfer.dst,
                         num_bytes=flow.transfer.num_bytes,
                         tag=flow.transfer.tag,
-                        wan=bool(flow.resources),
+                        wan=flow.pair != 0,
                     )
-                if flow.remaining <= _EPSILON_BYTES:
+                if flow.transfer.num_bytes <= _EPSILON_BYTES:
                     flow.finish = max(now, flow.start)
                     completed.append(flow)
                     if telemetry.enabled:
-                        self._emit_flow_finish(telemetry, flow)
+                        self._emit_flow_end(telemetry, flow, 0.0)
                 else:
                     active.append(flow)
+                    self._pairs.append(flow.pair)
+                    self._remaining.append(flow.transfer.num_bytes)
+                    self._parked.append(0.0)
             if not active:
                 if completed and stop_on_completion:
                     break
@@ -283,55 +321,64 @@ class WanSession:
             if now >= limit - _EPSILON_TIME:
                 break
 
-            sample = self._assign_rates(now, telemetry.enabled)
+            rates, sample = self._assign_rates(now, telemetry.enabled)
             self.filling_rounds += 1
-            horizon = self._next_event_horizon(now, limit)
+            remaining = self._remaining
+            parked = self._parked
+            moving = min(rates) > 0.0
+            if moving:
+                next_finish = min(map(truediv, remaining, rates))
+            else:
+                next_finish = min(
+                    left / rate if rate > 0 else stall_timeout - idle
+                    for left, rate, idle in zip(remaining, rates, parked)
+                )
+            horizon = self._next_event_horizon(now, limit, next_finish)
             if sample is not None:
-                self._emit_round_samples(telemetry, now, horizon, *sample)
-            for flow in active:
-                if flow.rate > 0:
-                    flow.remaining -= flow.rate * horizon
-                else:
-                    flow.parked_seconds += horizon
-                    self.parked_seconds += horizon
+                self._emit_round_samples(telemetry, now, horizon, rates, sample)
+            # A parked flow's rate is exactly zero, so this leaves its bytes.
+            self._remaining = remaining = [
+                left - rate * horizon for left, rate in zip(remaining, rates)
+            ]
+            if not moving:
+                for index, rate in enumerate(rates):
+                    if rate <= 0:
+                        parked[index] += horizon
+                        self.parked_seconds += horizon
             now += horizon
             self.now = now
             if sanitizer.enabled:
                 sanitizer.check_clock(self._last_now, now, where="wan-filling")
             self._last_now = now
+            if moving and min(remaining) > _EPSILON_BYTES:
+                continue
 
-            still_active: List[_Flow] = []
-            round_completed = False
-            for flow in active:
-                if flow.remaining <= _EPSILON_BYTES:
-                    flow.finish = now
-                    completed.append(flow)
-                    round_completed = True
-                    if telemetry.enabled:
-                        self._emit_flow_finish(telemetry, flow)
-                elif (
-                    flow.rate <= 0.0
-                    and flow.parked_seconds >= stall_timeout - _EPSILON_TIME
-                ):
-                    flow.failed = True
-                    flow.finish = now
-                    completed.append(flow)
-                    round_completed = True
-                    if telemetry.enabled:
-                        telemetry.emit(
-                            "flow-fail",
-                            t=now,
-                            src=flow.transfer.src,
-                            dst=flow.transfer.dst,
-                            num_bytes=flow.transfer.num_bytes,
-                            tag=flow.transfer.tag,
-                            start=flow.transfer.start_time,
-                            parked_seconds=flow.parked_seconds,
-                        )
-                else:
-                    still_active.append(flow)
-            active[:] = still_active
-            if round_completed and stop_on_completion:
+            # Some flow is done, or a parked one may have timed out.
+            if moving:
+                done = [
+                    index
+                    for index, left in enumerate(remaining)
+                    if left <= _EPSILON_BYTES
+                ]
+            else:
+                expired = stall_timeout - _EPSILON_TIME
+                done = [
+                    index
+                    for index, left in enumerate(remaining)
+                    if left <= _EPSILON_BYTES
+                    or (rates[index] <= 0.0 and parked[index] >= expired)
+                ]
+            for index in done:
+                flow = active[index]
+                flow.failed = remaining[index] > _EPSILON_BYTES
+                flow.finish = now
+                completed.append(flow)
+                if telemetry.enabled:
+                    self._emit_flow_end(telemetry, flow, parked[index])
+            for index in reversed(done):  # few per round: cut them out
+                for column in (active, self._pairs, remaining, parked):
+                    del column[index]
+            if done and stop_on_completion:
                 break
 
         if self.drained and not completed and not math.isinf(limit):
@@ -345,114 +392,117 @@ class WanSession:
         """Emit every pending coalesced link segment (call at drain)."""
         telemetry = instrument.current().telemetry
         if telemetry.enabled:
-            for resource, segment in self._pending_samples.items():
-                _emit_link_sample(telemetry, resource, segment)
+            for link, segment in self._pending_samples.items():
+                self._emit_link_sample(telemetry, link, segment)
             self._pending_samples.clear()
 
     def all_results(self) -> List[TransferResult]:
         """Results for every finished flow, in submission order."""
-        return [
-            flow.result() for flow in self._flows if flow.finish is not None
-        ]
+        return [flow.result() for flow in self._flows if flow.finish is not None]
 
     # ------------------------------------------------------------------
     # one filling round
     # ------------------------------------------------------------------
 
-    def _assign_rates(self, now: float, sampling: bool) -> Optional[_RoundSample]:
-        """Max-min fair (progressive filling) rate assignment.
+    def _assign_rates(
+        self, now: float, sampling: bool
+    ) -> Tuple[List[float], Optional[_RoundSample]]:
+        """Max-min fair (progressive filling) rates, one per in-flight flow.
 
-        Sets ``rate`` on every in-flight flow.  When ``sampling`` — the
-        telemetry-on path — it also returns the per-resource aggregates
-        link sampling needs: the WAN flow count, the original
-        capacities, the residual capacities after filling (their
-        difference is the carried rate, which water-filling leaves
-        behind for free), per-resource flow-id sets, and the parked
-        flows.  This keeps round sampling O(resources) instead of adding
-        a second O(flows) pass per round; per-flow park bookkeeping only
-        runs while a fault window is actually parking flows.
+        Flows of one ``(src, dst)`` pair cross the same two links and
+        freeze together at one share, so the round fills *pair classes*:
+        ``Counter`` counts them in a C pass, and its insertion order
+        (first appearance among the flows) yields the links in the order
+        a flow-by-flow scan first meets them — the order that breaks
+        ties between equally shared links.  Each iteration scans the
+        links in use for the least ``capacity / live`` (lists indexed by
+        link id) and freezes the unfrozen pairs crossing that bottleneck.
 
-        The resource → flows map is rebuilt from the in-flight flows
-        every round; an incremental assignment would keep it here, on
-        the session, and patch it at admission and completion.
+        A pair of ``count`` flows takes its share off both links
+        ``count`` times in sequence, clamping at zero — never ``count *
+        share``, which rounds differently from the flow-by-flow fill
+        this replaces (the oracle in ``tests/wan/reference_fill.py``)
+        and would move every later share.
+
+        Only the interning tables outlive a round: 246 of 5 131 perfbench
+        ``serve-contended`` rounds see the previous round's flow set, so
+        a persistent link → flows index has almost nothing to skip.
+
+        When ``sampling`` (telemetry on) the second result is what link
+        sampling needs, all O(links): capacities before filling and
+        residuals after (their difference, the carried rate, comes for
+        free), flows per link, and whether some share was zero — only
+        then can a flow have parked.
         """
-        scheduler = self.scheduler
-        flows = self._flows
-        capacity: Dict[_Resource, float] = {}
-        users: Dict[_Resource, Set[int]] = {}
-        unfrozen: Set[int] = set()
-        for flow in self._active:
-            if not flow.resources:
-                flow.rate = scheduler.lan_bps
-                continue
-            unfrozen.add(flow.flow_id)
-            for resource in flow.resources:
-                if resource not in capacity:
-                    direction, site = resource
-                    capacity[resource] = scheduler.effective_bps(
-                        site, direction, now
-                    )
-                    users[resource] = set()
-                users[resource].add(flow.flow_id)
+        pairs = self._pairs
+        pair_links = self._pair_links
+        pair_rate = {0: self.scheduler.lan_bps}
+        counts = Counter(pairs)
+        wan = len(pairs) - counts.pop(0, 0)
+        live = [0] * len(self._links)
+        order: List[int] = []
+        for pair, count in counts.items():
+            for link in pair_links[pair]:
+                if not live[link]:
+                    order.append(link)
+                live[link] += count
+        if self._static:
+            capacity = self._static_capacity[:]
+        else:
+            effective_bps = self.scheduler.effective_bps
+            capacity = [0.0] * len(live)
+            for link in order:
+                direction, site = self._links[link]
+                capacity[link] = effective_bps(site, direction, now)
+        if sampling:
+            original_capacity = capacity[:]
+            users = live[:]
 
-        wan = len(unfrozen)
-        original_capacity = dict(capacity) if sampling else None
         parked_possible = False
+        unfrozen = list(counts)
         while unfrozen:
-            bottleneck: Optional[_Resource] = None
+            bottleneck = -1
             bottleneck_share = math.inf
-            for resource, resource_users in users.items():
-                live = resource_users & unfrozen
-                if not live:
-                    continue
-                share = capacity[resource] / len(live)
-                if share < bottleneck_share:
-                    bottleneck_share = share
-                    bottleneck = resource
-            assert bottleneck is not None
+            for link in order:
+                users_left = live[link]
+                if users_left:
+                    share = capacity[link] / users_left
+                    if share < bottleneck_share:
+                        bottleneck_share = share
+                        bottleneck = link
+            assert bottleneck >= 0
             if bottleneck_share <= 0.0:
                 parked_possible = True
-            for flow_id in users[bottleneck] & unfrozen:
-                flow = flows[flow_id]
-                flow.rate = bottleneck_share
-                unfrozen.discard(flow_id)
-                for resource in flow.resources:
-                    capacity[resource] = max(0.0, capacity[resource] - bottleneck_share)
+            for pair in [p for p in unfrozen if bottleneck in pair_links[p]]:
+                unfrozen.remove(pair)
+                pair_rate[pair] = bottleneck_share
+                count = counts[pair]
+                for link in pair_links[pair]:
+                    left = capacity[link]
+                    for _ in range(count):
+                        left -= bottleneck_share
+                        if not left > 0.0:
+                            left = 0.0
+                    capacity[link] = left
+                    live[link] -= count
 
-        if original_capacity is None:
-            return None
-        parked: List[_Flow] = []
-        if parked_possible or self._had_parked:
-            # Fault-window path: track park episodes per flow.
-            for flow in self._active:
-                if not flow.resources:
-                    continue
-                if flow.rate <= 0.0:
-                    parked.append(flow)
-                elif flow.was_parked:
-                    flow.was_parked = False
-        self._had_parked = bool(parked)
-        return wan, original_capacity, capacity, users, parked
+        rates = [pair_rate[pair] for pair in pairs]
+        if not sampling:
+            return rates, None
+        return rates, (wan, order, original_capacity, capacity, users, parked_possible)
 
-    def _next_event_horizon(self, now: float, limit: float) -> float:
-        """Time until the next completion, arrival, capacity change,
-        park-timeout expiry, or the caller's ``limit``.
+    def _next_event_horizon(self, now: float, limit: float, horizon: float) -> float:
+        """Time until the next completion or park-timeout expiry (the
+        ``horizon`` the flow columns gave), arrival, capacity change, or
+        the caller's ``limit``.
 
         Parked flows (rate zero under a fault blackout) contribute no
         completion event, but an upcoming capacity change point or a
         finite stall timeout still bounds the horizon; only when *none*
         of the event sources lies ahead is the simulation genuinely
         stuck and the stall error raised.  A finite ``limit`` also
-        rescues an otherwise stalled round — the session will simply
-        stop there.
+        rescues a stalled round — the session simply stops there.
         """
-        stall_timeout = self.scheduler.stall_timeout_seconds
-        horizon = math.inf
-        for flow in self._active:
-            if flow.rate > 0:
-                horizon = min(horizon, flow.remaining / flow.rate)
-            else:
-                horizon = min(horizon, stall_timeout - flow.parked_seconds)
         if self._head < len(self._pending):
             horizon = min(horizon, max(self._pending[self._head].start - now, 0.0))
         next_change = self.scheduler._next_capacity_change(now)
@@ -464,73 +514,97 @@ class WanSession:
             raise TopologyError("transfer simulation stalled (all rates zero)")
         return max(horizon, _EPSILON_TIME)
 
-    def _emit_flow_finish(self, telemetry, flow: _Flow) -> None:
-        """flow-finish telemetry, with achieved throughput over the flow."""
+    def _emit_flow_end(self, telemetry, flow: _Flow, parked_seconds: float) -> None:
+        """flow-fail, or flow-finish with the throughput achieved."""
+        transfer = flow.transfer
+        attrs = dict(
+            src=transfer.src,
+            dst=transfer.dst,
+            num_bytes=transfer.num_bytes,
+            tag=transfer.tag,
+            start=transfer.start_time,
+            parked_seconds=parked_seconds,
+        )
+        if flow.failed:
+            telemetry.emit("flow-fail", t=flow.finish, **attrs)
+            return
         seconds = flow.finish - flow.start
-        throughput = flow.transfer.num_bytes / seconds if seconds > 0 else 0.0
         telemetry.emit(
             "flow-finish",
             t=flow.finish,
-            src=flow.transfer.src,
-            dst=flow.transfer.dst,
-            num_bytes=flow.transfer.num_bytes,
-            tag=flow.transfer.tag,
-            wan=bool(flow.resources),
-            start=flow.transfer.start_time,
+            wan=flow.pair != 0,
             seconds=seconds,
-            throughput_bps=throughput,
-            parked_seconds=flow.parked_seconds,
+            throughput_bps=transfer.num_bytes / seconds if seconds > 0 else 0.0,
+            **attrs,
+        )
+
+    def _emit_link_sample(self, telemetry, link: int, segment: List[float]) -> None:
+        """One coalesced ``[start, end, bytes, capacity_bps, flows]`` segment."""
+        direction, site = self._links[link]
+        duration = segment[1] - segment[0]
+        telemetry.emit(
+            "link-sample",
+            t=segment[0],
+            site=site,
+            direction=direction,
+            used_bps=segment[2] / duration if duration > 0 else 0.0,
+            capacity_bps=segment[3],
+            flows=int(segment[4]),
+            dt=duration,
         )
 
     def _emit_round_samples(
-        self,
-        telemetry,
-        now: float,
-        horizon: float,
-        wan: int,
-        capacities: Dict[_Resource, float],
-        residual: Dict[_Resource, float],
-        users: Dict[_Resource, Set[int]],
-        parked: List[_Flow],
+        self, telemetry, now: float, horizon: float,
+        rates: List[float], sample: _RoundSample,
     ) -> None:
         """Per-round link occupancy telemetry (telemetry-on path only).
 
         Consumes the aggregates :meth:`_assign_rates` returned for this
-        round, so the per-round cost is O(resources in use).  Link
-        samples are coalesced: contiguous rounds in which a link keeps
-        the same capacity and flow count extend one pending ``[start,
-        end, bytes, capacity_bps, flows]`` segment (accumulating the
-        bytes carried) instead of emitting per round.  A segment is
-        flushed as a single link-sample whose ``used_bps`` is the
-        byte-weighted mean rate over the segment — so ``used_bps`` ×
-        ``dt`` still integrates to the bytes the link actually carried,
-        and utilization series reconcile with the sanitizer's byte
-        conservation — when the link's capacity or flow count changes,
-        the link goes idle, a submission arrives, or the caller flushes
-        at drain (:meth:`flush_telemetry`).  Also emits capacity-epoch
-        events when a site's effective multiplier changes between
-        rounds, flow-park at park-episode starts, and one flows-sample
-        per round with occupancy counts.
+        round, so the per-round cost is O(links in use).  Link samples
+        are coalesced: contiguous rounds in which a link keeps the same
+        capacity and flow count extend one pending ``[start, end, bytes,
+        capacity_bps, flows]`` segment (accumulating the bytes carried)
+        instead of emitting per round.  A segment is flushed as a single
+        link-sample whose ``used_bps`` is the byte-weighted mean rate
+        over the segment — so ``used_bps`` × ``dt`` still integrates to
+        the bytes the link actually carried, and utilization series
+        reconcile with the sanitizer's byte conservation — when the
+        link's capacity or flow count changes, the link goes idle, a
+        submission arrives, or the caller flushes at drain
+        (:meth:`flush_telemetry`).  Also emits capacity-epoch events
+        when a site's effective multiplier changes between rounds,
+        flow-park at park-episode starts (tracked per flow only while a
+        fault window is parking flows), and one flows-sample per round
+        with occupancy counts.
         """
-        for flow in parked:
-            if not flow.was_parked:
-                flow.was_parked = True
-                telemetry.emit(
-                    "flow-park",
-                    t=now,
-                    src=flow.transfer.src,
-                    dst=flow.transfer.dst,
-                    tag=flow.transfer.tag,
-                    remaining_bytes=flow.remaining,
-                )
+        wan, order, capacities, residual, users, parked_possible = sample
+        parked = 0
+        if parked_possible or self._had_parked:
+            # Fault-window path: track park episodes per flow.
+            for flow, rate, left in zip(self._active, rates, self._remaining):
+                if rate > 0.0:
+                    flow.was_parked = False
+                    continue
+                parked += 1
+                if not flow.was_parked:
+                    flow.was_parked = True
+                    telemetry.emit(
+                        "flow-park",
+                        t=now,
+                        src=flow.transfer.src,
+                        dst=flow.transfer.dst,
+                        tag=flow.transfer.tag,
+                        remaining_bytes=left,
+                    )
+        self._had_parked = parked > 0
         end = now + horizon
         pending_samples = self._pending_samples
-        # Insertion order of the capacity map follows deterministic flow
-        # order, so iteration needs no sort to stay reproducible.
-        for resource, capacity in capacities.items():
-            rate = capacity - residual[resource]
-            flows_on = len(users[resource])
-            segment = pending_samples.get(resource)
+        # ``order`` follows flow order, so no sort is needed to reproduce.
+        for link in order:
+            capacity = capacities[link]
+            rate = capacity - residual[link]
+            flows_on = users[link]
+            segment = pending_samples.get(link)
             if (
                 segment is not None
                 and segment[1] == now
@@ -542,7 +616,7 @@ class WanSession:
                 segment[1] = end
                 segment[2] += rate * horizon
                 continue
-            site = resource[1]
+            site = self._links[link][1]
             # A multiplier change always changes capacity_bps, so epoch
             # detection only needs to run on segment breaks.
             multiplier = self.scheduler._capacity_multiplier(site, now)
@@ -552,37 +626,21 @@ class WanSession:
                     "capacity-epoch", t=now, site=site, multiplier=multiplier
                 )
             if segment is not None:
-                _emit_link_sample(telemetry, resource, segment)
-            pending_samples[resource] = [
+                self._emit_link_sample(telemetry, link, segment)
+            pending_samples[link] = [
                 now, end, rate * horizon, capacity, flows_on,
             ]
-        if len(pending_samples) > len(capacities):
-            for resource in [r for r in pending_samples if r not in capacities]:
-                _emit_link_sample(telemetry, resource, pending_samples.pop(resource))
+        if len(pending_samples) > len(order):
+            for link in [idle for idle in pending_samples if not users[idle]]:
+                self._emit_link_sample(telemetry, link, pending_samples.pop(link))
         telemetry.emit(
             "flows-sample",
             t=now,
-            active=wan - len(parked),
-            parked=len(parked),
+            active=wan - parked,
+            parked=parked,
             lan=len(self._active) - wan,
             dt=horizon,
         )
-
-
-def _emit_link_sample(telemetry, resource: _Resource, segment: List[float]) -> None:
-    """One coalesced ``[start, end, bytes, capacity_bps, flows]`` segment."""
-    direction, site = resource
-    duration = segment[1] - segment[0]
-    telemetry.emit(
-        "link-sample",
-        t=segment[0],
-        site=site,
-        direction=direction,
-        used_bps=segment[2] / duration if duration > 0 else 0.0,
-        capacity_bps=segment[3],
-        flows=int(segment[4]),
-        dt=duration,
-    )
 
 
 class TransferScheduler:
@@ -771,11 +829,12 @@ class TransferScheduler:
 
     def _next_capacity_change(self, now: float) -> Optional[float]:
         """Earliest upcoming profile epoch or fault window boundary."""
+        if not self.profiles and self.faults is None:
+            return None
         upcoming = [
             profile.next_change_after(now)  # type: ignore[attr-defined]
             for profile in self.profiles.values()
         ]
         if self.faults is not None:
             upcoming.append(self.faults.next_change_after(now))
-        upcoming = [epoch for epoch in upcoming if epoch is not None]
-        return min(upcoming) if upcoming else None
+        return min((epoch for epoch in upcoming if epoch is not None), default=None)

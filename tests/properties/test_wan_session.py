@@ -2,7 +2,9 @@
 
 Up to 12 flows over up to 4 sites with random starts and sizes (zero-byte
 and intra-site flows included), optionally under link fault windows, a
-finite stall timeout and stepped bandwidth profiles.
+finite stall timeout and stepped bandwidth profiles.  Then one filling
+round on its own: the pair-class fill against the flow-by-flow fill it
+replaced (``tests/wan/reference_fill.py``), bit for bit.
 """
 
 import math
@@ -20,6 +22,7 @@ from repro.wan.transfer import (
     WanSession,
 )
 from repro.wan.variability import BandwidthProfile
+from tests.wan.reference_fill import reference_fill
 
 SITES = "abcd"
 #: Times on a quarter-second grid, so flows start exactly on window and
@@ -234,3 +237,105 @@ def test_link_samples_integrate_to_the_bytes_each_site_sent(scenario):
             carried[site], num_bytes, rel_tol=1e-9,
             abs_tol=_EPSILON_BYTES * len(transfers),
         )
+
+
+# ----------------------------------------------------------------------
+# one filling round: pair classes against the flow-by-flow oracle
+# ----------------------------------------------------------------------
+
+LAN_BPS = 1e6
+
+
+class TableScheduler(TransferScheduler):
+    """The capacity oracle read off a table, so a link can carry exactly
+    0.0 B/s (``Site`` rejects that; in a run only a fault window gets
+    there)."""
+
+    def __init__(self, table, per_round):
+        names = sorted({site for _direction, site in table})
+        super().__init__(
+            WanTopology.from_sites([Site(name, 1.0, 1.0) for name in names]),
+            lan_bps=LAN_BPS,
+            # Any profile makes the session ask for capacities every
+            # round instead of once per link.
+            profiles=(
+                {names[0]: BandwidthProfile.steps([(0.0, 1.0)])} if per_round else {}
+            ),
+        )
+        self.table = table
+
+    def effective_bps(self, site, direction, now):
+        return self.table[(direction, site)]
+
+
+def pair_fill(flows, table, per_round=False):
+    """``(rate per flow, residual per link in use)`` of one
+    ``WanSession`` round over ``(src, dst)`` flows, all in flight."""
+    session = WanSession(TableScheduler(table, per_round))
+    session.submit([Transfer(src, dst, 1.0) for src, dst in flows])
+    # Admits every flow; the limit stops the call short of a round.
+    assert session.advance(limit=0.0) == [] and session.filling_rounds == 0
+    rates, sample = session._assign_rates(0.0, sampling=True)
+    wan, order, capacities, residual, users, parked_possible = sample
+    assert wan == sum(src != dst for src, dst in flows)
+    assert [capacities[link] for link in order] == [
+        table[session._links[link]] for link in order
+    ]
+    assert parked_possible == any(rate <= 0.0 for rate in rates)
+    return rates, {session._links[link]: residual[link] for link in order}
+
+
+def all_links(names, capacity):
+    return {(direction, name): capacity for direction in ("up", "down") for name in names}
+
+
+@st.composite
+def rounds(draw):
+    names = "abcde"[: draw(st.integers(min_value=2, max_value=5))]
+    site = st.sampled_from(names)
+    # Three values, one of them zero: exact share ties and parked links
+    # in most draws.
+    table = {
+        link: draw(st.sampled_from([0.0, 120.0, 360.0]))
+        for link in all_links(names, None)
+    }
+    flows = draw(st.lists(st.tuples(site, site), min_size=1, max_size=40))
+    return flows, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(round_=rounds(), per_round=st.booleans())
+def test_pair_class_fill_is_the_flow_by_flow_fill(round_, per_round):
+    flows, table = round_
+    rates, residual = pair_fill(flows, table, per_round)
+    want_rates, want_residual = reference_fill(flows, table, LAN_BPS)
+    assert rates == want_rates
+    # Same links, same order, same bits.
+    assert list(residual.items()) == list(want_residual.items())
+
+
+def test_400_flows_of_one_pair_subtract_their_share_400_times():
+    flows = [("a", "b")] * 400
+    table = all_links("ab", 1000.0 / 3.0)
+    rates, residual = pair_fill(flows, table)
+    assert (rates, residual) == reference_fill(flows, table, LAN_BPS)
+    share = rates[0]
+    assert rates == [share] * 400 and share == (1000.0 / 3.0) / 400
+    # What is left is the running difference, not capacity - 400 * share.
+    assert residual[("up", "a")] == residual[("down", "b")]
+    assert residual[("up", "a")] != max(0.0, 1000.0 / 3.0 - 400 * share)
+
+
+def test_first_appearance_order_breaks_a_tie_between_links():
+    # up(a) shared by two flows and down(c) shared by four tie at 0.1.
+    table = {**all_links("abcd", 1.0), ("up", "a"): 0.2, ("down", "c"): 0.4}
+    downlink_first = [("d", "c"), ("a", "c"), ("a", "c"), ("b", "c")]
+    uplink_first = [("a", "c"), ("a", "c"), ("d", "c"), ("b", "c")]
+    for flows in (downlink_first, uplink_first):
+        assert pair_fill(flows, table) == reference_fill(flows, table, LAN_BPS)
+    # down(c) met first: it freezes all four flows at once.
+    assert pair_fill(downlink_first, table)[0] == [0.1] * 4
+    # up(a) met first: down(c) then splits 0.4 - 0.1 - 0.1 in two.
+    late = (0.4 - 0.1 - 0.1) / 2
+    assert late != 0.1
+    assert pair_fill(uplink_first, table)[0] == [0.1, 0.1, late, late]

@@ -5,6 +5,8 @@ WAN clock, WFQ admission, and the cube cache — at a deliberately small
 scale (2 datasets, 30 records/site, 1 machine/site).
 """
 
+import json
+
 import pytest
 
 from repro.serve import ServeConfig, serve_workload
@@ -42,6 +44,18 @@ class TestDeterminism:
         assert first.sim_digest() == second.sim_digest()
         assert first.p99_qct == second.p99_qct
         assert first.makespan == second.makespan
+
+    def test_report_round_trips_through_json(self):
+        # Guards the WAN session's columns leaking a non-builtin number
+        # into what the digest and the JSON report format.
+        report = run(ServeConfig(seed=11, num_tenants=3, num_queries=12))
+        payload = report.to_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload["sim_digest"] == report.sim_digest()
+        assert report.completed
+        for query in report.completed:
+            assert type(query.finish) is float
+            assert type(query.wan_bytes) is float
 
     def test_different_seed_differs(self):
         first = run(ServeConfig(seed=11, num_tenants=3, num_queries=12))

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from repro.chaos.schedule import FaultEvent, FaultSchedule
 from repro.errors import TopologyError
+from repro.obs import instrument
 from repro.wan.topology import Site, WanTopology
 from repro.wan.transfer import Transfer, TransferScheduler, WanSession
 
@@ -149,6 +151,100 @@ class TestFinishedFlowsAreNotRevisited:
         assert [r.transfer.tag for r in everything] == [
             str(index) for index in range(300)
         ] + ["late"]
+
+
+class TestResultsArePlainPython:
+    """The in-flight columns must not leak a column type into results:
+    digests and JSON reports format ``finish_time`` and ``failed``."""
+
+    TRANSFERS = [
+        Transfer("a", "b", 100.0, tag="x"),
+        Transfer("b", "a", 250.0, start_time=1.5, tag="y"),
+        Transfer("a", "a", 40.0, start_time=0.5, tag="lan"),
+        Transfer("a", "b", 0.0, start_time=2.0, tag="empty"),
+        Transfer("a", "b", 500.0, start_time=3.0, tag="times-out"),
+    ]
+
+    def scheduler(self):
+        return TransferScheduler(
+            two_sites(up_a=10.0, up_b=25.0),
+            faults=FaultSchedule(
+                events=(FaultEvent("link-blackout", "a", 30.0, 40.0),)
+            ),
+            stall_timeout_seconds=2.0,
+        )
+
+    def check(self, results):
+        assert [r.transfer.tag for r in results if r.failed] == ["times-out"]
+        for result in results:
+            assert type(result.finish_time) is float
+            assert type(result.failed) is bool
+
+    def test_advance_and_all_results(self):
+        session = WanSession(self.scheduler())
+        session.submit(self.TRANSFERS)
+        returned = drain(session)
+        assert len(returned) == len(self.TRANSFERS)
+        self.check(returned)
+        self.check(session.all_results())
+
+    def test_simulate(self):
+        self.check(self.scheduler().simulate(self.TRANSFERS))
+
+
+def test_a_round_with_moving_parked_and_timed_out_flows():
+    """A blackout at ``a`` from 1.0 to 4.6 under a 3 s stall timeout: two
+    flows caught by it time out, one admitted inside it parks 2.3 s and
+    resumes, two flows elsewhere keep moving.  Numbers as the flow-by-flow
+    session (7d36f52) gave them."""
+    scheduler = TransferScheduler(
+        WanTopology.from_sites(
+            [Site("a", 30.0, 40.0), Site("b", 20.0, 15.0), Site("c", 30.0, 25.0)]
+        ),
+        faults=FaultSchedule(
+            events=(FaultEvent("link-blackout", "a", 1.0, 4.6),)
+        ),
+        stall_timeout_seconds=3.0,
+    )
+    with instrument.instrumented() as obs:
+        session = WanSession(scheduler)
+        session.submit(
+            [
+                Transfer("a", "b", 200.0, tag="times-out"),
+                Transfer("b", "c", 300.0, tag="moves"),
+                Transfer("c", "b", 40.0, start_time=1.3, tag="moves-too"),
+                Transfer("a", "c", 50.0, start_time=2.3, tag="parks"),
+                Transfer("c", "a", 35.0, start_time=0.7, tag="times-out-too"),
+            ]
+        )
+        returned = drain(session)
+    assert [(r.transfer.tag, r.finish_time, r.failed) for r in returned] == [
+        ("moves-too", 3.966666666666667, False),
+        ("times-out", 4.0, True),
+        ("times-out-too", 4.0, True),
+        ("parks", 8.6, False),
+        ("moves", 16.5, False),
+    ]
+    assert session.filling_rounds == 9
+    assert session.parked_seconds == 8.3
+    ends = [
+        (event.kind, event.attrs["tag"], event.t, event.attrs["parked_seconds"])
+        for event in obs.telemetry.events
+        if event.kind in ("flow-finish", "flow-fail")
+    ]
+    assert ends == [
+        ("flow-finish", "moves-too", 3.966666666666667, 0.0),
+        ("flow-fail", "times-out", 4.0, 3.0),
+        ("flow-fail", "times-out-too", 4.0, 3.0),
+        ("flow-finish", "parks", 8.6, 2.3),
+        ("flow-finish", "moves", 16.5, 0.0),
+    ]
+    parks = [
+        (event.attrs["tag"], event.t)
+        for event in obs.telemetry.events
+        if event.kind == "flow-park"
+    ]
+    assert parks == [("times-out", 1.0), ("times-out-too", 1.0), ("parks", 2.3)]
 
 
 @pytest.mark.xfail(
