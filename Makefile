@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke perfbench-full serve-smoke slo profile telemetry check
+.PHONY: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke perfbench-full perfbench-pairs serve-smoke slo profile telemetry check
 
 lint:  ## static analysis: per-file rules R001-R008 over the shipped tree
 	$(PYTHON) -m repro.lint src/repro benchmarks
@@ -58,6 +58,14 @@ perfbench-full:  ## the PR driver's own command, full size, every workload of BE
 			print('perfbench-full: $$w correct, 0 failed of', result['attempted'], \
 				'- wall_s', round(result['metrics']['wall_s']['value'], 3))"; \
 	done
+
+W ?= serve-contended
+N ?= 10
+BASE ?= HEAD~1
+SEED ?= 11
+
+perfbench-pairs:  ## N alternating BASE/checkout pairs of workload W: medians, quartiles, wins; fails on any incorrect run or sim_* drift
+	python3 tools/perfbench_pairs.py --workload $(W) --pairs $(N) --base $(BASE) --seed $(SEED)
 
 serve-smoke:  ## two same-seed serve runs: bit-identical sim + analyzer digests
 	$(PYTHON) -m repro serve --tenants 3 --queries 12 --seed 11 \

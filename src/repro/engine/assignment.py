@@ -51,13 +51,17 @@ def assign_partitions(
     aware: DIMSUM similarity matrix over partition key-sets, k-means into
     ``num_executors`` clusters, one cluster per executor.  Oversized
     clusters are rebalanced only by splitting across empty executors so
-    no executor sits idle.
+    no executor sits idle.  The pass runs (and its overhead is reported)
+    only when there are more partitions than executors: otherwise every
+    partition gets its own executor whatever the contents.
     """
     if num_executors < 1:
         raise EngineError("num_executors must be >= 1")
     if not partitions:
         return AssignmentResult([[] for _ in range(num_executors)], 0.0, "empty")
-    if not similarity_aware or len(partitions) <= 1:
+    if not similarity_aware or len(partitions) <= num_executors:
+        # k-means with k >= n labels partition i with cluster i, which
+        # is this deal: no key set or matrix is built to rediscover it.
         groups = round_robin(list(partitions), num_executors)
         return AssignmentResult(groups, 0.0, "round-robin")
 
@@ -65,8 +69,7 @@ def assign_partitions(
     started = time.perf_counter()  # lint: allow[R001]
     key_sets = [partition.key_set(key_indices) for partition in partitions]
     matrix, _ = dimsum_similarity_matrix(key_sets, dimsum_config)
-    clusters = min(num_executors, len(partitions))
-    clustering = kmeans(matrix, clusters, seed=seed)
+    clustering = kmeans(matrix, num_executors, seed=seed)
     groups: List[List[RDDPartition]] = [[] for _ in range(num_executors)]
     for index, label in enumerate(clustering.labels):
         groups[label].append(partitions[index])

@@ -7,10 +7,10 @@ records it came from (the map projects/transforms the record), and
 merging k same-key records keeps one representative-size record — the
 word-count semantics of Figure 1.
 
-Two implementations share one contract: :func:`combine` runs the hot
-columnar path (NumPy grouped aggregation) and :func:`combine_scalar`
-keeps the original per-record loop as the reference.  Their outputs are
-bit-identical — same record-dict insertion order, same float
+Two implementations share one contract: :func:`combine_scalar` is the
+per-record loop and :func:`combine` switches to a columnar path (NumPy
+grouped aggregation) from ``_COLUMNAR_MIN_RECORDS`` records up.  Their
+outputs are bit-identical — same record-dict insertion order, same float
 accumulation order (``map_output_bytes`` is a strict left fold, which
 ``np.cumsum`` reproduces exactly), same per-key counts and max
 representative sizes — and the parity suite holds them to that.
@@ -19,17 +19,18 @@ representative sizes — and the parity suite holds them to that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import EngineError
-from repro.types import Key, Record
+from repro.types import Key, Record, project_keys
 
-#: Below this many records the per-call NumPy overhead outweighs the
-#: vectorized aggregation; the scalar loop is faster and bit-identical.
-_COLUMNAR_MIN_RECORDS = 16
+#: Measured crossover (``tools/crossover.py``, table in DESIGN.md): the
+#: scalar loop wins 1.3-4x up to 64 records, ties at 128, and the NumPy
+#: path wins 5-25% from 256 up when keys repeat (never when all are
+#: distinct).  Serving-scale calls (8-72 records) all take the loop.
+_COLUMNAR_MIN_RECORDS = 256
 
 
 @dataclass
@@ -95,19 +96,21 @@ def combine_scalar(
     key_indices: Sequence[int],
     reduction_ratio: float,
 ) -> CombinedOutput:
-    """Per-record reference implementation of :func:`combine`.
+    """Per-record implementation of :func:`combine`.
 
-    Retained for the scalar/columnar parity suite; semantics are the
-    contract the columnar path must reproduce bit-for-bit.
+    What :func:`combine` runs below the columnar crossover, and the
+    parity suite's reference: its semantics are the contract the
+    columnar path must reproduce bit-for-bit.
     """
     if not 0.0 < reduction_ratio <= 1.0:
         raise EngineError(f"reduction_ratio must be in (0, 1], got {reduction_ratio}")
+    if not isinstance(records, list):
+        records = list(records)
     output = CombinedOutput()
-    for record in records:
+    for record, key in zip(records, project_keys(records, key_indices)):
         intermediate_bytes = record.size_bytes * reduction_ratio
         output.map_output_bytes += intermediate_bytes
         output.map_output_records += 1
-        key = record.key(key_indices)
         existing = output.records.get(key)
         if existing is None:
             output.records[key] = CombinedRecord(
@@ -124,11 +127,12 @@ def combine(
     key_indices: Sequence[int],
     reduction_ratio: float,
 ) -> CombinedOutput:
-    """Run map + combine over one executor's records (columnar path).
+    """Run map + combine over one executor's records.
 
     Each input record maps to one intermediate record of size
     ``record.size_bytes * reduction_ratio``; same-key intermediates merge.
-    Aggregation is hash-bucketed and vectorized: one pass assigns every
+    Small inputs take :func:`combine_scalar`; from the crossover up
+    aggregation is hash-bucketed and vectorized: one pass assigns every
     distinct key a dense group id in first-appearance order, then NumPy
     grouped reductions produce merged counts (``np.bincount``) and max
     representative sizes (stable sort + ``np.maximum.reduceat``).  The
@@ -151,19 +155,12 @@ def combine(
 
     # Dense group ids in first-appearance order: the dict doubles as the
     # key table, so the output records dict preserves the scalar path's
-    # insertion order for free.  itemgetter builds the same tuples as
-    # Record.key without a per-record method call (single-index getters
-    # return a bare value, hence the explicit 1-tuple branch).
-    if len(key_indices) == 1:
-        index = key_indices[0]
-        keyed = ((record.values[index],) for record in records)
-    else:
-        getter = itemgetter(*key_indices)
-        keyed = (getter(record.values) for record in records)
+    # insertion order for free.
     group_of: Dict[Key, int] = {}
     new_group = group_of.setdefault
+    keys = project_keys(records, key_indices)
     group_ids = np.fromiter(
-        (new_group(key, len(group_of)) for key in keyed),
+        (new_group(key, len(group_of)) for key in keys),
         dtype=np.intp,
         count=count,
     )

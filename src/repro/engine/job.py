@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
-import numpy as np
-
 from repro.engine.assignment import assign_partitions
 from repro.engine.combiner import CombinedOutput, combine
 from repro.engine.rdd import make_partitions, round_robin
@@ -37,10 +35,6 @@ from repro.wan.transfer import Transfer, TransferResult, TransferScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chaos.schedule import FaultSchedule
-
-#: Below this many routed keys per source site the per-key dict fold is
-#: faster than building code/size arrays; both folds are bit-identical.
-_BATCH_MIN_KEYS = 16
 
 
 @dataclass
@@ -261,18 +255,10 @@ class MapReduceEngine:
             per_job.append(planned)
             all_transfers.extend(planned.transfers)
 
-        results = self.scheduler.simulate(all_transfers)
-        return [
-            self.complete_job(
-                planned,
-                [
-                    result
-                    for result in results
-                    if result.transfer.tag == planned.tag
-                ],
-            )
-            for planned in per_job
-        ]
+        by_tag: Dict[str, List[TransferResult]] = {job.tag: [] for job in per_job}
+        for result in self.scheduler.simulate(all_transfers):
+            by_tag[result.transfer.tag].append(result)
+        return [self.complete_job(job, by_tag[job.tag]) for job in per_job]
 
     # ------------------------------------------------------------------
     # plan / complete halves (the serving layer's entry points)
@@ -557,36 +543,23 @@ class MapReduceEngine:
 
         Routing is batched: each source site's keys go through
         :meth:`ReduceTaskMap.routing_table` (one hash pass per distinct
-        key, memoized across calls), and per-destination byte totals are
-        masked-``np.cumsum`` folds — a strict left fold over the records
-        in encounter order, so every float matches the per-record
-        ``volume[(src, dst)] += record.size_bytes`` accumulation exactly.
+        key, memoized across calls); per-destination byte totals are the
+        strict left fold ``volume[(src, dst)] += record.size_bytes`` over
+        the records in encounter order.
         """
         volume: Dict[tuple, float] = {}
         for src, outputs in site_outputs.items():
-            keys: List = []
-            sizes: List[float] = []
-            for output in outputs:
-                for key, record in output.records.items():
-                    keys.append(key)
-                    sizes.append(record.size_bytes)
-            if not keys:
+            sized = [
+                (key, record.size_bytes)
+                for output in outputs
+                for key, record in output.records.items()
+            ]
+            if not sized:
                 continue
-            table = task_map.routing_table(keys)
-            if len(keys) < _BATCH_MIN_KEYS:
-                for key, size in zip(keys, sizes):
-                    dst = table[key]
-                    volume[(src, dst)] = volume.get((src, dst), 0.0) + size
-                continue
-            dst_codes: Dict[str, int] = {}
-            codes = np.empty(len(keys), dtype=np.intp)
-            for position, key in enumerate(keys):
-                code = dst_codes.setdefault(table[key], len(dst_codes))
-                codes[position] = code
-            size_array = np.asarray(sizes, dtype=np.float64)
-            for dst, code in dst_codes.items():
-                selected = size_array[codes == code]
-                volume[(src, dst)] = float(np.cumsum(selected)[-1])
+            table = task_map.routing_table([key for key, _size in sized])
+            for key, size in sized:
+                edge = (src, table[key])
+                volume[edge] = volume.get(edge, 0.0) + size
         telemetry = instrument.current().telemetry
         transfers: List[Transfer] = []
         wan_bytes = 0.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Set, Tuple
 
 from repro.errors import EngineError
-from repro.types import Key, Record
+from repro.types import Key, Record, project_keys
 
 
 @dataclass
@@ -34,7 +34,7 @@ class RDDPartition:
 
     def key_set(self, key_indices: Sequence[int]) -> Set[Key]:
         """Distinct keys in this partition (input to RDD similarity)."""
-        return {record.key(key_indices) for record in self.records}
+        return set(project_keys(self.records, key_indices))
 
 
 def make_partitions(
@@ -57,7 +57,11 @@ def make_partitions(
     if cube_sorted:
         if key_indices is None:
             raise EngineError("cube_sorted chunking requires key_indices")
-        ordered = sorted(records, key=lambda record: str(record.key(key_indices)))
+        # Stable argsort over precomputed key texts: one projection and
+        # one str() per record, same order as sorting on str(record.key).
+        texts = list(map(str, project_keys(records, key_indices)))
+        order = sorted(range(len(texts)), key=texts.__getitem__)
+        ordered = [records[index] for index in order]
     else:
         ordered = list(records)
     partitions: List[RDDPartition] = []

@@ -128,10 +128,11 @@ def dimsum_similarity_matrix(
     construction they are pairs the sampling rule deemed very unlikely to
     be similar.  Pairs with an empty side also report 0.0.
 
-    This is the columnar path: batched signatures, the full sampling-
-    probability vector over ``np.triu_indices``, one ``rng.random(k)``
-    draw matching the scalar per-pair stream, and matrix-slot comparison
-    for every estimated pair at once.  Bit-identical to
+    This is the columnar path: the full sampling-probability vector over
+    ``np.triu_indices``, one ``rng.random(k)`` draw matching the scalar
+    per-pair stream, and — only when some examined pair is large enough
+    to be estimated — batched signatures with matrix-slot comparison for
+    every estimated pair at once.  Bit-identical to
     :func:`dimsum_similarity_matrix_scalar`.
     """
     n = len(partitions)
@@ -140,10 +141,7 @@ def dimsum_similarity_matrix(
     if n < 2:
         return matrix, stats
 
-    hasher = MinHasher(num_hashes=config.num_hashes, seed=config.seed)
-    signatures = hasher.signatures(partitions)
     rng = derive_rng(config.seed, "dimsum-sampling")
-
     lengths = np.fromiter(
         (len(partition) for partition in partitions), dtype=np.int64, count=n
     )
@@ -176,6 +174,9 @@ def dimsum_similarity_matrix(
         matrix[i, j] = matrix[j, i] = jaccard(partitions[i], partitions[j])
 
     if np.any(estimate_mask):
+        # Signatures are read nowhere else, so they are built only here.
+        hasher = MinHasher(num_hashes=config.num_hashes, seed=config.seed)
+        signatures = hasher.signatures(partitions)
         slots = np.array(
             [signature.values for signature in signatures], dtype=np.int64
         )

@@ -14,6 +14,7 @@ that a 40 GB/site deployment stays tractable in pure Python.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import SchemaError
@@ -114,6 +115,21 @@ class Record:
 
     def value_of(self, schema: Schema, name: str) -> Value:
         return self.values[schema.index(name)]
+
+
+def project_keys(records: Iterable[Record], indices: Sequence[int]) -> List[Key]:
+    """``[record.key(indices) for record in records]`` in one batch pass.
+
+    ``itemgetter`` builds the same tuples without a generator per record;
+    with a single index it returns a bare value, hence the 1-tuple branch.
+    """
+    if not indices:
+        return [() for _ in records]
+    if len(indices) == 1:
+        index = indices[0]
+        return [(record.values[index],) for record in records]
+    getter = itemgetter(*indices)
+    return [getter(record.values) for record in records]
 
 
 def records_bytes(records: Iterable[Record]) -> int:

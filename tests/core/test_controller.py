@@ -99,17 +99,25 @@ class TestRunQuery:
 
     def test_rdd_overhead_only_for_rdd_schemes(self):
         topology = small_topology()
-        workload_plain = make_workload(topology)
-        plain = make_system("bohr-joint", topology, CONFIG)
-        plain.prepare(workload_plain)
-        job_plain = plain.run_query(workload_plain, workload_plain.queries[0])
-        assert job_plain.total_rdd_overhead_seconds == 0.0
 
-        workload_rdd = make_workload(topology)
-        rdd = make_system("bohr-rdd", topology, CONFIG)
-        rdd.prepare(workload_rdd)
-        job_rdd = rdd.run_query(workload_rdd, workload_rdd.queries[0])
-        assert job_rdd.total_rdd_overhead_seconds > 0.0
+        def first_job(scheme, partition_records):
+            config = SystemConfig(
+                lag_seconds=600.0, partition_records=partition_records
+            )
+            workload = make_workload(topology)
+            controller = make_system(scheme, topology, config)
+            controller.prepare(workload)
+            return controller.run_query(workload, workload.queries[0])
+
+        # 2-record partitions: each site's one machine holds more
+        # partitions than its 2 executors, so there is clustering to do.
+        assert first_job("bohr-joint", 2).total_rdd_overhead_seconds == 0.0
+        assert first_job("bohr-rdd", 2).total_rdd_overhead_seconds > 0.0
+        # The converse: one partition per site forces every assignment,
+        # and an RDD scheme pays (and reports) no similarity pass.
+        forced = first_job("bohr-rdd", 64)
+        assert sum(m.input_records for m in forced.per_site.values()) > 0
+        assert forced.total_rdd_overhead_seconds == 0.0
 
 
 class TestStorageReport:

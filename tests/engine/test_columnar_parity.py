@@ -1,11 +1,14 @@
 """Scalar/columnar parity: the batched engine hot paths are bit-identical.
 
-The columnar rewrites (hash-bucketed combine, batched key routing,
-vectorized shuffle-volume fold) keep the original per-record loops as
-reference implementations.  Every randomized workload here — varied
-seeds, key skews, empty partitions — must produce *byte-identical*
-results through both paths: same dict insertion order, same float bits,
-same task routing, same planned transfers.
+The columnar rewrites (hash-bucketed combine, batched key routing) keep
+the original per-record loops as reference implementations.  Every
+randomized workload here — varied seeds, key skews, empty partitions —
+must produce *byte-identical* results through both paths: same dict
+insertion order, same float bits, same task routing, same planned
+transfers.  ``combine`` only goes columnar from the measured crossover
+(``_COLUMNAR_MIN_RECORDS``) up, so the combine cases force that path;
+the shuffle-volume fold has one implementation and is held to a
+per-record oracle written here.
 """
 
 import math
@@ -14,14 +17,15 @@ import random
 import pytest
 
 from repro.engine import combiner as combiner_mod
-from repro.engine import job as job_mod
 from repro.engine import shuffle as shuffle_mod
 from repro.engine.combiner import combine, combine_scalar
 from repro.engine.job import MapReduceEngine
+from repro.engine.rdd import make_partitions, round_robin
 from repro.engine.shuffle import ReduceTaskMap, key_to_task, keys_to_tasks
 from repro.engine.spec import MapReduceSpec
-from repro.types import GeoDataset, Record, Schema
+from repro.types import GeoDataset, Record, Schema, project_keys
 from repro.wan.presets import uniform_sites
+from repro.wan.transfer import Transfer, TransferScheduler
 
 SCHEMA = Schema.of("url", "score", kinds={"score": "numeric"})
 
@@ -61,7 +65,19 @@ def assert_outputs_identical(scalar, columnar):
         assert type(got.size_bytes) is float
 
 
+@pytest.fixture
+def force_columnar(monkeypatch):
+    """Send every non-empty ``combine`` call down the NumPy path.
+
+    The shipped threshold sits at the measured crossover, above every
+    record count used here; without this the suite would compare the
+    scalar loop with itself.  1, not 0: an empty input has no columns.
+    """
+    monkeypatch.setattr(combiner_mod, "_COLUMNAR_MIN_RECORDS", 1)
+
+
 class TestCombineParity:
+    @pytest.mark.usefixtures("force_columnar")
     def test_randomized_workloads(self):
         for seed in range(40):
             rng = random.Random(seed)
@@ -73,6 +89,7 @@ class TestCombineParity:
             columnar = combine(records, [0], ratio)
             assert_outputs_identical(scalar, columnar)
 
+    @pytest.mark.usefixtures("force_columnar")
     def test_compound_keys(self):
         rng = random.Random(99)
         records = random_records(rng, _POOLS["skewed"], 120)
@@ -80,11 +97,13 @@ class TestCombineParity:
         columnar = combine(records, [0, 1], 0.4)
         assert_outputs_identical(scalar, columnar)
 
+    @pytest.mark.usefixtures("force_columnar")
     def test_empty_partition(self):
         assert_outputs_identical(
             combine_scalar([], [0], 0.5), combine([], [0], 0.5)
         )
 
+    @pytest.mark.usefixtures("force_columnar")
     def test_all_keys_distinct_fast_path(self):
         records = [
             Record((f"k{i}", i), size_bytes=100.0 + i) for i in range(64)
@@ -98,11 +117,19 @@ class TestCombineParity:
         # it falls back to the scalar loop.  Both must agree regardless.
         rng = random.Random(5)
         threshold = combiner_mod._COLUMNAR_MIN_RECORDS
+        fell_back = []
+
+        def counting_scalar(records, key_indices, reduction_ratio):
+            fell_back.append(len(records))
+            return combine_scalar(records, key_indices, reduction_ratio)
+
+        monkeypatch.setattr(combiner_mod, "combine_scalar", counting_scalar)
         for count in (threshold - 1, threshold, threshold + 1):
             records = random_records(rng, _POOLS["tiny"], count)
             assert_outputs_identical(
                 combine_scalar(records, [0], 0.5), combine(records, [0], 0.5)
             )
+        assert fell_back == [threshold - 1]
 
     def test_invalid_ratio_rejected_by_both(self):
         for ratio in (0.0, 1.5):
@@ -110,6 +137,32 @@ class TestCombineParity:
                 combine([], [0], ratio)
             with pytest.raises(Exception):
                 combine_scalar([], [0], ratio)
+
+
+class TestProjectKeys:
+    """The batch key projection is ``Record.key`` applied per record."""
+
+    RECORDS = [
+        Record(("u1", 3, 0.5, "x")),
+        Record(("u2", 3.0, 7, "")),
+        Record((0, "3", -1.25, "x")),
+        Record(("u1", 3, 0.5, "x")),
+    ]
+
+    @pytest.mark.parametrize("indices", [[], [0], [2, 0], (3, 1, 2), [1]])
+    def test_matches_record_key(self, indices):
+        projected = project_keys(self.RECORDS, indices)
+        expected = [record.key(indices) for record in self.RECORDS]
+        assert projected == expected
+        for got, want in zip(projected, expected):
+            assert type(got) is tuple
+            # 3 == 3.0 as keys, so equality alone would hide a swapped type.
+            assert [type(value) for value in got] == [type(value) for value in want]
+
+    def test_accepts_any_iterable_and_no_records(self):
+        assert project_keys(iter(self.RECORDS), [1]) == [(3,), (3.0,), ("3",), (3,)]
+        assert project_keys([], [0, 1]) == []
+        assert project_keys([], []) == []
 
 
 class TestRoutingParity:
@@ -194,7 +247,10 @@ class TestReduceTaskMapCaching:
 
 
 class TestShufflePlanParity:
-    """Full engine runs agree between batched and scalar volume folds."""
+    """Full engine runs agree with a per-record oracle of the shuffle plan."""
+
+    SPEC = MapReduceSpec.of([0], 0.5)
+    PARTITION_RECORDS = 16
 
     def topology(self):
         return uniform_sites(
@@ -212,29 +268,83 @@ class TestShufflePlanParity:
         return dataset
 
     def run(self, dataset):
-        engine = MapReduceEngine(self.topology())
-        return engine.run(dataset, MapReduceSpec.of([0], 0.5))
+        engine = MapReduceEngine(
+            self.topology(), partition_records=self.PARTITION_RECORDS
+        )
+        return engine.run(dataset, self.SPEC)
+
+    def oracle(self, dataset):
+        """The same job one record at a time.
+
+        Every combined record is hashed to its task on its own and
+        folded with ``volume[(src, dst)] += size``; the timeline is the
+        module docstring's: flows start at the source's map finish, a
+        site reduces what it received once its last inbound byte lands.
+        Returns ``(qct, total intermediate bytes, flows)``.
+        """
+        topology = self.topology()
+        sites = topology.site_names
+        task_sites = ReduceTaskMap.from_fractions(
+            {name: 1.0 / len(sites) for name in sites}, self.SPEC.num_reduce_tasks
+        ).task_sites
+        volume, map_finish, intermediate = {}, {}, []
+        for src in sites:
+            site = topology.site(src)
+            partitions = make_partitions(
+                dataset.shard(src), src, self.PARTITION_RECORDS
+            )
+            busiest, site_bytes = 0.0, []
+            for group in round_robin(partitions, site.executors_per_machine):
+                records = [r for partition in group for r in partition.records]
+                if not records:
+                    continue
+                busiest = max(busiest, float(sum(r.size_bytes for r in records)))
+                output = combine_scalar(
+                    records, self.SPEC.key_indices, self.SPEC.reduction_ratio
+                )
+                site_bytes.append(output.total_bytes)
+                for key, record in output.records.items():
+                    dst = task_sites[key_to_task(key, len(task_sites))]
+                    volume[(src, dst)] = (
+                        volume.get((src, dst), 0.0) + record.size_bytes
+                    )
+            map_finish[src] = busiest / site.compute_bps
+            intermediate.append(sum(site_bytes))
+        transfers = [
+            Transfer(src, dst, num_bytes, start_time=map_finish[src], tag="job-0")
+            for (src, dst), num_bytes in sorted(volume.items())
+        ]
+        qct = 0.0
+        results = TransferScheduler(topology).simulate(transfers)
+        for name in sites:
+            site = topology.site(name)
+            inbound = [r for r in results if r.transfer.dst == name]
+            start = max([map_finish[name]] + [r.finish_time for r in inbound])
+            received = 0.0
+            for result in inbound:
+                received += result.transfer.num_bytes
+            qct = max(qct, start + received / (site.compute_bps * site.executors))
+        flows = [(t.src, t.dst, t.num_bytes) for t in transfers]
+        return qct, sum(intermediate), flows
 
     @pytest.mark.parametrize("records_per_site", [0, 5, 60])
-    def test_job_results_bit_identical(self, monkeypatch, records_per_site):
-        batched = self.run(self.dataset(3, records_per_site))
-        # Force the per-key scalar fold in _plan_shuffle.
-        monkeypatch.setattr(job_mod, "_BATCH_MIN_KEYS", 10**9)
-        scalar = self.run(self.dataset(3, records_per_site))
-        assert batched.qct == scalar.qct  # lint: allow[R004]
-        assert (
-            batched.total_intermediate_bytes
-            == scalar.total_intermediate_bytes  # lint: allow[R004]
+    def test_job_results_bit_identical(self, records_per_site):
+        planned = self.run(self.dataset(3, records_per_site))
+        qct, intermediate_bytes, flows = self.oracle(
+            self.dataset(3, records_per_site)
         )
-        batched_flows = [
+        assert planned.qct == qct  # lint: allow[R004]
+        assert (
+            planned.total_intermediate_bytes
+            == intermediate_bytes  # lint: allow[R004]
+        )
+        planned_flows = [
             (t.transfer.src, t.transfer.dst, t.transfer.num_bytes)
-            for t in batched.transfers
+            for t in planned.transfers
         ]
-        scalar_flows = [
-            (t.transfer.src, t.transfer.dst, t.transfer.num_bytes)
-            for t in scalar.transfers
-        ]
-        assert batched_flows == scalar_flows
+        assert planned_flows == flows
         if records_per_site >= 60:
-            # The parity run must actually exercise cross-site shuffle.
-            assert batched_flows
+            # The parity run must actually exercise cross-site shuffle,
+            # with keys that recur across one site's executors.
+            assert any(src != dst for src, dst, _bytes in flows)
+            assert len(flows) == 9

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import assignment as assignment_mod
 from repro.engine.assignment import assign_partitions
 from repro.engine.rdd import make_partitions
 from repro.engine.shuffle import ReduceTaskMap, key_to_task
@@ -129,3 +130,48 @@ class TestAssignPartitions:
     def test_bad_executors(self):
         with pytest.raises(EngineError):
             assign_partitions(partitions_with_key_groups(), 0, [0])
+
+
+class TestForcedAssignment:
+    """No similarity pass where the partition count forces the answer."""
+
+    @pytest.fixture
+    def dimsum_calls(self, monkeypatch):
+        calls = []
+        real = assignment_mod.dimsum_similarity_matrix
+
+        def spy(key_sets, config):
+            calls.append(len(key_sets))
+            return real(key_sets, config)
+
+        monkeypatch.setattr(assignment_mod, "dimsum_similarity_matrix", spy)
+        return calls
+
+    @pytest.mark.parametrize("num_executors", [4, 5, 9])
+    def test_no_pass_when_every_partition_gets_an_executor(
+        self, dimsum_calls, monkeypatch, num_executors
+    ):
+        def boom(partition, key_indices):  # pragma: no cover - must not be hit
+            raise AssertionError("forced assignment built a key set")
+
+        monkeypatch.setattr(assignment_mod.RDDPartition, "key_set", boom)
+        parts = partitions_with_key_groups()
+        result = assign_partitions(parts, num_executors, [0], similarity_aware=True)
+        assert dimsum_calls == []
+        assert result.overhead_seconds == 0.0
+        assert result.method == "round-robin"
+        assert [
+            [p.partition_id for p in group] for group in result.executor_partitions
+        ] == [[0], [1], [2], [3]] + [[]] * (num_executors - 4)
+
+    @pytest.mark.parametrize("num_executors", [1, 2, 3])
+    def test_one_pass_when_partitions_outnumber_executors(
+        self, dimsum_calls, num_executors
+    ):
+        parts = partitions_with_key_groups()
+        result = assign_partitions(parts, num_executors, [0], similarity_aware=True)
+        assert dimsum_calls == [4]
+        assert result.method == "similarity"
+        assert result.overhead_seconds > 0.0
+        assert result.num_partitions == 4
+        assert all(group for group in result.executor_partitions)

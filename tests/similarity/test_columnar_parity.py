@@ -168,3 +168,67 @@ class TestDimsumParity:
         )
         matrix, _ = dimsum_similarity_matrix(partitions, config)
         assert np.array_equal(matrix, exact_similarity_matrix(partitions))
+
+
+class TestLazySignatures:
+    """MinHash signatures are built only when some pair is estimated."""
+
+    CONFIG = DimsumConfig(gamma=1e9, num_hashes=16, seed=3, exact_below=8)
+
+    @pytest.fixture
+    def signature_calls(self, monkeypatch):
+        calls = []
+        batched = MinHasher.signatures
+
+        def spy(hasher, sets):
+            calls.append(len(sets))
+            return batched(hasher, sets)
+
+        monkeypatch.setattr(MinHasher, "signatures", spy)
+        return calls
+
+    def test_no_signatures_when_every_pair_is_exact(self, signature_calls):
+        # Every pair has a side under exact_below (one big set included),
+        # so each examined pair is set-based Jaccard.
+        partitions = [
+            {f"k{i}" for i in range(5)},
+            {f"k{i}" for i in range(3, 40)},
+            {f"k{i}" for i in range(2, 9)},
+            set(),
+        ]
+        matrix, stats = dimsum_similarity_matrix(partitions, self.CONFIG)
+        assert signature_calls == []
+        assert stats.pairs_examined == 6
+        expected, expected_stats = dimsum_similarity_matrix_scalar(
+            partitions, self.CONFIG
+        )
+        assert np.array_equal(matrix, expected)
+        assert stats == expected_stats
+
+    def test_no_signatures_when_the_large_pair_is_skipped(self, signature_calls):
+        # Two sets big enough to estimate, but gamma so small that the
+        # sampling rule skips the pair: nothing reads a signature.
+        partitions = [{f"a{i}" for i in range(50)}, {f"a{i}" for i in range(25, 90)}]
+        config = DimsumConfig(gamma=1e-9, num_hashes=16, seed=3, exact_below=8)
+        matrix, stats = dimsum_similarity_matrix(partitions, config)
+        assert stats.pairs_skipped == 1
+        assert signature_calls == []
+        assert np.array_equal(matrix, np.eye(2))
+
+    def test_one_estimated_pair_builds_them_once(self, signature_calls):
+        partitions = [
+            {f"k{i}" for i in range(5)},
+            {f"k{i}" for i in range(3, 40)},
+            {f"k{i}" for i in range(20, 70)},
+        ]
+        matrix, stats = dimsum_similarity_matrix(partitions, self.CONFIG)
+        assert signature_calls == [3]
+        expected, expected_stats = dimsum_similarity_matrix_scalar(
+            partitions, self.CONFIG
+        )
+        assert np.array_equal(matrix, expected)
+        assert stats == expected_stats
+        # The large pair went through the estimate (a slot fraction),
+        # not the sets (20/67).
+        slots = self.CONFIG.num_hashes
+        assert matrix[1, 2] in {matches / slots for matches in range(slots + 1)}
