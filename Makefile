@@ -32,7 +32,8 @@ test:  ## tier-1 test suite
 parity:  ## scalar/columnar hot-path parity suite (bit-identity oracle)
 	$(PYTHON) -m pytest -q tests/engine/test_columnar_parity.py \
 		tests/similarity/test_columnar_parity.py \
-		tests/placement/test_warm_start.py
+		tests/placement/test_warm_start.py \
+		tests/properties/test_placement_lp.py
 
 bench-smoke:  ## smoke benchmarks vs the committed baseline (sim gate only)
 	$(PYTHON) -m repro bench --suite smoke --compare BENCH_5.json \

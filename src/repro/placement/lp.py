@@ -16,6 +16,8 @@ fixed point.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import sub
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -39,120 +41,102 @@ def solve_data_lp(
 
     Returns ``(moves, t, solution)`` where t is the optimized shuffle
     time bound of equation (2).
+
+    Column 0 is t; ``x[a][i->j]`` sits at ``1 + a_pos * P + p`` with p the
+    pair's position in ``for i … for j … if i != j`` order (P = n(n-1)),
+    so rows are filled through an ``(rows, datasets, pairs)`` view by pair
+    masks.  Row order — per site: (3), (4), (5), (6), one hold row per
+    dataset, then the capped pairs — decides simplex ties; keep it.
     """
     sites = problem.site_names
     datasets = problem.dataset_ids
+    num_sites, num_datasets = len(sites), len(datasets)
     pairs = [(i, j) for i in sites for j in sites if i != j]
+    num_pairs = len(pairs)
     var_names = ["t"] + [f"x[{a}][{i}->{j}]" for a in datasets for (i, j) in pairs]
-    index_of = {name: position for position, name in enumerate(var_names)}
-    num_vars = len(var_names)
+    pair_at = {pair: index for index, pair in enumerate(pairs)}
+    # Site positions of each pair's ends (off-diagonal cells, row-major: the
+    # order of ``pairs``), and (site, pair) masks of the pairs leaving /
+    # entering each site.
+    src, dst = np.nonzero(~np.eye(num_sites, dtype=bool))
+    site_ids = np.arange(num_sites)
+    leaves, enters = src == site_ids[:, None], dst == site_ids[:, None]
 
-    def x_index(dataset: str, src: str, dst: str) -> int:
-        return index_of[f"x[{dataset}][{src}->{dst}]"]
+    def pair_table(table: Mapping, default: float) -> np.ndarray:
+        """Sparse ``{dataset: {(src, dst): value}}`` as a (dataset, pair) array."""
+        dense = np.full((num_datasets, num_pairs), default)
+        for a_pos, a in enumerate(datasets):
+            for pair, value in table.get(a, {}).items():
+                if pair in pair_at:  # a site paired with itself is never read
+                    dense[a_pos, pair_at[pair]] = value
+        return dense
 
-    rows: List[np.ndarray] = []
-    bounds: List[float] = []
+    R = np.array([problem.R(a) for a in datasets], dtype=float)
+    S = np.array([[problem.S(a, i) for i in sites] for a in datasets], dtype=float)
+    held = np.array([[problem.I(a, i) for i in sites] for a in datasets], dtype=float)
+    cap = pair_table(problem.mobility, 1.0)
+    capped = cap < 1.0
+    # f_i^a = R^a[(I_i - sum_j x_ij)(1 - S_i) + sum_k x_ki (1 - S_ki)]: moving
+    # out sheds at the local rate, inflow adds at the pair's rate.  Each is
+    # multiplied by a row's scale afterwards — (R·(1−S))·scale, as a scalar
+    # loop would — and a row entry is a sum of at most two such terms, which
+    # does not depend on their order; never fold them into (inflow − local).
+    local = R[:, None] * (1.0 - S)
+    local_by_pair = local[:, src]
+    inflow = R[:, None] * (1.0 - pair_table(problem.cross_similarity, 0.0))
 
-    def coefficient_row() -> np.ndarray:
-        return np.zeros(num_vars)
-
-    def add_f_terms(
-        row: np.ndarray, a: str, site: str, scale: float
-    ) -> float:
-        """Add scale * f_site^a(x) to the row; returns the constant part.
-
-        f_i^a = R^a[(I_i - sum_j x_ij)(1 - S_i) + sum_k x_ki (1 - S_ki)].
-        """
-        local_k = problem.R(a) * (1.0 - problem.S(a, site)) * scale
-        for j in sites:
-            if j == site:
-                continue
-            row[x_index(a, site, j)] -= local_k  # moving out reduces f
-            inflow_k = (
-                problem.R(a) * (1.0 - problem.Sij(a, j, site)) * scale
-            )
-            row[x_index(a, j, site)] += inflow_k  # inflow adds at pair rate
-        return local_k * problem.I(a, site)
-
-    for i in sites:
+    num_rows = num_sites * (4 + num_datasets) + int(capped.sum())
+    a_ub = np.zeros((num_rows, 1 + num_datasets * num_pairs))
+    b_ub = np.empty(num_rows)
+    x_rows = a_ub[:, 1:].reshape(num_rows, num_datasets, num_pairs)  # a view
+    row = 0
+    for i_pos, i in enumerate(sites):
         r_i = reduce_fractions.get(i, 0.0)
-        # (3): upload time of shuffle data at i.
-        row = coefficient_row()
-        row[0] = -1.0
-        constant = 0.0
-        for a in datasets:
-            constant -= add_f_terms(row, a, i, (1.0 - r_i) / problem.U(i))
-        rows.append(row)
-        bounds.append(constant)
-
-        # (4): download time of shuffle data at i.
-        row = coefficient_row()
-        row[0] = -1.0
-        constant = 0.0
-        for a in datasets:
-            for j in sites:
-                if j == i:
-                    continue
-                constant -= add_f_terms(row, a, j, r_i / problem.D(i))
-        rows.append(row)
-        bounds.append(constant)
-
-        # (5): data movement upload within the lag.
-        row = coefficient_row()
-        for a in datasets:
-            for j in sites:
-                if j != i:
-                    row[x_index(a, i, j)] = 1.0
-        rows.append(row)
-        bounds.append(problem.lag_seconds * problem.U(i))
-
-        # (6): data movement download within the lag.
-        row = coefficient_row()
-        for a in datasets:
-            for k_site in sites:
-                if k_site != i:
-                    row[x_index(a, k_site, i)] = 1.0
-        rows.append(row)
-        bounds.append(problem.lag_seconds * problem.D(i))
-
-        # Cannot move out more than the site holds.
-        for a in datasets:
-            row = coefficient_row()
-            for j in sites:
-                if j != i:
-                    row[x_index(a, i, j)] = 1.0
-            rows.append(row)
-            bounds.append(problem.I(a, i))
-
+        out, into = leaves[i_pos], enters[i_pos]
+        upload, download, push, pull = x_rows[row:row + 4]
+        a_ub[row:row + 2, 0] = -1.0
+        # (3): upload time of shuffle data at i — scale * f_i.  Constants
+        # are left folds in (dataset, site) order, not a pairwise np.sum.
+        scale = (1.0 - r_i) / problem.U(i)
+        np.subtract(upload, local_by_pair * scale, out=upload, where=out)
+        np.add(upload, inflow * scale, out=upload, where=into)
+        constants = local[:, i_pos] * scale * held[:, i_pos]
+        b_ub[row] = reduce(sub, constants.tolist(), 0.0)
+        # (4): download time of shuffle data at i — scale * sum_{j != i} f_j.
+        scale = r_i / problem.D(i)
+        np.subtract(download, local_by_pair * scale, out=download, where=~out)
+        np.add(download, inflow * scale, out=download, where=~into)
+        constants = (local * scale * held)[:, site_ids != i_pos]
+        b_ub[row + 1] = reduce(sub, constants.ravel().tolist(), 0.0)
+        # (5), (6): data movement upload / download within the lag.
+        push[:, out] = 1.0
+        b_ub[row + 2] = problem.lag_seconds * problem.U(i)
+        pull[:, into] = 1.0
+        b_ub[row + 3] = problem.lag_seconds * problem.D(i)
+        row += 4
+        # Cannot move out more than the site holds: one row per dataset.
+        for a_pos in range(num_datasets):
+            x_rows[row + a_pos, a_pos, out] = 1.0
+        b_ub[row:row + num_datasets] = held[:, i_pos]
+        row += num_datasets
         # Similarity-aware mobility caps: only the absorbable fraction of
         # a site's data may move toward each destination (x <= I * S_ij).
-        for a in datasets:
-            for j in sites:
-                if j == i:
-                    continue
-                cap = problem.mobility_cap(a, i, j)
-                if cap >= 1.0:
-                    continue
-                row = coefficient_row()
-                row[x_index(a, i, j)] = 1.0
-                rows.append(row)
-                bounds.append(problem.I(a, i) * cap)
+        a_pos, pair = np.nonzero(capped & out)
+        x_rows[row + np.arange(a_pos.size), a_pos, pair] = 1.0
+        b_ub[row:row + a_pos.size] = held[a_pos, i_pos] * cap[a_pos, pair]
+        row += a_pos.size
 
-    objective = np.zeros(num_vars)
+    objective = np.zeros(a_ub.shape[1])
     objective[0] = 1.0
     program = LinearProgram(
-        c=objective,
-        a_ub=np.vstack(rows),
-        b_ub=np.asarray(bounds),
-        variable_names=var_names,
+        c=objective, a_ub=a_ub, b_ub=b_ub, variable_names=var_names
     )
     solution = solve_lp(program, backend=backend)
+    volumes = solution.x[1:]
     moves: Moves = {}
-    for a in datasets:
-        for (i, j) in pairs:
-            volume = float(solution.x[x_index(a, i, j)])
-            if volume > _EPS_BYTES:
-                moves[(a, i, j)] = volume
+    for index in np.flatnonzero(volumes > _EPS_BYTES).tolist():
+        a_pos, pair = divmod(index, num_pairs)
+        moves[(datasets[a_pos], *pairs[pair])] = float(volumes[index])
     return moves, float(solution.x[0]), solution
 
 
@@ -233,12 +217,11 @@ def solve_task_lp(
 def shuffle_bytes_after_moves(problem: PlacementProblem, moves: Moves) -> Dict[str, float]:
     """Per-site total shuffle volume F_i = sum_a f_i^a(x) given moves."""
     totals: Dict[str, float] = {site: 0.0 for site in problem.site_names}
+    per_dataset: Dict[str, Dict[Tuple[str, str], float]] = {}
+    for (dataset, src, dst), volume in moves.items():
+        per_dataset.setdefault(dataset, {})[(src, dst)] = volume
     for a in problem.dataset_ids:
-        per_dataset = {
-            (src, dst): volume
-            for (dataset, src, dst), volume in moves.items()
-            if dataset == a
-        }
+        moved = per_dataset.get(a, {})
         for site in problem.site_names:
-            totals[site] += problem.shuffle_bytes(a, site, per_dataset)
+            totals[site] += problem.shuffle_bytes(a, site, moved)
     return totals

@@ -78,6 +78,7 @@ def solve_lp(
     """
     if backend not in ("auto", "scipy", "simplex"):
         raise SolverError(f"unknown backend {backend!r}")
+    _require_finite(program)
     telemetry = instrument.current().telemetry
     with telemetry.span(
         "lp-solve", stage="placement", variables=program.num_variables
@@ -89,6 +90,29 @@ def solve_lp(
             warm_started=solution.warm_started,
         )
     return solution
+
+
+def _require_finite(program: LinearProgram) -> None:
+    """Reject nan/inf coefficients before either backend sees them.
+
+    scipy answers them with a bare ``ValueError``; the simplex compares
+    them as False and can return a plausible "optimal" point.
+    """
+    for label in ("c", "a_ub", "b_ub", "a_eq", "b_eq"):
+        values = getattr(program, label)
+        if values is None:
+            continue
+        values = np.asarray(values, dtype=float)
+        finite = np.isfinite(values)
+        if finite.all():
+            continue
+        index = [int(k) for k in np.argwhere(~finite)[0]]
+        where = f"{label}[{', '.join(map(str, index))}]"
+        if not label.startswith("b_") and index[-1] < len(program.variable_names):
+            where += f" (variable {program.variable_names[index[-1]]!r})"
+        raise SolverError(
+            f"LP input must be finite: {where} is {values[tuple(index)]}"
+        )
 
 
 def _solve(

@@ -1,66 +1,168 @@
-"""Dense two-phase simplex (pure numpy).
+"""The placement LP assembly and simplex as they were until PR 19.
 
-A fallback LP solver so the placement pipeline has no hard dependency on
-scipy's HiGHS backend, and an ablation target (`bench_ablation_lp_vs_
-simplex`) proving both backends agree on the paper's placement LPs.
+Kept verbatim as the oracle for the whole-array code that replaced them:
 
-Solves::
+- :func:`reference_data_program` is ``solve_data_lp``'s row-by-row
+  assembly — every coefficient reached through an f-string name and a
+  dict lookup, constraint (4) re-deriving every other site's f-terms —
+  returning the :class:`LinearProgram` instead of solving it;
+  :func:`reference_solve_data_lp` is the whole old function (assemble,
+  solve, read the moves back through the same name lookups).
+- :func:`reference_simplex_solve` and its helpers are the two-phase
+  simplex with a row-by-row Python elimination loop at each of its four
+  pivot sites and an unconditional canonicalization pass in
+  :func:`reference_iterate`.
 
-    min c.x   s.t.   A_ub x <= b_ub,   A_eq x = b_eq,   x >= 0
-
-with Bland's anti-cycling rule.  Suitable for the problem sizes here
-(hundreds of variables, tens of constraints).
+Slow, and obviously the textbook code.  ``tests/properties/
+test_placement_lp.py`` holds the production path to these bit for bit.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SolverError
+from repro.placement.lp import Moves
+from repro.placement.model import PlacementProblem
+from repro.placement.simplex import SimplexResult
+from repro.placement.solver import LinearProgram, LpSolution, solve_lp
 
+_EPS_BYTES = 1e-6
 _TOL = 1e-9
 
 
-@dataclass
-class SimplexResult:
-    """Solution of one simplex run."""
+def reference_data_program(
+    problem: PlacementProblem, reduce_fractions: Mapping[str, float]
+) -> LinearProgram:
+    """The data-movement LP for fixed reduce fractions, built row by row."""
+    sites = problem.site_names
+    datasets = problem.dataset_ids
+    pairs = [(i, j) for i in sites for j in sites if i != j]
+    var_names = ["t"] + [f"x[{a}][{i}->{j}]" for a in datasets for (i, j) in pairs]
+    index_of = {name: position for position, name in enumerate(var_names)}
+    num_vars = len(var_names)
 
-    x: np.ndarray
-    objective: float
-    iterations: int
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    #: Final basis columns (indices into the structural+slack space);
-    #: structural entries (< num_vars) can seed a later warm start.
-    basis_columns: List[int] = field(default_factory=list)
-    #: True when a warm-start crash basis was feasible and phase 1 was
-    #: skipped entirely.
-    warm_started: bool = False
+    def x_index(dataset: str, src: str, dst: str) -> int:
+        return index_of[f"x[{dataset}][{src}->{dst}]"]
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "optimal"
+    rows: List[np.ndarray] = []
+    bounds: List[float] = []
+
+    def coefficient_row() -> np.ndarray:
+        return np.zeros(num_vars)
+
+    def add_f_terms(
+        row: np.ndarray, a: str, site: str, scale: float
+    ) -> float:
+        """Add scale * f_site^a(x) to the row; returns the constant part.
+
+        f_i^a = R^a[(I_i - sum_j x_ij)(1 - S_i) + sum_k x_ki (1 - S_ki)].
+        """
+        local_k = problem.R(a) * (1.0 - problem.S(a, site)) * scale
+        for j in sites:
+            if j == site:
+                continue
+            row[x_index(a, site, j)] -= local_k  # moving out reduces f
+            inflow_k = (
+                problem.R(a) * (1.0 - problem.Sij(a, j, site)) * scale
+            )
+            row[x_index(a, j, site)] += inflow_k  # inflow adds at pair rate
+        return local_k * problem.I(a, site)
+
+    for i in sites:
+        r_i = reduce_fractions.get(i, 0.0)
+        # (3): upload time of shuffle data at i.
+        row = coefficient_row()
+        row[0] = -1.0
+        constant = 0.0
+        for a in datasets:
+            constant -= add_f_terms(row, a, i, (1.0 - r_i) / problem.U(i))
+        rows.append(row)
+        bounds.append(constant)
+
+        # (4): download time of shuffle data at i.
+        row = coefficient_row()
+        row[0] = -1.0
+        constant = 0.0
+        for a in datasets:
+            for j in sites:
+                if j == i:
+                    continue
+                constant -= add_f_terms(row, a, j, r_i / problem.D(i))
+        rows.append(row)
+        bounds.append(constant)
+
+        # (5): data movement upload within the lag.
+        row = coefficient_row()
+        for a in datasets:
+            for j in sites:
+                if j != i:
+                    row[x_index(a, i, j)] = 1.0
+        rows.append(row)
+        bounds.append(problem.lag_seconds * problem.U(i))
+
+        # (6): data movement download within the lag.
+        row = coefficient_row()
+        for a in datasets:
+            for k_site in sites:
+                if k_site != i:
+                    row[x_index(a, k_site, i)] = 1.0
+        rows.append(row)
+        bounds.append(problem.lag_seconds * problem.D(i))
+
+        # Cannot move out more than the site holds.
+        for a in datasets:
+            row = coefficient_row()
+            for j in sites:
+                if j != i:
+                    row[x_index(a, i, j)] = 1.0
+            rows.append(row)
+            bounds.append(problem.I(a, i))
+
+        # Similarity-aware mobility caps: only the absorbable fraction of
+        # a site's data may move toward each destination (x <= I * S_ij).
+        for a in datasets:
+            for j in sites:
+                if j == i:
+                    continue
+                cap = problem.mobility_cap(a, i, j)
+                if cap >= 1.0:
+                    continue
+                row = coefficient_row()
+                row[x_index(a, i, j)] = 1.0
+                rows.append(row)
+                bounds.append(problem.I(a, i) * cap)
+
+    objective = np.zeros(num_vars)
+    objective[0] = 1.0
+    return LinearProgram(
+        c=objective,
+        a_ub=np.vstack(rows),
+        b_ub=np.asarray(bounds),
+        variable_names=var_names,
+    )
 
 
-def _eliminate(tableau_a: np.ndarray, b: np.ndarray, row: int, column: int) -> None:
-    """Pivot in place on (row, column): unit pivot, column cleared elsewhere.
-
-    One masked rank-1 update.  No row's factor depends on another row's
-    update and the pivot row is never touched, so reading the column once
-    gives what a row-by-row loop would read; NumPy multiplies, then
-    subtracts, as that loop does — the tableau comes out bit-identical.
-    """
-    pivot = tableau_a[row, column]
-    tableau_a[row] /= pivot
-    b[row] /= pivot
-    factors = tableau_a[:, column]
-    mask = np.abs(factors) > _TOL
-    mask[row] = False
-    factors = factors[mask]
-    tableau_a[mask] -= factors[:, None] * tableau_a[row]
-    b[mask] -= factors * b[row]
+def reference_solve_data_lp(
+    problem: PlacementProblem,
+    reduce_fractions: Mapping[str, float],
+    backend: str = "auto",
+) -> Tuple[Moves, float, LpSolution]:
+    """``solve_data_lp`` as it was: assemble, solve, look the moves up by name."""
+    program = reference_data_program(problem, reduce_fractions)
+    index_of = {name: position for position, name in enumerate(program.variable_names)}
+    sites = problem.site_names
+    solution = solve_lp(program, backend=backend)
+    moves: Moves = {}
+    for a in problem.dataset_ids:
+        for i in sites:
+            for j in sites:
+                if i == j:
+                    continue
+                volume = float(solution.x[index_of[f"x[{a}][{i}->{j}]"]])
+                if volume > _EPS_BYTES:
+                    moves[(a, i, j)] = volume
+    return moves, float(solution.x[0]), solution
 
 
 def _try_warm_basis(
@@ -90,7 +192,14 @@ def _try_warm_basis(
 
     def pivot_in(row: int, column: int) -> None:
         assigned[row] = column
-        _eliminate(work_a, work_b, row, column)
+        pivot = work_a[row, column]
+        work_a[row] /= pivot
+        work_b[row] /= pivot
+        for other in range(num_rows):
+            if other != row and abs(work_a[other, column]) > _TOL:
+                factor = work_a[other, column]
+                work_a[other] -= factor * work_a[row]
+                work_b[other] -= factor * work_b[row]
 
     slack_of_row = dict(slack_columns)
     remaining_hints = list(hinted)
@@ -151,7 +260,7 @@ def _try_warm_basis(
     return [assigned[row] for row in range(num_rows)], work_a, work_b
 
 
-def simplex_solve(
+def reference_simplex_solve(
     c: np.ndarray,
     a_ub: Optional[np.ndarray] = None,
     b_ub: Optional[np.ndarray] = None,
@@ -251,7 +360,7 @@ def simplex_solve(
 
         phase1_c = np.zeros(tableau_a.shape[1])
         phase1_c[total_real:] = 1.0
-        status, iterations1 = _iterate(
+        status, iterations1 = reference_iterate(
             tableau_a, b, phase1_c, basis, max_iterations
         )
         if status != "optimal":
@@ -294,7 +403,7 @@ def _finish_phase2(
 ) -> SimplexResult:
     """Run phase 2 from a feasible basis and package the result."""
     phase2_c = np.concatenate([c, np.zeros(tableau_a.shape[1] - num_vars)])
-    status, iterations2 = _iterate(tableau_a, b, phase2_c, basis, max_iterations)
+    status, iterations2 = reference_iterate(tableau_a, b, phase2_c, basis, max_iterations)
     x_full = np.zeros(tableau_a.shape[1])
     for row, column in enumerate(basis):
         x_full[column] = b[row]
@@ -310,7 +419,7 @@ def _finish_phase2(
     )
 
 
-def _iterate(
+def reference_iterate(
     tableau_a: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
@@ -319,18 +428,19 @@ def _iterate(
 ) -> Tuple[str, int]:
     """Run simplex iterations in place (revised tableau style)."""
     num_rows = tableau_a.shape[0]
-    # Put the tableau into canonical form for the current basis — unless
-    # its basis block already is the identity (unit diagonal, nothing to
-    # clear): then every step would divide by 1.0 and eliminate nothing.
-    block = tableau_a[:, basis]
-    unit_diagonal = np.all(block.diagonal() == 1.0)  # lint: allow[R004] — exact: only x / 1.0 leaves x unchanged
-    np.fill_diagonal(block, 0.0)
-    if not unit_diagonal or np.any(np.abs(block) > _TOL):
-        for row in range(num_rows):
-            column = basis[row]
-            if abs(tableau_a[row, column]) < _TOL:
-                raise SolverError("degenerate basis during canonicalization")
-            _eliminate(tableau_a, b, row, column)
+    # Put the tableau into canonical form for the current basis.
+    for row in range(num_rows):
+        column = basis[row]
+        pivot = tableau_a[row, column]
+        if abs(pivot) < _TOL:
+            raise SolverError("degenerate basis during canonicalization")
+        tableau_a[row] /= pivot
+        b[row] /= pivot
+        for other in range(num_rows):
+            if other != row and abs(tableau_a[other, column]) > _TOL:
+                factor = tableau_a[other, column]
+                tableau_a[other] -= factor * tableau_a[row]
+                b[other] -= factor * b[row]
 
     degenerate_streak = 0
     for iteration in range(max_iterations):
@@ -356,11 +466,18 @@ def _iterate(
         ratios[positive] = b[positive] / column[positive]
         best = ratios.min()
         # Smallest basis index among tied rows (Bland-compatible).
-        tied = np.flatnonzero(ratios <= best + _TOL).tolist()
-        leaving = min(tied, key=basis.__getitem__)
+        tied = [row for row in range(num_rows) if ratios[row] <= best + _TOL]
+        leaving = min(tied, key=lambda row: basis[row])
         degenerate_streak = degenerate_streak + 1 if best <= _TOL else 0
 
-        _eliminate(tableau_a, b, leaving, entering)
+        pivot = tableau_a[leaving, entering]
+        tableau_a[leaving] /= pivot
+        b[leaving] /= pivot
+        for row in range(num_rows):
+            if row != leaving and abs(tableau_a[row, entering]) > _TOL:
+                factor = tableau_a[row, entering]
+                tableau_a[row] -= factor * tableau_a[leaving]
+                b[row] -= factor * b[leaving]
         basis[leaving] = entering
     raise SolverError(f"simplex exceeded {max_iterations} iterations")
 
@@ -377,5 +494,12 @@ def _pivot_out_artificials(
         if candidates.size == 0:
             continue  # redundant row; caller drops it
         entering = int(candidates[0])
-        _eliminate(tableau_a, b, row, entering)
+        pivot = tableau_a[row, entering]
+        tableau_a[row] /= pivot
+        b[row] /= pivot
+        for other in range(num_rows):
+            if other != row and abs(tableau_a[other, entering]) > _TOL:
+                factor = tableau_a[other, entering]
+                tableau_a[other] -= factor * tableau_a[row]
+                b[other] -= factor * b[row]
         basis[row] = entering

@@ -10,6 +10,10 @@ unregister afterwards), the command of ``BENCHMARK.json`` is run with
 ``--workload W --seed S --trace 0`` alternately there and in this
 checkout — the side that goes first alternates too — and every run, both
 sides' medians and quartiles and the wins out of the pairs are printed.
+Next to each run's scaled ``wall_s`` go the raw seconds and the spin-loop
+calibration reading (``calib_s``) that scaled them, read from the
+``perfbench/out/<W>.result.json`` the run leaves in its tree: a scaled
+reading that rose while the raw one fell is the calibration, not the code.
 
 Exit status is non-zero when any run reports ``"correct": false`` or
 ``failed > 0``, or when a ``sim_*`` metric differs between the two trees:
@@ -32,7 +36,9 @@ import tempfile
 from typing import Dict, List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WALL_METRICS = ("wall_s", "setup_s", "peak_rss_mib")
+#: ``raw_wall_s`` and ``calib_s`` are not in the result line; ``run_once``
+#: adds them from the tree's ``perfbench/out/<W>.result.json``.
+WALL_METRICS = ("wall_s", "raw_wall_s", "calib_s", "setup_s", "peak_rss_mib")
 
 
 def unpack(ref: str, into: str) -> None:
@@ -63,6 +69,12 @@ def run_once(tree: str, workload: str, seed: int) -> Dict:
         sys.stderr.write(done.stdout + done.stderr)
         raise SystemExit(f"no JSON result line from {tree} (exit {done.returncode})")
     result["exit"] = done.returncode
+    # The unscaled unit seconds and the calibration reading that scaled them.
+    detail_path = os.path.join(tree, "perfbench", "out", f"{workload}.result.json")
+    with open(detail_path, encoding="utf-8") as handle:
+        detail = json.load(handle)
+    result["metrics"]["raw_wall_s"] = {"value": detail["wall_s"]["raw"]}
+    result["metrics"]["calib_s"] = {"value": detail["calib_s"]}
     return result
 
 
