@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke perfbench-full perfbench-pairs serve-smoke slo profile telemetry check
+.PHONY: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke perfbench-full perfbench-pairs serve-smoke slo profile telemetry loc check
 
 lint:  ## static analysis: per-file rules R001-R008 over the shipped tree
 	$(PYTHON) -m repro.lint src/repro benchmarks
@@ -35,9 +35,9 @@ parity:  ## scalar/columnar hot-path parity suite (bit-identity oracle)
 		tests/placement/test_warm_start.py \
 		tests/properties/test_placement_lp.py
 
-bench-smoke:  ## smoke benchmarks vs the committed baseline (sim gate only)
+bench-smoke:  ## smoke benchmarks vs the committed baseline (sim metrics; wall is never gated)
 	$(PYTHON) -m repro bench --suite smoke --compare BENCH_5.json \
-		--ignore-wall --out bench_smoke.json
+		--out bench_smoke.json
 
 perfbench-smoke:  ## the driver's benchmark, quick: its tests, then all six workloads traced
 	$(PYTHON) -m pytest perfbench/tests -q
@@ -96,10 +96,15 @@ profile:  ## smoke benchmarks under the wall profiler (collapsed stacks)
 	$(PYTHON) -m repro bench --suite smoke --profile \
 		--profile-out bench.collapsed
 
-telemetry:  ## chaos run with telemetry capture; inspect + dashboard off the one archive
+telemetry:  ## sanitized chaos run with telemetry capture (critpath-conservation armed); inspect + dashboard off the one archive
 	$(PYTHON) -m repro run --scheme bohr --workload bigdata-aggregation \
-		--queries 2 --chaos flaky-wan --telemetry telemetry.jsonl
+		--queries 2 --chaos flaky-wan --telemetry telemetry.jsonl --sanitize
 	$(PYTHON) -m repro inspect telemetry.jsonl --breakdown
 	$(PYTHON) -m repro report telemetry.jsonl --out report.html
+
+loc:  ## src/repro line counts, per package and in total (the numbers ROADMAP and CHANGES quote)
+	@for package in $$(find src/repro -mindepth 1 -maxdepth 1 -type d ! -name __pycache__ | sort) src/repro; do \
+		find $$package -name '*.py' | xargs wc -l | tail -n 1 | awk -v p=$$package '{printf "%6d %s\n", $$1, p}'; \
+	done
 
 check: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke serve-smoke slo telemetry  ## everything CI gates on

@@ -5,13 +5,9 @@ The table/figure benches wrap these paths in WAN simulation, LP solves
 and workload generation, so even large hot-path speedups dilute to
 modest end-to-end ratios (Amdahl).  These cases drive each hot path
 directly at batch scale: the measured region is >=80% inside the path
-under test, so before/after ratios reflect the columnar rewrite itself.
-
-Every case calls the public record-level API through a feature guard
-(``hasattr``), so this file also runs unmodified against trees that
-predate the batched entry points — that is how the "before" numbers in
-README.md were captured.  Sim metrics are pure functions of the outputs
-and gate bit-identity across the rewrite.
+under test, so before/after ratios reflect that path itself.  Sim
+metrics are pure functions of the outputs and gate bit-identity across
+any rewrite of it.
 
 Input datasets are deterministic fixtures keyed by the harness seed and
 cached across timed repetitions on purpose (they are the workload, not
@@ -107,7 +103,7 @@ def _session_queries(seed):
 @register_bench(
     "hotpath-combine",
     suites=("hotpaths",),
-    description="Map-side combine over 80k skewed records (columnar path)",
+    description="Map-side combine over 80k skewed records",
 )
 def bench_hotpath_combine():
     records = _combine_records(bench_seed())
@@ -136,10 +132,7 @@ def bench_hotpath_shuffle_route():
     fractions = {f"site-{index}": 1.0 for index in range(10)}
     task_map = ReduceTaskMap.from_fractions(fractions, num_tasks=64)
     started = time.perf_counter()  # lint: allow[R001]
-    if hasattr(task_map, "routing_table"):
-        table = task_map.routing_table(keys)
-    else:  # pre-batching trees: per-key routing
-        table = {key: task_map.site_of_key(key) for key in keys}
+    table = task_map.routing_table(keys)
     elapsed = time.perf_counter() - started  # lint: allow[R001]
     per_site = {}
     for site in table.values():
@@ -161,10 +154,7 @@ def bench_hotpath_minhash():
     sets = _minhash_sets(bench_seed())
     hasher = MinHasher(num_hashes=64, seed=bench_seed())
     started = time.perf_counter()  # lint: allow[R001]
-    if hasattr(hasher, "signatures"):
-        signatures = hasher.signatures(sets)
-    else:  # pre-batching trees: per-set signatures
-        signatures = [hasher.signature(items) for items in sets]
+    signatures = hasher.signatures(sets)
     elapsed = time.perf_counter() - started  # lint: allow[R001]
     # Sums of uint32 slots stay far below 2^53, so the float is exact.
     sim = {

@@ -30,7 +30,6 @@ from repro import SystemConfig, ec2_ten_sites
 from repro.bench import bench_seed, register_bench, register_reset_hook
 from repro.core.runner import ExperimentResult, run_experiment
 from repro.wan.topology import WanTopology
-from repro.workloads import build_workload
 from repro.workloads.base import Workload, WorkloadSpec
 
 #: The five workload columns of Figures 6/7/10.
@@ -85,12 +84,6 @@ def workload_factory(
     if seed is None:
         seed = bench_seed()
 
-    def build() -> Workload:
-        return build_workload(
-            kind, topology, placement=placement, seed=seed, scale=1.0
-        )
-
-    # build_workload reads spec defaults; patch in the bench spec by kind.
     def build_with_spec() -> Workload:
         from repro.workloads.bigdata import bigdata_workload
         from repro.workloads.facebook import facebook_workload

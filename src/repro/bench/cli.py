@@ -4,14 +4,13 @@
 
     repro bench --suite smoke --out BENCH_smoke.json
     repro bench --suite smoke --compare BENCH_smoke.json
-    repro bench --suite full --out BENCH_2.json --compare BENCH_1.json
+    repro bench --suite full --out BENCH_new.json --compare BENCH_5.json
     repro bench --list
     repro bench --suite smoke --profile --profile-out bench.collapsed
 
-``--compare`` runs the suite, diffs it against the baseline report, and
-exits nonzero on any regression (see :mod:`repro.bench.compare` for the
-tolerance bands); ``--ignore-wall`` confines the gate to deterministic
-simulation-clock metrics for cross-machine comparisons.
+``--compare`` runs the suite, diffs its simulation-clock metrics against
+the baseline report, and exits nonzero on any regression (see
+:mod:`repro.bench.compare`); wall readings are recorded, never gated.
 """
 
 from __future__ import annotations
@@ -58,14 +57,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sim-tol", type=float, default=1e-9,
         help="relative tolerance for sim-clock metrics (default: 1e-9)",
-    )
-    parser.add_argument(
-        "--wall-tol", type=float, default=0.5,
-        help="relative tolerance for wall-clock metrics (default: 0.5)",
-    )
-    parser.add_argument(
-        "--ignore-wall", action="store_true",
-        help="gate only sim-clock metrics (cross-machine compares)",
     )
     parser.add_argument(
         "--list", action="store_true", dest="list_cases",
@@ -135,13 +126,7 @@ def run_bench(args: argparse.Namespace) -> int:
         from repro.bench.compare import compare_reports
 
         baseline = load_report(args.compare)
-        comparison = compare_reports(
-            baseline,
-            report,
-            sim_rel_tol=args.sim_tol,
-            wall_rel_tol=args.wall_tol,
-            ignore_wall=args.ignore_wall,
-        )
+        comparison = compare_reports(baseline, report, sim_rel_tol=args.sim_tol)
         print()
         print(comparison.render())
         if not comparison.ok:

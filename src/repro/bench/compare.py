@@ -1,17 +1,12 @@
 """The perf-regression engine: diff two ``BENCH_<n>.json`` reports.
 
-Every metric is lower-is-better by convention.  Tolerance bands are
-per-clock:
-
-* **sim** metrics come off the simulated clock and are deterministic for
-  a pinned seed — the default band is 1e-9 relative (bit-identical up to
-  float printing), so *any* real change in QCT / bytes shuffled trips
-  the gate;
-* **wall** metrics (and the harness's own ``duration_seconds`` median)
-  are host timings — the default band is +50%, and regressions under an
-  absolute floor (default 50 ms) are ignored as scheduler noise.
-  ``ignore_wall=True`` drops the wall gate entirely for cross-machine
-  comparisons (CI runners vs the machine that produced the baseline).
+Every metric is lower-is-better by convention.  Only the ``sim`` group
+is compared: it comes off the simulated clock and is deterministic for a
+pinned seed — the default band is 1e-9 relative (bit-identical up to
+float printing), so *any* real change in QCT / bytes shuffled trips the
+gate.  A report's ``wall`` group and ``duration_seconds`` are host
+timings recorded at ``repeat=1``: they stay in the file as information
+and are never gated (``perfbench/`` is the wall-clock benchmark).
 
 A case present in the baseline (and tagged with the compared suite) but
 missing from the candidate is a gate failure too: silently dropping a
@@ -21,7 +16,7 @@ benchmark must not read as "no regressions".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from repro.bench.schema import check_same_schema
 from repro.util.tabulate import format_table
@@ -35,7 +30,6 @@ class MetricDelta:
     """One metric's baseline→candidate movement."""
 
     case: str
-    clock: str  # "sim" | "wall"
     metric: str
     baseline: float
     candidate: float
@@ -90,7 +84,7 @@ class CompareReport:
                 [
                     delta.status.upper(),
                     delta.case,
-                    f"{delta.clock}.{delta.metric}",
+                    f"sim.{delta.metric}",
                     f"{delta.baseline:.6g}",
                     f"{delta.candidate:.6g}",
                     f"{delta.delta_pct:+.2f}%",
@@ -121,11 +115,7 @@ class CompareReport:
         return "\n".join(lines)
 
 
-def _classify(
-    baseline: float, candidate: float, rel_tol: float, abs_floor: float
-) -> str:
-    if abs(candidate - baseline) <= abs_floor:
-        return "ok"
+def _classify(baseline: float, candidate: float, rel_tol: float) -> str:
     bound = abs(baseline) * rel_tol
     if candidate > baseline + bound:
         return "regressed"
@@ -134,30 +124,12 @@ def _classify(
     return "ok"
 
 
-def _case_metrics(entry: Dict[str, Any]) -> List[Tuple[str, str, float]]:
-    """Flatten one case entry to (clock, metric, value) triples."""
-    triples: List[Tuple[str, str, float]] = []
-    for metric, value in sorted(entry.get("sim", {}).items()):
-        triples.append(("sim", metric, float(value)))
-    for metric, value in sorted(entry.get("wall", {}).items()):
-        triples.append(("wall", metric, float(value)))
-    duration = entry.get("duration_seconds", {})
-    if "median" in duration:
-        triples.append(
-            ("wall", "duration_seconds.median", float(duration["median"]))
-        )
-    return triples
-
-
 def compare_reports(
     baseline: Dict[str, Any],
     candidate: Dict[str, Any],
     sim_rel_tol: float = 1e-9,
-    wall_rel_tol: float = 0.5,
-    wall_abs_floor: float = 0.05,
-    ignore_wall: bool = False,
 ) -> CompareReport:
-    """Diff two loaded reports; see the module docstring for the bands.
+    """Diff the ``sim`` groups of two loaded reports.
 
     The comparison domain is every baseline case tagged with the
     candidate's suite (all baseline cases when the baseline itself was a
@@ -186,36 +158,23 @@ def compare_reports(
         if name not in cand_cases:
             report.missing_cases.append(name)
             continue
-        cand_entry = cand_cases[name]
-        cand_lookup = {
-            (clock, metric): value
-            for clock, metric, value in _case_metrics(cand_entry)
-        }
-        for clock, metric, base_value in _case_metrics(base_cases[name]):
-            if (clock, metric) not in cand_lookup:
+        cand_sim = dict(cand_cases[name].get("sim", {}))
+        for metric, value in sorted(base_cases[name].get("sim", {}).items()):
+            base_value = float(value)
+            if metric not in cand_sim:
                 report.deltas.append(
-                    MetricDelta(name, clock, metric, base_value,
-                                float("nan"), "missing")
+                    MetricDelta(name, metric, base_value, float("nan"), "missing")
                 )
-                report.missing_cases.append(f"{name}:{clock}.{metric}")
+                report.missing_cases.append(f"{name}:sim.{metric}")
                 continue
-            cand_value = cand_lookup.pop((clock, metric))
-            if clock == "wall":
-                if ignore_wall:
-                    status = "ok"
-                else:
-                    status = _classify(
-                        base_value, cand_value, wall_rel_tol, wall_abs_floor
-                    )
-            else:
-                status = _classify(base_value, cand_value, sim_rel_tol, 0.0)
+            cand_value = float(cand_sim.pop(metric))
+            status = _classify(base_value, cand_value, sim_rel_tol)
             report.deltas.append(
-                MetricDelta(name, clock, metric, base_value, cand_value,
-                            status)
+                MetricDelta(name, metric, base_value, cand_value, status)
             )
-        for (clock, metric), value in sorted(cand_lookup.items()):
+        for metric, value in sorted(cand_sim.items()):
             report.deltas.append(
-                MetricDelta(name, clock, metric, float("nan"), value, "new")
+                MetricDelta(name, metric, float("nan"), float(value), "new")
             )
     report.new_cases.extend(
         name for name in sorted(cand_cases) if name not in base_cases

@@ -41,17 +41,18 @@ backoff, degraded replanning, partial results)::
 smoke|figures|tables|ablations`` subset), runs every registered case
 with a pinned seed, and writes a versioned ``BENCH_<n>.json``;
 ``--compare BASELINE.json`` re-runs the suite and gates on per-metric
-tolerance bands (tight for sim-time, loose for wall time).  ``--profile``
-(on ``run``, ``compare`` and ``bench``) enables the two-clock profiler:
-a QCT breakdown attributing each query's completion time across stages,
-plus cProfile wall-clock hotspots with a collapsed-stack export
-(``--profile-out``, flamegraph-renderable); ``inspect --breakdown``
-prints the same QCT attribution for a saved trace::
+tolerance bands on the simulated metrics (wall readings stay in the
+file, ungated).  ``--profile`` (on ``run``, ``compare`` and ``bench``)
+enables the two-clock profiler: the critical-path components of every
+query's completion time (:mod:`repro.obs.critpath`), plus cProfile
+wall-clock hotspots with a collapsed-stack export (``--profile-out``,
+flamegraph-renderable); ``inspect --breakdown`` prints the same
+component table for a saved ``--telemetry`` archive::
 
     python -m repro bench --suite smoke --out BENCH_smoke.json
     python -m repro bench --suite smoke --compare BENCH_smoke.json
     python -m repro run --scheme bohr --profile
-    python -m repro inspect trace.jsonl --breakdown
+    python -m repro inspect tele.jsonl --breakdown
 
 ``--telemetry FILE`` (on ``run`` and ``compare``) records the streaming
 runtime event bus — flow/link/stage/fault/plan events on the simulated
@@ -75,6 +76,7 @@ from typing import List, Optional, Sequence
 from repro.chaos.profiles import CHAOS_PROFILES
 from repro.core.report import render_qct_table, render_reduction_table
 from repro.core.runner import ExperimentResult, run_experiment
+from repro.obs.critpath import analyze_critical_paths, render_components
 from repro.systems.base import SystemConfig
 from repro.systems.registry import SCHEME_NAMES
 from repro.util.units import format_bytes, format_seconds
@@ -174,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "violation")
         _add_chaos_arguments(cmd, describe=True)
         cmd.add_argument("--profile", action="store_true",
-                         help="two-clock profiler: print the QCT stage "
-                         "breakdown and collect wall-clock hotspots with "
-                         "a collapsed-stack export")
+                         help="two-clock profiler: print the QCT "
+                         "critical-path components and collect wall-clock "
+                         "hotspots with a collapsed-stack export")
         cmd.add_argument("--profile-out", metavar="FILE",
                          default="profile.collapsed",
                          help="collapsed-stack file for --profile "
@@ -191,8 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
                              help="also convert the trace to Chrome "
                              "trace-event format")
     inspect_cmd.add_argument("--breakdown", action="store_true",
-                             help="print the per-stage QCT attribution "
-                             "table (percentages sum to 100)")
+                             help="print the critical-path components of "
+                             "QCT (queue, slot, map, WAN serial/contention, "
+                             "reduce, cache); needs a --telemetry archive: "
+                             "--trace spans carry no link-sample segments to "
+                             "split serial from contention")
 
     report_cmd = commands.add_parser(
         "report",
@@ -564,7 +569,7 @@ def _analyze_serve(args: argparse.Namespace, report, bus):
     ``--telemetry`` files, ``repro report`` panels and ``repro top``
     all see the same stream.
     """
-    from repro.obs.critpath import analyze_critical_paths, emit_blame
+    from repro.obs.critpath import emit_blame
     from repro.obs.slo import SloTracker, parse_slo_targets
 
     crit = analyze_critical_paths(bus.events)
@@ -655,10 +660,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         spans = load_jsonl(args.trace)
         print(render_inspection(spans, source=args.trace))
         if args.breakdown:
-            from repro.obs.profile import qct_breakdown, render_breakdown
+            from repro.errors import ObservabilityError
+            from repro.obs.telemetry import load_jsonl as load_telemetry
 
+            try:
+                _header, events = load_telemetry(args.trace)
+            except ObservabilityError as error:
+                print(f"\n--breakdown needs a --telemetry archive ({error})")
+                return 2
             print()
-            print(render_breakdown(qct_breakdown(spans)))
+            print(render_components(analyze_critical_paths(events)))
         if args.chrome:
             export_chrome(spans, args.chrome)
             print(f"\nChrome trace written to {args.chrome}")
@@ -715,6 +726,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 results = [_experiment(scheme, args) for scheme in schemes]
         else:
             results = [_experiment(scheme, args) for scheme in schemes]
+        events = obs.telemetry.events
+        if args.profile or args.sanitize:
+            # Inside the slot, so --sanitize checks critpath-conservation.
+            crit = analyze_critical_paths(events)
 
     for result in results:
         _print_result(result)
@@ -729,13 +744,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         save_results(results, args.json)
         print(f"\nresults written to {args.json}")
-    events = obs.telemetry.events
     if profiler is not None:
-        from repro.obs.profile import qct_breakdown, render_breakdown
-        from repro.obs.views import spans_from_events
-
         print()
-        print(render_breakdown(qct_breakdown(spans_from_events(events))))
+        print(render_components(crit))
         print()
         print(profiler.render_hotspots(limit=15))
         stack_lines = profiler.write_collapsed(args.profile_out)

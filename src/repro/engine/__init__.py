@@ -23,7 +23,6 @@ from repro.engine.join import JoinResult, JoinSpec, run_join
 from repro.engine.rdd import RDDPartition, make_partitions
 from repro.engine.shuffle import ReduceTaskMap, key_to_task
 from repro.engine.spec import MapReduceSpec
-from repro.engine.timeline import Timeline, TimelineEvent
 
 __all__ = [
     "AssignmentResult",
@@ -39,8 +38,6 @@ __all__ = [
     "RDDPartition",
     "ReduceTaskMap",
     "SiteMetrics",
-    "Timeline",
-    "TimelineEvent",
     "assign_partitions",
     "combine",
     "execute_dag",

@@ -7,13 +7,9 @@ records it came from (the map projects/transforms the record), and
 merging k same-key records keeps one representative-size record — the
 word-count semantics of Figure 1.
 
-Two implementations share one contract: :func:`combine_scalar` is the
-per-record loop and :func:`combine` switches to a columnar path (NumPy
-grouped aggregation) from ``_COLUMNAR_MIN_RECORDS`` records up.  Their
-outputs are bit-identical — same record-dict insertion order, same float
-accumulation order (``map_output_bytes`` is a strict left fold, which
-``np.cumsum`` reproduces exactly), same per-key counts and max
-representative sizes — and the parity suite holds them to that.
+:func:`combine` is a per-record loop: no call of any benchmark workload
+or bench suite carries more than 123 records, below where a NumPy
+grouped aggregation starts to pay (DESIGN.md "Measured crossovers").
 """
 
 from __future__ import annotations
@@ -21,16 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Sequence
 
-import numpy as np
-
 from repro.errors import EngineError
 from repro.types import Key, Record, project_keys
-
-#: Measured crossover (``tools/crossover.py``, table in DESIGN.md): the
-#: scalar loop wins 1.3-4x up to 64 records, ties at 128, and the NumPy
-#: path wins 5-25% from 256 up when keys repeat (never when all are
-#: distinct).  Serving-scale calls (8-72 records) all take the loop.
-_COLUMNAR_MIN_RECORDS = 256
 
 
 @dataclass
@@ -91,16 +79,17 @@ class CombinedOutput:
         self.map_output_records += other.map_output_records
 
 
-def combine_scalar(
+def combine(
     records: Iterable[Record],
     key_indices: Sequence[int],
     reduction_ratio: float,
 ) -> CombinedOutput:
-    """Per-record implementation of :func:`combine`.
+    """Run map + combine over one executor's records.
 
-    What :func:`combine` runs below the columnar crossover, and the
-    parity suite's reference: its semantics are the contract the
-    columnar path must reproduce bit-for-bit.
+    Each input record maps to one intermediate record of size
+    ``record.size_bytes * reduction_ratio``; same-key intermediates
+    merge, in first-appearance order.  ``map_output_bytes`` is a strict
+    left fold over the records.
     """
     if not 0.0 < reduction_ratio <= 1.0:
         raise EngineError(f"reduction_ratio must be in (0, 1], got {reduction_ratio}")
@@ -119,76 +108,4 @@ def combine_scalar(
         else:
             existing.merged_count += 1
             existing.size_bytes = max(existing.size_bytes, intermediate_bytes)
-    return output
-
-
-def combine(
-    records: Iterable[Record],
-    key_indices: Sequence[int],
-    reduction_ratio: float,
-) -> CombinedOutput:
-    """Run map + combine over one executor's records.
-
-    Each input record maps to one intermediate record of size
-    ``record.size_bytes * reduction_ratio``; same-key intermediates merge.
-    Small inputs take :func:`combine_scalar`; from the crossover up
-    aggregation is hash-bucketed and vectorized: one pass assigns every
-    distinct key a dense group id in first-appearance order, then NumPy
-    grouped reductions produce merged counts (``np.bincount``) and max
-    representative sizes (stable sort + ``np.maximum.reduceat``).  The
-    record dict is built in first-appearance order and every float
-    matches the scalar fold exactly (sizes are elementwise products; the
-    total is a sequential ``np.cumsum`` left fold).
-    """
-    if not 0.0 < reduction_ratio <= 1.0:
-        raise EngineError(f"reduction_ratio must be in (0, 1], got {reduction_ratio}")
-    if not isinstance(records, list):
-        records = list(records)
-    count = len(records)
-    if count < _COLUMNAR_MIN_RECORDS:
-        return combine_scalar(records, key_indices, reduction_ratio)
-
-    sizes = np.fromiter(
-        (record.size_bytes for record in records), dtype=np.float64, count=count
-    )
-    intermediate = sizes * reduction_ratio
-
-    # Dense group ids in first-appearance order: the dict doubles as the
-    # key table, so the output records dict preserves the scalar path's
-    # insertion order for free.
-    group_of: Dict[Key, int] = {}
-    new_group = group_of.setdefault
-    keys = project_keys(records, key_indices)
-    group_ids = np.fromiter(
-        (new_group(key, len(group_of)) for key in keys),
-        dtype=np.intp,
-        count=count,
-    )
-    num_groups = len(group_of)
-
-    merged_counts = np.bincount(group_ids, minlength=num_groups)
-    if num_groups == count:
-        # All keys distinct: no grouping needed, sizes pass through.
-        max_sizes = intermediate
-    else:
-        order = np.argsort(group_ids, kind="stable")
-        sorted_ids = group_ids[order]
-        boundaries = np.empty(num_groups, dtype=np.intp)
-        boundaries[0] = 0
-        boundaries[1:] = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
-        max_sizes = np.maximum.reduceat(intermediate[order], boundaries)
-
-    output = CombinedOutput()
-    output.map_output_records = count
-    # np.cumsum is a strict sequential left fold, so this equals the
-    # scalar loop's `total += x` accumulation bit-for-bit.
-    output.map_output_bytes = float(np.cumsum(intermediate)[-1])
-    counts_list = merged_counts.tolist()
-    sizes_list = max_sizes.tolist()
-    output.records = {
-        key: CombinedRecord(
-            key=key, merged_count=counts_list[group], size_bytes=sizes_list[group]
-        )
-        for key, group in group_of.items()
-    }
     return output

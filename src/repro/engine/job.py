@@ -1,6 +1,6 @@
 """End-to-end map-reduce job execution over geo-distributed shards.
 
-Timeline per job (matching §2.1's stage structure):
+Order of events per job (matching §2.1's stage structure):
 
 1. every site chunks its shard into RDD partitions, deals them to
    machines, assigns partitions to executors (round-robin or
@@ -105,10 +105,6 @@ class JobResult:
     @property
     def failed_transfers(self) -> List[TransferResult]:
         return [result for result in self.transfers if result.failed]
-
-    def intermediate_bytes_at(self, site: str) -> float:
-        metrics = self.per_site.get(site)
-        return metrics.intermediate_bytes if metrics else 0.0
 
 
 @dataclass

@@ -65,10 +65,6 @@ class FaultError(ReproError):
     """Raised for malformed fault schedules or unknown chaos profiles."""
 
 
-class TransferAbandoned(ReproError):
-    """Raised when a transfer exhausts its retry budget under chaos."""
-
-
 class BenchError(ReproError):
     """Raised by the benchmark harness (bad cases, malformed reports)."""
 

@@ -14,7 +14,7 @@ every rule on that line.
 from __future__ import annotations
 
 import re
-from typing import Dict, FrozenSet, List
+from typing import Dict, FrozenSet
 
 _PRAGMA_RE = re.compile(r"#\s*lint:\s*allow\[([A-Za-z0-9*,\s]+)\]")
 
@@ -43,12 +43,3 @@ def is_suppressed(
     if not allowed:
         return False
     return rule_id.upper() in allowed or "*" in allowed
-
-
-def suppressed_lines(pragmas: Dict[int, FrozenSet[str]], rule_id: str) -> List[int]:
-    """Lines carrying a pragma for ``rule_id`` (used by reporters/tests)."""
-    return sorted(
-        line
-        for line, rules in pragmas.items()
-        if rule_id.upper() in rules or "*" in rules
-    )

@@ -1,10 +1,11 @@
-"""Per-query critical-path reconstruction over serve telemetry archives.
+"""Per-query critical-path reconstruction over telemetry archives.
 
 Under the multi-tenant serve loop a query's QCT is no longer "map +
 shuffle + reduce": it queues behind WFQ admission, waits for executor
 slots, and shares every WAN link with co-running tenants.  This module
-replays a (v2/v3) telemetry event stream *after* the run and rebuilds,
-for every served query, the exact chain of waits that produced its QCT:
+replays a telemetry event stream *after* the run and rebuilds, for every
+served query and every batch query span (a serve session of one: no
+queue, no slot wait), the exact chain of waits that produced its QCT:
 
 ``queue wait -> slot wait -> map/combine compute -> WAN shuffle ->
 reduce``
@@ -39,10 +40,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import instrument
 from repro.obs.telemetry import TelemetryEvent
+from repro.util.tabulate import format_table
 
 #: Absolute slack when matching event timestamps (mirrors the
 #: sanitizer's sim-clock tolerance).
 _TOL = 1e-9
+
+#: The tag ``MapReduceEngine.run`` gives the one job of a batch query
+#: (a served query's job is tagged ``q<index>``).
+_BATCH_JOB = "job-0"
 
 #: Path components in critical-path order; also the digest column order.
 COMPONENTS = (
@@ -198,6 +204,26 @@ class _Flow:
     wan: bool = True
 
 
+def _query_span(stream) -> Tuple[List[TelemetryEvent], Optional[float]]:
+    """Consume the batch query span just opened on ``stream``.
+
+    Returns the events inside it and its QCT: the ``query-finish``
+    inside it, overridden by a ``qct`` on its ``span-end`` — what
+    ``views._replay`` reads.
+    """
+    held: List[TelemetryEvent] = []
+    qct, depth = None, 1
+    for event in stream:
+        kind = event.kind
+        depth += (kind == "span-begin") - (kind == "span-end")
+        if not depth:
+            return held, event.attrs.get("qct", qct)
+        if kind == "query-finish":
+            qct = event.attrs["qct"]
+        held.append(event)
+    return held, None  # the span never closed: no QCT to decompose
+
+
 class _EventIndex:
     """Single-pass index of everything the analyzer needs."""
 
@@ -214,8 +240,13 @@ class _EventIndex:
         self.flows_by_tag: Dict[str, List[_Flow]] = {}
         # (direction, site) -> sorted [(t0, t1, capacity_bps), ...]
         self.link_segments: Dict[Tuple[str, str], List[Tuple[float, float, float]]] = {}
+        # One (span-begin attrs, events, qct) per batch query span.  Its
+        # events stay out of this index: every batch query restarts the
+        # sim clock at 0 and reuses the job tag.
+        self.batch: List[Tuple[Dict, List[TelemetryEvent], Optional[float]]] = []
         open_flows: Dict[Tuple[str, str, str], List[_Flow]] = {}
-        for event in events:
+        stream = iter(events)
+        for event in stream:
             kind, attrs, t = event.kind, event.attrs, event.t
             if kind == "serve-queue":
                 self.arrival[int(attrs["query"])] = float(t)
@@ -271,6 +302,8 @@ class _EventIndex:
                 self.link_segments.setdefault(
                     (str(attrs["direction"]), str(attrs["site"])), []
                 ).append((t0, t1, float(attrs.get("capacity_bps", 0.0))))
+            elif kind == "span-begin" and attrs.get("stage") == "query":
+                self.batch.append((attrs, *_query_span(stream)))
         for segments in self.link_segments.values():
             segments.sort()
 
@@ -350,11 +383,14 @@ def _overlap(a0: float, a1: float, b0: float, b1: float) -> float:
 
 
 def analyze_critical_paths(events: Sequence[TelemetryEvent]) -> CritPathReport:
-    """Rebuild every served query's critical path from one event stream.
+    """Rebuild every query's critical path from one event stream.
 
-    Conservation (components sum to the serve-finish ``qct`` within
-    1e-9) is verified through the armed sanitizer's
-    ``check_critical_path`` invariant for every query.
+    Served queries come first, by index; batch queries (``stage="query"``
+    spans) follow in stream order, indexed by ordinal, each decomposed
+    over its own slice of the stream with arrival = admit = start = 0.
+    Conservation (components sum to the reported ``qct`` within 1e-9) is
+    verified through the armed sanitizer's ``check_critical_path``
+    invariant for every query.
     """
     index = _EventIndex(events)
     report = CritPathReport()
@@ -384,7 +420,9 @@ def analyze_critical_paths(events: Sequence[TelemetryEvent]) -> CritPathReport:
                 cached_seconds=qct,
             )
         else:
-            path = _executed_path(index, query, finish, qct, tenant, dataset)
+            path = _executed_path(
+                index, query, f"q{query}", finish, qct, tenant, dataset
+            )
         if sanitizer.enabled:
             sanitizer.check_critical_path(path)
         report.paths.append(path)
@@ -394,18 +432,54 @@ def analyze_critical_paths(events: Sequence[TelemetryEvent]) -> CritPathReport:
             victim = report.blame.setdefault(tenant, {})
             for culprit, seconds in culprits.items():
                 victim[culprit] = victim.get(culprit, 0.0) + seconds
+    for ordinal, (begin, held, qct) in enumerate(index.batch):
+        if qct is None:
+            continue
+        own = _EventIndex(held)
+        own.admit[ordinal] = 0.0  # the span opens at sim time 0, admitted
+        path = _executed_path(
+            own, ordinal, _BATCH_JOB, float(qct), float(qct),
+            str(begin.get("scheme", "")), str(begin.get("dataset", "")),
+        )
+        if sanitizer.enabled:
+            sanitizer.check_critical_path(path)
+        report.paths.append(path)  # one tenant: nobody to blame
     return report
+
+
+def render_components(report: CritPathReport) -> str:
+    """The QCT attribution table of ``inspect --breakdown`` / ``--profile``."""
+    if not report.paths:
+        return "no finished queries in the stream — nothing to attribute"
+    total = math.fsum(path.qct for path in report.paths)
+    totals = report.component_totals()
+    rows = [
+        [
+            name.replace("_seconds", "").replace("_", " "),
+            f"{totals[name]:.4f}",
+            f"{100.0 * totals[name] / total:.2f}" if total > 0 else "-",
+        ]
+        for name in COMPONENTS
+    ]
+    bounds = [path.bound for path in report.paths]
+    title = (
+        f"critical path: {len(bounds)} queries, total QCT {total:.4f}s "
+        f"({bounds.count('wan')} wan-bound, {bounds.count('compute')} "
+        f"compute-bound, {bounds.count('cache')} cache-served)"
+    )
+    table = format_table(rows, headers=("component", "sim s", "% QCT"), title=title)
+    return f"{table}\nconservation: max residual {report.max_residual():.3e} s"
 
 
 def _executed_path(
     index: _EventIndex,
     query: int,
+    job: str,
     finish: float,
     qct: float,
     tenant: str,
     dataset: str,
 ) -> QueryPath:
-    job = f"q{query}"
     admit = index.admit.get(query, finish)
     arrival = index.arrival.get(query, admit - index.queue_seconds.get(query, 0.0))
     start = index.start.get(query, admit)

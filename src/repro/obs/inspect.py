@@ -1,12 +1,14 @@
 """Stage-level latency breakdown of a saved trace.
 
 ``python -m repro inspect TRACE.jsonl`` loads the spans written by
-``--trace`` and answers the first question anyone asks of a QCT: *where
-did the time go?*  The report has three parts:
+``--trace`` and tabulates them per stage.  (Which share of a QCT each
+stage *caused* is the critical-path analyzer's question —
+``inspect --breakdown``, :mod:`repro.obs.critpath` — not this table's.)
+The report has three parts:
 
 * a per-stage table (probe, lp, map, shuffle, reduce, ...) with span
-  counts, total wall/simulated seconds and each stage's share of the
-  total simulated QCT;
+  counts and total wall/simulated seconds — ``wall s`` is where the
+  offline stages (cube, probe, placement, movement) show their cost;
 * per-query coverage — the fraction of each query's reported QCT that
   is covered by the union of its descendants' simulated intervals (the
   acceptance bar is ≥ 95%: if spans cover less, a phase is untraced);
@@ -74,39 +76,11 @@ def overall_coverage(spans: Sequence[Span]) -> float:
     return sum(row["covered"] for row in rows) / total_qct
 
 
-def _stage_active_seconds(spans: Sequence[Span]) -> Dict[str, float]:
-    """Per stage, the summed union length of its simulated intervals
-    inside each query's [0, qct] window — "how long was this stage
-    active", immune to overlap inflation from concurrent spans."""
-    index = children_index(spans)
-    active: Dict[str, float] = {}
-    for query in spans:
-        if query.stage != "query":
-            continue
-        qct = float(query.attrs.get("qct", query.sim_duration or 0.0))
-        if qct <= 0:
-            continue
-        intervals: Dict[str, List[Tuple[float, float]]] = {}
-        for span in [query] + descendants(query, index):
-            if span.is_simulated:
-                intervals.setdefault(span.stage, []).append(
-                    (span.sim_start, span.sim_end)
-                )
-        for stage, stage_intervals in intervals.items():
-            active[stage] = active.get(stage, 0.0) + _union_length(
-                stage_intervals, qct
-            )
-    return active
-
-
 def stage_breakdown(spans: Sequence[Span]) -> List[List[object]]:
-    """Rows: stage, span count, wall seconds, simulated seconds, % QCT.
+    """Rows: stage, span count, wall seconds, simulated seconds, max.
 
     Wall/sim totals skip spans whose parent carries the same stage, so a
-    wrapper span and its same-stage children are not double counted; the
-    ``% QCT`` column is the stage's *active* share of the total QCT (the
-    union of its intervals per query), so hundreds of concurrent shuffle
-    spans cannot push it past 100.
+    wrapper span and its same-stage children are not double counted.
     """
     stage_of: Dict[int, str] = {
         span.span_id: (span.stage or span.name) for span in spans
@@ -114,8 +88,6 @@ def stage_breakdown(spans: Sequence[Span]) -> List[List[object]]:
     by_stage: Dict[str, List[Span]] = {}
     for span in spans:
         by_stage.setdefault(span.stage or span.name, []).append(span)
-    total_qct = sum(row["qct"] for row in query_coverage(spans))
-    active = _stage_active_seconds(spans)
     rows: List[List[object]] = []
     for stage in sorted(by_stage):
         members = by_stage[stage]
@@ -127,9 +99,6 @@ def stage_breakdown(spans: Sequence[Span]) -> List[List[object]]:
         wall = sum(span.wall_duration for span in top_level)
         sim = sum(span.sim_duration for span in top_level)
         durations = [span.duration for span in members]
-        share = (
-            100.0 * active.get(stage, 0.0) / total_qct if total_qct > 0 else 0.0
-        )
         rows.append(
             [
                 stage,
@@ -137,7 +106,6 @@ def stage_breakdown(spans: Sequence[Span]) -> List[List[object]]:
                 f"{wall:.4f}",
                 f"{sim:.4f}",
                 f"{max(durations):.4f}" if durations else "0",
-                f"{share:.1f}" if active.get(stage, 0.0) > 0 else "-",
             ]
         )
     rows.sort(key=lambda row: -float(row[3]))
@@ -160,7 +128,7 @@ def render_inspection(spans: Sequence[Span], source: str = "trace") -> str:
     lines.append(
         format_table(
             stage_breakdown(spans),
-            headers=("stage", "spans", "wall s", "sim s", "max s", "% QCT"),
+            headers=("stage", "spans", "wall s", "sim s", "max s"),
             title=f"per-stage latency breakdown ({len(spans)} spans)",
         )
     )

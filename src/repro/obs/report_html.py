@@ -9,10 +9,11 @@ does, including artifact viewers.  Panels:
 * per-site stage Gantt (map/reduce lanes, fault windows shaded);
 * estimator-error curve (signed relative error per direction);
 * cumulative delivered vs. abandoned WAN bytes;
-* serve archives add three more: per-query critical-path stacked bars
-  (queue/slot/map/WAN serial/WAN contention/reduce, from
-  :mod:`repro.obs.critpath`), the tenant x tenant contention blame
-  heatmap, and the per-tenant SLO burn-rate timeline (``slo-window``
+* per-query critical-path stacked bars (queue/slot/map/WAN serial/WAN
+  contention/reduce, from :mod:`repro.obs.critpath`), for batch and
+  serve archives alike;
+* serve archives add two more: the tenant x tenant contention blame
+  heatmap and the per-tenant SLO burn-rate timeline (``slo-window``
   events).
 
 Visual conventions follow the repo-wide chart method: categorical hues in
@@ -28,6 +29,7 @@ from __future__ import annotations
 import html
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.critpath import analyze_critical_paths
 from repro.obs.series import (
     TimeSeries,
     cumulative_bytes,
@@ -548,11 +550,8 @@ _CRIT_MAX_ROWS = 40
 
 
 def _critpath_panel(crit) -> str:
-    if crit is None or not crit.paths:
-        return (
-            "<p class='empty'>No serve-finish events (critical paths are "
-            "derived from serve archives).</p>"
-        )
+    if not crit.paths:
+        return "<p class='empty'>No finished queries in the stream.</p>"
     ranked = sorted(crit.paths, key=lambda path: (-path.qct, path.index))
     shown = ranked[:_CRIT_MAX_ROWS]
     longest = max(path.qct for path in shown) or 1.0
@@ -616,7 +615,7 @@ def _critpath_panel(crit) -> str:
 
 
 def _blame_panel(crit) -> str:
-    if crit is None or not crit.blame:
+    if not crit.blame:
         return (
             "<p class='empty'>No contention to attribute (no slot waits or "
             "contended WAN segments).</p>"
@@ -845,11 +844,7 @@ def render_report(
         f"{_fmt_seconds(sim_horizon(events))}"
         + (f" · {source}" if source else "")
     )
-    crit = None
-    if any(event.kind == "serve-finish" for event in events):
-        from repro.obs.critpath import analyze_critical_paths
-
-        crit = analyze_critical_paths(events)
+    crit = analyze_critical_paths(events)
     sections = [
         ("", _stat_tiles(events)),
         ("Per-link utilization", _heatmap_panel(events)),

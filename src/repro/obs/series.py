@@ -92,13 +92,6 @@ class TimeSeries:
             return 0.0
         return max(value for _, _, value in self.segments)
 
-    def value_at(self, now: float) -> float:
-        """Value of the segment covering ``now`` (0.0 in gaps)."""
-        for start, dt, value in self.segments:
-            if start - 1e-12 <= now < start + dt + 1e-12:
-                return value
-        return 0.0
-
     def bucketed(self, buckets: int, end: Optional[float] = None) -> List[float]:
         """Time-weighted mean per equal-width bucket over [0, end]."""
         if buckets < 1:

@@ -69,10 +69,6 @@ class Dimension:
         if not self.name:
             raise CubeError("dimension name must be non-empty")
 
-    @property
-    def is_hierarchical(self) -> bool:
-        return self.hierarchy is not None
-
 
 def date_hierarchy() -> Hierarchy:
     """A ready-made day → month → year hierarchy for ``YYYY-MM-DD`` strings."""

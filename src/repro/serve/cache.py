@@ -40,14 +40,6 @@ class CacheStats:
     evictions: int = 0
     invalidations: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 class CubeCache:
     """Bounded LRU over canonical query keys."""

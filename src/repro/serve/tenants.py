@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, Optional, Sequence, Tuple
 
 from repro.errors import ServeError
 
@@ -118,10 +118,3 @@ class TenantScheduler:
         tenant.inflight -= 1
         tenant.completed += 1
         self.inflight -= 1
-
-    def weighted_shares(self) -> List[Tuple[str, float]]:
-        """Per-tenant completed work normalized by weight (fairness input)."""
-        return [
-            (tenant.name, tenant.completed / tenant.weight)
-            for tenant in self.tenants.values()
-        ]

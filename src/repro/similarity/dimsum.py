@@ -17,18 +17,18 @@ Large γ ⇒ inspect (almost) every pair ⇒ accurate but slow; small γ ⇒ ski
 most pairs ⇒ fast but approximate.
 
 The hot path (:func:`dimsum_similarity_matrix`) is vectorized under an
-RNG consumption-order contract: the scalar reference draws one uniform
-per pair in upper-triangle ``(i, j)`` order, and the columnar path draws
-the whole vector at once with ``rng.random(num_pairs)`` over
-``np.triu_indices`` — the identical stream in the identical order, so
-the same seed skips the same pairs bit-for-bit.  Empty partitions share
-no keys with anything, including each other: any pair with an empty side
-reports 0.0 similarity in both paths.
+RNG consumption-order contract: the per-pair reference (the test tree's
+``tests/similarity/reference_dimsum.py``) draws one uniform per pair in
+upper-triangle ``(i, j)`` order, and the columnar path draws the whole
+vector at once with ``rng.random(num_pairs)`` over ``np.triu_indices``
+— the identical stream in the identical order, so the same seed skips
+the same pairs bit-for-bit.  Empty partitions share no keys with
+anything, including each other: any pair with an empty side reports 0.0
+similarity.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Set, Tuple
 
@@ -73,50 +73,6 @@ class DimsumStats:
         return self.pairs_skipped / self.pairs_total
 
 
-def dimsum_similarity_matrix_scalar(
-    partitions: Sequence[Set],
-    config: DimsumConfig = DimsumConfig(),
-) -> Tuple[np.ndarray, DimsumStats]:
-    """Per-pair reference implementation of :func:`dimsum_similarity_matrix`.
-
-    Retained for the scalar/columnar parity suite; draws one uniform per
-    pair in upper-triangle order — the consumption-order contract the
-    vectorized path reproduces.
-    """
-    n = len(partitions)
-    matrix = np.eye(n, dtype=float)
-    stats = DimsumStats()
-    if n < 2:
-        return matrix, stats
-
-    hasher = MinHasher(num_hashes=config.num_hashes, seed=config.seed)
-    signatures = hasher.signatures_scalar(partitions)
-    sizes = [max(len(partition), 1) for partition in partitions]
-    rng = derive_rng(config.seed, "dimsum-sampling")
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            stats.pairs_total += 1
-            # DIMSUM sampling rule: examine with prob min(1, γ/sqrt(ni·nj)).
-            probability = min(1.0, config.gamma / math.sqrt(sizes[i] * sizes[j]))
-            if rng.random() > probability:
-                stats.pairs_skipped += 1
-                continue
-            stats.pairs_examined += 1
-            if not partitions[i] or not partitions[j]:
-                # Empty partitions share no keys with anything — including
-                # each other (set-based jaccard would report ∅ vs ∅ as 1.0).
-                continue
-            small = min(len(partitions[i]), len(partitions[j]))
-            if small < config.exact_below:
-                similarity = jaccard(partitions[i], partitions[j])
-            else:
-                # Map/reduce estimate: fraction of colliding hash slots.
-                similarity = signatures[i].estimate_jaccard(signatures[j])
-            matrix[i, j] = matrix[j, i] = similarity
-    return matrix, stats
-
-
 def dimsum_similarity_matrix(
     partitions: Sequence[Set],
     config: DimsumConfig = DimsumConfig(),
@@ -132,8 +88,8 @@ def dimsum_similarity_matrix(
     ``np.triu_indices``, one ``rng.random(k)`` draw matching the scalar
     per-pair stream, and — only when some examined pair is large enough
     to be estimated — batched signatures with matrix-slot comparison for
-    every estimated pair at once.  Bit-identical to
-    :func:`dimsum_similarity_matrix_scalar`.
+    every estimated pair at once.  Bit-identical to the per-pair
+    reference the parity suite keeps.
     """
     n = len(partitions)
     matrix = np.eye(n, dtype=float)

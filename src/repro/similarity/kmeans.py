@@ -25,10 +25,6 @@ class KMeansResult:
     inertia: float
     iterations: int
 
-    @property
-    def num_clusters(self) -> int:
-        return self.centroids.shape[0]
-
     def members(self, cluster: int) -> List[int]:
         return [index for index, label in enumerate(self.labels) if label == cluster]
 

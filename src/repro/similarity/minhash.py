@@ -156,12 +156,6 @@ class MinHasher:
         mins = (permuted % (_MAX_HASH + 1)).min(axis=1)
         return MinHashSignature(tuple(int(value) for value in mins))
 
-    def signatures_scalar(
-        self, sets: Sequence[Iterable[object]]
-    ) -> List[MinHashSignature]:
-        """Per-set reference implementation of :meth:`signatures`."""
-        return [self.signature(items) for items in sets]
-
     def signatures(self, sets: Sequence[Iterable[object]]) -> List[MinHashSignature]:
         """Signatures for many sets in one batched computation.
 

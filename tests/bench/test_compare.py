@@ -1,4 +1,4 @@
-"""The perf-regression engine: tolerance bands, gates, schema checks."""
+"""The perf-regression engine: the sim band, gates, schema checks."""
 
 import pytest
 
@@ -72,35 +72,19 @@ class TestVerdicts:
         candidate = make_report({"wan_bytes": 1e9 + 100})
         assert not compare_reports(baseline, candidate).ok
 
-    def test_wall_only_noise_passes_but_blowup_fails(self):
-        baseline = make_report({"qct": 10.0}, wall={"lp": 0.2})
-        noisy = make_report({"qct": 10.0}, wall={"lp": 0.28})
-        assert compare_reports(baseline, noisy).ok
-
-        blowup = make_report({"qct": 10.0}, wall={"lp": 0.5})
-        report = compare_reports(baseline, blowup)
-        assert not report.ok
-        assert report.regressions[0].clock == "wall"
-
     def test_wall_below_abs_floor_is_noise(self):
-        # +300% relative but under the 50 ms absolute floor: scheduler
-        # noise, not a regression.
         baseline = make_report({"qct": 1.0}, wall={"lp": 0.01})
         candidate = make_report({"qct": 1.0}, wall={"lp": 0.04})
         assert compare_reports(baseline, candidate).ok
 
-    def test_ignore_wall_drops_the_wall_gate(self):
+    def test_wall_only_difference_never_fails_the_gate(self):
+        # Wall readings and duration_seconds are information: a 25x
+        # blow-up is not compared, let alone gated.
         baseline = make_report({"qct": 10.0}, wall={"lp": 0.2}, duration=1.0)
         candidate = make_report({"qct": 10.0}, wall={"lp": 5.0}, duration=9.0)
-        assert not compare_reports(baseline, candidate).ok
-        assert compare_reports(baseline, candidate, ignore_wall=True).ok
-
-    def test_duration_median_gated_as_wall(self):
-        baseline = make_report({"qct": 1.0}, duration=1.0)
-        candidate = make_report({"qct": 1.0}, duration=3.0)
         report = compare_reports(baseline, candidate)
-        assert not report.ok
-        assert report.regressions[0].metric == "duration_seconds.median"
+        assert report.ok
+        assert [delta.metric for delta in report.deltas] == ["qct"]
 
 
 class TestSchemaGate:

@@ -1,24 +1,18 @@
 """Scalar/columnar parity: the batched engine hot paths are bit-identical.
 
-The columnar rewrites (hash-bucketed combine, batched key routing) keep
-the original per-record loops as reference implementations.  Every
-randomized workload here — varied seeds, key skews, empty partitions —
-must produce *byte-identical* results through both paths: same dict
-insertion order, same float bits, same task routing, same planned
-transfers.  ``combine`` only goes columnar from the measured crossover
-(``_COLUMNAR_MIN_RECORDS``) up, so the combine cases force that path;
-the shuffle-volume fold has one implementation and is held to a
-per-record oracle written here.
+The batched paths (one key projection, batched key routing) are held to
+the per-record calls they replaced: same task routing, same float bits,
+same planned transfers.  ``combine`` and the shuffle-volume fold each
+have one implementation; a full job is held to a per-record oracle
+written here.
 """
 
-import math
 import random
 
 import pytest
 
-from repro.engine import combiner as combiner_mod
 from repro.engine import shuffle as shuffle_mod
-from repro.engine.combiner import combine, combine_scalar
+from repro.engine.combiner import combine
 from repro.engine.job import MapReduceEngine
 from repro.engine.rdd import make_partitions, round_robin
 from repro.engine.shuffle import ReduceTaskMap, key_to_task, keys_to_tasks
@@ -46,97 +40,6 @@ def random_records(rng, pool, count):
         )
         for _ in range(count)
     ]
-
-
-def assert_outputs_identical(scalar, columnar):
-    """Byte-identical CombinedOutput: order, counts, and float bits."""
-    assert list(columnar.records) == list(scalar.records)
-    assert columnar.map_output_records == scalar.map_output_records
-    # Bit-identity, not approx: cumsum must equal the scalar left fold.
-    assert (
-        columnar.map_output_bytes == scalar.map_output_bytes  # lint: allow[R004]
-    )
-    for key, reference in scalar.records.items():
-        got = columnar.records[key]
-        assert got.key == reference.key
-        assert got.merged_count == reference.merged_count
-        assert type(got.merged_count) is int
-        assert got.size_bytes == reference.size_bytes  # lint: allow[R004]
-        assert type(got.size_bytes) is float
-
-
-@pytest.fixture
-def force_columnar(monkeypatch):
-    """Send every non-empty ``combine`` call down the NumPy path.
-
-    The shipped threshold sits at the measured crossover, above every
-    record count used here; without this the suite would compare the
-    scalar loop with itself.  1, not 0: an empty input has no columns.
-    """
-    monkeypatch.setattr(combiner_mod, "_COLUMNAR_MIN_RECORDS", 1)
-
-
-class TestCombineParity:
-    @pytest.mark.usefixtures("force_columnar")
-    def test_randomized_workloads(self):
-        for seed in range(40):
-            rng = random.Random(seed)
-            pool = _POOLS[rng.choice(list(_POOLS))]
-            count = rng.choice([0, 1, 15, 16, 17, 64, 400])
-            records = random_records(rng, pool, count)
-            ratio = rng.choice([0.1, 0.5, 1.0])
-            scalar = combine_scalar(records, [0], ratio)
-            columnar = combine(records, [0], ratio)
-            assert_outputs_identical(scalar, columnar)
-
-    @pytest.mark.usefixtures("force_columnar")
-    def test_compound_keys(self):
-        rng = random.Random(99)
-        records = random_records(rng, _POOLS["skewed"], 120)
-        scalar = combine_scalar(records, [0, 1], 0.4)
-        columnar = combine(records, [0, 1], 0.4)
-        assert_outputs_identical(scalar, columnar)
-
-    @pytest.mark.usefixtures("force_columnar")
-    def test_empty_partition(self):
-        assert_outputs_identical(
-            combine_scalar([], [0], 0.5), combine([], [0], 0.5)
-        )
-
-    @pytest.mark.usefixtures("force_columnar")
-    def test_all_keys_distinct_fast_path(self):
-        records = [
-            Record((f"k{i}", i), size_bytes=100.0 + i) for i in range(64)
-        ]
-        assert_outputs_identical(
-            combine_scalar(records, [0], 0.25), combine(records, [0], 0.25)
-        )
-
-    def test_columnar_threshold_boundary(self, monkeypatch):
-        # Exactly at the threshold the columnar path engages; just below
-        # it falls back to the scalar loop.  Both must agree regardless.
-        rng = random.Random(5)
-        threshold = combiner_mod._COLUMNAR_MIN_RECORDS
-        fell_back = []
-
-        def counting_scalar(records, key_indices, reduction_ratio):
-            fell_back.append(len(records))
-            return combine_scalar(records, key_indices, reduction_ratio)
-
-        monkeypatch.setattr(combiner_mod, "combine_scalar", counting_scalar)
-        for count in (threshold - 1, threshold, threshold + 1):
-            records = random_records(rng, _POOLS["tiny"], count)
-            assert_outputs_identical(
-                combine_scalar(records, [0], 0.5), combine(records, [0], 0.5)
-            )
-        assert fell_back == [threshold - 1]
-
-    def test_invalid_ratio_rejected_by_both(self):
-        for ratio in (0.0, 1.5):
-            with pytest.raises(Exception):
-                combine([], [0], ratio)
-            with pytest.raises(Exception):
-                combine_scalar([], [0], ratio)
 
 
 class TestProjectKeys:
@@ -299,7 +202,7 @@ class TestShufflePlanParity:
                 if not records:
                     continue
                 busiest = max(busiest, float(sum(r.size_bytes for r in records)))
-                output = combine_scalar(
+                output = combine(
                     records, self.SPEC.key_indices, self.SPEC.reduction_ratio
                 )
                 site_bytes.append(output.total_bytes)

@@ -5,25 +5,41 @@ The fixtures run the real serve loop at a deliberately contended scale
 contention, and cache hits all appear in one archive.  Everything the
 analyzer claims is cross-checked against the serve report and the
 sanitizer's ``critpath-conservation`` invariant.
+
+``TestBatchQueries`` holds the analyzer to the same contract on batch
+archives (``repro run`` / ``run_experiment``), and states "batch is a
+serve session of one" as a property: the same query through
+``Controller.run_query`` and through a one-tenant ``ServeScheduler``
+decomposes identically.
 """
 
 import math
+import re
 
 import pytest
 
+from repro.chaos.profiles import build_schedule
+from repro.chaos.runtime import ChaosConfig
+from repro.cli import main
+from repro.core.runner import run_experiment
 from repro.errors import InvariantViolation
-from repro.obs import instrument
+from repro.obs import instrument, spans_from_events
 from repro.obs.critpath import (
     COMPONENTS,
     QueryPath,
     analyze_critical_paths,
     emit_blame,
+    render_components,
 )
+from repro.obs.export import export_jsonl
+from repro.obs.report_html import render_report
 from repro.obs.sanitize import Sanitizer
-from repro.obs.telemetry import EVENT_KINDS, TelemetryBus
-from repro.serve import ServeConfig, serve_workload
+from repro.obs.telemetry import EVENT_KINDS, TelemetryBus, load_jsonl, write_jsonl
+from repro.serve import Arrival, ServeConfig, ServeScheduler, serve_workload
 from repro.systems.base import SystemConfig
+from repro.systems.registry import SCHEME_NAMES, make_system
 from repro.wan.presets import ec2_ten_sites
+from repro.workloads import build_workload
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.bigdata import bigdata_workload
 
@@ -215,3 +231,175 @@ class TestReportShape:
         assert crit.paths == []
         assert crit.blame == {}
         assert crit.max_residual() == 0.0
+        assert "nothing to attribute" in render_components(crit)
+
+
+# ----------------------------------------------------------------------
+# batch archives
+# ----------------------------------------------------------------------
+
+# Slow links, so that flaky-wan stretches flows and site-outage fails
+# some inside the two queries' lifetimes.
+BATCH_TOPOLOGY = ec2_ten_sites(base_uplink="0.05MB/s")
+BATCH_CONFIG = SystemConfig(
+    seed=11, partition_records=8, charge_rdd_overhead=False
+)
+
+
+def analyzed(run, *args, **kwargs):
+    """``(run(...) result, events, paths)`` with the sanitizer in raise
+    mode around both the run and the analysis."""
+    bus = TelemetryBus()
+    with instrument.instrumented(
+        telemetry=bus, sanitizer=Sanitizer(mode="raise")
+    ):
+        result = run(*args, **kwargs)
+        crit = analyze_critical_paths(bus.events)
+    return result, bus.events, crit
+
+
+def batch_experiment(scheme="bohr", chaos_profile=None, queries=2):
+    chaos = None
+    if chaos_profile is not None:
+        chaos = ChaosConfig(
+            faults=build_schedule(chaos_profile, BATCH_TOPOLOGY, seed=13)
+        )
+    return analyzed(
+        run_experiment,
+        scheme,
+        lambda: build_workload(
+            "bigdata-aggregation", BATCH_TOPOLOGY, seed=7, scale=0.15
+        ),
+        BATCH_TOPOLOGY,
+        config=BATCH_CONFIG,
+        query_limit=queries,
+        chaos=chaos,
+    )
+
+
+class _OneArrival:
+    """Stands in for the serve load generator: one query at t = 0."""
+
+    def __init__(self, query_index):
+        self.query_index = query_index
+
+    def generate(self, count):
+        assert count == 1
+        return [
+            Arrival(index=0, time=0.0, tenant="tenant-00",
+                    query_index=self.query_index)
+        ]
+
+
+class TestBatchQueries:
+    @pytest.mark.parametrize("chaos_profile", [None, "flaky-wan", "site-outage"])
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_one_conserving_path_per_query_span(self, scheme, chaos_profile):
+        result, _, crit = batch_experiment(scheme, chaos_profile)
+        runs = result.runs + result.baseline_runs
+        assert [path.qct for path in crit.paths] == [run.qct for run in runs]
+        assert [path.tenant for path in crit.paths] == (
+            [scheme] * len(result.runs)
+            + ["vanilla-baseline"] * len(result.baseline_runs)
+        )
+        assert [path.index for path in crit.paths] == list(range(len(runs)))
+        for path in crit.paths:
+            assert path.status == "executed"
+            assert path.queue_wait == path.slot_wait == 0.0
+            assert path.cached_seconds == 0.0
+            assert abs(path.residual) <= 1e-9
+        assert crit.blame == {} and crit.query_blame == {}
+
+    def test_faults_reach_the_decomposed_archives(self):
+        # The chaos cases above must not pass by being benign.
+        _, benign, _ = batch_experiment("spark")
+        _, outage, crit = batch_experiment("spark", "site-outage")
+        assert not any(event.kind == "flow-fail" for event in benign)
+        assert any(event.kind == "flow-fail" for event in outage)
+        assert crit.max_residual() <= 1e-9
+
+    def test_batch_is_a_serve_session_of_one(self):
+        """ROADMAP item 3 as a property: a query run by
+        ``Controller.run_query`` and the same query served alone (one
+        tenant, cache off, arriving at t = 0) decompose identically.
+        Two identically prepared systems, so both sides have seen the
+        same queries before this one."""
+
+        def prepared():
+            controller = make_system("bohr", BATCH_TOPOLOGY, BATCH_CONFIG)
+            workload = build_workload(
+                "tpcds", BATCH_TOPOLOGY, seed=7, scale=0.15
+            )
+            controller.prepare(workload)
+            return controller, workload
+
+        (batch, batch_workload), (served, served_workload) = prepared(), prepared()
+        solo = ServeConfig(seed=11, num_tenants=1, num_queries=1, cache_capacity=0)
+        bounds = set()
+        for position, query in enumerate(batch_workload.queries):
+            _, _, crit = analyzed(batch.run_query, batch_workload, query)
+            [ran] = crit.paths
+            scheduler = ServeScheduler(served, served_workload, solo)
+            scheduler.loadgen = _OneArrival(position)
+            _, _, crit = analyzed(scheduler.run)
+            [one] = crit.paths
+            assert ran.qct == one.qct  # lint: allow[R004]
+            assert ran.components == one.components
+            assert (ran.bound, ran.crit_site, ran.crit_src) == (
+                one.bound, one.crit_site, one.crit_src
+            )
+            bounds.add(ran.bound)
+        assert "wan" in bounds
+
+    def test_serve_paths_unmoved_by_a_trailing_batch_span(self, tmp_path):
+        archive = tmp_path / "serve.jsonl"
+        assert main([
+            "serve", "--tenants", "3", "--queries", "12", "--seed", "11",
+            "--cache-size", "4", "--telemetry", str(archive),
+        ]) == 0
+        _, serve_events = load_jsonl(str(archive))
+        serve = analyze_critical_paths(serve_events)
+        # The digest `make serve-smoke` prints (CI gates on its equality).
+        assert serve.digest() == (
+            "80cfa4761868989581ea8d6d6923746e"
+            "45740b24e59dd381d2e235c6b8406381"
+        )
+        _, batch_events, batch = batch_experiment("spark", queries=1)
+        mixed = analyze_critical_paths(serve_events + batch_events)
+        assert mixed.paths == serve.paths + batch.paths
+        assert len(batch.paths) == 2  # the scheme's query and its baseline
+        assert mixed.blame == serve.blame
+        assert mixed.query_blame == serve.query_blame
+
+    def test_inspect_breakdown_reads_the_archive_not_the_spans(
+        self, tmp_path, capsys
+    ):
+        _, events, crit = batch_experiment()
+        bus = TelemetryBus()
+        bus.events.extend(events)
+        archive, trace = tmp_path / "tele.jsonl", tmp_path / "trace.jsonl"
+        write_jsonl(bus, str(archive))
+        export_jsonl(spans_from_events(events), str(trace))
+
+        assert main(["inspect", str(archive), "--breakdown"]) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("critical path: 4 queries"):]
+        assert table.strip() == render_components(crit)
+        shares = []
+        for name in COMPONENTS:
+            label = name.replace("_seconds", "").replace("_", " ")
+            [row] = re.findall(rf"^\| {label} +\| +[\d.]+ +\| +([\d.]+) +\|$", table, re.M)
+            shares.append(float(row))
+        assert all(0.0 <= share <= 100.0 for share in shares)
+        assert sum(shares) == pytest.approx(100.0, abs=0.05)
+        assert "wan-bound" in table and "max residual" in table
+
+        assert main(["inspect", str(trace), "--breakdown"]) == 2
+        assert "--telemetry" in capsys.readouterr().out
+
+    def test_report_draws_batch_paths(self):
+        _, events, _ = batch_experiment()
+        page = render_report(events)
+        assert "Per-query critical-path stacked bars" in page
+        assert "q0 · bohr" in page and "q3 · vanilla-baseline" in page
+        assert "No contention to attribute" in page

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs import Span, instrument, metrics_from_events, spans_from_events
+from repro.obs.critpath import analyze_critical_paths, render_components
 from repro.obs.export import export_jsonl
 from repro.obs.inspect import (
     overall_coverage,
@@ -92,13 +93,22 @@ class TestEndToEndTrace:
         assert "per-stage latency breakdown" in report
         assert "QCT span coverage" in report
         assert "shuffle" in report
+        assert "% QCT" not in report  # attribution is --breakdown's table
+        table = render_components(analyze_critical_paths(events))
+        assert "critical path: 4 queries" in table
+        assert "wan contention" in table and "max residual" in table
 
     def test_stage_shares_bounded(self, experiment):
+        """The component shares partition the total QCT."""
         _, events = experiment
-        rows = stage_breakdown(spans_from_events(events))
-        for row in rows:
-            if row[5] != "-":
-                assert 0.0 <= float(row[5]) <= 100.0 + 1e-6
+        crit = analyze_critical_paths(events)
+        total = sum(path.qct for path in crit.paths)
+        shares = [
+            100.0 * seconds / total
+            for seconds in crit.component_totals().values()
+        ]
+        assert all(0.0 <= share <= 100.0 for share in shares)
+        assert sum(shares) == pytest.approx(100.0)
 
     def test_inspect_cli_round_trip(self, experiment, tmp_path, capsys):
         _, events = experiment

@@ -1,121 +1,11 @@
-"""Two-clock profiler: QCT attribution and the wall hotspot exporter."""
+"""The wall-clock hotspot profiler and its collapsed-stack export."""
 
 import re
 
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs.profile import (
-    UNATTRIBUTED,
-    WallProfiler,
-    canonical_stage,
-    qct_breakdown,
-    render_breakdown,
-)
-from repro.obs.span import Span
-
-
-def query_tree():
-    """A query window [0, 10] with overlapping phases:
-
-    map [0, 4), shuffle [3, 8), reduce [8, 9.5); [9.5, 10] uncovered.
-    Downstream-wins: map keeps [0,3)=3s, shuffle-wan claims [3,8)=5s,
-    reduce [8,9.5)=1.5s, unattributed 0.5s.
-    """
-    return [
-        Span(span_id=1, name="query:q1", stage="query", wall_start=0.0,
-             wall_end=1.0, sim_start=0.0, sim_end=10.0,
-             attrs={"qct": 10.0, "scheme": "bohr"}),
-        Span(span_id=2, name="map@a", stage="map", parent_id=1,
-             wall_start=0.0, wall_end=0.1, sim_start=0.0, sim_end=4.0,
-             attrs={"site": "a", "map_output_bytes": 100.0,
-                    "intermediate_bytes": 40.0}),
-        Span(span_id=3, name="shuffle", stage="shuffle", parent_id=1,
-             wall_start=0.0, wall_end=0.1, sim_start=3.0, sim_end=8.0,
-             attrs={"site": "a"}),
-        Span(span_id=4, name="reduce@a", stage="reduce", parent_id=1,
-             wall_start=0.0, wall_end=0.1, sim_start=8.0, sim_end=9.5,
-             attrs={"site": "a"}),
-    ]
-
-
-class TestQctBreakdown:
-    def test_downstream_wins_attribution(self):
-        breakdown = qct_breakdown(query_tree())
-        assert len(breakdown.queries) == 1
-        seconds = breakdown.queries[0].seconds
-        assert seconds["map"] == pytest.approx(3.0)
-        assert seconds["shuffle-wan"] == pytest.approx(5.0)
-        assert seconds["reduce"] == pytest.approx(1.5)
-        assert seconds[UNATTRIBUTED] == pytest.approx(0.5)
-
-    def test_percentages_sum_to_100(self):
-        breakdown = qct_breakdown(query_tree())
-        total = sum(breakdown.stage_percentages().values())
-        assert total == pytest.approx(100.0, abs=0.1)
-        per_query = sum(breakdown.queries[0].percentages().values())
-        assert per_query == pytest.approx(100.0, abs=0.1)
-
-    def test_attributed_seconds_equal_qct(self):
-        breakdown = qct_breakdown(query_tree())
-        assert sum(breakdown.stage_seconds().values()) == pytest.approx(
-            breakdown.total_qct
-        )
-
-    def test_stage_aliases(self):
-        assert canonical_stage("shuffle") == "shuffle-wan"
-        assert canonical_stage("wan") == "shuffle-wan"
-        assert canonical_stage("placement") == "lp-solve"
-        assert canonical_stage("probe") == "probe-check"
-        assert canonical_stage("map") == "map"
-
-    def test_per_site_and_combine_bytes(self):
-        breakdown = qct_breakdown(query_tree())
-        assert breakdown.per_site["a"]["map"] == pytest.approx(4.0)
-        assert breakdown.combine_saved_bytes == pytest.approx(60.0)
-
-    def test_offline_wall_stages_outside_qct(self):
-        spans = query_tree() + [
-            Span(span_id=10, name="placement", stage="placement",
-                 wall_start=0.0, wall_end=0.25),
-            Span(span_id=11, name="probe-build", stage="probe",
-                 wall_start=0.0, wall_end=0.03),
-            # A nested child with the same stage must not double-count.
-            Span(span_id=12, name="placement-inner", stage="placement",
-                 parent_id=10, wall_start=0.0, wall_end=0.2),
-        ]
-        breakdown = qct_breakdown(spans)
-        assert breakdown.offline_wall["lp-solve"] == pytest.approx(0.25)
-        assert breakdown.offline_wall["probe-check"] == pytest.approx(0.03)
-
-    def test_multiple_queries_sum(self):
-        spans = query_tree() + [
-            Span(span_id=20, name="query:q2", stage="query", wall_start=0.0,
-                 wall_end=1.0, sim_start=0.0, sim_end=4.0,
-                 attrs={"qct": 4.0, "scheme": "bohr"}),
-            Span(span_id=21, name="map@b", stage="map", parent_id=20,
-                 wall_start=0.0, wall_end=0.1, sim_start=0.0, sim_end=4.0),
-        ]
-        breakdown = qct_breakdown(spans)
-        assert breakdown.total_qct == pytest.approx(14.0)
-        assert sum(breakdown.stage_percentages().values()) == pytest.approx(
-            100.0, abs=0.1
-        )
-
-    def test_render_contains_the_tables(self):
-        spans = query_tree() + [
-            Span(span_id=10, name="placement", stage="placement",
-                 wall_start=0.0, wall_end=0.25),
-        ]
-        text = render_breakdown(qct_breakdown(spans))
-        assert "QCT breakdown" in text
-        assert "shuffle-wan" in text
-        assert "per-site active seconds" in text
-        assert "offline preparation" in text
-        assert "folded into map" in text  # combine's structural note
-
-    def test_empty_trace_renders_gracefully(self):
-        assert "nothing to attribute" in render_breakdown(qct_breakdown([]))
+from repro.obs.profile import WallProfiler
 
 
 def _busy(n=8000):

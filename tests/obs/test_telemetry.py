@@ -166,10 +166,10 @@ class TestJsonlArchive:
         [
             (1, V1_EVENT_KINDS, []),
             (2, V1_EVENT_KINDS | SERVE_EVENT_KINDS,
-             [("serve-queue", 0.5, {"tenant": "t0", "qid": 0})]),
+             [("serve-queue", 0.5, {"tenant": "t0", "query": 0})]),
             (3, V1_EVENT_KINDS | SERVE_EVENT_KINDS | V3_EVENT_KINDS,
-             [("serve-queue", 0.5, {"tenant": "t0", "qid": 0}),
-              ("queue-enter", 0.5, {"tenant": "t0", "qid": 0})]),
+             [("serve-queue", 0.5, {"tenant": "t0", "query": 0}),
+              ("queue-enter", 0.5, {"tenant": "t0", "query": 0})]),
         ],
     )
     def test_old_archives_load_and_render(

@@ -14,7 +14,7 @@ from repro.core.runner import run_experiment
 from repro.errors import ObservabilityError
 from repro.obs import NULL_TELEMETRY, Span, TelemetryBus, instrument
 from repro.obs.inspect import overall_coverage, query_coverage, stage_breakdown
-from repro.obs.profile import qct_breakdown
+from repro.obs.critpath import analyze_critical_paths
 from repro.obs.views import metrics_from_events, spans_from_events
 from repro.systems.base import SystemConfig
 from repro.wan.presets import ec2_ten_sites
@@ -378,11 +378,12 @@ class TestViewParity:
         run, expected, events = parity
         spans = spans_from_events(events)
         rows = [
-            [row[0], row[1], "*", row[3],
-             row[4] if float(row[3]) > 0 else "*", row[5]]
+            [row[0], row[1], "*", row[3], row[4] if float(row[3]) > 0 else "*"]
             for row in stage_breakdown(spans)
         ]
-        want = [list(row) for row in expected["inspect_rows"]]
+        # The golden's sixth column is the stage-share the table no
+        # longer carries (attribution is the critical path's).
+        want = [list(row[:5]) for row in expected["inspect_rows"]]
         if _movement_simulated_twice(run):
             for row in want:
                 if row[0] == "wan":
@@ -393,19 +394,16 @@ class TestViewParity:
         assert overall_coverage(spans) == expected["overall_coverage"]
 
     def test_breakdown_matches(self, parity):
+        """The golden's query spans (recorded by the parent's tracer) are
+        the queries the critical-path analyzer decomposes: same order,
+        scheme and QCT, every one conserving."""
         _, expected, events = parity
-        breakdown = qct_breakdown(spans_from_events(events))
-        want = expected["breakdown"]
+        crit = analyze_critical_paths(events)
         assert [
-            [q.name, q.scheme, q.qct, dict(sorted(q.seconds.items()))]
-            for q in breakdown.queries
-        ] == want["queries"]
-        assert {
-            site: dict(sorted(stages.items()))
-            for site, stages in breakdown.per_site.items()
-        } == want["per_site"]
-        assert sorted(breakdown.offline_wall) == want["offline_stages"]
-        assert breakdown.combine_saved_bytes == want["combine_saved_bytes"]
+            [f"query:{path.dataset}", path.tenant, path.qct]
+            for path in crit.paths
+        ] == [query[:3] for query in expected["breakdown"]["queries"]]
+        assert crit.max_residual() <= 1e-9
 
     def test_metrics_snapshot_matches_the_registry(self, parity):
         run, expected, events = parity

@@ -2,7 +2,8 @@
 empty-set regression pins.
 
 :func:`MinHasher.signatures` and :func:`dimsum_similarity_matrix` are
-batched rewrites of retained scalar references; randomized workloads
+batched rewrites of scalar references (:meth:`MinHasher.signature` per
+set; ``tests/similarity/reference_dimsum.py``); randomized workloads
 (varied seeds, skews, empty partitions) must match them bit-for-bit —
 identical signature tuples, identical matrices, identical stats, and an
 identical RNG consumption order.
@@ -22,11 +23,12 @@ from repro.similarity import minhash as minhash_mod
 from repro.similarity.dimsum import (
     DimsumConfig,
     dimsum_similarity_matrix,
-    dimsum_similarity_matrix_scalar,
     exact_similarity_matrix,
 )
 from repro.similarity.metrics import jaccard
 from repro.similarity.minhash import MinHasher
+
+from tests.similarity.reference_dimsum import dimsum_similarity_matrix_scalar
 
 
 def random_sets(rng, count):
@@ -47,8 +49,6 @@ class TestSignatureParity:
             )
             sets = random_sets(rng, rng.choice([0, 1, 2, 7, 30]))
             batched = hasher.signatures(sets)
-            scalar = hasher.signatures_scalar(sets)
-            assert [s.values for s in batched] == [s.values for s in scalar]
             assert [s.values for s in batched] == [
                 hasher.signature(item).values for item in sets
             ]
