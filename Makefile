@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke perfbench-full perfbench-pairs serve-smoke slo profile telemetry loc check
+.PHONY: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke perfbench-full perfbench-pairs serve-smoke slo profile telemetry examples loc check
 
 lint:  ## static analysis: per-file rules R001-R008 over the shipped tree
 	$(PYTHON) -m repro.lint src/repro benchmarks
@@ -36,7 +36,7 @@ parity:  ## scalar/columnar hot-path parity suite (bit-identity oracle)
 		tests/properties/test_placement_lp.py
 
 bench-smoke:  ## smoke benchmarks vs the committed baseline (sim metrics; wall is never gated)
-	$(PYTHON) -m repro bench --suite smoke --compare BENCH_5.json \
+	$(PYTHON) -m repro bench --suite smoke --compare BENCH_6.json \
 		--out bench_smoke.json
 
 perfbench-smoke:  ## the driver's benchmark, quick: its tests, then all six workloads traced
@@ -102,9 +102,14 @@ telemetry:  ## sanitized chaos run with telemetry capture (critpath-conservation
 	$(PYTHON) -m repro inspect telemetry.jsonl --breakdown
 	$(PYTHON) -m repro report telemetry.jsonl --out report.html
 
+examples:  ## run every script under examples/; fails on the first non-zero exit (~6 s)
+	@set -e; for script in examples/*.py; do \
+		echo "examples: $$script"; $(PYTHON) $$script > /dev/null; \
+	done
+
 loc:  ## src/repro line counts, per package and in total (the numbers ROADMAP and CHANGES quote)
 	@for package in $$(find src/repro -mindepth 1 -maxdepth 1 -type d ! -name __pycache__ | sort) src/repro; do \
 		find $$package -name '*.py' | xargs wc -l | tail -n 1 | awk -v p=$$package '{printf "%6d %s\n", $$1, p}'; \
 	done
 
-check: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke serve-smoke slo telemetry  ## everything CI gates on
+check: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke serve-smoke slo telemetry examples  ## everything CI gates on

@@ -1,14 +1,14 @@
 #!/usr/bin/env python
-"""Recurring TPC-DS-style analytics with profiling and SQL queries.
+"""Recurring TPC-DS-style analytics with SQL queries.
 
-Shows the controller's full recurring-query loop:
+Shows the controller's recurring-query loop:
 
-1. the first execution of each query type runs with a class-default
-   data-reduction ratio;
-2. the profiler observes the actual intermediate/input ratio (§7);
-3. a re-prepare uses the learned ratios, the bandwidth measured during
-   the first movement, and fresh similarity info to re-place data and
-   tasks for the next recurrence.
+1. every query runs with its spec's data-reduction ratio R — the class
+   default unless the query names its own — which is the one number both
+   the engine's combiner and the placement LP read;
+2. a re-prepare uses the bandwidth measured during the first movement
+   and fresh similarity info over the data's new layout to re-place data
+   and tasks for the next recurrence.
 
 Also demonstrates submitting queries as SQL text through the parser.
 
@@ -55,25 +55,21 @@ def main() -> None:
            if fraction > 1e-6})
     print()
 
-    first_round = [controller.run_query(workload, q) for q in workload.queries[:6]]
-    print(f"round 1 (default reduction ratios): "
-          f"mean QCT {format_seconds(mean(r.qct for r in first_round))}")
+    queries = workload.queries[:6]
+    print("reduction ratios (the spec's own):")
+    for query in queries:
+        print(f"  R = {query.spec.default_reduction_ratio()}  for  "
+              f"{query.spec.text or query.spec.dataset_id}")
 
-    profiled = [
-        (query.spec.text or query.spec.dataset_id,
-         round(controller.profiler.ratio_for(query.spec), 3))
-        for query in workload.queries[:6]
-    ]
-    print("learned reduction ratios:")
-    for text, ratio in profiled:
-        print(f"  R = {ratio}  for  {text}")
+    first_round = [controller.run_query(workload, q) for q in queries]
+    print(f"round 1: mean QCT {format_seconds(mean(r.qct for r in first_round))}")
 
-    # Recurring arrival: re-prepare with learned ratios, measured
-    # bandwidth, and the cubes reflecting the data's new layout.
+    # Recurring arrival: re-prepare with the measured bandwidth and the
+    # cubes reflecting the data's new layout.
     report = controller.prepare(workload)
-    second_round = [controller.run_query(workload, q) for q in workload.queries[:6]]
-    print(f"round 2 (profiled ratios, re-placed, moved another "
-          f"{report.moved_bytes / 1e6:.1f} MB): "
+    second_round = [controller.run_query(workload, q) for q in queries]
+    print(f"round 2 (re-placed with the measured bandwidth and the new "
+          f"data layout, moved another {report.moved_bytes / 1e6:.1f} MB): "
           f"mean QCT {format_seconds(mean(r.qct for r in second_round))}")
 
 

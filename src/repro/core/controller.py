@@ -34,7 +34,6 @@ from repro.placement.plan import (
     execute_plan,
 )
 from repro.query.compiler import compile_query
-from repro.query.profiler import ReductionProfiler
 from repro.query.spec import RecurringQuery
 from repro.similarity.checker import SimilarityChecker, intra_site_similarity
 from repro.similarity.dimsum import DimsumConfig
@@ -122,7 +121,6 @@ class Controller:
         #: Movement runs on the engine's WAN scheduler: one topology, one
         #: fault schedule, one stall timeout.
         self.scheduler = self.engine.scheduler
-        self.profiler = ReductionProfiler()
         self.bandwidth = BandwidthEstimator(topology)
         self.checker = SimilarityChecker()
         self._cubes: Dict[Tuple[str, str], DimensionCubeSet] = {}
@@ -361,7 +359,7 @@ class Controller:
                     wan_bytes=result.total_wan_bytes,
                     lost_bytes=result.total_lost_bytes,
                 )
-        self.record_observation(query, result)
+        query.record_execution()
         return result
 
     def run_query_outcome(
@@ -435,26 +433,14 @@ class Controller:
         return dict(self._fractions) if self._fractions is not None else None
 
     def compile(self, workload: Workload, spec):
-        """Compile one query spec against the current profiler state.
-
-        The serving layer plans jobs itself (plan/complete split on the
-        engine) but must compile exactly like :meth:`run_query` does, so
-        reduction-ratio feedback flows the same way.
-        """
-        schema = workload.schema(spec.dataset_id)
+        """Compile one query spec exactly as :meth:`run_query` does (the
+        serving layer plans jobs itself, plan/complete split on the
+        engine)."""
         return compile_query(
             spec,
-            schema,
-            self.profiler,
+            workload.schema(spec.dataset_id),
             num_reduce_tasks=self.config.num_reduce_tasks,
         )
-
-    def record_observation(self, query: RecurringQuery, result: JobResult) -> None:
-        """Post-completion bookkeeping, called by the serving layer in
-        deterministic completion order: reduction-profile feedback plus
-        the query's recurrence counter."""
-        self.profiler.observe(query.spec, result)
-        query.record_execution()
 
     # ------------------------------------------------------------------
     # reporting helpers
@@ -654,7 +640,7 @@ class Controller:
                 if site in allowed
             }
             primary = workload.primary_query(dataset_id)
-            reduction[dataset_id] = self.profiler.ratio_for(primary)
+            reduction[dataset_id] = primary.default_reduction_ratio()
             if self.profile.uses_similarity:
                 # S_i^a is the query-weighted mean across the dataset's
                 # query types: each type combines on its own keys, and the

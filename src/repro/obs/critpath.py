@@ -38,6 +38,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import ObservabilityError
 from repro.obs import instrument
 from repro.obs.telemetry import TelemetryEvent
 from repro.util.tabulate import format_table
@@ -246,64 +247,71 @@ class _EventIndex:
         self.batch: List[Tuple[Dict, List[TelemetryEvent], Optional[float]]] = []
         open_flows: Dict[Tuple[str, str, str], List[_Flow]] = {}
         stream = iter(events)
-        for event in stream:
-            kind, attrs, t = event.kind, event.attrs, event.t
-            if kind == "serve-queue":
-                self.arrival[int(attrs["query"])] = float(t)
-            elif kind == "serve-admit":
-                query = int(attrs["query"])
-                self.admit[query] = float(t)
-                self.queue_seconds[query] = float(attrs.get("queue_seconds", 0.0))
-            elif kind == "serve-start":
-                self.start[int(attrs["query"])] = float(t)
-            elif kind == "serve-finish":
-                self.finish[int(attrs["query"])] = (
-                    float(t),
-                    float(attrs.get("qct", 0.0)),
-                    bool(attrs.get("cached", False)),
-                    str(attrs.get("tenant", "")),
-                    str(attrs.get("dataset", "")),
-                )
-            elif kind == "stage-finish":
-                spans = (
-                    self.map_spans
-                    if attrs.get("stage") == "map"
-                    else self.reduce_spans
-                )
-                job = str(attrs.get("job", ""))
-                spans.setdefault(job, {})[str(attrs["site"])] = (
-                    float(attrs.get("start", t)),
-                    float(t),
-                )
-            elif kind == "flow-start":
-                flow = _Flow(
-                    tag=str(attrs.get("tag", "")),
-                    src=str(attrs["src"]),
-                    dst=str(attrs["dst"]),
-                    num_bytes=float(attrs.get("num_bytes", 0.0)),
-                    start=float(t),
-                    wan=bool(attrs.get("wan", True)),
-                )
-                self.flows.append(flow)
-                self.flows_by_tag.setdefault(flow.tag, []).append(flow)
-                open_flows.setdefault((flow.tag, flow.src, flow.dst), []).append(flow)
-            elif kind in ("flow-finish", "flow-fail"):
-                key = (
-                    str(attrs.get("tag", "")),
-                    str(attrs["src"]),
-                    str(attrs["dst"]),
-                )
-                started = open_flows.get(key)
-                if started:
-                    started.pop(0).finish = float(t)
-            elif kind == "link-sample":
-                t0 = float(t)
-                t1 = t0 + float(attrs.get("dt", 0.0))
-                self.link_segments.setdefault(
-                    (str(attrs["direction"]), str(attrs["site"])), []
-                ).append((t0, t1, float(attrs.get("capacity_bps", 0.0))))
-            elif kind == "span-begin" and attrs.get("stage") == "query":
-                self.batch.append((attrs, *_query_span(stream)))
+        try:
+            for event in stream:
+                kind, attrs, t = event.kind, event.attrs, event.t
+                if kind == "serve-queue":
+                    self.arrival[int(attrs["query"])] = float(t)
+                elif kind == "serve-admit":
+                    query = int(attrs["query"])
+                    self.admit[query] = float(t)
+                    self.queue_seconds[query] = float(attrs.get("queue_seconds", 0.0))
+                elif kind == "serve-start":
+                    self.start[int(attrs["query"])] = float(t)
+                elif kind == "serve-finish":
+                    self.finish[int(attrs["query"])] = (
+                        float(t),
+                        float(attrs.get("qct", 0.0)),
+                        bool(attrs.get("cached", False)),
+                        str(attrs.get("tenant", "")),
+                        str(attrs.get("dataset", "")),
+                    )
+                elif kind == "stage-finish":
+                    spans = (
+                        self.map_spans
+                        if attrs.get("stage") == "map"
+                        else self.reduce_spans
+                    )
+                    job = str(attrs.get("job", ""))
+                    spans.setdefault(job, {})[str(attrs["site"])] = (
+                        float(attrs.get("start", t)),
+                        float(t),
+                    )
+                elif kind == "flow-start":
+                    flow = _Flow(
+                        tag=str(attrs.get("tag", "")),
+                        src=str(attrs["src"]),
+                        dst=str(attrs["dst"]),
+                        num_bytes=float(attrs.get("num_bytes", 0.0)),
+                        start=float(t),
+                        wan=bool(attrs.get("wan", True)),
+                    )
+                    self.flows.append(flow)
+                    self.flows_by_tag.setdefault(flow.tag, []).append(flow)
+                    open_flows.setdefault((flow.tag, flow.src, flow.dst), []).append(flow)
+                elif kind in ("flow-finish", "flow-fail"):
+                    key = (
+                        str(attrs.get("tag", "")),
+                        str(attrs["src"]),
+                        str(attrs["dst"]),
+                    )
+                    started = open_flows.get(key)
+                    if started:
+                        started.pop(0).finish = float(t)
+                elif kind == "link-sample":
+                    t0 = float(t)
+                    t1 = t0 + float(attrs.get("dt", 0.0))
+                    self.link_segments.setdefault(
+                        (str(attrs["direction"]), str(attrs["site"])), []
+                    ).append((t0, t1, float(attrs.get("capacity_bps", 0.0))))
+                elif kind == "span-begin" and attrs.get("stage") == "query":
+                    self.batch.append((attrs, *_query_span(stream)))
+        except KeyError as missing:
+            # One handler around the pass, not a check per event: this
+            # loop is the analyzer's hot path.
+            raise ObservabilityError(
+                f"{kind} event at t={t} has no {missing.args[0]!r} attribute"
+            ) from None
         for segments in self.link_segments.values():
             segments.sort()
 

@@ -145,7 +145,7 @@ def _count(metrics: MetricsRegistry, name: str, amount: float = 1.0, **labels) -
 
 def _observe(metrics: MetricsRegistry, name: str, value: float, **labels) -> None:
     # Histogram.observe; resolving the call by method name alone also
-    # matches the WAN estimator's and the reduction profiler's observe().
+    # matches the WAN estimator's and the SLO tracker's observe().
     metrics.histogram(name, **labels).observe(value)  # lint: allow[R011]
 
 

@@ -78,7 +78,7 @@ def solve_lp(
     """
     if backend not in ("auto", "scipy", "simplex"):
         raise SolverError(f"unknown backend {backend!r}")
-    _require_finite(program)
+    _require_well_formed(program)
     telemetry = instrument.current().telemetry
     with telemetry.span(
         "lp-solve", stage="placement", variables=program.num_variables
@@ -92,12 +92,21 @@ def solve_lp(
     return solution
 
 
-def _require_finite(program: LinearProgram) -> None:
-    """Reject nan/inf coefficients before either backend sees them.
-
-    scipy answers them with a bare ``ValueError``; the simplex compares
-    them as False and can return a plausible "optimal" point.
-    """
+def _require_well_formed(program: LinearProgram) -> None:
+    """Reject mismatched shapes and nan/inf coefficients before either
+    backend sees them: scipy raises a bare ``ValueError``, the simplex
+    can return a plausible "optimal" point or ignore an ``a_ub`` given
+    without ``b_ub``."""
+    n = program.num_variables
+    for a, b in (("a_ub", "b_ub"), ("a_eq", "b_eq")):
+        matrix, rhs = getattr(program, a), getattr(program, b)
+        shape_a = None if matrix is None else np.shape(matrix)
+        shape_b = None if rhs is None else np.shape(rhs)
+        rows = shape_b[0] if shape_b and len(shape_b) == 1 else -1
+        if (shape_a, shape_b) != (None, None) and shape_a != (rows, n):
+            raise SolverError(
+                f"LP shapes do not match: {a} {shape_a}, {b} {shape_b}, c ({n},)"
+            )
     for label in ("c", "a_ub", "b_ub", "a_eq", "b_eq"):
         values = getattr(program, label)
         if values is None:

@@ -1,21 +1,19 @@
-"""Queries: specification, SQL parsing, UDFs, profiling, compilation.
+"""Queries: specification, SQL parsing, UDFs, compilation.
 
 Recurring queries are the unit of optimization in Bohr: each query type
-(the set of attributes accessed) is served by a dimension cube, profiled
-for its data-reduction ratio, and compiled into an engine job spec.
+(the set of attributes accessed) is served by a dimension cube and
+compiled, with its data-reduction ratio, into an engine job spec.
 """
 
 from repro.query.compiler import compile_query
 from repro.query.pagerank import pagerank, pagerank_scores_from_records
 from repro.query.parser import parse_sql
-from repro.query.profiler import ReductionProfiler
 from repro.query.spec import QueryClass, QuerySpec, RecurringQuery
 
 __all__ = [
     "QueryClass",
     "QuerySpec",
     "RecurringQuery",
-    "ReductionProfiler",
     "compile_query",
     "pagerank",
     "pagerank_scores_from_records",

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.engine.spec import MapReduceSpec
 from repro.errors import QueryError
-from repro.query.profiler import ReductionProfiler
 from repro.query.spec import QuerySpec
 from repro.types import Schema
 
@@ -14,10 +11,11 @@ from repro.types import Schema
 def compile_query(
     spec: QuerySpec,
     schema: Schema,
-    profiler: Optional[ReductionProfiler] = None,
+    *,
     num_reduce_tasks: int = 100,
 ) -> MapReduceSpec:
-    """Resolve attribute names to positions and pick the reduction ratio.
+    """Resolve attribute names to positions; the reduction ratio is the
+    spec's own (:meth:`QuerySpec.default_reduction_ratio`).
 
     Raises :class:`QueryError` when the query references attributes the
     dataset schema does not have (including filter columns).
@@ -34,14 +32,9 @@ def compile_query(
         raise QueryError(
             f"query group-by attributes {missing} not in schema {schema.names}"
         )
-    key_indices = tuple(schema.index(name) for name in spec.group_by)
-    if profiler is not None:
-        ratio = profiler.ratio_for(spec)
-    else:
-        ratio = spec.default_reduction_ratio()
     return MapReduceSpec(
-        key_indices=key_indices,
-        reduction_ratio=ratio,
+        key_indices=tuple(schema.index(name) for name in spec.group_by),
+        reduction_ratio=spec.default_reduction_ratio(),
         num_reduce_tasks=num_reduce_tasks,
         filters=tuple(filters),
     )

@@ -17,8 +17,10 @@ class QueryClass(str, enum.Enum):
     UDF = "udf"
 
 
-#: Default map-output/input ratios per class, used until the profiler has
-#: observed a real run (§7: estimated from the previous recurring query).
+#: Map-output/input ratio per class when the spec names none: the one R^a
+#: both the engine's combiner and the placement LP read.  §7 estimates it
+#: from the previous run; here the engine computes map output from this
+#: very number, so there is nothing to estimate.
 DEFAULT_REDUCTION_RATIOS: Dict[QueryClass, float] = {
     QueryClass.SCAN: 0.25,
     QueryClass.AGGREGATION: 0.55,

@@ -587,9 +587,9 @@ class ServeScheduler:
             record.finish = finish
             record.wan_bytes = entry.job.total_wan_bytes
             self.tenants.release(entry.tenant)
-            # Deterministic completion order: profiler feedback and the
-            # recurrence counter advance exactly as queries finish.
-            self.controller.record_observation(entry.query, entry.job)
+            # Deterministic completion order: the recurrence counter
+            # advances exactly as queries finish.
+            entry.query.record_execution()
             self.cache.insert(
                 canonical_query_key(entry.query.spec),
                 now=finish,

@@ -1,10 +1,15 @@
 """Controller pipeline tests."""
 
+import dataclasses
+
 import pytest
 
+from repro.query.parser import parse_sql
+from repro.query.spec import RecurringQuery
 from repro.systems.base import SystemConfig
-from repro.systems.registry import make_system
+from repro.systems.registry import SCHEME_NAMES, make_system
 from repro.wan.presets import ec2_ten_sites, uniform_sites
+from repro.workloads import build_workload
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.bigdata import bigdata_workload
 
@@ -87,7 +92,6 @@ class TestRunQuery:
         result = controller.run_query(workload, query)
         assert result.qct > 0.0
         assert query.executions == executions_before + 1
-        assert controller.profiler.is_profiled(query.spec)
 
     def test_run_all_queries_limit(self):
         topology = small_topology()
@@ -118,6 +122,70 @@ class TestRunQuery:
         forced = first_job("bohr-rdd", 64)
         assert sum(m.input_records for m in forced.per_site.values()) > 0
         assert forced.total_rdd_overhead_seconds == 0.0
+
+
+def sim_view(result):
+    """A job's sim-clock observables: QCT, WAN bytes and every per-site
+    metric except the wall-measured RDD clustering seconds."""
+    return (
+        result.qct,
+        result.total_wan_bytes,
+        {
+            site: dataclasses.replace(metrics, rdd_overhead_seconds=0.0)
+            for site, metrics in result.per_site.items()
+        },
+    )
+
+
+class TestPreparedStateOnly:
+    """A prepared controller's answer to a query depends on the prepared
+    state and the query, not on which queries ran before it."""
+
+    @pytest.mark.parametrize("kind", ["tpcds", "bigdata-aggregation"])
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_query_order_does_not_matter(self, scheme, kind):
+        topology = ec2_ten_sites(base_uplink="0.05MB/s")
+        config = SystemConfig(
+            seed=11, partition_records=8, charge_rdd_overhead=False
+        )
+        workload = build_workload(kind, topology, seed=7, scale=0.15)
+        controller = make_system(scheme, topology, config)
+        controller.prepare(workload)
+        queries = list(workload.queries)
+        forward = [
+            sim_view(controller.run_query(workload, query)) for query in queries
+        ]
+        backward = [
+            sim_view(controller.run_query(workload, query))
+            for query in reversed(queries)
+        ]
+        assert forward == backward[::-1]
+
+    def test_a_filtered_query_keeps_its_ratio(self):
+        # The pushdown drops records before the combiner, so map output
+        # over whole-shard input is not a per-record ratio: nothing may
+        # read it back as R^a.
+        topology = small_topology()
+        controller = make_system("bohr", topology, CONFIG)
+        workload = make_workload(topology)
+        dataset = workload.dataset_ids[0]
+        column = workload.schema(dataset).index("region")
+        region = next(iter(workload.catalog.get(dataset).all_records())).values[column]
+        spec = parse_sql(
+            f"SELECT url, COUNT(url) FROM {dataset} "
+            f"WHERE region = '{region}' GROUP BY url"
+        )
+        query = RecurringQuery(spec=spec)
+        workload.queries.append(query)
+        controller.prepare(workload)
+        intermediate = []
+        for _ in range(3):
+            job = controller.run_query(workload, query)
+            intermediate.append(job.total_intermediate_bytes)
+            ratio = controller.compile(workload, spec).reduction_ratio
+            assert ratio == spec.default_reduction_ratio()
+        assert intermediate[0] > 0.0
+        assert intermediate == [intermediate[0]] * 3
 
 
 class TestStorageReport:

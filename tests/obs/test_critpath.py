@@ -8,9 +8,9 @@ sanitizer's ``critpath-conservation`` invariant.
 
 ``TestBatchQueries`` holds the analyzer to the same contract on batch
 archives (``repro run`` / ``run_experiment``), and states "batch is a
-serve session of one" as a property: the same query through
-``Controller.run_query`` and through a one-tenant ``ServeScheduler``
-decomposes identically.
+serve session of one" as a property: on one prepared controller, the
+same query through ``Controller.run_query`` and through a one-tenant
+``ServeScheduler`` decomposes identically.
 """
 
 import math
@@ -22,7 +22,7 @@ from repro.chaos.profiles import build_schedule
 from repro.chaos.runtime import ChaosConfig
 from repro.cli import main
 from repro.core.runner import run_experiment
-from repro.errors import InvariantViolation
+from repro.errors import InvariantViolation, ObservabilityError
 from repro.obs import instrument, spans_from_events
 from repro.obs.critpath import (
     COMPONENTS,
@@ -34,7 +34,13 @@ from repro.obs.critpath import (
 from repro.obs.export import export_jsonl
 from repro.obs.report_html import render_report
 from repro.obs.sanitize import Sanitizer
-from repro.obs.telemetry import EVENT_KINDS, TelemetryBus, load_jsonl, write_jsonl
+from repro.obs.telemetry import (
+    EVENT_KINDS,
+    TelemetryBus,
+    TelemetryEvent,
+    load_jsonl,
+    write_jsonl,
+)
 from repro.serve import Arrival, ServeConfig, ServeScheduler, serve_workload
 from repro.systems.base import SystemConfig
 from repro.systems.registry import SCHEME_NAMES, make_system
@@ -233,6 +239,18 @@ class TestReportShape:
         assert crit.max_residual() == 0.0
         assert "nothing to attribute" in render_components(crit)
 
+    @pytest.mark.parametrize(
+        "kind", ["serve-queue", "serve-admit", "serve-start", "serve-finish"]
+    )
+    def test_a_serve_event_without_its_query_is_named(self, kind):
+        # It used to escape as a bare KeyError('query').
+        events = [TelemetryEvent(seq=0, kind=kind, t=1.5, attrs={"tenant": "a"})]
+        with pytest.raises(ObservabilityError) as raised:
+            analyze_critical_paths(events)
+        assert str(raised.value) == (
+            f"{kind} event at t=1.5 has no 'query' attribute"
+        )
+
 
 # ----------------------------------------------------------------------
 # batch archives
@@ -319,36 +337,32 @@ class TestBatchQueries:
         assert crit.max_residual() <= 1e-9
 
     def test_batch_is_a_serve_session_of_one(self):
-        """ROADMAP item 3 as a property: a query run by
-        ``Controller.run_query`` and the same query served alone (one
-        tenant, cache off, arriving at t = 0) decompose identically.
-        Two identically prepared systems, so both sides have seen the
-        same queries before this one."""
-
-        def prepared():
-            controller = make_system("bohr", BATCH_TOPOLOGY, BATCH_CONFIG)
-            workload = build_workload(
-                "tpcds", BATCH_TOPOLOGY, seed=7, scale=0.15
-            )
-            controller.prepare(workload)
-            return controller, workload
-
-        (batch, batch_workload), (served, served_workload) = prepared(), prepared()
+        """ROADMAP item 3 as a property: on one prepared system, a query
+        run by ``Controller.run_query``, then served alone (one tenant,
+        cache off, arriving at t = 0), then run again decomposes
+        identically all three times."""
+        controller = make_system("bohr", BATCH_TOPOLOGY, BATCH_CONFIG)
+        workload = build_workload("tpcds", BATCH_TOPOLOGY, seed=7, scale=0.15)
+        controller.prepare(workload)
         solo = ServeConfig(seed=11, num_tenants=1, num_queries=1, cache_capacity=0)
         bounds = set()
-        for position, query in enumerate(batch_workload.queries):
-            _, _, crit = analyzed(batch.run_query, batch_workload, query)
-            [ran] = crit.paths
-            scheduler = ServeScheduler(served, served_workload, solo)
+        for position, query in enumerate(workload.queries):
+            scheduler = ServeScheduler(controller, workload, solo)
             scheduler.loadgen = _OneArrival(position)
-            _, _, crit = analyzed(scheduler.run)
-            [one] = crit.paths
-            assert ran.qct == one.qct  # lint: allow[R004]
-            assert ran.components == one.components
-            assert (ran.bound, ran.crit_site, ran.crit_src) == (
-                one.bound, one.crit_site, one.crit_src
-            )
-            bounds.add(ran.bound)
+            paths = []
+            for run, args in (
+                (controller.run_query, (workload, query)),
+                (scheduler.run, ()),
+                (controller.run_query, (workload, query)),
+            ):
+                _, _, crit = analyzed(run, *args)
+                [path] = crit.paths
+                paths.append((
+                    path.qct, path.components,
+                    path.bound, path.crit_site, path.crit_src,
+                ))
+            assert paths[0] == paths[1] == paths[2]  # lint: allow[R004]
+            bounds.add(paths[0][2])
         assert "wan" in bounds
 
     def test_serve_paths_unmoved_by_a_trailing_batch_span(self, tmp_path):

@@ -58,3 +58,38 @@ def test_the_first_offending_entry_is_named_and_names_are_optional(backend):
     with pytest.raises(SolverError, match=r"a_ub\[1, 0\] is nan$"):
         solve_lp(program(a_ub=a_ub, variable_names=[]), backend=backend)
 
+
+#: override -> the shapes the message names.  Before the check scipy
+#: raised a bare ``ValueError`` and the simplex, given ``a_ub`` without
+#: ``b_ub``, returned ``[0, 0]``.
+SHAPES = {
+    "a_ub-columns": (
+        dict(a_ub=np.array([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])),
+        "a_ub (2, 3), b_ub (2,), c (2,)",
+    ),
+    "b_ub-rows": (dict(b_ub=np.array([0.0, -1.0, 5.0])), "a_ub (2, 2), b_ub (3,), c (2,)"),
+    "b_ub-2d": (dict(b_ub=np.array([[0.0], [-1.0]])), "a_ub (2, 2), b_ub (2, 1), c (2,)"),
+    "a_ub-1d": (dict(a_ub=np.array([-1.0, 0.0])), "a_ub (2,), b_ub (2,), c (2,)"),
+    "a_ub-alone": (dict(b_ub=None), "a_ub (2, 2), b_ub None, c (2,)"),
+    "b_ub-alone": (dict(a_ub=None), "a_ub None, b_ub (2,), c (2,)"),
+    "a_eq-columns": (dict(a_eq=np.array([[1.0]])), "a_eq (1, 1), b_eq (1,), c (2,)"),
+    "b_eq-rows": (dict(b_eq=np.array([3.0, 3.0])), "a_eq (1, 2), b_eq (2,), c (2,)"),
+    "a_eq-alone": (dict(b_eq=None), "a_eq (1, 2), b_eq None, c (2,)"),
+    "b_eq-alone": (dict(a_eq=None), "a_eq None, b_eq (1,), c (2,)"),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", sorted(SHAPES))
+def test_mismatched_shapes_are_a_solver_error_naming_them(case, backend):
+    overrides, shapes = SHAPES[case]
+    with pytest.raises(SolverError) as raised:
+        solve_lp(program(**overrides), backend=backend)
+    assert str(raised.value) == f"LP shapes do not match: {shapes}"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_omitting_both_halves_of_a_constraint_block_is_fine(backend):
+    solution = solve_lp(program(a_ub=None, b_ub=None), backend=backend)
+    assert solution.objective == pytest.approx(3.0)
+

@@ -1,17 +1,14 @@
-"""PageRank, profiler and compiler tests."""
+"""PageRank and compiler tests."""
 
 import math
 
 import pytest
 
-from repro.engine.job import MapReduceEngine
 from repro.errors import QueryError
 from repro.query.compiler import compile_query
 from repro.query.pagerank import pagerank, pagerank_scores_from_records
-from repro.query.profiler import ReductionProfiler
 from repro.query.spec import QueryClass, QuerySpec
-from repro.types import GeoDataset, Record, Schema
-from repro.wan.presets import uniform_sites
+from repro.types import Record, Schema
 
 SCHEMA = Schema.of("url", "score", "region", kinds={"score": "numeric"})
 
@@ -61,63 +58,22 @@ class TestPagerankScores:
             pagerank_scores_from_records(records, SCHEMA)
 
 
-class TestProfiler:
-    def run_job(self, ratio):
-        topology = uniform_sites(2)
-        dataset = GeoDataset("logs", SCHEMA)
-        dataset.add_records(
-            "site-0", [Record((f"u{i}", 1, "asia"), size_bytes=100) for i in range(10)]
-        )
-        spec = QuerySpec("logs", ("url",), reduction_ratio=ratio)
-        engine = MapReduceEngine(topology)
-        job_spec = compile_query(spec, SCHEMA)
-        return spec, engine.run(dataset, job_spec)
-
-    def test_learns_true_ratio(self):
-        profiler = ReductionProfiler()
-        spec, result = self.run_job(0.4)
-        profiler.observe(spec, result)
-        assert profiler.is_profiled(spec)
-        assert profiler.ratio_for(spec) == pytest.approx(0.4, rel=1e-6)
-        assert profiler.samples_for(spec) == 1
-
-    def test_falls_back_to_class_default(self):
-        profiler = ReductionProfiler()
-        spec = QuerySpec("never-run", ("url",), QueryClass.SCAN)
-        assert profiler.ratio_for(spec) == spec.default_reduction_ratio()
-
-    def test_ewma_blending(self):
-        profiler = ReductionProfiler(alpha=0.5)
-        spec_a, result_a = self.run_job(0.2)
-        profiler.observe(spec_a, result_a)
-        _, result_b = self.run_job(0.8)
-        profiler.observe(spec_a, result_b)
-        assert profiler.ratio_for(spec_a) == pytest.approx(0.5, rel=1e-6)
-
-    def test_empty_job_ignored(self):
-        from repro.engine.job import JobResult
-
-        profiler = ReductionProfiler()
-        spec = QuerySpec("d", ("url",))
-        profiler.observe(spec, JobResult(qct=0.0, per_site={}))
-        assert not profiler.is_profiled(spec)
-
-    def test_bad_alpha(self):
-        with pytest.raises(QueryError):
-            ReductionProfiler(alpha=0.0)
-
-
 class TestCompiler:
     def test_resolves_indices(self):
         spec = QuerySpec("logs", ("region", "url"))
         job = compile_query(spec, SCHEMA)
         assert job.key_indices == (2, 0)
 
-    def test_uses_profiler(self):
-        profiler = ReductionProfiler()
-        spec = QuerySpec("logs", ("url",), QueryClass.SCAN)
-        job = compile_query(spec, SCHEMA, profiler)
-        assert job.reduction_ratio == spec.default_reduction_ratio()
+    def test_ratio_is_the_specs_own(self):
+        # The class default, unless the spec names its own R^a: the one
+        # number both the engine's combiner and the placement LP read.
+        for spec, ratio in (
+            (QuerySpec("logs", ("url",), QueryClass.SCAN), 0.25),
+            (QuerySpec("logs", ("url",)), 0.55),
+            (QuerySpec("logs", ("url",), QueryClass.UDF, reduction_ratio=0.4), 0.4),
+        ):
+            assert spec.default_reduction_ratio() == ratio
+            assert compile_query(spec, SCHEMA).reduction_ratio == ratio
 
     def test_unknown_attribute(self):
         with pytest.raises(QueryError):
