@@ -33,7 +33,8 @@ parity:  ## scalar/columnar hot-path parity suite (bit-identity oracle)
 	$(PYTHON) -m pytest -q tests/engine/test_columnar_parity.py \
 		tests/similarity/test_columnar_parity.py \
 		tests/placement/test_warm_start.py \
-		tests/properties/test_placement_lp.py
+		tests/properties/test_placement_lp.py \
+		tests/properties/test_obs_oracles.py
 
 bench-smoke:  ## smoke benchmarks vs the committed baseline (sim metrics; wall is never gated)
 	$(PYTHON) -m repro bench --suite smoke --compare BENCH_6.json \
@@ -96,9 +97,12 @@ profile:  ## smoke benchmarks under the wall profiler (collapsed stacks)
 	$(PYTHON) -m repro bench --suite smoke --profile \
 		--profile-out bench.collapsed
 
-telemetry:  ## sanitized chaos run with telemetry capture (critpath-conservation armed); inspect + dashboard off the one archive
+telemetry:  ## sanitized chaos run with telemetry capture (critpath-conservation armed); load-then-write is byte-identical; inspect + dashboard off the one archive
 	$(PYTHON) -m repro run --scheme bohr --workload bigdata-aggregation \
 		--queries 2 --chaos flaky-wan --telemetry telemetry.jsonl --sanitize
+	$(PYTHON) -c "from repro.obs.telemetry import load_jsonl, write_jsonl; \
+		write_jsonl(load_jsonl('telemetry.jsonl')[1], 'telemetry.rewritten.jsonl')"
+	cmp telemetry.jsonl telemetry.rewritten.jsonl
 	$(PYTHON) -m repro inspect telemetry.jsonl --breakdown
 	$(PYTHON) -m repro report telemetry.jsonl --out report.html
 

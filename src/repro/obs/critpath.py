@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -225,6 +225,22 @@ def _query_span(stream) -> Tuple[List[TelemetryEvent], Optional[float]]:
     return held, None  # the span never closed: no QCT to decompose
 
 
+#: What the index pass reads as a float (and ``query`` as an int).
+_FLOATS = {"t", "queue_seconds", "qct", "start", "num_bytes", "dt", "capacity_bps"}
+
+
+def _unreadable(error: Exception, attrs: Dict, t) -> str:
+    """What the index pass could not read off the event it failed on."""
+    if isinstance(error, KeyError):
+        return f"no {error.args[0]!r} attribute"
+    for name, value in (*attrs.items(), ("t", t)):
+        try:
+            (int if name == "query" else float if name in _FLOATS else str)(value)
+        except (TypeError, ValueError, OverflowError):
+            return f"a non-numeric {name!r} attribute ({value!r})"
+    return "an unreadable attribute"
+
+
 class _EventIndex:
     """Single-pass index of everything the analyzer needs."""
 
@@ -306,14 +322,18 @@ class _EventIndex:
                     ).append((t0, t1, float(attrs.get("capacity_bps", 0.0))))
                 elif kind == "span-begin" and attrs.get("stage") == "query":
                     self.batch.append((attrs, *_query_span(stream)))
-        except KeyError as missing:
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
             # One handler around the pass, not a check per event: this
             # loop is the analyzer's hot path.
             raise ObservabilityError(
-                f"{kind} event at t={t} has no {missing.args[0]!r} attribute"
+                f"{kind} event at t={t} has {_unreadable(error, attrs, t)}"
             ) from None
         for segments in self.link_segments.values():
             segments.sort()
+        # Any segment with an end inside a window starts within this of it.
+        self.segment_reach = _TOL + max(
+            [0.0, *(abs(t1 - t0) for s in self.link_segments.values() for t0, t1, _ in s)]
+        )
 
 
 def _capacity_at(
@@ -334,6 +354,7 @@ def _solo_seconds(
     num_bytes: float,
     up_segments: Optional[List[Tuple[float, float, float]]],
     down_segments: Optional[List[Tuple[float, float, float]]],
+    reach: float,
 ) -> float:
     """Time the flow would take alone: bytes over min(link capacities).
 
@@ -342,7 +363,9 @@ def _solo_seconds(
     link-sample segments) from the flow's start until ``num_bytes`` are
     carried.  Max-min fair sharing never hands a flow more than link
     capacity, so the solo time is a lower bound on the observed time;
-    the result is clamped into ``[0, end - start]`` regardless.
+    the result is clamped into ``[0, end - start]`` regardless.  Only
+    segments starting within ``reach`` of the flow's lifetime can bound
+    it, so each link's sorted segments are bisected to those.
     """
     total = end - start
     if num_bytes <= 0.0 or total <= _TOL:
@@ -350,8 +373,9 @@ def _solo_seconds(
     if up_segments is None and down_segments is None:
         return total  # no link samples: a LAN hop, nothing was shared
     boundaries = {start, end}
-    for segments in (up_segments, down_segments):
-        for t0, t1, _capacity in segments or ():
+    for segments in (up_segments or [], down_segments or []):
+        lo = bisect_left(segments, (start - reach,))  # (t,) sorts before (t, ...)
+        for t0, t1, _capacity in segments[lo : bisect_left(segments, (end + reach,))]:
             if start < t0 < end:
                 boundaries.add(t0)
             if start < t1 < end:
@@ -390,6 +414,45 @@ def _overlap(a0: float, a1: float, b0: float, b1: float) -> float:
     return max(0.0, min(a1, b1) - max(a0, b0))
 
 
+def _occupancy(index: _EventIndex) -> Dict[object, tuple]:
+    """The blame pass's interval index, built once per analysis: served
+    queries' map-stage spans (``"map"``, keyed by position in map_spans)
+    and WAN flows per ``("up"|"down", site)`` (keyed by position in
+    flows), as ``(start-sorted (start, end, key) list, longest)``; only
+    positive lengths overlap anything (an unfinished flow ends at nan)."""
+    tenant_of = {query: meta[3] for query, meta in index.finish.items()}
+
+    def tenant(tag: str) -> str:
+        try:
+            return tenant_of.get(int(tag[1:]), "")
+        except ValueError:
+            return ""
+
+    owners = {tag: tenant(tag) for tag in (*index.map_spans, *index.flows_by_tag)}
+    held: Dict[object, list] = {"map": []}
+    for ordinal, (job, spans) in enumerate(index.map_spans.items()):
+        owner = job.startswith("q") and owners[job]
+        for start, end in spans.values() if owner else ():
+            held["map"].append((start, end, (ordinal, job, owner)))
+    for position, flow in enumerate(index.flows):
+        owner = flow.wan and owners[flow.tag]
+        interval = (flow.start, flow.finish, (position, owner))
+        for link in (("up", flow.src), ("down", flow.dst)) if owner else ():
+            held.setdefault(link, []).append(interval)
+    for key, intervals in held.items():
+        kept = sorted(item for item in intervals if item[0] < item[1])
+        held[key] = kept, max((end - start for start, end, _ in kept), default=0.0)
+    return held
+
+
+def _around(table: tuple, t0: float, t1: float) -> List:
+    """Keys of the intervals that can overlap ``(t0, t1)``: those starting
+    in ``[t0 - longest, t1)``, widened by ``_TOL`` for rounding."""
+    intervals, longest = table  # probes (t,) sort before every (t, end, key)
+    lo = bisect_left(intervals, (t0 - longest - _TOL,))
+    return [key for _, _, key in intervals[lo : bisect_left(intervals, (t1,))]]
+
+
 def analyze_critical_paths(events: Sequence[TelemetryEvent]) -> CritPathReport:
     """Rebuild every query's critical path from one event stream.
 
@@ -401,6 +464,7 @@ def analyze_critical_paths(events: Sequence[TelemetryEvent]) -> CritPathReport:
     invariant for every query.
     """
     index = _EventIndex(events)
+    occupancy = _occupancy(index)
     report = CritPathReport()
     tenants = sorted(
         {meta[3] for meta in index.finish.values() if meta[3]}
@@ -434,7 +498,7 @@ def analyze_critical_paths(events: Sequence[TelemetryEvent]) -> CritPathReport:
         if sanitizer.enabled:
             sanitizer.check_critical_path(path)
         report.paths.append(path)
-        culprits = _blame_query(index, path, tenant)
+        culprits = _blame_query(index, occupancy, path, tenant)
         if culprits:
             report.query_blame[query] = culprits
             victim = report.blame.setdefault(tenant, {})
@@ -538,6 +602,7 @@ def _executed_path(
             crit_flow.num_bytes,
             links.get(("up", crit_flow.src)) if crit_flow.wan else None,
             links.get(("down", crit_flow.dst)) if crit_flow.wan else None,
+            index.segment_reach,
         )
         serial = min(serial, wan_total)
         bound = "wan"
@@ -570,7 +635,7 @@ def _executed_path(
 
 
 def _blame_query(
-    index: _EventIndex, path: QueryPath, tenant: str
+    index: _EventIndex, occupancy: Dict[object, tuple], path: QueryPath, tenant: str
 ) -> Dict[str, float]:
     """Split one query's contention seconds across co-occupying tenants.
 
@@ -579,31 +644,23 @@ def _blame_query(
     critical flow's two links with the critical flow's lifetime.  Weight
     is overlap seconds; with no co-occupant on record the delay is
     self-attributed so the blame matrix conserves contention seconds.
+    Candidates come from the interval index and are visited in stream
+    order (map jobs in ``map_spans`` order, flows in ``index.flows``
+    order), so every weight is the same float sum a scan would make.
     """
     blame: Dict[str, float] = {}
     job = f"q{path.index}"
-    tenant_of = {
-        query: meta[3] for query, meta in index.finish.items()
-    }
     if path.slot_wait > _TOL:
         window0 = path.arrival + path.queue_wait  # == admit
         window1 = window0 + path.slot_wait  # == start
         weights: Dict[str, float] = {}
-        for other_job, spans in index.map_spans.items():
-            if other_job == job or not other_job.startswith("q"):
-                continue
-            try:
-                other_query = int(other_job[1:])
-            except ValueError:
-                continue
-            other_tenant = tenant_of.get(other_query, "")
-            if not other_tenant:
-                continue
+        nearby = set(_around(occupancy["map"], window0, window1))
+        for _, other_job, other_tenant in sorted(nearby):
             shared = sum(
                 _overlap(span[0], span[1], window0, window1)
-                for span in spans.values()
+                for span in index.map_spans[other_job].values()
             )
-            if shared > 0.0:
+            if other_job != job and shared > 0.0:
                 weights[other_tenant] = weights.get(other_tenant, 0.0) + shared
         _distribute(blame, path.slot_wait, weights, tenant)
     if path.wan_contention > _TOL and path.crit_src:
@@ -615,25 +672,19 @@ def _blame_query(
             ),
             None,
         )
-        if crit is not None:
-            weights = {}
-            for flow in index.flows:
-                if flow is crit or not flow.wan or math.isnan(flow.finish):
-                    continue
-                if flow.src != crit.src and flow.dst != crit.dst:
-                    continue
+        weights = {}
+        if crit is not None:  # finished: flow-finish pairs first-in, first-out
+            nearby = {
+                key
+                for link in (("up", crit.src), ("down", crit.dst))
+                for key in _around(occupancy.get(link, ((), 0.0)), crit.start, crit.finish)
+            }
+            for position, other_tenant in sorted(nearby):
+                flow = index.flows[position]
                 shared = _overlap(flow.start, flow.finish, crit.start, crit.finish)
-                if shared <= 0.0:
-                    continue
-                try:
-                    other_tenant = tenant_of.get(int(flow.tag[1:]), "")
-                except (ValueError, IndexError):
-                    other_tenant = ""
-                if other_tenant:
+                if flow is not crit and shared > 0.0:
                     weights[other_tenant] = weights.get(other_tenant, 0.0) + shared
-            _distribute(blame, path.wan_contention, weights, tenant)
-        else:
-            _distribute(blame, path.wan_contention, {}, tenant)
+        _distribute(blame, path.wan_contention, weights, tenant)
     return blame
 
 

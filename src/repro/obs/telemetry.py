@@ -41,6 +41,8 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ObservabilityError
@@ -359,30 +361,54 @@ NULL_TELEMETRY = NullTelemetryBus()
 # ----------------------------------------------------------------------
 
 
-def _events_of(
-    source: Union[TelemetryBus, Sequence[TelemetryEvent]]
-) -> List[TelemetryEvent]:
-    events = source.events if isinstance(source, TelemetryBus) else list(source)
-    return sorted(events, key=lambda event: event.seq)
+#: What ``json.dumps`` writes for a value, by its exact type; any other
+#: type (numpy scalars, nested values) goes to ``json.dumps`` itself.
+_JSON = {
+    float: lambda value: repr(value) if _isfinite(value) else json.dumps(value),
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+
+def _line_template(kind: str, *keys: str) -> Tuple[List[str], str]:
+    """Sorted attr keys and the event line with a ``%s`` per value."""
+    ordered = sorted(keys)
+    names = [encode_basestring_ascii(key).replace("%", "%%") for key in ordered]
+    head = '{"attrs": {' + ": %s, ".join(names) + ": %s}, " if keys else "{"
+    return ordered, head + f'"kind": "{kind}", "seq": %s, "t": %s}}\n'
 
 
 def write_jsonl(
     source: Union[TelemetryBus, Sequence[TelemetryEvent]], path: str
 ) -> int:
-    """Write the versioned JSONL archive; returns the event count."""
-    events = _events_of(source)
+    """Write the versioned JSONL archive; returns the event count.
+
+    Each line is ``json.dumps(event.to_dict(), sort_keys=True)`` byte for
+    byte, formatted from the bus's columns (or the seq-sorted events)."""
+    if isinstance(source, TelemetryBus):
+        count = len(source._kinds)
+        rows = zip(range(count), source._kinds, source._ts, source._attr_rows)
+    else:
+        events = sorted(source, key=lambda event: event.seq)
+        count = len(events)
+        rows = ((event.seq, event.kind, event.t, event.attrs) for event in events)
+    template_of = lru_cache(maxsize=None)(_line_template)
+    encoder, other = _JSON.get, partial(json.dumps, sort_keys=True)
     with open(path, "w", encoding="utf-8") as handle:
         header = {
             "telemetry": "repro.obs.telemetry",
             "version": TELEMETRY_VERSION,
-            "events": len(events),
+            "events": count,
         }
         handle.write(json.dumps(header, sort_keys=True))
         handle.write("\n")
-        for event in events:
-            handle.write(json.dumps(event.to_dict(), sort_keys=True))
-            handle.write("\n")
-    return len(events)
+        for seq, kind, t, attrs in rows:
+            keys, template = template_of(kind, *attrs)
+            values = (*map(attrs.__getitem__, keys), seq, t)
+            handle.write(template % tuple([encoder(type(v), other)(v) for v in values]))
+    return count
 
 
 def read_jsonl(path: str) -> List[Tuple[int, Any]]:
@@ -418,7 +444,12 @@ def load_jsonl(path: str) -> Tuple[Dict[str, Any], List[TelemetryEvent]]:
             f"{path}: telemetry schema v{version} is not supported "
             f"(supported: {supported})"
         )
-    return header, [TelemetryEvent.from_dict(record) for _, record in records[1:]]
+    events = [TelemetryEvent.from_dict(record) for _, record in records[1:]]
+    if header.get("events", len(events)) != len(events):
+        raise ObservabilityError(
+            f"{path}: header says {header['events']} events, file holds {len(events)}"
+        )
+    return header, events
 
 
 # ----------------------------------------------------------------------
@@ -450,7 +481,8 @@ def telemetry_digest(
     excluded; everything else must be byte-identical.
     """
     payload: List[Any] = []
-    for event in _events_of(source):
+    events = source.events if isinstance(source, TelemetryBus) else source
+    for event in sorted(events, key=lambda event: event.seq):
         attrs = {
             key: _canonical(value)
             for key, value in sorted(event.attrs.items())

@@ -13,6 +13,7 @@ same query through ``Controller.run_query`` and through a one-tenant
 ``ServeScheduler`` decomposes identically.
 """
 
+import dataclasses
 import math
 import re
 
@@ -48,6 +49,7 @@ from repro.wan.presets import ec2_ten_sites
 from repro.workloads import build_workload
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.bigdata import bigdata_workload
+from tests.obs.reference_blame import reference_analysis
 
 SPEC = WorkloadSpec(records_per_site=60, record_bytes=200_000, num_datasets=2)
 CONFIG = SystemConfig(lag_seconds=6.0, partition_records=8)
@@ -209,6 +211,19 @@ class TestBlame:
                     rebuilt[victim][culprit], seconds, rel_tol=1e-12
                 )
 
+    def test_blame_equals_the_scan_it_replaced(self):
+        # Six in flight on one map slot per site: both branches fire.
+        overloaded = dataclasses.replace(
+            SERVE, arrival_rate=20.0, max_inflight=6, max_inflight_per_tenant=6
+        )
+        bus, _ = run_recorded(overloaded)
+        crit = analyze_critical_paths(bus.events)
+        totals = crit.component_totals()
+        assert totals["slot_wait"] > 0.0 and totals["wan_contention"] > 0.0
+        want = reference_analysis(bus.events)
+        assert crit.paths == want.paths
+        assert (crit.blame, crit.query_blame) == (want.blame, want.query_blame)
+
     def test_emit_blame_round_trips_through_bus(self, recorded):
         _, _, crit = recorded
         bus = TelemetryBus()
@@ -249,6 +264,28 @@ class TestReportShape:
             analyze_critical_paths(events)
         assert str(raised.value) == (
             f"{kind} event at t=1.5 has no 'query' attribute"
+        )
+
+    @pytest.mark.parametrize(
+        "kind, t, attrs, named",
+        [
+            ("serve-queue", 1.5, {"query": "abc"}, "'query' attribute ('abc')"),
+            ("serve-queue", 1.5, {"query": math.inf}, "'query' attribute (inf)"),
+            ("serve-queue", None, {"query": 3}, "'t' attribute (None)"),
+            ("link-sample", 2.0, {"direction": "up", "site": "s", "dt": "x"},
+             "'dt' attribute ('x')"),
+            ("flow-start", 0.5, {"src": "a", "dst": "b", "num_bytes": [1]},
+             "'num_bytes' attribute ([1])"),
+        ],
+    )
+    def test_a_non_numeric_attribute_is_named(self, kind, t, attrs, named):
+        # These used to escape as a bare ValueError, TypeError or
+        # OverflowError.
+        events = [TelemetryEvent(seq=0, kind=kind, t=t, attrs=attrs)]
+        with pytest.raises(ObservabilityError) as raised:
+            analyze_critical_paths(events)
+        assert str(raised.value) == (
+            f"{kind} event at t={t} has a non-numeric {named}"
         )
 
 
@@ -389,10 +426,8 @@ class TestBatchQueries:
         self, tmp_path, capsys
     ):
         _, events, crit = batch_experiment()
-        bus = TelemetryBus()
-        bus.events.extend(events)
         archive, trace = tmp_path / "tele.jsonl", tmp_path / "trace.jsonl"
-        write_jsonl(bus, str(archive))
+        write_jsonl(events, str(archive))
         export_jsonl(spans_from_events(events), str(trace))
 
         assert main(["inspect", str(archive), "--breakdown"]) == 0

@@ -202,6 +202,17 @@ class TestJsonlArchive:
         stages = {span.stage for span in spans_from_events(events)}
         assert {"map", "shuffle", "reduce"} <= stages
 
+    def test_rejects_an_event_count_the_header_does_not_declare(self, tmp_path):
+        # It used to load silently; critpath then reported 0 paths.
+        path = tmp_path / "short.jsonl"
+        path.write_text(
+            '{"events": 3, "telemetry": "repro.obs.telemetry", "version": 4}\n'
+            '{"kind": "plan", "seq": 0, "t": null}\n'
+        )
+        with pytest.raises(ObservabilityError) as raised:
+            load_jsonl(str(path))
+        assert str(raised.value) == f"{path}: header says 3 events, file holds 1"
+
     def test_rejects_headerless_file(self, tmp_path):
         path = tmp_path / "spans.jsonl"
         path.write_text('{"span_id": 1}\n')
