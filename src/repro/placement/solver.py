@@ -1,14 +1,15 @@
-"""LP solving front-end: scipy (HiGHS) with a pure-Python simplex fallback.
+"""LP solving front-end: HiGHS through scipy's binding, or a pure-Python simplex.
 
 All placement LPs flow through :func:`solve_lp`, which also times the
-solve — those timings are what Table 5 reports.
+solve — those timings are what Table 5 reports.  The scipy backend hands
+HiGHS the model scipy's ``method="highs"`` LP wrapper would, minus the wrapper.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +49,7 @@ class LpSolution:
     backend: str
     #: Structural variables usable as a warm-start hint for a related
     #: solve: the final simplex basis (simplex backend) or the solution
-    #: support (scipy, which exposes no basis through ``linprog``).
+    #: support (scipy; the simplex crashes its warm basis from these).
     basis_names: List[str] = field(default_factory=list)
     #: True when the simplex backend started from a feasible warm basis.
     warm_started: bool = False
@@ -68,13 +69,15 @@ def solve_lp(
 ) -> LpSolution:
     """Solve the LP; ``backend`` is ``"auto"``, ``"scipy"`` or ``"simplex"``.
 
-    ``auto`` prefers scipy and silently falls back to the built-in simplex
-    if scipy is unavailable.  Raises :class:`SolverError` on infeasible or
-    unbounded problems.  ``warm_names`` hints variables (by name) whose
-    columns should seed the simplex backend's starting basis — e.g. the
-    ``basis_names`` of an incumbent solution to a related program; names
-    the program does not define are ignored, and the scipy backend has no
-    warm-start surface so the hint is a no-op there.
+    ``auto`` prefers scipy and falls back to the built-in simplex only if
+    scipy is not installed; a scipy without the HiGHS binding (< 1.15)
+    fails every backend.  Raises :class:`SolverError` on infeasible or
+    unbounded problems, naming the HiGHS model status.  ``warm_names``
+    hints variables (by name) whose columns should seed the simplex
+    backend's starting basis — e.g. the ``basis_names`` of an incumbent
+    solution to a related program; names the program does not define are
+    ignored, and the scipy backend has no warm-start surface so the hint
+    is a no-op there.
     """
     if backend not in ("auto", "scipy", "simplex"):
         raise SolverError(f"unknown backend {backend!r}")
@@ -94,7 +97,7 @@ def solve_lp(
 
 def _require_well_formed(program: LinearProgram) -> None:
     """Reject mismatched shapes and nan/inf coefficients before either
-    backend sees them: scipy raises a bare ``ValueError``, the simplex
+    backend sees them: HiGHS would be handed a garbled model, the simplex
     can return a plausible "optimal" point or ignore an ``a_ub`` given
     without ``b_ub``."""
     n = program.num_variables
@@ -124,46 +127,111 @@ def _require_well_formed(program: LinearProgram) -> None:
         )
 
 
+#: scipy's ``_check_result`` tolerance: ``sqrt(tol) * 10`` at ``tol=1e-9``.
+_FEASIBILITY_TOL = np.sqrt(1e-9) * 10
+
+
+def _highs_core():
+    """scipy's HiGHS binding, or None if scipy is not installed at all."""
+    try:
+        import scipy
+    except ImportError:
+        return None
+    try:
+        import scipy.optimize._highspy._core as core
+    except ImportError:
+        message = f"scipy {scipy.__version__} has no scipy.optimize._highspy._core"
+        raise SolverError(f"{message}: LP solving needs scipy>=1.15") from None
+    return core
+
+
+def _highs_solve(core, program: LinearProgram) -> Tuple[np.ndarray, float]:
+    """Solve as scipy's ``method="highs"`` does, on a fresh ``_Highs``: its
+    options, rows as ``csc_array`` builds them (column-major, rows ascending,
+    zeros dropped), ``x >= 0``, row bounds ``(-inf, b_ub]``, ``[b_eq, b_eq]``."""
+    n = program.num_variables
+    empty = (np.zeros((0, n)), np.zeros(0))  # _require_well_formed: both or neither
+    a_ub, b_ub = empty if program.a_ub is None else (program.a_ub, program.b_ub)
+    a_eq, b_eq = empty if program.a_eq is None else (program.a_eq, program.b_eq)
+    transposed = np.vstack((a_ub, a_eq)).astype(float, copy=False).T
+    columns, rows = np.nonzero(transposed)
+    upper = np.concatenate((b_ub, b_eq)).astype(float, copy=False)
+    lp = core.HighsLp()  # given lists: pybind11 copies a list ~2x faster than an array
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = [0] + np.bincount(columns, minlength=n).cumsum().tolist()
+    lp.a_matrix_.index_ = rows.tolist()
+    lp.a_matrix_.value_ = transposed[columns, rows].tolist()
+    lp.col_cost_, lp.col_lower_ = program.c.tolist(), [0.0] * n
+    lp.col_upper_ = [core.kHighsInf] * n
+    lp.row_lower_ = [-core.kHighsInf] * len(b_ub) + upper[len(b_ub):].tolist()
+    lp.row_upper_ = upper.tolist()
+    highs = core._Highs()
+    highs.setOptionValue("presolve", "on")
+    highs.setOptionValue("highs_debug_level", int(core.kHighsDebugLevelNone))
+    highs.setOptionValue("log_to_console", False)
+    highs.setOptionValue("output_flag", False)
+    dual = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    highs.setOptionValue("simplex_strategy", int(dual))
+    highs.passModel(lp)
+    highs.run()
+    if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
+        status = highs.modelStatusToString(highs.getModelStatus())
+        raise SolverError(f"HiGHS found no optimum: model status {status}")
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    objective = highs.getInfo().objective_function_value
+    slack = upper - np.array(solution.row_value)
+    violation = _tolerance_violation(x, objective, slack, len(b_ub))
+    if violation:
+        raise SolverError(f"HiGHS optimum fails the feasibility check: {violation}")
+    return x, objective
+
+
+def _tolerance_violation(x, objective: float, slack, num_ub: int) -> Optional[str]:
+    """What breaks scipy's ``_check_result`` test, or None: ``x >= 0``, the
+    inequality slack ``slack[:num_ub] >= 0`` and the equality residual
+    ``slack[num_ub:] == 0``, each within ``_FEASIBILITY_TOL``; any nan fails."""
+    if np.isnan(objective):
+        return "the objective is nan"
+    for template, values, excess in (
+        ("x[{}] = {!r} breaks x >= 0", x, -x),
+        ("inequality row {} has slack {!r}", slack[:num_ub], -slack[:num_ub]),
+        ("equality row {} has residual {!r}", slack[num_ub:], np.abs(slack[num_ub:])),
+    ):
+        broken = np.flatnonzero(~(excess <= _FEASIBILITY_TOL))
+        if broken.size:
+            return template.format(int(broken[0]), float(values[broken[0]]))
+    return None
+
+
 def _solve(
     program: LinearProgram,
     backend: str,
     warm_names: Optional[List[str]],
     span,
 ) -> LpSolution:
+    # Before the clock: a first import of the binding is not solve time.
+    core = _highs_core()
     # Wall-clock on purpose: LP solve cost reported by Table 5.
     started = time.perf_counter()  # lint: allow[R001]
     names = program.variable_names
-    if backend in ("auto", "scipy"):
-        try:
-            from scipy.optimize import linprog
-        except ImportError:
-            if backend == "scipy":
-                raise SolverError("scipy is not installed") from None
-            linprog = None
-        if linprog is not None:
-            result = linprog(
-                c=program.c,
-                A_ub=program.a_ub,
-                b_ub=program.b_ub,
-                A_eq=program.a_eq,
-                b_eq=program.b_eq,
-                bounds=(0, None),
-                method="highs",
-            )
-            if not result.success:
-                raise SolverError(f"scipy linprog failed: {result.message}")
-            x = np.asarray(result.x, dtype=float)
-            return LpSolution(
-                x=x,
-                objective=float(result.fun),
-                solve_seconds=time.perf_counter() - started,  # lint: allow[R001]
-                backend="scipy",
-                basis_names=(
-                    [name for name, value in zip(names, x) if value > 1e-12]
-                    if names
-                    else []
-                ),
-            )
+    if backend == "scipy" and core is None:
+        raise SolverError("scipy is not installed")
+    if backend != "simplex" and core is not None:
+        x, objective = _highs_solve(core, program)
+        return LpSolution(
+            x=x,
+            objective=float(objective),
+            solve_seconds=time.perf_counter() - started,  # lint: allow[R001]
+            backend="scipy",
+            basis_names=(
+                [name for name, value in zip(names, x) if value > 1e-12]
+                if names
+                else []
+            ),
+        )
     warm_columns = None
     if warm_names and names:
         index_of = {name: position for position, name in enumerate(names)}

@@ -1,6 +1,10 @@
-"""The placement LP assembly and simplex as they were until PR 19.
+"""The placement LP assembly, simplex and scipy call as they used to be.
 
-Kept verbatim as the oracle for the whole-array code that replaced them:
+Kept verbatim as the oracle for the code that replaced them:
+
+- :func:`reference_scipy_solve` is the scipy backend's
+  ``linprog(method="highs")`` call with its ``success`` rule, which
+  ``solve_lp`` replaced by a direct call into scipy's HiGHS binding;
 
 - :func:`reference_data_program` is ``solve_data_lp``'s row-by-row
   assembly — every coefficient reached through an f-string name and a
@@ -29,6 +33,24 @@ from repro.placement.solver import LinearProgram, LpSolution, solve_lp
 
 _EPS_BYTES = 1e-6
 _TOL = 1e-9
+
+
+def reference_scipy_solve(program: LinearProgram) -> Tuple[np.ndarray, float]:
+    """``solve_lp``'s scipy backend as it was: ``x`` and objective, or raise."""
+    from scipy.optimize import linprog
+
+    result = linprog(
+        c=program.c,
+        A_ub=program.a_ub,
+        b_ub=program.b_ub,
+        A_eq=program.a_eq,
+        b_eq=program.b_eq,
+        bounds=(0, None),
+        method="highs",
+    )
+    if not result.success:
+        raise SolverError(f"scipy linprog failed: {result.message}")
+    return np.asarray(result.x, dtype=float), float(result.fun)
 
 
 def reference_data_program(

@@ -1,5 +1,9 @@
 """Simplex and solver front-end tests, cross-checked against scipy."""
 
+import re
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +11,12 @@ from hypothesis import strategies as st
 
 from repro.errors import SolverError
 from repro.placement.simplex import simplex_solve
-from repro.placement.solver import LinearProgram, solve_lp
+from repro.placement.solver import (
+    _FEASIBILITY_TOL,
+    LinearProgram,
+    _tolerance_violation,
+    solve_lp,
+)
 
 
 class TestSimplexBasics:
@@ -157,14 +166,96 @@ class TestSolverFrontend:
             solve_lp(self.make_program(), backend="quantum")
 
     def test_infeasible_raises(self):
-        program = LinearProgram(
-            c=np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([-5.0])
-        )
-        with pytest.raises(SolverError):
-            solve_lp(program, backend="scipy")
-        with pytest.raises(SolverError):
-            solve_lp(program, backend="simplex")
+        failing = [  # program, HiGHS model status, simplex status
+            (
+                LinearProgram(c=np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([-5.0])),
+                "Infeasible", "infeasible",
+            ),
+            (
+                LinearProgram(c=np.array([-1.0]), a_ub=np.array([[-1.0]]), b_ub=np.array([0.0])),
+                "Unbounded", "unbounded",
+            ),
+            (  # x + y = 1 and x + y = 2
+                LinearProgram(
+                    c=np.array([1.0, 1.0]),
+                    a_eq=np.array([[1.0, 1.0], [1.0, 1.0]]),
+                    b_eq=np.array([1.0, 2.0]),
+                ),
+                "Infeasible", "infeasible",
+            ),
+        ]
+        for program, status, simplex_status in failing:
+            for backend in ("scipy", "auto"):
+                with pytest.raises(SolverError, match=f"HiGHS found no optimum: model status {status}$"):
+                    solve_lp(program, backend=backend)
+            with pytest.raises(SolverError, match=f"simplex failed: {simplex_status}$"):
+                solve_lp(program, backend="simplex")
+
+    def test_optimum_outside_the_tolerance_raises_naming_the_bound(self):
+        # A negative tolerance rejects the true optimum t = 2, x = 0.
+        with mock.patch("repro.placement.solver._FEASIBILITY_TOL", -1.0):
+            with pytest.raises(SolverError, match=r"feasibility check: x\[1\] = 0.0 breaks x >= 0"):
+                solve_lp(self.make_program(), backend="scipy")
 
     def test_names_length_mismatch(self):
         with pytest.raises(SolverError):
             LinearProgram(c=np.array([1.0]), variable_names=["a", "b"])
+
+
+class TestToleranceViolation:
+    """linprog's ``_check_result`` test on a HiGHS optimum, by itself."""
+
+    tol = _FEASIBILITY_TOL
+
+    def violation(self, x, slack=(), num_ub=0, objective=0.0):
+        return _tolerance_violation(np.array(x, dtype=float), objective, np.array(slack, dtype=float), num_ub)
+
+    def test_within_the_tolerance_is_no_violation(self):
+        assert self.tol == pytest.approx(3.1623e-4, rel=1e-4)
+        edge = -self.tol
+        assert self.violation([0.0, edge], slack=[edge, 5.0, -edge, edge], num_ub=2) is None
+
+    def test_x_below_zero(self):
+        beyond = float(np.nextafter(-self.tol, -np.inf))
+        assert self.violation([1.0, beyond]) == f"x[1] = {beyond!r} breaks x >= 0"
+
+    def test_negative_inequality_slack(self):
+        assert self.violation([0.0], slack=[0.0, -0.01, 3.0], num_ub=2) == (
+            "inequality row 1 has slack -0.01"
+        )
+
+    def test_equality_residual_either_sign(self):
+        assert self.violation([0.0], slack=[-5.0, 0.0, 0.01], num_ub=0) == (
+            "equality row 0 has residual -5.0"
+        )
+        assert self.violation([0.0], slack=[5.0, 0.0, 0.01], num_ub=1) == (
+            "equality row 1 has residual 0.01"
+        )
+
+    def test_nan_anywhere_fails(self):
+        assert self.violation([np.nan]) == "x[0] = nan breaks x >= 0"
+        assert self.violation([0.0], slack=[np.nan], num_ub=1) == "inequality row 0 has slack nan"
+        assert self.violation([0.0], slack=[np.nan]) == "equality row 0 has residual nan"
+        assert self.violation([0.0], objective=np.nan) == "the objective is nan"
+
+
+class TestScipyFloor:
+    program = LinearProgram(c=np.array([1.0]), a_ub=np.array([[-1.0]]), b_ub=np.array([-2.0]))
+
+    def test_scipy_without_the_highs_binding_fails_every_backend(self):
+        import scipy
+
+        with mock.patch.dict(sys.modules, {"scipy.optimize._highspy._core": None}):
+            for backend in ("auto", "scipy", "simplex"):
+                with pytest.raises(
+                    SolverError,
+                    match=rf"^scipy {re.escape(scipy.__version__)} has no .*needs scipy>=1\.15$",
+                ):
+                    solve_lp(self.program, backend=backend)
+
+    def test_only_a_missing_scipy_sends_auto_to_the_simplex(self):
+        with mock.patch.dict(sys.modules, {"scipy": None}):
+            assert solve_lp(self.program, backend="auto").backend == "simplex"
+            assert solve_lp(self.program, backend="simplex").objective == pytest.approx(2.0)
+            with pytest.raises(SolverError, match="^scipy is not installed$"):
+                solve_lp(self.program, backend="scipy")

@@ -113,7 +113,7 @@ class TestSolveLpWarmNames:
         )
         assert not warm.warm_started
         assert np.array_equal(warm.x, cold.x)
-        # scipy exposes no basis; basis_names is the solution support.
+        # The scipy backend reports the solution support as basis_names.
         assert set(cold.basis_names) <= {"x", "y"}
 
 

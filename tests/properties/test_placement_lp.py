@@ -1,30 +1,40 @@
-"""The whole-array placement LPs against the scalar code they replaced.
+"""The placement LP code against the code it replaced.
 
-``solve_data_lp`` assembles its matrix by index arithmetic and the simplex
-pivots with one masked rank-1 update; ``tests/placement/reference_lp.py``
-keeps the row-by-row assembly and the scalar-loop simplex they replaced.
-The properties: the same program, tableau, basis and plan, bit for bit —
-and, separately, that the two LP backends agree on placement-shaped LPs.
+``solve_data_lp`` assembles its matrix by index arithmetic, the simplex
+pivots with one masked rank-1 update and the scipy backend calls HiGHS
+directly; ``tests/placement/reference_lp.py`` keeps the row-by-row
+assembly, the scalar-loop simplex and the ``linprog`` call they replaced.
+The properties: the same program, tableau, basis, solution and plan, bit
+for bit — and, separately, that the two LP backends agree on
+placement-shaped LPs.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize._highspy._core as highs_core
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.placement import simplex
+from repro.placement.iridium import IridiumPlanner
 from repro.placement.joint import JointPlanner
 from repro.placement.lp import solve_data_lp
 from repro.placement.model import PlacementProblem
 from repro.placement.simplex import simplex_solve
 from repro.placement.solver import LinearProgram, LpSolution, solve_lp
+from repro.systems.base import SystemConfig
+from repro.systems.registry import make_system
+from repro.wan.presets import uniform_sites
 from repro.wan.topology import Site, WanTopology
+from repro.workloads.base import WorkloadSpec
+from repro.workloads.tpcds import tpcds_workload
 from tests.placement.reference_lp import (
     reference_data_program,
     reference_iterate,
+    reference_scipy_solve,
     reference_simplex_solve,
     reference_solve_data_lp,
 )
@@ -227,9 +237,10 @@ def test_iterate_canonicalizes_an_arbitrary_basis_like_the_scalar_loop(case):
 # ------------------------------------------------------------ whole planner
 
 
-def decision_fields(decision):
+def decision_fields(decision, backend):
     if isinstance(decision, tuple):
-        return decision
+        # HiGHS and linprog word a failure differently; the simplex paths do not.
+        return decision if backend == "simplex" else decision[0]
     return (
         list(decision.moves.items()),  # keys in order
         decision.reduce_fractions,
@@ -239,16 +250,180 @@ def decision_fields(decision):
     )
 
 
-@pytest.mark.parametrize("backend", ["scipy", "simplex"])
+def linprog_highs_solve(core, program):
+    """``reference_scipy_solve`` in the place of ``solver._highs_solve``."""
+    return reference_scipy_solve(program)
+
+
+def assert_plan_is_the_reference_plan(planner, backend, problem):
+    ours = outcome(planner.plan, problem)
+    with mock.patch("repro.placement.joint.solve_data_lp", reference_solve_data_lp), \
+            mock.patch("repro.placement.solver.simplex_solve", reference_simplex_solve), \
+            mock.patch("repro.placement.solver._highs_solve", linprog_highs_solve):
+        expected = outcome(planner.plan, problem)
+    assert decision_fields(ours, backend) == decision_fields(expected, backend)
+
+
+@pytest.mark.parametrize("backend", ["scipy", "simplex", "auto"])
 @settings(max_examples=20, deadline=None)
 @given(problem=placement_problems(max_sites=4, max_datasets=3))
 def test_joint_plan_is_the_plan_of_the_reference_functions(backend, problem):
-    planner = JointPlanner(backend=backend)
-    ours = outcome(planner.plan, problem)
-    with mock.patch("repro.placement.joint.solve_data_lp", reference_solve_data_lp), \
-            mock.patch("repro.placement.solver.simplex_solve", reference_simplex_solve):
-        expected = outcome(planner.plan, problem)
-    assert decision_fields(ours) == decision_fields(expected)
+    assert_plan_is_the_reference_plan(JointPlanner(backend=backend), backend, problem)
+
+
+@pytest.mark.parametrize("backend", ["scipy", "simplex", "auto"])
+@settings(max_examples=20, deadline=None)
+@given(problem=placement_problems(max_sites=4, max_datasets=3))
+def test_iridium_plan_is_the_plan_of_the_reference_functions(backend, problem):
+    assert_plan_is_the_reference_plan(IridiumPlanner(backend=backend), backend, problem)
+
+
+# ------------------------------------------------------ HiGHS ≡ linprog
+
+
+#: Signed zeros beside the small integers: CSC must drop ``-0.0`` as
+#: ``scipy.sparse`` does.
+highs_coefficients = st.one_of(st.just(-0.0), coefficients)
+
+
+@st.composite
+def highs_programs(draw):
+    """Any LP ``solve_lp`` accepts: optimal, infeasible or unbounded.
+
+    ``a_ub`` only, ``a_eq`` only, both or neither; blocks with zero rows,
+    all-zero rows and columns, repeated rows, and no variables at all.
+    """
+    num_vars = draw(st.integers(0, 6))
+    point = np.array(draw(st.lists(st.integers(0, 3), min_size=num_vars, max_size=num_vars)), dtype=float)
+    anchored = draw(st.booleans())
+    dead_column = draw(st.none() | st.integers(0, max(0, num_vars - 1)))
+
+    def block(max_rows, slacks):
+        shape = draw(st.sampled_from(["absent", "empty", "rows"]))
+        if shape == "absent":
+            return None, None
+        count = 0 if shape == "empty" else draw(st.integers(1, max_rows))
+        rows = np.array(
+            [[draw(highs_coefficients) for _ in range(num_vars)] for _ in range(count)]
+        ).reshape(count, num_vars)
+        if count and draw(st.booleans()):
+            rows[draw(st.integers(0, count - 1))] = 0.0  # an all-zero row
+        if dead_column is not None and num_vars:
+            rows[:, dead_column] = 0.0
+        if anchored:
+            rhs = rows @ point + np.array([draw(slacks) for _ in range(count)])
+        else:
+            rhs = np.array([draw(coefficients) for _ in range(count)])
+        repeats = draw(st.lists(st.integers(0, max(0, count - 1)), max_size=2)) if count else []
+        return np.vstack([rows, rows[repeats]]), np.concatenate([rhs, rhs[repeats]])
+
+    a_ub, b_ub = block(6, st.sampled_from([0.0, 0.0, 1.0, 2.5]))
+    a_eq, b_eq = block(3, st.just(0.0))
+    return LinearProgram(
+        c=np.array([draw(highs_coefficients) for _ in range(num_vars)]),
+        a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
+    )
+
+
+def solve_fields(result):
+    """``x`` bytes and objective, or that the solve raised."""
+    if isinstance(result, LpSolution):
+        result = result.x, result.objective
+    if isinstance(result[0], type):
+        return "raised"
+    return result[0].tobytes(), result[1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(highs_programs())
+def test_scipy_backend_is_the_linprog_call(program):
+    ours = outcome(solve_lp, program, backend="scipy")
+    expected = outcome(reference_scipy_solve, program)
+    assert solve_fields(ours) == solve_fields(expected)
+
+
+class RecordingHighs:
+    """A ``_Highs`` that keeps the model it is handed and does not solve it."""
+
+    def __init__(self, highs):
+        self._highs = highs
+        self.model = None
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def passModel(self, lp):
+        matrix = lp.a_matrix_
+        floats = [lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_,
+                  matrix.value_]
+        self.model = (
+            lp.num_col_, lp.num_row_, matrix.num_col_, matrix.num_row_, matrix.format_,
+            list(matrix.start_), list(matrix.index_), lp.sense_, lp.offset_,
+            list(lp.integrality_), [np.array(values, dtype=float).tobytes() for values in floats],
+        )
+        return self._highs.passModel(lp)
+
+    def run(self):
+        return highs_core.HighsStatus.kOk
+
+    def handover(self):
+        """The model, and every option value, as ``run`` would have seen them."""
+        options = self._highs.getOptions()
+        values = {name: getattr(options, name) for name in dir(options) if name[0] != "_"}
+        return self.model, {name: value for name, value in values.items() if not callable(value)}
+
+
+def handed_to_highs(solve, program):
+    """What each ``_Highs`` one solve creates is given: model and options."""
+    created = []
+    real = highs_core._Highs
+
+    def recording():
+        created.append(RecordingHighs(real()))
+        return created[-1]
+
+    with mock.patch.object(highs_core, "_Highs", recording):
+        outcome(solve, program)
+    return [highs.handover() for highs in created]
+
+
+@settings(max_examples=200, deadline=None)
+@given(highs_programs().filter(lambda program: program.num_variables > 0))
+def test_highs_is_handed_the_model_and_options_linprog_hands_it(program):
+    """Bit-identity at the source: one fresh ``_Highs`` per solve, given the
+    same CSC arrays, bounds and full option set as ``linprog`` gives its own
+    (``run`` is stubbed: the comparison is of the inputs, not the answer)."""
+    ours = handed_to_highs(lambda p: solve_lp(p, backend="scipy"), program)
+    assert len(ours) == 1
+    assert ours == handed_to_highs(reference_scipy_solve, program)
+
+
+def test_planner_traffic_is_the_linprog_traffic():
+    """Every ``auto`` LP of a bohr/tpcds prepare and two degraded replans."""
+    topology = uniform_sites(5, uplink="2MB/s", machines=1, executors_per_machine=2)
+    workload = tpcds_workload(
+        topology, seed=3,
+        spec=WorkloadSpec(records_per_site=30, record_bytes=2_000, num_datasets=3),
+    )
+    config = SystemConfig(lag_seconds=8.0, partition_records=8, charge_rdd_overhead=False)
+    controller = make_system("bohr", topology, config)
+    solved = []
+
+    def spy(program, backend="auto", warm_names=None):
+        solution = solve_lp(program, backend=backend, warm_names=warm_names)
+        solved.append((program, backend, solution))
+        return solution
+
+    with mock.patch("repro.placement.lp.solve_lp", spy):
+        controller.prepare(workload)
+        controller.prepare_degraded(workload, topology.site_names[:1])
+        controller.prepare_degraded(workload, topology.site_names[:2])
+    assert {backend for _, backend, _ in solved} == {"auto"}
+    assert len(solved) > 20
+    for program, _, solution in solved:
+        x, objective = reference_scipy_solve(program)
+        assert solution.x.tobytes() == x.tobytes()
+        assert solution.objective == objective  # lint: allow[R004]
 
 
 # --------------------------------------------------------- scipy ≡ simplex
