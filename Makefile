@@ -37,7 +37,7 @@ parity:  ## scalar/columnar hot-path parity suite (bit-identity oracle)
 		tests/properties/test_obs_oracles.py
 
 bench-smoke:  ## smoke benchmarks vs the committed baseline (sim metrics; wall is never gated)
-	$(PYTHON) -m repro bench --suite smoke --compare BENCH_6.json \
+	$(PYTHON) -m repro bench --suite smoke --compare BENCH_7.json \
 		--out bench_smoke.json
 
 perfbench-smoke:  ## the driver's benchmark, quick: its tests, then all six workloads traced

@@ -42,7 +42,7 @@ def run_serve(**overrides):
         "bohr",
         workload_factory("bigdata-aggregation"),
         bench_topology(),
-        bench_config(charge_rdd_overhead=False),
+        bench_config(),
         ServeConfig(**defaults),
     )
 

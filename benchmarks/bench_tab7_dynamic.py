@@ -19,9 +19,9 @@ KINDS = ("tpcds", "facebook", "bigdata-aggregation")
 NUM_QUERIES = 8
 
 
-def run_pair(kind, charge_rdd_overhead=True):
+def run_pair(kind):
     topology = bench_topology()
-    config = bench_config(charge_rdd_overhead=charge_rdd_overhead)
+    config = bench_config()
 
     # Dynamic: 25% initial + 15 batches (the paper's 10GB + 2GB shape).
     template = workload_factory(kind)()
@@ -57,8 +57,7 @@ def run_pair(kind, charge_rdd_overhead=True):
 def bench_tab7_dynamic():
     sim = {}
     for kind in KINDS:
-        # Uncharged RDD overhead keeps these QCTs on the pure sim clock.
-        normal, dynamic = run_pair(kind, charge_rdd_overhead=False)
+        normal, dynamic = run_pair(kind)
         sim[f"qct_normal.{kind}"] = normal
         sim[f"qct_dynamic.{kind}"] = dynamic
     return {"sim": sim, "wall": {}}

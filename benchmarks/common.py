@@ -118,17 +118,7 @@ def _run_scheme_cached(
     seed: int,
 ) -> ExperimentResult:
     topology = bench_topology()
-    # RDD-similarity overhead is wall-measured (engine/assignment.py), so
-    # charging it into QCT would make the sim clock nondeterministic; the
-    # harness gates sim metrics bit-for-bit, so keep QCT pure sim time and
-    # report the overhead separately as a wall metric (same convention as
-    # repro.lint.determinism).
-    config = bench_config(
-        probe_k=probe_k,
-        lag_seconds=lag_seconds,
-        seed=seed,
-        charge_rdd_overhead=False,
-    )
+    config = bench_config(probe_k=probe_k, lag_seconds=lag_seconds, seed=seed)
     return run_experiment(
         scheme,
         workload_factory(kind, placement, seed=seed),
@@ -169,7 +159,8 @@ def experiment_sim_metrics(
     """The paper's sim-clock observables for one experiment.
 
     All lower-is-better: mean QCT seconds, WAN bytes shuffled by the
-    scheme's queries, and total intermediate bytes.
+    scheme's queries, total intermediate bytes, and the RDD clustering
+    cost charged to the queries' map stages.
     """
     return {
         f"qct.{label}": result.mean_qct,
@@ -177,6 +168,9 @@ def experiment_sim_metrics(
         f"intermediate_bytes.{label}": sum(
             sum(run.intermediate_bytes_by_site.values())
             for run in result.runs
+        ),
+        f"rdd_overhead_seconds.{label}": sum(
+            run.rdd_overhead_seconds for run in result.runs
         ),
     }
 
@@ -188,9 +182,6 @@ def experiment_wall_metrics(
     return {
         f"lp_seconds.{label}": result.prep.lp_solve_seconds,
         f"probe_build_seconds.{label}": result.prep.probe_build_seconds,
-        f"rdd_overhead_seconds.{label}": sum(
-            run.rdd_overhead_seconds for run in result.runs
-        ),
     }
 
 

@@ -4,7 +4,7 @@
 
     repro bench --suite smoke --out BENCH_smoke.json
     repro bench --suite smoke --compare BENCH_smoke.json
-    repro bench --suite full --out BENCH_new.json --compare BENCH_6.json
+    repro bench --suite full --out BENCH_new.json --compare BENCH_7.json
     repro bench --list
     repro bench --suite smoke --profile --profile-out bench.collapsed
 

@@ -373,7 +373,8 @@ def _finish_observed(args: argparse.Namespace, obs) -> int:
     return 0
 
 
-def _experiment(scheme: str, args: argparse.Namespace) -> ExperimentResult:
+def run_scheme(scheme: str, args: argparse.Namespace) -> ExperimentResult:
+    """One scheme's experiment, as ``repro run`` runs it from ``args``."""
     topology, config, chaos, factory = _build_inputs(args)
     return run_experiment(scheme, factory, topology, config,
                           query_limit=args.queries, chaos=chaos)
@@ -723,9 +724,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     with _observed(args, record=_wants_observability(args)) as obs:
         if profiler is not None:
             with profiler:
-                results = [_experiment(scheme, args) for scheme in schemes]
+                results = [run_scheme(scheme, args) for scheme in schemes]
         else:
-            results = [_experiment(scheme, args) for scheme in schemes]
+            results = [run_scheme(scheme, args) for scheme in schemes]
         events = obs.telemetry.events
         if args.profile or args.sanitize:
             # Inside the slot, so --sanitize checks critpath-conservation.

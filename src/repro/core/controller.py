@@ -114,7 +114,6 @@ class Controller:
             rdd_similarity=profile.rdd_similarity,
             dimsum_config=DimsumConfig(gamma=config.dimsum_gamma, seed=config.seed),
             seed=config.seed,
-            charge_rdd_overhead=config.charge_rdd_overhead,
             faults=faults,
             stall_timeout_seconds=stall_timeout,
         )

@@ -3,14 +3,13 @@
 Spark assigns RDD partitions to executors without regard to content; Bohr
 instead computes pairwise partition similarity with Jaccard-modified
 DIMSUM and k-means-clusters similar partitions onto the same executor, so
-their identical records combine before hitting the network.  The wall
-time of that checking is measured and reported — it is the overhead of
-Table 4 and is charged to the job's completion time.
+their identical records combine before hitting the network.  The cost
+of that checking — the overhead of Table 4 — is charged to the job's
+map stage on the sim clock, priced from the work the pass did.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -18,6 +17,17 @@ from repro.errors import EngineError
 from repro.engine.rdd import RDDPartition, round_robin
 from repro.similarity.dimsum import DimsumConfig, dimsum_similarity_matrix
 from repro.similarity.kmeans import kmeans
+
+#: Sim-clock cost of one similarity pass, one term per unit of work
+#: (DESIGN.md, "RDD clustering cost").  Fitted once to Table 4's measured
+#: overhead (BENCH_6 ``tab4-rdd-overhead`` wall: 3.50 / 3.78 / 4.61 /
+#: 5.21 ms per job at 2 / 4 / 6 / 8 executors): the distance term and the
+#: fixed part by least squares over those four points, the fixed part
+#: split between pass, key and pair by timing each step of the pass.
+PASS_SECONDS = 2.1e-4  # per pass: DIMSUM sampling and k-means++ setup
+KEY_SECONDS = 1.8e-7  # per key of a partition's key set (projection)
+PAIR_SECONDS = 8.1e-7  # per partition pair DIMSUM examined
+DISTANCE_SECONDS = 7.9e-7  # per point x centroid x k-means iteration
 
 
 @dataclass
@@ -65,16 +75,20 @@ def assign_partitions(
         groups = round_robin(list(partitions), num_executors)
         return AssignmentResult(groups, 0.0, "round-robin")
 
-    # Wall-clock on purpose: RDD checking overhead, Table 4.
-    started = time.perf_counter()  # lint: allow[R001]
     key_sets = [partition.key_set(key_indices) for partition in partitions]
-    matrix, _ = dimsum_similarity_matrix(key_sets, dimsum_config)
+    matrix, stats = dimsum_similarity_matrix(key_sets, dimsum_config)
     clustering = kmeans(matrix, num_executors, seed=seed)
     groups: List[List[RDDPartition]] = [[] for _ in range(num_executors)]
     for index, label in enumerate(clustering.labels):
         groups[label].append(partitions[index])
     _fill_idle_executors(groups)
-    overhead = time.perf_counter() - started  # lint: allow[R001]
+    distances = len(partitions) * num_executors * clustering.iterations
+    overhead = (
+        PASS_SECONDS
+        + KEY_SECONDS * sum(len(keys) for keys in key_sets)
+        + PAIR_SECONDS * stats.pairs_examined
+        + DISTANCE_SECONDS * distances
+    )
     return AssignmentResult(groups, overhead, "similarity")
 
 

@@ -150,7 +150,6 @@ class MapReduceEngine:
         dimsum_config: DimsumConfig = DimsumConfig(),
         lan_bps: float = 10.0e9,
         seed: int = 7,
-        charge_rdd_overhead: bool = True,
         faults: "Optional[FaultSchedule]" = None,
         stall_timeout_seconds: float = math.inf,
     ) -> None:
@@ -174,7 +173,6 @@ class MapReduceEngine:
             stall_timeout_seconds=stall_timeout_seconds,
         )
         self.seed = seed
-        self.charge_rdd_overhead = charge_rdd_overhead
 
     # ------------------------------------------------------------------
 
@@ -356,8 +354,6 @@ class MapReduceEngine:
         Map runs [map_start, map_finish], reduce
         [finish - reduce_seconds, finish]; stage-finish carries its own
         start so the Gantt derivation never has to pair events.
-        rdd_overhead is wall-coupled and excluded from determinism
-        digests by name.
         """
         for site, site_metrics in result.per_site.items():
             if site_metrics.excluded:
@@ -522,10 +518,9 @@ class MapReduceEngine:
             waves = self.faults.task_failure_waves(site_name)
             site_metrics.task_retry_waves = waves
             site_metrics.map_seconds *= slowdown * (1.0 + waves)
-        overhead = (
-            site_metrics.rdd_overhead_seconds if self.charge_rdd_overhead else 0.0
+        site_metrics.map_finish = (
+            site_metrics.map_seconds + site_metrics.rdd_overhead_seconds
         )
-        site_metrics.map_finish = site_metrics.map_seconds + overhead
         return executor_outputs
 
     def _plan_shuffle(

@@ -9,11 +9,9 @@ runs and are excluded; everything else — span structure, sim-clock
 intervals, byte counts, similarities, placement fractions — must be
 byte-identical, or the simulator has nondeterministic state (the WANify
 failure mode: a silently drifting simulator corrupts every
-seed-controlled comparison).
-
-``charge_rdd_overhead`` is forced off for the check: the paper's RDD
-overhead is a *measured wall time* charged to QCT, so with it on, QCT is
-wall-coupled by design and two runs differ in the last decimals.
+seed-controlled comparison).  Both runs are ``repro run``: the flags are
+parsed by the CLI's own parser and run by the CLI's own
+:func:`repro.cli.run_scheme`, so no configuration is retyped here.
 """
 
 from __future__ import annotations
@@ -97,48 +95,30 @@ def run_determinism_check(
     chaos_profile: "str | None" = None,
     chaos_seed: int = 13,
 ) -> DeterminismReport:
-    """Execute the experiment twice and compare sim-content digests.
+    """Execute ``repro run`` twice and compare sim-content digests.
 
     With ``chaos_profile`` both runs execute under the same injected
     fault schedule: faults, retries, and degraded replanning must be
     exactly as deterministic as the benign simulator.
     """
-    from repro.core.runner import run_experiment
+    from repro.cli import build_parser, run_scheme
     from repro.obs import instrument
     from repro.obs.telemetry import TelemetryBus, telemetry_digest
-    from repro.systems.base import SystemConfig
-    from repro.wan.presets import ec2_ten_sites
-    from repro.workloads import build_workload
 
+    argv = [
+        "run", "--scheme", scheme, "--workload", workload,
+        "--placement", placement, "--seed", str(seed),
+        "--queries", str(queries), "--scale", str(scale),
+        "--base-uplink", base_uplink,
+    ]
+    if chaos_profile is not None:
+        argv += ["--chaos", chaos_profile, "--chaos-seed", str(chaos_seed)]
+    args = build_parser().parse_args(argv)
     digests: List[Tuple[str, str, int]] = []
     for _ in range(2):
-        topology = ec2_ten_sites(base_uplink=base_uplink)
-        config = SystemConfig(
-            lag_seconds=8.0,
-            seed=seed,
-            partition_records=8,
-            charge_rdd_overhead=False,  # wall-measured; excluded by design
-        )
-        chaos = None
-        if chaos_profile is not None:
-            from repro.chaos.profiles import build_schedule
-            from repro.chaos.runtime import ChaosConfig
-
-            chaos = ChaosConfig(
-                faults=build_schedule(chaos_profile, topology, seed=chaos_seed)
-            )
-
-        def factory():
-            return build_workload(
-                workload, topology, placement=placement, seed=seed, scale=scale
-            )
-
         bus = TelemetryBus()
         with instrument.instrumented(telemetry=bus):
-            result = run_experiment(
-                scheme, factory, topology, config, query_limit=queries,
-                chaos=chaos,
-            )
+            result = run_scheme(scheme, args)
         digests.append(
             (result_digest([result]), telemetry_digest(bus), len(bus.events))
         )

@@ -6,7 +6,7 @@ DESIGN.md "Determinism & invariants contract"):
 * **R001** — no wall-clock reads in simulation code.  The simulator runs
   on its own clock; ``time.time``/``perf_counter``/``monotonic`` and
   ``datetime.now`` silently couple results to the host machine.  The
-  intentional offline-prep timing sites (Tables 3–5 of the paper) carry
+  intentional offline-prep timing sites (Tables 3 and 5 of the paper) carry
   ``# lint: allow[R001]`` pragmas.
 * **R002** — no raw ``random`` module (or legacy global-state
   ``numpy.random.*``) use; all randomness flows through

@@ -3,7 +3,7 @@
 The repository runs a *simulation*: a query's map/shuffle/reduce phases
 occupy simulated seconds (what the paper's figures report), while the
 offline machinery — cube building, probe construction, LP solving — costs
-real wall-clock seconds (what Tables 3–5 report).  A span therefore
+real wall-clock seconds (what Tables 3 and 5 report).  A span therefore
 carries two independent intervals:
 
 * ``wall_start``/``wall_end`` — seconds of real time since the bus's

@@ -133,10 +133,6 @@ EVENT_KINDS = (
     V1_EVENT_KINDS | SERVE_EVENT_KINDS | V3_EVENT_KINDS | V4_EVENT_KINDS
 )
 
-#: Attribute keys carrying wall-measured values (excluded from digests;
-#: keys ending in ``wall_seconds`` are excluded by suffix as well).
-WALL_ATTRS = frozenset({"rdd_overhead_seconds", "overhead_seconds"})
-
 _Scalar = Union[str, int, float, bool, None]
 
 #: Hoisted for the ``emit`` hot path (saves a module-attribute lookup).
@@ -468,7 +464,7 @@ def _canonical(value: Any) -> Any:
 
 
 def _is_wall_attr(key: str) -> bool:
-    return key in WALL_ATTRS or key.endswith("wall_seconds")
+    return key.endswith("wall_seconds")
 
 
 def telemetry_digest(
@@ -476,9 +472,9 @@ def telemetry_digest(
 ) -> str:
     """SHA-256 over the sim-relevant content of an event stream, in order.
 
-    Wall-measured attributes (:data:`WALL_ATTRS` plus any key ending in
-    ``wall_seconds``) legitimately differ between same-seed runs and are
-    excluded; everything else must be byte-identical.
+    Wall-measured attributes (every key ending in ``wall_seconds``)
+    legitimately differ between same-seed runs and are excluded;
+    everything else must be byte-identical.
     """
     payload: List[Any] = []
     events = source.events if isinstance(source, TelemetryBus) else source

@@ -704,16 +704,9 @@ def serve_workload(
     serve_config: ServeConfig = ServeConfig(),
 ) -> ServeReport:
     """Prepare a scheme and serve a Zipf workload against it."""
-    from dataclasses import replace
-
     from repro.systems.registry import make_system
 
-    config = system_config or SystemConfig()
-    if config.charge_rdd_overhead:
-        # RDD overhead is wall-measured; charging it into map_finish
-        # would make sim_digest() vary run to run.
-        config = replace(config, charge_rdd_overhead=False)
-    controller = make_system(scheme, topology, config)
+    controller = make_system(scheme, topology, system_config or SystemConfig())
     workload = workload_factory()
     controller.prepare(workload)
     scheduler = ServeScheduler(controller, workload, serve_config)

@@ -1,7 +1,5 @@
 """Controller pipeline tests."""
 
-import dataclasses
-
 import pytest
 
 from repro.query.parser import parse_sql
@@ -124,19 +122,6 @@ class TestRunQuery:
         assert forced.total_rdd_overhead_seconds == 0.0
 
 
-def sim_view(result):
-    """A job's sim-clock observables: QCT, WAN bytes and every per-site
-    metric except the wall-measured RDD clustering seconds."""
-    return (
-        result.qct,
-        result.total_wan_bytes,
-        {
-            site: dataclasses.replace(metrics, rdd_overhead_seconds=0.0)
-            for site, metrics in result.per_site.items()
-        },
-    )
-
-
 class TestPreparedStateOnly:
     """A prepared controller's answer to a query depends on the prepared
     state and the query, not on which queries ran before it."""
@@ -145,19 +130,14 @@ class TestPreparedStateOnly:
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_query_order_does_not_matter(self, scheme, kind):
         topology = ec2_ten_sites(base_uplink="0.05MB/s")
-        config = SystemConfig(
-            seed=11, partition_records=8, charge_rdd_overhead=False
-        )
+        config = SystemConfig(seed=11, partition_records=8)
         workload = build_workload(kind, topology, seed=7, scale=0.15)
         controller = make_system(scheme, topology, config)
         controller.prepare(workload)
         queries = list(workload.queries)
-        forward = [
-            sim_view(controller.run_query(workload, query)) for query in queries
-        ]
+        forward = [controller.run_query(workload, query) for query in queries]
         backward = [
-            sim_view(controller.run_query(workload, query))
-            for query in reversed(queries)
+            controller.run_query(workload, query) for query in reversed(queries)
         ]
         assert forward == backward[::-1]
 

@@ -98,6 +98,30 @@ class TestCli:
         loaded = load_results(path)
         assert loaded[0].system == "bohr-sim"
 
+    def test_same_seed_runs_write_the_same_json(self, capsys, tmp_path):
+        """QCT and the RDD clustering cost included; only the four
+        wall-measured preparation timings may differ."""
+        from repro.cli import main
+
+        documents = []
+        for name in ("a.json", "b.json"):
+            path = tmp_path / name
+            assert main([
+                "run", "--scheme", "bohr", "--queries", "6", "--json", str(path),
+            ]) == 0
+            document = json.loads(path.read_text())
+            for result in document["results"]:
+                for timing in (
+                    "cube_build_seconds", "probe_build_seconds",
+                    "similarity_check_seconds", "lp_solve_seconds",
+                ):
+                    del result["prep"][timing]
+            documents.append(document)
+        capsys.readouterr()
+        [result] = documents[0]["results"]
+        assert any(run["rdd_overhead_seconds"] > 0 for run in result["runs"])
+        assert documents[0] == documents[1]
+
     def test_compare_command(self, capsys):
         from repro.cli import main
 

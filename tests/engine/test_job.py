@@ -205,17 +205,17 @@ class TestRddSimilarityEffect:
         assert aware_result.total_rdd_overhead_seconds > 0.0
         assert base_result.total_rdd_overhead_seconds == 0.0
 
-    def test_overhead_not_charged_when_disabled(self):
+    def test_overhead_is_charged_to_the_map_stage(self):
         topology = uniform_sites(1, machines=1, executors_per_machine=2)
         dataset = GeoDataset("logs", SCHEMA)
         dataset.add_records(
             "site-0", [Record((f"k{i}", 1), size_bytes=100) for i in range(32)]
         )
-        engine = MapReduceEngine(
-            topology, partition_records=4, rdd_similarity=True,
-            charge_rdd_overhead=False,
+        engine = MapReduceEngine(topology, partition_records=4, rdd_similarity=True)
+        first, second = (
+            engine.run(dataset, MapReduceSpec.of([0], 1.0)).per_site["site-0"]
+            for _ in range(2)
         )
-        result = engine.run(dataset, MapReduceSpec.of([0], 1.0))
-        metrics = result.per_site["site-0"]
-        assert metrics.rdd_overhead_seconds > 0.0
-        assert metrics.map_finish == pytest.approx(metrics.map_seconds)
+        assert first.rdd_overhead_seconds > 0.0
+        assert first.map_finish == first.map_seconds + first.rdd_overhead_seconds
+        assert second == first

@@ -7,7 +7,8 @@ from repro.engine.assignment import assign_partitions
 from repro.engine.rdd import make_partitions
 from repro.engine.shuffle import ReduceTaskMap, key_to_task
 from repro.errors import EngineError
-from repro.similarity.dimsum import DimsumConfig
+from repro.similarity.dimsum import DimsumConfig, dimsum_similarity_matrix
+from repro.similarity.kmeans import kmeans
 from repro.types import Record
 
 
@@ -108,6 +109,23 @@ class TestAssignPartitions:
         ]
         assert {0, 1} in groups
         assert {2, 3} in groups
+
+    def test_overhead_is_priced_from_the_work_of_the_pass(self):
+        parts = partitions_with_key_groups()
+        config = DimsumConfig(gamma=1e9, exact_below=10**6)
+        key_sets = [p.key_set([0]) for p in parts]
+        matrix, stats = dimsum_similarity_matrix(key_sets, config)
+        iterations = kmeans(matrix, 2, seed=7).iterations
+        result = assign_partitions(
+            parts, 2, [0], similarity_aware=True, dimsum_config=config
+        )
+        assert stats.pairs_examined == 6
+        assert result.overhead_seconds == (
+            assignment_mod.PASS_SECONDS
+            + assignment_mod.KEY_SECONDS * sum(map(len, key_sets))
+            + assignment_mod.PAIR_SECONDS * 6
+            + assignment_mod.DISTANCE_SECONDS * (4 * 2 * iterations)
+        )
 
     def test_no_idle_executor_when_enough_partitions(self):
         parts = partitions_with_key_groups()

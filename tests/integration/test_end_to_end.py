@@ -60,8 +60,6 @@ class TestConservation:
 
 class TestDeterminism:
     def test_full_experiment_is_reproducible(self):
-        # bohr-joint has no wall-clock component in its QCT (the RDD
-        # similarity overhead of full bohr is measured time, Table 4).
         topo = topology()
 
         def factory():
@@ -69,11 +67,15 @@ class TestDeterminism:
 
         first = run_experiment("bohr-joint", factory, topo, CONFIG, query_limit=4)
         second = run_experiment("bohr-joint", factory, topo, CONFIG, query_limit=4)
-        assert first.mean_qct == pytest.approx(second.mean_qct)
+        assert first.runs == second.runs
+        assert first.mean_qct == second.mean_qct
         assert first.data_reduction_by_site() == second.data_reduction_by_site()
         assert first.prep.reduce_fractions == second.prep.reduce_fractions
 
     def test_bohr_deterministic_up_to_measured_overhead(self):
+        # Full bohr, RDD clustering cost (Table 4) included: it is priced
+        # from the work of the pass, not measured, so QCT and the overhead
+        # term itself are exactly reproducible.
         topo = topology()
 
         def factory():
@@ -81,14 +83,11 @@ class TestDeterminism:
 
         first = run_experiment("bohr", factory, topo, CONFIG, query_limit=4)
         second = run_experiment("bohr", factory, topo, CONFIG, query_limit=4)
-        # Placement and data-volume observables are exactly reproducible;
-        # only measured wall-clock overhead may differ.
+        assert any(run.rdd_overhead_seconds > 0 for run in first.runs)
+        assert first.runs == second.runs
+        assert first.mean_qct == second.mean_qct
         assert first.data_reduction_by_site() == second.data_reduction_by_site()
         assert first.prep.reduce_fractions == second.prep.reduce_fractions
-        overhead_bound = sum(
-            run.rdd_overhead_seconds for run in first.runs + second.runs
-        )
-        assert abs(first.mean_qct - second.mean_qct) <= overhead_bound + 1e-9
 
 
 class TestMovementInvariants:

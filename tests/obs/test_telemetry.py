@@ -1,9 +1,7 @@
 """Telemetry bus: schema round-trip, no-op guard, digests, conservation.
 
 The heavier end-to-end properties (two-run digest equality, telemetry
-on/off bit-identity of sim metrics) run one small experiment each; they
-use ``charge_rdd_overhead=False`` because the RDD surcharge is a
-*measured wall time* folded into QCT by design.
+on/off bit-identity of sim metrics) run one small experiment each.
 """
 
 import json
@@ -45,10 +43,7 @@ def run_instrumented(chaos_profile=None, **config_overrides):
         chaos = ChaosConfig(
             faults=build_schedule(chaos_profile, topology, seed=13)
         )
-    config = SystemConfig(
-        seed=11, partition_records=8, charge_rdd_overhead=False,
-        **config_overrides,
-    )
+    config = SystemConfig(seed=11, partition_records=8, **config_overrides)
     bus = TelemetryBus()
     with instrument.instrumented(telemetry=bus):
         result = run_experiment(
@@ -132,9 +127,7 @@ class TestBus:
                     "bigdata-aggregation", topology, seed=7, scale=SCALE
                 ),
                 topology,
-                config=SystemConfig(
-                    seed=11, partition_records=8, charge_rdd_overhead=False
-                ),
+                config=SystemConfig(seed=11, partition_records=8),
                 query_limit=1,
             )
             assert obs.telemetry.events == []
@@ -258,9 +251,7 @@ class TestBitIdentity:
                 "bigdata-aggregation", topology, seed=7, scale=SCALE
             ),
             topology,
-            config=SystemConfig(
-                seed=11, partition_records=8, charge_rdd_overhead=False
-            ),
+            config=SystemConfig(seed=11, partition_records=8),
             query_limit=QUERIES,
         )
         assert [run.qct for run in with_bus.runs] == [

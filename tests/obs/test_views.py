@@ -1,6 +1,6 @@
 """Bus spans and the two views of the stream: nesting, ordering, the
 no-op twin, and parity of ``spans_from_events`` / ``metrics_from_events``
-with what the pre-bus tracer and metrics registry recorded."""
+with a golden run first recorded by the pre-bus tracer and registry."""
 
 import gzip
 import json
@@ -15,6 +15,7 @@ from repro.errors import ObservabilityError
 from repro.obs import NULL_TELEMETRY, Span, TelemetryBus, instrument
 from repro.obs.inspect import overall_coverage, query_coverage, stage_breakdown
 from repro.obs.critpath import analyze_critical_paths
+from repro.obs.telemetry import _is_wall_attr
 from repro.obs.views import metrics_from_events, spans_from_events
 from repro.systems.base import SystemConfig
 from repro.wan.presets import ec2_ten_sites
@@ -243,37 +244,30 @@ class TestInstrumented:
 
 
 # ----------------------------------------------------------------------
-# view parity against the parent commit
+# view parity against the golden run
 # ----------------------------------------------------------------------
 
-#: Captured at the parent commit (8550d75, tracer + metrics registry as
-#: recorders): ``run_experiment("bohr", bigdata-aggregation, seed 11,
-#: queries 2)`` with the CLI's ``run`` configuration except
-#: ``charge_rdd_overhead=False`` (the surcharge is a measured wall time
-#: folded into QCT), benign and under ``--chaos flaky-wan``.  Span rows
-#: are (name, stage, parent-name chain, sim_start, sim_end, sim-valued
-#: attrs); inspect rows have wall columns masked; wall-valued metric
-#: series keep only their observation count.
+#: ``run_experiment("bohr", bigdata-aggregation, seed 11, queries 2)``
+#: with the CLI's ``run`` configuration, benign and under ``--chaos
+#: flaky-wan``, first captured from the pre-bus tracer and metrics
+#: registry at 8550d75.  Re-captured from these views when the RDD
+#: clustering cost became a sim-clock charge: at every site whose shard
+#: outnumbers its executors a clustering pass now delays the map finish,
+#: and everything after it moved.  Wall-valued columns, span attrs and
+#: series are masked (series keep their observation count).
+#: Regenerate with ``python tests/obs/test_views.py`` from the repo root.
 GOLDEN = Path(__file__).parent / "golden" / "view_parity.json.gz"
 
-_WALL_ATTRS = {"wall_seconds", "rdd_overhead_seconds", "overhead_seconds"}
 _WALL_SERIES = {
-    "rdd_overhead_seconds", "similarity_check_seconds", "lp_solve_seconds",
-    "cube_build_seconds", "probe_build_seconds",
+    "similarity_check_seconds", "lp_solve_seconds", "cube_build_seconds",
+    "probe_build_seconds",
 }
-
-
-@pytest.fixture(scope="module")
-def golden():
-    with gzip.open(GOLDEN, "rt", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def _observe(chaos_profile):
     topology = ec2_ten_sites(base_uplink="2MB/s")
     config = SystemConfig(
-        lag_seconds=8.0, probe_k=30, seed=11, partition_records=8,
-        charge_rdd_overhead=False,
+        lag_seconds=8.0, probe_k=30, seed=11, partition_records=8
     )
     chaos = None
     if chaos_profile:
@@ -293,31 +287,6 @@ def _observe(chaos_profile):
     return obs.telemetry.events, result
 
 
-@pytest.fixture(scope="module")
-def observed():
-    return {"benign": _observe(None), "chaos": _observe("flaky-wan")}
-
-
-@pytest.fixture(params=["benign", "chaos"])
-def parity(request, golden, observed):
-    events, _result = observed[request.param]
-    return request.param, golden[request.param], events
-
-
-def test_chaos_stream_equals_the_parent_commit(observed):
-    """The ``--chaos flaky-wan`` run above (``repro run --scheme bohr
-    --queries 2 --chaos flaky-wan --seed 11`` with the RDD surcharge
-    off): the whole event stream, digested at 2081b01, before the WAN
-    run machinery moved from ``TransferScheduler`` onto ``WanSession``."""
-    from repro.obs.telemetry import telemetry_digest
-
-    events, _result = observed["chaos"]
-    assert len(events) == 1988
-    assert telemetry_digest(events) == (
-        "3dd3ea8647b0bbb5ef71fe58e1b00bb0955a9b058e22003f305e238b44c333c7"
-    )
-
-
 def _span_rows(spans):
     by_id = {span.span_id: span for span in spans}
 
@@ -328,125 +297,111 @@ def _span_rows(spans):
             names.append(span.name)
         return names
 
-    return [
-        [
-            span.name, span.stage, chain(span), span.sim_start, span.sim_end,
-            {k: v for k, v in sorted(span.attrs.items()) if k not in _WALL_ATTRS},
-        ]
-        for span in spans
-    ]
+    return sorted(
+        (
+            [
+                span.name, span.stage, chain(span), span.sim_start, span.sim_end,
+                {k: v for k, v in sorted(span.attrs.items())
+                 if not _is_wall_attr(k)},
+            ]
+            for span in spans
+        ),
+        key=lambda row: json.dumps(row, sort_keys=True),
+    )
 
 
-def _movement_simulated_twice(run):
-    """The parent simulated the accepted movement round twice when no
-    retry policy was set (fixed here): its golden holds one extra
-    ``wan-simulate`` span and double-counts the movement's transfers."""
-    return run == "benign"
+def _metric_records(events):
+    records = []
+    for record in metrics_from_events(events).snapshot():
+        if record["name"] in _WALL_SERIES:
+            record = {k: record[k] for k in ("name", "labels", "type", "count")}
+        records.append(record)
+    return records
 
 
-def _sites_without_a_similarity_pass(run):
-    """Sites whose wall-valued ``rdd_overhead_seconds`` series is gone.
-
-    At the parent every machine holding two or more partitions paid a
-    DIMSUM + k-means pass.  A machine with no more partitions than
-    executors no longer does (the assignment is forced), so a site whose
-    shard fits its executors — here at most 64 records: 2 machines x 4
-    executors x 8-record partitions — reports 0.0 and the view, which
-    only observes positive overheads, has no series for it.  (After
-    movement ireland holds 61 records in the benign run, 70 under chaos.)"""
+def _views(events, result):
+    """Everything the golden pins of one run, in its JSON shape."""
+    spans = spans_from_events(events)
+    movement = result.prep.movement
     return {
-        "benign": ("frankfurt", "ireland", "london", "oregon", "sydney"),
-        "chaos": ("frankfurt", "london", "oregon", "sydney"),
-    }[run]
+        "spans": _span_rows(spans),
+        "inspect_rows": [
+            [row[0], row[1], "*", row[3], row[4] if float(row[3]) > 0 else "*"]
+            for row in stage_breakdown(spans)
+        ],
+        "coverage": [[r["qct"], r["covered"]] for r in query_coverage(spans)],
+        "overall_coverage": overall_coverage(spans),
+        "breakdown": [
+            [f"query:{path.dataset}", path.tenant, path.qct]
+            for path in analyze_critical_paths(events).paths
+        ],
+        "metrics": _metric_records(events),
+        "total_moved_bytes": movement.total_moved_bytes,
+        "mean_qct": result.mean_qct,
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with gzip.open(GOLDEN, "rt", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+@pytest.fixture(scope="module")
+def observed():
+    return {"benign": _observe(None), "chaos": _observe("flaky-wan")}
+
+
+@pytest.fixture(params=["benign", "chaos"])
+def parity(request, golden, observed):
+    events, result = observed[request.param]
+    # Through JSON, as the golden went: tuples become lists.
+    got = json.loads(json.dumps(_views(events, result)))
+    return got, golden[request.param], events
+
+
+def test_chaos_stream_equals_the_parent_commit(observed):
+    """The ``--chaos flaky-wan`` run above (``repro run --scheme bohr
+    --queries 2 --chaos flaky-wan --seed 11``): the whole event stream,
+    digested at 2081b01, before the WAN run machinery moved from
+    ``TransferScheduler`` onto ``WanSession``; re-digested when the RDD
+    clustering cost became a sim-clock charge: ``rdd_overhead_seconds``
+    entered the digest, and the map finishes it delays shift the shuffle
+    flows, which split into four more link samples and one more flows
+    sample (1988 events before)."""
+    from repro.obs.telemetry import telemetry_digest
+
+    events, _result = observed["chaos"]
+    assert len(events) == 1993
+    assert telemetry_digest(events) == (
+        "5c52f22a85ee6909655ca8eccb36f99fdf284fbe31120d911d0be6682d2a81d2"
+    )
 
 
 class TestViewParity:
     def test_span_set_matches_the_tracer(self, parity):
-        run, expected, events = parity
-        rows = _span_rows(spans_from_events(events))
-        want = list(expected["spans"])
-        if _movement_simulated_twice(run):
-            extra = next(
-                row for row in want
-                if row[0] == "wan-simulate" and "movement" in row[2]
-            )
-            want.remove(extra)
-        key = lambda row: json.dumps(row, sort_keys=True)  # noqa: E731
-        assert sorted(rows, key=key) == sorted(want, key=key)
+        got, expected, _events = parity
+        assert got["spans"] == expected["spans"]
 
     def test_inspect_tables_match(self, parity):
-        run, expected, events = parity
-        spans = spans_from_events(events)
-        rows = [
-            [row[0], row[1], "*", row[3], row[4] if float(row[3]) > 0 else "*"]
-            for row in stage_breakdown(spans)
-        ]
-        # The golden's sixth column is the stage-share the table no
-        # longer carries (attribution is the critical path's).
-        want = [list(row[:5]) for row in expected["inspect_rows"]]
-        if _movement_simulated_twice(run):
-            for row in want:
-                if row[0] == "wan":
-                    row[1] -= 1
-        assert rows == want
-        coverage = query_coverage(spans)
-        assert [[r["qct"], r["covered"]] for r in coverage] == expected["coverage"]
-        assert overall_coverage(spans) == expected["overall_coverage"]
+        got, expected, _events = parity
+        assert got["inspect_rows"] == expected["inspect_rows"]
+        assert got["coverage"] == expected["coverage"]
+        assert got["overall_coverage"] == expected["overall_coverage"]
 
     def test_breakdown_matches(self, parity):
-        """The golden's query spans (recorded by the parent's tracer) are
-        the queries the critical-path analyzer decomposes: same order,
-        scheme and QCT, every one conserving."""
-        _, expected, events = parity
-        crit = analyze_critical_paths(events)
-        assert [
-            [f"query:{path.dataset}", path.tenant, path.qct]
-            for path in crit.paths
-        ] == [query[:3] for query in expected["breakdown"]["queries"]]
-        assert crit.max_residual() <= 1e-9
+        """The critical-path analyzer decomposes the golden's queries:
+        same order, scheme and QCT, every one conserving."""
+        got, expected, events = parity
+        assert got["breakdown"] == expected["breakdown"]
+        assert analyze_critical_paths(events).max_residual() <= 1e-9
 
     def test_metrics_snapshot_matches_the_registry(self, parity):
-        run, expected, events = parity
-        got = {}
-        for record in metrics_from_events(events).snapshot():
-            if record["name"] in _WALL_SERIES:
-                record = {k: record[k] for k in ("name", "labels", "type", "count")}
-            got[(record["name"], json.dumps(record["labels"], sort_keys=True))] = record
-        want = {
-            (record["name"], json.dumps(record["labels"], sort_keys=True)): record
-            for record in expected["metrics"]
-        }
-        if _movement_simulated_twice(run):
-            # Itemised: what the double simulation inflated in the parent.
-            transfers = expected["movement"]["transfers"]
-            for src, dst, num_bytes, _failed in transfers:
-                want[("wan_bytes", json.dumps({"dst": dst, "src": src}))][
-                    "value"
-                ] -= num_bytes
-            want[("wan_simulations", "{}")]["value"] -= 1
-            want[("wan_transfers", "{}")]["value"] -= len(transfers)
-            movement_rounds = next(
-                event.attrs["filling_rounds"]
-                for event in events
-                if event.kind == "span-end" and event.attrs["name"] == "wan-simulate"
-            )
-            want[("wan_filling_rounds", "{}")]["value"] -= movement_rounds
-        # Itemised: the series of the sites where no similarity pass runs.
-        forced = _sites_without_a_similarity_pass(run)
-        for site in forced:
-            del want[("rdd_overhead_seconds", json.dumps({"site": site}))]
-        map_inputs = {}
-        for event in events:
-            if event.kind == "stage-finish" and event.attrs["stage"] == "map":
-                map_inputs.setdefault(event.attrs["site"], []).append(
-                    event.attrs["input_records"]
-                )
-        # Per site the scheme's two queries come first; the vanilla
-        # baseline's map stages follow and never ran a similarity pass.
-        assert set(forced) == {
-            site for site, inputs in map_inputs.items() if max(inputs[:2]) <= 64
-        }
-        assert got == want
+        got, expected, _events = parity
+        key = lambda record: json.dumps(record, sort_keys=True)  # noqa: E731
+        assert sorted(got["metrics"], key=key) == sorted(
+            expected["metrics"], key=key
+        )
 
     def test_movement_bytes_in_archive_equal_the_report(self, golden, observed):
         """Regression: the accepted movement round is simulated once, so
@@ -461,5 +416,14 @@ class TestViewParity:
         )
         assert delivered == movement.total_moved_bytes
         expected = golden["benign"]
-        assert movement.total_moved_bytes == expected["movement"]["total_moved_bytes"]
+        assert movement.total_moved_bytes == expected["total_moved_bytes"]
         assert result.mean_qct == expected["mean_qct"]
+
+
+if __name__ == "__main__":
+    captured = {
+        run: _views(*_observe(profile))
+        for run, profile in (("benign", None), ("chaos", "flaky-wan"))
+    }
+    with gzip.open(GOLDEN, "wt", encoding="utf-8") as handle:
+        json.dump(captured, handle, sort_keys=True)

@@ -405,7 +405,7 @@ def test_planner_traffic_is_the_linprog_traffic():
         topology, seed=3,
         spec=WorkloadSpec(records_per_site=30, record_bytes=2_000, num_datasets=3),
     )
-    config = SystemConfig(lag_seconds=8.0, partition_records=8, charge_rdd_overhead=False)
+    config = SystemConfig(lag_seconds=8.0, partition_records=8)
     controller = make_system("bohr", topology, config)
     solved = []
 

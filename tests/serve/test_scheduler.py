@@ -87,7 +87,10 @@ class TestDeterminism:
         """``repro serve --tenants 3 --queries 12 --seed 11 --cache-size
         4``: the whole event stream, digested at 2081b01 (before the WAN
         run machinery moved onto ``WanSession`` and the serve handlers
-        stopped threading run state as parameters)."""
+        stopped threading run state as parameters); re-digested when the
+        RDD clustering cost became a sim-clock charge, which serve used to
+        switch off: 60 map stages now pay a clustering pass, and the flows
+        they delay split into 77 more samples (4125 events before)."""
         from repro.cli import main
         from repro.obs.telemetry import load_jsonl, telemetry_digest
 
@@ -98,9 +101,9 @@ class TestDeterminism:
         ]) == 0
         capsys.readouterr()
         _header, events = load_jsonl(str(archive))
-        assert len(events) == 4125
+        assert len(events) == 4202
         assert telemetry_digest(events) == (
-            "9df6d98641dfe2abaabb1f29c51b21237bc262fafcd2d9b82cc1cb730c655652"
+            "d4ea21de28b43f8977a8bf7da579f0fa4bdd356cda13eddc03b784f6a74d1759"
         )
 
 
