@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke perfbench-full perfbench-pairs serve-smoke slo profile telemetry examples loc check
+.PHONY: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke perfbench-full perfbench-pairs serve-smoke slo profile telemetry examples footprint loc check
 
 lint:  ## static analysis: per-file rules R001-R008 over the shipped tree
 	$(PYTHON) -m repro.lint src/repro benchmarks
@@ -111,9 +111,12 @@ examples:  ## run every script under examples/; fails on the first non-zero exit
 		echo "examples: $$script"; $(PYTHON) $$script > /dev/null; \
 	done
 
+footprint:  ## peak RSS, wall time and scipy modules of `repro run --scheme bohr --queries 6` in a fresh process; fails if scipy.optimize was imported
+	$(PYTHON) tools/footprint.py --queries 6
+
 loc:  ## src/repro line counts, per package and in total (the numbers ROADMAP and CHANGES quote)
 	@for package in $$(find src/repro -mindepth 1 -maxdepth 1 -type d ! -name __pycache__ | sort) src/repro; do \
 		find $$package -name '*.py' | xargs wc -l | tail -n 1 | awk -v p=$$package '{printf "%6d %s\n", $$1, p}'; \
 	done
 
-check: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke serve-smoke slo telemetry examples  ## everything CI gates on
+check: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke serve-smoke slo telemetry examples footprint  ## everything CI gates on

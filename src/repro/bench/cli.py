@@ -87,6 +87,8 @@ def run_bench(args: argparse.Namespace) -> int:
             print(f"{case.name:32s} [{suites}] {case.module}")
         return 0
 
+    # Before the suite runs: a bad baseline path fails now, not minutes later.
+    baseline = load_report(args.compare) if args.compare else None
     profiler = None
     if args.profile:
         from repro.obs.profile import WallProfiler
@@ -122,10 +124,9 @@ def run_bench(args: argparse.Namespace) -> int:
         save_report(report, args.out)
         print(f"report written to {args.out}")
 
-    if args.compare:
+    if baseline is not None:
         from repro.bench.compare import compare_reports
 
-        baseline = load_report(args.compare)
         comparison = compare_reports(baseline, report, sim_rel_tol=args.sim_tol)
         print()
         print(comparison.render())

@@ -76,6 +76,7 @@ from typing import List, Optional, Sequence
 from repro.chaos.profiles import CHAOS_PROFILES
 from repro.core.report import render_qct_table, render_reduction_table
 from repro.core.runner import ExperimentResult, run_experiment
+from repro.errors import ReproError
 from repro.obs.critpath import analyze_critical_paths, render_components
 from repro.systems.base import SystemConfig
 from repro.systems.registry import SCHEME_NAMES
@@ -632,8 +633,16 @@ def _print_serve_analysis(crit, slo_report) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; a :class:`ReproError` is printed as one line, exit 2."""
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "schemes":
         from repro.systems.registry import profile_for
 
@@ -678,13 +687,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "bench":
         from repro.bench.cli import run_bench
-        from repro.errors import BenchError
 
-        try:
-            return run_bench(args)
-        except BenchError as error:
-            print(f"bench error: {error}")
-            return 2
+        return run_bench(args)
 
     if args.command == "lint":
         from repro.lint.cli import run_lint

@@ -7,8 +7,12 @@ HiGHS the model scipy's ``method="highs"`` LP wrapper would, minus the wrapper.
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -131,17 +135,44 @@ def _require_well_formed(program: LinearProgram) -> None:
 _FEASIBILITY_TOL = np.sqrt(1e-9) * 10
 
 
+#: The binding's canonical name: ``scipy.optimize`` itself imports it by this.
+_BINDING = "scipy.optimize._highspy._core"
+
+
 def _highs_core():
-    """scipy's HiGHS binding, or None if scipy is not installed at all."""
+    """scipy's HiGHS binding, or None if scipy is not installed at all.
+
+    Loaded from its own file, not imported: ``import scipy.optimize...``
+    would run ``scipy.optimize``'s package init (~320 modules, ~40 MiB)
+    for one extension.  It is registered under its canonical name, so a
+    later ``import scipy.optimize`` reuses it and pybind11 registers its
+    types once.  ``sys.modules`` is read on every call (``None`` there
+    means absent), never cached here.
+    """
     try:
         import scipy
     except ImportError:
         return None
+    core = sys.modules.get(_BINDING)
+    if core is not None:
+        return core
+    stem = os.path.join(scipy.__path__[0], "optimize", "_highspy", "_core")
+    path = next(
+        filter(os.path.isfile, (stem + suffix for suffix in EXTENSION_SUFFIXES)), None
+    )
+    if path is None or _BINDING in sys.modules:  # a None entry: absent
+        message = f"scipy {scipy.__version__} has no {_BINDING}"
+        raise SolverError(f"{message}: LP solving needs scipy>=1.15")
+    loader = ExtensionFileLoader(_BINDING, path)
+    spec = spec_from_file_location(_BINDING, path, loader=loader)
     try:
-        import scipy.optimize._highspy._core as core
-    except ImportError:
-        message = f"scipy {scipy.__version__} has no scipy.optimize._highspy._core"
-        raise SolverError(f"{message}: LP solving needs scipy>=1.15") from None
+        core = sys.modules[_BINDING] = module_from_spec(spec)
+        spec.loader.exec_module(core)
+    except ImportError as error:
+        sys.modules.pop(_BINDING, None)
+        raise SolverError(
+            f"cannot load {path} (scipy {scipy.__version__}): {error}"
+        ) from error
     return core
 
 

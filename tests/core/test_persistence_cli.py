@@ -2,6 +2,7 @@
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -158,3 +159,49 @@ class TestCli:
         assert exit_info.value.code == 0
         golden = Path(__file__).parent / "golden_help" / f"help_{command}.txt"
         assert capsys.readouterr().out == golden.read_text()
+
+
+class TestCliErrors:
+    """A :class:`ReproError` reaches the user as one ``error:`` line, exit 2."""
+
+    @pytest.fixture(scope="class")
+    def corrupt_archive(self, tmp_path_factory):
+        from repro.cli import main
+
+        path = tmp_path_factory.mktemp("archive") / "telemetry.jsonl"
+        assert main([
+            "run", "--scheme", "bohr-sim", "--workload", "tpcds",
+            "--queries", "2", "--scale", "0.2", "--lag", "4",
+            "--telemetry", str(path),
+        ]) == 0
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        return path
+
+    @staticmethod
+    def single_error_line(capsys, expected: str) -> None:
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()], err
+        assert err.startswith("error: ") and expected in err, err
+
+    @pytest.mark.parametrize("command", ["inspect", "report"])
+    def test_corrupt_archive(self, command, corrupt_archive, capsys, tmp_path):
+        from repro.cli import main
+
+        capsys.readouterr()
+        argv = [command, str(corrupt_archive)]
+        if command == "report":
+            argv += ["--out", str(tmp_path / "report.html")]
+        assert main(argv) == 2
+        self.single_error_line(capsys, f"{corrupt_archive}:")
+        assert not (tmp_path / "report.html").exists()
+
+    def test_bench_reads_its_baseline_before_running_the_suite(self, capsys, tmp_path):
+        from repro.cli import main
+
+        missing = tmp_path / "missing.json"
+        with mock.patch(
+            "repro.bench.harness.run_suite", side_effect=AssertionError("the suite ran")
+        ):
+            assert main(["bench", "--suite", "smoke", "--compare", str(missing)]) == 2
+        self.single_error_line(capsys, f"cannot read {missing}")

@@ -2,6 +2,7 @@
 
 import re
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 from unittest import mock
 
 import numpy as np
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 from repro.errors import SolverError
 from repro.placement.simplex import simplex_solve
 from repro.placement.solver import (
+    _BINDING,
     _FEASIBILITY_TOL,
     LinearProgram,
+    _highs_core,
     _tolerance_violation,
     solve_lp,
 )
@@ -252,6 +255,48 @@ class TestScipyFloor:
                     match=rf"^scipy {re.escape(scipy.__version__)} has no .*needs scipy>=1\.15$",
                 ):
                     solve_lp(self.program, backend=backend)
+
+    @staticmethod
+    def scipy_tree(tmp_path, monkeypatch):
+        """An empty ``optimize/_highspy`` under a temporary ``scipy.__path__``,
+        with no binding registered: ``_highs_core`` must look for the file."""
+        import scipy
+
+        directory = tmp_path / "optimize" / "_highspy"
+        directory.mkdir(parents=True)
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        monkeypatch.delitem(sys.modules, _BINDING, raising=False)
+        return scipy.__version__, directory
+
+    def test_a_scipy_tree_without_the_binding_file_needs_1_15(self, tmp_path, monkeypatch):
+        version, _directory = self.scipy_tree(tmp_path, monkeypatch)
+        with pytest.raises(
+            SolverError,
+            match=rf"^scipy {re.escape(version)} has no {re.escape(_BINDING)}: "
+            r"LP solving needs scipy>=1\.15$",
+        ):
+            solve_lp(self.program, backend="scipy")
+        assert _BINDING not in sys.modules
+
+    def test_a_binding_that_fails_to_load_is_named_and_left_unregistered(
+        self, tmp_path, monkeypatch
+    ):
+        installed = _highs_core().__file__
+        version, directory = self.scipy_tree(tmp_path, monkeypatch)
+        truncated = directory / ("_core" + EXTENSION_SUFFIXES[0])
+        # Cut inside the ELF program headers, which the loader rejects; a
+        # cut past them can map pages beyond the end of file and fault.
+        with open(installed, "rb") as handle:
+            truncated.write_bytes(handle.read(512))
+        for backend in ("auto", "scipy", "simplex"):
+            with pytest.raises(
+                SolverError,
+                match=rf"^cannot load {re.escape(str(truncated))} "
+                rf"\(scipy {re.escape(version)}\): .+",
+            ) as raised:
+                solve_lp(self.program, backend=backend)
+            assert isinstance(raised.value.__cause__, ImportError)
+            assert _BINDING not in sys.modules
 
     def test_only_a_missing_scipy_sends_auto_to_the_simplex(self):
         with mock.patch.dict(sys.modules, {"scipy": None}):

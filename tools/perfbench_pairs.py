@@ -9,7 +9,8 @@ new directory, which is what the PR driver measures, and nothing to
 unregister afterwards), the command of ``BENCHMARK.json`` is run with
 ``--workload W --seed S --trace 0`` alternately there and in this
 checkout — the side that goes first alternates too — and every run, both
-sides' medians and quartiles and the wins out of the pairs are printed.
+sides' medians and quartiles and, for ``wall_s``, ``setup_s`` and
+``peak_rss_mib``, the wins out of the pairs are printed.
 Next to each run's scaled ``wall_s`` go the raw seconds and the spin-loop
 calibration reading (``calib_s``) that scaled them, read from the
 ``perfbench/out/<W>.result.json`` the run leaves in its tree: a scaled
@@ -39,6 +40,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: ``raw_wall_s`` and ``calib_s`` are not in the result line; ``run_once``
 #: adds them from the tree's ``perfbench/out/<W>.result.json``.
 WALL_METRICS = ("wall_s", "raw_wall_s", "calib_s", "setup_s", "peak_rss_mib")
+#: The end-to-end host metrics of ``BENCHMARK.json`` (lower is better):
+#: each gets a wins/losses/median-delta line.
+HOST_METRICS = ("wall_s", "setup_s", "peak_rss_mib")
 
 
 def unpack(ref: str, into: str) -> None:
@@ -131,18 +135,19 @@ def main(argv=None) -> int:
         for side in ("base", "change"):
             values = [run["metrics"][name]["value"] for run in runs[side]]
             print(f"  {side:6s} {spread(values)}")
-    walls = [
-        [run["metrics"]["wall_s"]["value"] for run in runs[side]]
-        for side in ("base", "change")
-    ]
-    wins = sum(1 for base, change in zip(*walls) if change < base)
-    losses = sum(1 for base, change in zip(*walls) if change > base)
-    medians = [statistics.median(values) for values in walls]
-    print(
-        f"wall_s: change lower in {wins}/{args.pairs} pairs, higher in {losses}; "
-        f"median {medians[0]:.4f} -> {medians[1]:.4f} "
-        f"({(medians[1] / medians[0] - 1.0) * 100.0:+.1f}%)"
-    )
+    for name in HOST_METRICS:
+        sides = [
+            [run["metrics"][name]["value"] for run in runs[side]]
+            for side in ("base", "change")
+        ]
+        wins = sum(1 for base, change in zip(*sides) if change < base)
+        losses = sum(1 for base, change in zip(*sides) if change > base)
+        medians = [statistics.median(values) for values in sides]
+        print(
+            f"{name}: change lower in {wins}/{args.pairs} pairs, higher in {losses}; "
+            f"median {medians[0]:.4f} -> {medians[1]:.4f} "
+            f"({(medians[1] / medians[0] - 1.0) * 100.0:+.1f}%)"
+        )
     sims = sorted(name for name in runs["base"][0]["metrics"] if name.startswith("sim_"))
     print(f"sim metrics compared in every pair: {', '.join(sims)}")
     for problem in problems:
