@@ -2,8 +2,9 @@
 
 Iridium (a) solves task placement as an LP given the current data
 layout, and (b) greedily moves chunks of "high-value" datasets out of the
-bottleneck site, one dataset at a time, re-evaluating after each chunk —
-in contrast to Bohr's joint LP over all datasets at once.
+bottleneck site, one dataset at a time, re-evaluating that LP's optimum
+after each chunk — in contrast to Bohr's joint LP over all datasets at
+once.
 
 Two deliberate limitations, straight from §4.3:
 
@@ -19,7 +20,12 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional
 
 from repro.placement.joint import PlacementDecision
-from repro.placement.lp import Moves, solve_task_lp
+from repro.placement.lp import (
+    Moves,
+    shuffle_bytes_after_moves,
+    solve_task_lp,
+    task_lp_optimum,
+)
 from repro.placement.model import PlacementProblem
 
 
@@ -59,14 +65,17 @@ class IridiumPlanner:
         }
         up_budget = {i: blind.lag_seconds * blind.U(i) for i in sites}
         down_budget = {i: blind.lag_seconds * blind.D(i) for i in sites}
-        solve_seconds = 0.0
+        # Shuffle volumes of ``moves`` as they stand, None once a revert or
+        # roll-back has changed them: a committed chunk's price has already
+        # computed what the next step's bottleneck reads.
+        volumes: Optional[Dict[str, float]] = None
 
         def current_t() -> float:
-            nonlocal solve_seconds
-            volumes = self._volumes(blind, moves)
-            _, t, solution = solve_task_lp(volumes, blind, backend=self.backend)
-            solve_seconds += solution.solve_seconds
-            return t
+            """t after the moves so far: the task LP's optimum, unsolved —
+            only the final plan's fractions are read."""
+            nonlocal volumes
+            volumes = shuffle_bytes_after_moves(blind, moves)
+            return task_lp_optimum(volumes, blind)
 
         # High-value first: more queries and more bottleneck data first.
         bottleneck = blind.bottleneck_site()
@@ -79,7 +88,9 @@ class IridiumPlanner:
             stalled = 0
             committed_since_improvement: list = []
             for _ in range(self.max_steps_per_dataset):
-                source = self._bottleneck(blind, moves)
+                if volumes is None:
+                    volumes = shuffle_bytes_after_moves(blind, moves)
+                source = self._bottleneck(blind, volumes)
                 available = remaining[(dataset, source)]
                 if available <= 0:
                     break
@@ -103,6 +114,7 @@ class IridiumPlanner:
                     moves[key] -= chunk
                     if moves[key] <= 1e-9:
                         del moves[key]
+                    volumes = None
                     break
                 remaining[(dataset, source)] -= chunk
                 up_budget[source] -= chunk
@@ -125,16 +137,17 @@ class IridiumPlanner:
                             remaining[(dataset, src)] += spec_chunk
                             up_budget[src] += spec_chunk
                             down_budget[dst] += spec_chunk
+                        volumes = None
                         break
 
-        volumes = self._volumes(blind, moves)
+        if volumes is None:
+            volumes = shuffle_bytes_after_moves(blind, moves)
         fractions, t, solution = solve_task_lp(volumes, blind, backend=self.backend)
-        solve_seconds += solution.solve_seconds
         return PlacementDecision(
             moves=moves,
             reduce_fractions=fractions,
             estimated_shuffle_seconds=t,
-            solve_seconds=solve_seconds,
+            solve_seconds=solution.solve_seconds,
             planner="iridium",
         )
 
@@ -155,13 +168,7 @@ class IridiumPlanner:
         )
 
     @staticmethod
-    def _volumes(problem: PlacementProblem, moves: Moves) -> Dict[str, float]:
-        from repro.placement.lp import shuffle_bytes_after_moves
-
-        return shuffle_bytes_after_moves(problem, moves)
-
-    def _bottleneck(self, problem: PlacementProblem, moves: Moves) -> str:
-        volumes = self._volumes(problem, moves)
+    def _bottleneck(problem: PlacementProblem, volumes: Mapping[str, float]) -> str:
         return max(
             problem.site_names, key=lambda site: volumes[site] / problem.U(site)
         )

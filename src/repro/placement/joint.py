@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.placement.lp import (
+    DataLp,
     Moves,
     shuffle_bytes_after_moves,
-    solve_data_lp,
     solve_task_lp,
 )
 from repro.placement.model import PlacementProblem
@@ -56,7 +56,10 @@ class JointPlanner:
         self.tolerance = tolerance
         # Alternation can stall in local optima of the bilinear objective;
         # seeding one start from the greedy heuristic's solution makes the
-        # joint result dominate the heuristic by construction.
+        # joint plan's LP objective t dominate the heuristic's by
+        # construction.  Not its QCT: t is an estimate, and across seeds
+        # it orders Bohr and Iridium-C as the simulator does only about
+        # half the time (ROADMAP, the headline-claim item).
         self.heuristic_warm_start = heuristic_warm_start
 
     def plan(
@@ -109,13 +112,14 @@ class JointPlanner:
                 best_basis = list(solution_h.basis_names)
             starts.append(dict(fractions_h))
 
+        data_lp = DataLp(problem)  # rows (3), (4) are all a round changes
         for start in starts:
             fractions = dict(start)
             previous_t = float("inf")
             for _ in range(self.max_rounds):
                 total_rounds += 1
-                moves, _, data_solution = solve_data_lp(
-                    problem, fractions, backend=self.backend
+                moves, _, data_solution = data_lp.solve(
+                    fractions, backend=self.backend
                 )
                 solve_seconds += data_solution.solve_seconds
                 volumes = shuffle_bytes_after_moves(problem, moves)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
@@ -58,8 +59,11 @@ class PlacementProblem:
 
     def __post_init__(self) -> None:
         self.topology.validate()
-        if self.lag_seconds <= 0:
-            raise PlacementError("lag_seconds (T) must be > 0")
+        # ``not (value > 0)`` rather than ``value <= 0``: nan compares false.
+        if not (math.isfinite(self.lag_seconds) and self.lag_seconds > 0):
+            raise PlacementError(
+                f"lag_seconds (T) must be finite and > 0, got {self.lag_seconds}"
+            )
         if not self.input_bytes:
             raise PlacementError("placement problem needs at least one dataset")
         sites = set(self.topology.site_names)
@@ -77,9 +81,10 @@ class PlacementProblem:
                     f"dataset {dataset_id!r} references unknown sites {sorted(unknown)}"
                 )
             for site, value in per_site.items():
-                if value < 0:
+                if not (math.isfinite(value) and value >= 0):
                     raise PlacementError(
-                        f"I[{dataset_id!r}][{site!r}] must be >= 0, got {value}"
+                        f"input_bytes I[{dataset_id!r}][{site!r}] must be finite"
+                        f" and >= 0, got {value}"
                     )
             sims = self.similarity.get(dataset_id, {})
             for site, value in sims.items():
@@ -90,9 +95,9 @@ class PlacementProblem:
         for site, rate in self.compute_bps.items():
             if site not in sites:
                 raise PlacementError(f"compute_bps names unknown site {site!r}")
-            if rate <= 0:
+            if not (math.isfinite(rate) and rate > 0):
                 raise PlacementError(
-                    f"compute_bps[{site!r}] must be > 0, got {rate}"
+                    f"compute_bps[{site!r}] must be finite and > 0, got {rate}"
                 )
         for label, table in (("mobility", self.mobility),
                              ("cross_similarity", self.cross_similarity)):

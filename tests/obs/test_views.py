@@ -254,7 +254,11 @@ class TestInstrumented:
 #: clustering cost became a sim-clock charge: at every site whose shard
 #: outnumbers its executors a clustering pass now delays the map finish,
 #: and everything after it moved.  Wall-valued columns, span attrs and
-#: series are masked (series keep their observation count).
+#: series are masked (series keep their observation count).  Re-captured
+#: again when Iridium's greedy (Bohr's heuristic start) stopped solving a
+#: task LP per candidate chunk: 3 ``lp-solve`` span pairs fewer per run —
+#: the parent's views less exactly those spans, as
+#: ``test_the_lp_priced_greedy_gives_back_the_parent_streams`` checks.
 #: Regenerate with ``python tests/obs/test_views.py`` from the repo root.
 GOLDEN = Path(__file__).parent / "golden" / "view_parity.json.gz"
 
@@ -368,14 +372,62 @@ def test_chaos_stream_equals_the_parent_commit(observed):
     clustering cost became a sim-clock charge: ``rdd_overhead_seconds``
     entered the digest, and the map finishes it delays shift the shuffle
     flows, which split into four more link samples and one more flows
-    sample (1988 events before)."""
+    sample (1988 events before); re-digested when Iridium's greedy
+    stopped solving a task LP per candidate chunk: its three pricing
+    ``lp-solve`` span pairs went and nothing else moved (1993 events
+    before, digest ``5c52f22a…``; see the next test)."""
     from repro.obs.telemetry import telemetry_digest
 
     events, _result = observed["chaos"]
-    assert len(events) == 1993
-    assert telemetry_digest(events) == (
-        "5c52f22a85ee6909655ca8eccb36f99fdf284fbe31120d911d0be6682d2a81d2"
-    )
+    assert len(events) == 1987
+    assert telemetry_digest(events) == CHAOS_DIGEST
+
+
+#: The two runs' streams: events and digest at this commit, and at its
+#: parent, whose Iridium greedy priced each candidate chunk with a task LP.
+CHAOS_DIGEST = "6a1ab547b78e8f7d77cfe1da0eeb4f5b0e64cc1e16a399dc4df9b0bcb375f0d6"
+STREAMS = {
+    "benign": (
+        None,
+        (1770, "8704dff4fef65e818a08d61588bb111fa23e611d77c7a7c5dbaa35406e275b8b"),
+        (1776, "927085b87acfd0d0b8318e4715c996c5eb28b4e2181bbd52724b9bd2cabcf88d"),
+    ),
+    "chaos": (
+        "flaky-wan",
+        (1987, CHAOS_DIGEST),
+        (1993, "5c52f22a85ee6909655ca8eccb36f99fdf284fbe31120d911d0be6682d2a81d2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(STREAMS))
+def test_the_lp_priced_greedy_gives_back_the_parent_streams(run, golden, observed):
+    """Why the goldens were re-captured, checked: with Iridium's greedy
+    priced by task LPs again (``reference_iridium_plan``) the run emits
+    its parent's stream, digest for digest; drop the events of those
+    pricing solves — ``lp-solve`` span pairs, nothing else — renumber
+    ``seq`` and it is this commit's stream, and its views are the golden."""
+    from repro.obs.telemetry import TelemetryEvent, telemetry_digest
+    from tests.placement.reference_lp import lp_priced_greedy
+
+    profile, (count, digest), parent = STREAMS[run]
+    with lp_priced_greedy() as pricing:
+        events, result = _observe(profile)
+    assert (len(events), telemetry_digest(events)) == parent
+    assert len(pricing) == parent[0] - count
+    priced = [events[seq] for seq in pricing]
+    assert {(event.kind, event.attrs["name"]) for event in priced} == {
+        ("span-begin", "lp-solve"), ("span-end", "lp-solve"),
+    }
+    dropped = set(pricing)
+    kept = [
+        TelemetryEvent(seq=position, kind=event.kind, t=event.t, attrs=event.attrs)
+        for position, event in enumerate(e for e in events if e.seq not in dropped)
+    ]
+    assert (len(kept), telemetry_digest(kept)) == (count, digest)
+    current, _ = observed[run]
+    assert telemetry_digest(current) == digest
+    assert json.loads(json.dumps(_views(kept, result))) == golden[run]
 
 
 class TestViewParity:

@@ -11,7 +11,16 @@ Kept verbatim as the oracle for the code that replaced them:
   dict lookup, constraint (4) re-deriving every other site's f-terms —
   returning the :class:`LinearProgram` instead of solving it;
   :func:`reference_solve_data_lp` is the whole old function (assemble,
-  solve, read the moves back through the same name lookups).
+  solve, read the moves back through the same name lookups), and
+  :class:`ReferenceDataLp` puts it where a ``DataLp`` template goes;
+- :func:`reference_solve_task_lp` is ``solve_task_lp`` with its row
+  loop, and :func:`reference_shuffle_bytes_after_moves` the per-(dataset,
+  site) ``PlacementProblem.shuffle_bytes`` sum it replaced;
+- :func:`reference_iridium_plan` is ``IridiumPlanner.plan`` when its
+  greedy solved the task LP after every candidate chunk to read its t,
+  and recomputed the shuffle volumes for each step's bottleneck;
+  :func:`lp_priced_greedy` runs it in the planner's place and collects
+  the events its pricing solves emit;
 - :func:`reference_simplex_solve` and its helpers are the two-phase
   simplex with a row-by-row Python elimination loop at each of its four
   pivot sites and an unconditional canonicalization pass in
@@ -21,11 +30,16 @@ Slow, and obviously the textbook code.  ``tests/properties/
 test_placement_lp.py`` holds the production path to these bit for bit.
 """
 
-from typing import List, Mapping, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from unittest import mock
 
 import numpy as np
 
-from repro.errors import SolverError
+from repro.errors import PlacementError, SolverError
+from repro.obs import instrument
+from repro.placement.iridium import IridiumPlanner
+from repro.placement.joint import PlacementDecision
 from repro.placement.lp import Moves
 from repro.placement.model import PlacementProblem
 from repro.placement.simplex import SimplexResult
@@ -185,6 +199,254 @@ def reference_solve_data_lp(
                 if volume > _EPS_BYTES:
                     moves[(a, i, j)] = volume
     return moves, float(solution.x[0]), solution
+
+
+class ReferenceDataLp:
+    """:func:`reference_solve_data_lp` in the shape of ``DataLp``."""
+
+    def __init__(self, problem: PlacementProblem) -> None:
+        self.problem = problem
+
+    def solve(
+        self, reduce_fractions: Mapping[str, float], backend: str = "auto"
+    ) -> Tuple[Moves, float, LpSolution]:
+        return reference_solve_data_lp(self.problem, reduce_fractions, backend)
+
+
+def reference_task_program(
+    shuffle_bytes: Mapping[str, float], problem: PlacementProblem
+) -> LinearProgram:
+    """The task-placement LP for fixed shuffle volumes, built row by row."""
+    sites = problem.site_names
+    missing = set(shuffle_bytes) - set(sites)
+    if missing:
+        raise PlacementError(f"shuffle bytes reference unknown sites {sorted(missing)}")
+    var_names = ["t"] + [f"r[{site}]" for site in sites]
+    num_vars = len(var_names)
+
+    total_volume = sum(shuffle_bytes.get(site, 0.0) for site in sites)
+    rows: List[np.ndarray] = []
+    bounds: List[float] = []
+    for position, site in enumerate(sites):
+        f_i = shuffle_bytes.get(site, 0.0)
+        # (3): (1 - r_i) F_i / U_i <= t
+        row = np.zeros(num_vars)
+        row[0] = -1.0
+        row[1 + position] = -f_i / problem.U(site)
+        rows.append(row)
+        bounds.append(-f_i / problem.U(site))
+        # (4): r_i * sum_{j != i} F_j / D_i <= t
+        inbound = sum(
+            shuffle_bytes.get(other, 0.0) for other in sites if other != site
+        )
+        row = np.zeros(num_vars)
+        row[0] = -1.0
+        row[1 + position] = inbound / problem.D(site)
+        rows.append(row)
+        bounds.append(0.0)
+        # Compute-constraint extension: reduce-processing time at i,
+        # r_i * (total intermediate) / C_i <= t, when C_i is known.
+        compute_rate = problem.compute_bps.get(site)
+        if compute_rate and total_volume > 0:
+            row = np.zeros(num_vars)
+            row[0] = -1.0
+            row[1 + position] = total_volume / compute_rate
+            rows.append(row)
+            bounds.append(0.0)
+
+    equality = np.zeros((1, num_vars))
+    equality[0, 1:] = 1.0
+    objective = np.zeros(num_vars)
+    objective[0] = 1.0
+    return LinearProgram(
+        c=objective,
+        a_ub=np.vstack(rows),
+        b_ub=np.asarray(bounds),
+        a_eq=equality,
+        b_eq=np.asarray([1.0]),
+        variable_names=var_names,
+    )
+
+
+def reference_solve_task_lp(
+    shuffle_bytes: Mapping[str, float],
+    problem: PlacementProblem,
+    backend: str = "auto",
+    warm_names: "Optional[List[str]]" = None,
+) -> Tuple[Dict[str, float], float, LpSolution]:
+    """``solve_task_lp`` as it was: the row loop, solved, normalized."""
+    sites = problem.site_names
+    program = reference_task_program(shuffle_bytes, problem)
+    solution = solve_lp(program, backend=backend, warm_names=warm_names)
+    fractions = {
+        site: max(0.0, float(solution.x[1 + position]))
+        for position, site in enumerate(sites)
+    }
+    total = sum(fractions.values())
+    if total <= 0:
+        raise PlacementError("task LP returned all-zero fractions")
+    fractions = {site: value / total for site, value in fractions.items()}
+    return fractions, float(solution.x[0]), solution
+
+
+def reference_shuffle_bytes_after_moves(
+    problem: PlacementProblem, moves: Moves
+) -> Dict[str, float]:
+    """Per-site total shuffle volume F_i = sum_a f_i^a(x) given moves."""
+    totals: Dict[str, float] = {site: 0.0 for site in problem.site_names}
+    per_dataset: Dict[str, Dict[Tuple[str, str], float]] = {}
+    for (dataset, src, dst), volume in moves.items():
+        per_dataset.setdefault(dataset, {})[(src, dst)] = volume
+    for a in problem.dataset_ids:
+        moved = per_dataset.get(a, {})
+        for site in problem.site_names:
+            totals[site] += problem.shuffle_bytes(a, site, moved)
+    return totals
+
+
+def reference_iridium_plan(
+    planner,
+    problem: PlacementProblem,
+    query_counts: Optional[Mapping[str, int]] = None,
+) -> PlacementDecision:
+    """``IridiumPlanner.plan`` with ``planner``'s settings, LP-priced."""
+    query_counts = query_counts or {}
+    blind = PlacementProblem(
+        topology=problem.topology,
+        input_bytes=problem.input_bytes,
+        reduction_ratio=problem.reduction_ratio,
+        similarity={},
+        lag_seconds=problem.lag_seconds,
+        mobility={},
+        cross_similarity={},
+        compute_bps=dict(problem.compute_bps),
+    )
+    sites = blind.site_names
+
+    def bottleneck_of(moves: Moves) -> str:
+        volumes = reference_shuffle_bytes_after_moves(blind, moves)
+        return max(sites, key=lambda site: volumes[site] / blind.U(site))
+
+    def best_destination(source, chunk, down_budget) -> Optional[str]:
+        candidates = [
+            site for site in sites if site != source and down_budget[site] >= chunk
+        ]
+        if not candidates:
+            return None
+        return max(candidates, key=blind.U)
+
+    moves: Moves = {}
+    remaining = {
+        (a, i): blind.I(a, i) for a in blind.dataset_ids for i in sites
+    }
+    up_budget = {i: blind.lag_seconds * blind.U(i) for i in sites}
+    down_budget = {i: blind.lag_seconds * blind.D(i) for i in sites}
+    solve_seconds = 0.0
+
+    def current_t() -> float:
+        nonlocal solve_seconds
+        volumes = reference_shuffle_bytes_after_moves(blind, moves)
+        _, t, solution = reference_solve_task_lp(volumes, blind, backend=planner.backend)
+        solve_seconds += solution.solve_seconds
+        return t
+
+    # High-value first: more queries and more bottleneck data first.
+    bottleneck = blind.bottleneck_site()
+    ordered = sorted(
+        blind.dataset_ids,
+        key=lambda a: -(query_counts.get(a, 1) * blind.I(a, bottleneck)),
+    )
+    best_t = current_t()
+    for dataset in ordered:
+        stalled = 0
+        committed_since_improvement: list = []
+        for _ in range(planner.max_steps_per_dataset):
+            source = bottleneck_of(moves)
+            available = remaining[(dataset, source)]
+            if available <= 0:
+                break
+            chunk = min(
+                available,
+                planner.chunk_fraction * max(blind.I(dataset, source), available),
+                up_budget[source],
+            )
+            if chunk <= 1e-9:  # nothing meaningful left to move
+                break
+            destination = best_destination(source, chunk, down_budget)
+            if destination is None:
+                break
+            key = (dataset, source, destination)
+            moves[key] = moves.get(key, 0.0) + chunk
+            candidate_t = current_t()
+            if candidate_t > best_t + 1e-9:
+                # Strictly worse: revert and stop this dataset.
+                moves[key] -= chunk
+                if moves[key] <= 1e-9:
+                    del moves[key]
+                break
+            remaining[(dataset, source)] -= chunk
+            up_budget[source] -= chunk
+            down_budget[destination] -= chunk
+            if candidate_t < best_t - 1e-9:
+                best_t = candidate_t
+                stalled = 0
+                committed_since_improvement = []
+            else:
+                stalled += 1
+                committed_since_improvement.append((key, chunk, source, destination))
+                if stalled >= planner.stall_limit:
+                    # The speculative chunks never paid off: roll back.
+                    for spec_key, spec_chunk, src, dst in committed_since_improvement:
+                        residual = moves.get(spec_key, 0.0) - spec_chunk
+                        if residual <= 1e-9:
+                            moves.pop(spec_key, None)
+                        else:
+                            moves[spec_key] = residual
+                        remaining[(dataset, src)] += spec_chunk
+                        up_budget[src] += spec_chunk
+                        down_budget[dst] += spec_chunk
+                    break
+
+    volumes = reference_shuffle_bytes_after_moves(blind, moves)
+    fractions, t, solution = reference_solve_task_lp(volumes, blind, backend=planner.backend)
+    solve_seconds += solution.solve_seconds
+    return PlacementDecision(
+        moves=moves,
+        reduce_fractions=fractions,
+        estimated_shuffle_seconds=t,
+        solve_seconds=solve_seconds,
+        planner="iridium",
+    )
+
+
+@contextmanager
+def lp_priced_greedy() -> Iterator[List[int]]:
+    """``IridiumPlanner.plan`` as :func:`reference_iridium_plan`; yields the
+    ``seq`` of every telemetry event its pricing solves emit — each solve
+    but the last of a plan, whose fractions the plan returns."""
+    pricing: List[int] = []
+    solve_task_lp = reference_solve_task_lp  # the unpatched one
+
+    def emitted() -> int:
+        return len(instrument.current().telemetry.events)
+
+    def plan(planner, problem, query_counts=None):
+        solves: List[range] = []
+
+        def solve(*args, **kwargs):
+            first = emitted()
+            solved = solve_task_lp(*args, **kwargs)
+            solves.append(range(first, emitted()))
+            return solved
+
+        with mock.patch(f"{__name__}.reference_solve_task_lp", solve):
+            decision = reference_iridium_plan(planner, problem, query_counts)
+        for seqs in solves[:-1]:
+            pricing.extend(seqs)
+        return decision
+
+    with mock.patch.object(IridiumPlanner, "plan", plan):
+        yield pricing
 
 
 def _try_warm_basis(

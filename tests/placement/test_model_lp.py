@@ -93,6 +93,50 @@ class TestPlacementProblem:
             )
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteInput:
+    """``value < 0`` and ``value <= 0`` are false for nan, so these used to
+    pass: ``lag_seconds=nan`` gave Iridium a no-move plan with t ~ 1.8e-8,
+    ``I = nan`` a ``SolverError`` naming ``r[site-0]``."""
+
+    def problem(self, **overrides):
+        fields = dict(
+            topology=two_site_problem().topology,
+            input_bytes={"d": {"a": 1.0, "b": 2.0}},
+            reduction_ratio={"d": 0.5},
+            similarity={},
+            lag_seconds=10.0,
+            compute_bps={"a": 5.0},
+        )
+        fields.update(overrides)
+        return PlacementProblem(**fields)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_input_bytes_names_the_dataset_and_site(self, bad):
+        with pytest.raises(PlacementError) as raised:
+            self.problem(input_bytes={"d": {"a": 1.0, "b": bad}})
+        assert str(raised.value) == (
+            f"input_bytes I['d']['b'] must be finite and >= 0, got {bad}"
+        )
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_lag_seconds_is_named(self, bad):
+        with pytest.raises(PlacementError) as raised:
+            self.problem(lag_seconds=bad)
+        assert str(raised.value) == f"lag_seconds (T) must be finite and > 0, got {bad}"
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_compute_bps_names_the_site(self, bad):
+        with pytest.raises(PlacementError) as raised:
+            self.problem(compute_bps={"a": 5.0, "b": bad})
+        assert str(raised.value) == f"compute_bps['b'] must be finite and > 0, got {bad}"
+
+    def test_the_finite_problem_is_accepted(self):
+        assert self.problem().lag_seconds == 10.0
+
+
 class TestTaskLp:
     def test_more_tasks_where_more_data(self):
         problem = two_site_problem()

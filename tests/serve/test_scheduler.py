@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.obs.telemetry import telemetry_digest
 from repro.serve import ServeConfig, serve_workload
 from repro.systems.base import SystemConfig
 from repro.wan.presets import ec2_ten_sites
@@ -90,9 +91,39 @@ class TestDeterminism:
         stopped threading run state as parameters); re-digested when the
         RDD clustering cost became a sim-clock charge, which serve used to
         switch off: 60 map stages now pay a clustering pass, and the flows
-        they delay split into 77 more samples (4125 events before)."""
+        they delay split into 77 more samples (4125 events before);
+        re-digested when Iridium's greedy stopped solving a task LP per
+        candidate chunk: three ``lp-solve`` span pairs went and nothing
+        else moved (4202 events before; see the next test)."""
+        _header, events = self.served(tmp_path, capsys)
+        assert len(events) == 4196
+        assert telemetry_digest(events) == SERVE_DIGEST
+
+    def test_the_lp_priced_greedy_gives_back_the_parent_stream(self, tmp_path, capsys):
+        """With Iridium's greedy priced by task LPs again the run emits its
+        parent's stream (4202 events, digest ``d4ea21de…``); without the
+        events of those pricing solves — ``lp-solve`` span pairs, nothing
+        else — it is this commit's."""
+        from tests.placement.reference_lp import lp_priced_greedy
+
+        with lp_priced_greedy() as pricing:
+            _header, events = self.served(tmp_path, capsys)
+        assert len(events) == 4202
+        assert telemetry_digest(events) == (
+            "d4ea21de28b43f8977a8bf7da579f0fa4bdd356cda13eddc03b784f6a74d1759"
+        )
+        assert {(events[seq].kind, events[seq].attrs["name"]) for seq in pricing} == {
+            ("span-begin", "lp-solve"), ("span-end", "lp-solve"),
+        }
+        dropped = set(pricing)
+        kept = [event for event in events if event.seq not in dropped]
+        assert len(kept) == 4196
+        assert telemetry_digest(kept) == SERVE_DIGEST  # seq is not digested
+
+    @staticmethod
+    def served(tmp_path, capsys):
         from repro.cli import main
-        from repro.obs.telemetry import load_jsonl, telemetry_digest
+        from repro.obs.telemetry import load_jsonl
 
         archive = tmp_path / "serve.jsonl"
         assert main([
@@ -100,11 +131,11 @@ class TestDeterminism:
             "--cache-size", "4", "--telemetry", str(archive),
         ]) == 0
         capsys.readouterr()
-        _header, events = load_jsonl(str(archive))
-        assert len(events) == 4202
-        assert telemetry_digest(events) == (
-            "d4ea21de28b43f8977a8bf7da579f0fa4bdd356cda13eddc03b784f6a74d1759"
-        )
+        return load_jsonl(str(archive))
+
+
+#: ``repro serve --tenants 3 --queries 12 --seed 11 --cache-size 4``'s stream.
+SERVE_DIGEST = "be1603e97677e586210f602d788023efea7229d80939b44beb7178e1ebd38061"
 
 
 class TestAccounting:
