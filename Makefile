@@ -34,7 +34,8 @@ parity:  ## scalar/columnar hot-path parity suite (bit-identity oracle)
 		tests/similarity/test_columnar_parity.py \
 		tests/placement/test_warm_start.py \
 		tests/properties/test_placement_lp.py \
-		tests/properties/test_obs_oracles.py
+		tests/properties/test_obs_oracles.py \
+		tests/properties/test_wan_session.py
 
 bench-smoke:  ## smoke benchmarks vs the committed baseline (sim metrics; wall is never gated)
 	$(PYTHON) -m repro bench --suite smoke --compare BENCH_7.json \

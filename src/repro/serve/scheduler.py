@@ -210,24 +210,30 @@ class ServeReport:
         return squared_sum / (len(shares) * sum_squared)
 
     def sim_digest(self) -> str:
-        """Hash of every sim-clock observable (wall excluded)."""
+        """Hash of every sim-clock observable (wall excluded).
+
+        One line per query, ``index|tenant|dataset|status`` then arrival,
+        admit, start, finish and WAN bytes as ``%.12e`` (``-`` for a
+        time not reached), then the cache counters.  Each line is hashed
+        as it is made: joining 5 000 lines first costs ~2 MiB of peak
+        memory for no measurable speed.
+        """
         digest = hashlib.sha256()
         for query in self.queries:
-            line = "|".join(
-                [
-                    str(query.index),
-                    query.tenant,
-                    query.dataset_id,
-                    query.status,
-                    _canonical(query.arrival),
-                    _canonical(query.admit),
-                    _canonical(query.start),
-                    _canonical(query.finish),
+            admit, start, finish = query.admit, query.start, query.finish
+            if finish is not None and admit is not None and start is not None:
+                line = _DIGEST_LINE % (
+                    query.index, query.tenant, query.dataset_id, query.status,
+                    query.arrival, admit, start, finish, query.wan_bytes,
+                )
+            else:  # shed, or still queued or running
+                line = "|".join([
+                    str(query.index), query.tenant, query.dataset_id,
+                    query.status, _canonical(query.arrival),
+                    _canonical(admit), _canonical(start), _canonical(finish),
                     _canonical(query.wan_bytes),
-                ]
-            )
+                ]) + "\n"
             digest.update(line.encode())
-            digest.update(b"\n")
         digest.update(
             f"cache|{self.cache_hits}|{self.cache_misses}|"
             f"{self.cache_evictions}".encode()
@@ -281,6 +287,11 @@ class ServeReport:
             "sim_digest": self.sim_digest(),
             "wall_seconds": self.wall_seconds,
         }
+
+
+#: A ``sim_digest`` line of a finished query: ``%.12e`` is the text
+#: ``_canonical`` gives a float.
+_DIGEST_LINE = "%s|%s|%s|%s|%.12e|%.12e|%.12e|%.12e|%.12e\n"
 
 
 def _canonical(value: Optional[float]) -> str:

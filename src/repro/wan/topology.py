@@ -9,6 +9,7 @@ the engine can model (small) map/reduce processing time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional
 
@@ -50,8 +51,11 @@ class Site:
             ("downlink_bps", self.downlink_bps),
             ("compute_bps", self.compute_bps),
         ):
-            if value <= 0:
-                raise TopologyError(f"{label} of site {self.name!r} must be > 0")
+            if not 0.0 < value < math.inf:  # also False for NaN
+                raise TopologyError(
+                    f"{label} of site {self.name!r} must be finite and > 0, "
+                    f"got {value}"
+                )
         if self.machines < 1 or self.executors_per_machine < 1:
             raise TopologyError(f"site {self.name!r} needs >= 1 machine and executor")
 

@@ -31,17 +31,21 @@ network: the clock, the flows, the progressive-filling rounds and the
 telemetry coalescing state.  Its in-flight state is columnar — parallel
 lists of flow, ``(src, dst)`` pair id, bytes left and seconds parked —
 and a round water-fills over the distinct *pairs* (flows of one pair
-share both links, hence one rate), then moves the flows in whole-column
-passes.  Every driver (batch ``simulate()``, data movement, chaos retries,
-the serve event loop) is a session; ``simulate()`` is one run to drain.
+share both links, hence one rate) — each freeze iteration touches only
+the pairs crossing its bottleneck and, per pair, the one other link —
+then moves the flows in whole-column passes.  Every driver (batch
+``simulate()``, data movement, chaos retries, the serve event loop) is a
+session; ``simulate()`` is one run to drain.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import _count_elements
 from dataclasses import dataclass
-from operator import truediv
+from functools import reduce
+from itertools import repeat
+from operator import sub, truediv
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TopologyError
@@ -73,10 +77,17 @@ class Transfer:
     tag: str = ""
 
     def __post_init__(self) -> None:
-        if self.num_bytes < 0:
-            raise TopologyError(f"transfer bytes must be >= 0, got {self.num_bytes}")
-        if self.start_time < 0:
-            raise TopologyError("transfer start_time must be >= 0")
+        # Chained ranges reject NaN (every comparison is False) and inf.
+        if not 0.0 <= self.num_bytes < math.inf:
+            raise TopologyError(
+                f"transfer {self.src}->{self.dst}: num_bytes must be finite "
+                f"and >= 0, got {self.num_bytes}"
+            )
+        if not 0.0 <= self.start_time < math.inf:
+            raise TopologyError(
+                f"transfer {self.src}->{self.dst}: start_time must be finite "
+                f"and >= 0, got {self.start_time}"
+            )
 
 
 @dataclass(frozen=True)
@@ -410,19 +421,27 @@ class WanSession:
         """Max-min fair (progressive filling) rates, one per in-flight flow.
 
         Flows of one ``(src, dst)`` pair cross the same two links and
-        freeze together at one share, so the round fills *pair classes*:
-        ``Counter`` counts them in a C pass, and its insertion order
-        (first appearance among the flows) yields the links in the order
-        a flow-by-flow scan first meets them — the order that breaks
-        ties between equally shared links.  Each iteration scans the
-        links in use for the least ``capacity / live`` (lists indexed by
-        link id) and freezes the unfrozen pairs crossing that bottleneck.
+        freeze together at one share, so the round fills *pair classes*.
+        One C pass (``_count_elements``, what ``Counter`` calls) counts
+        them; its insertion order is the pairs' first appearance among
+        the flows, and the pass over it lists the links in the order a
+        flow-by-flow scan first meets them (``order`` — the order that
+        breaks ties between equally shared links), each link's crossing
+        pairs, and its live flow count (lists indexed by link id).
 
-        A pair of ``count`` flows takes its share off both links
-        ``count`` times in sequence, clamping at zero — never ``count *
-        share``, which rounds differently from the flow-by-flow fill
-        this replaces (the oracle in ``tests/wan/reference_fill.py``)
-        and would move every later share.
+        An iteration scans the links that still have unfrozen pairs, in
+        ``order``, for the least ``capacity / live``, and freezes the
+        unfrozen pairs crossing that bottleneck.  Each is the only one of
+        them on its other link (two pairs sharing both links are one
+        pair), so it takes its share off that link ``count`` times in one
+        fold and is clamped at zero once: the share is >= 0, so a running
+        difference that reaches zero stays there and one clamp at the end
+        is a clamp at every step.  Never ``count * share``, which rounds
+        differently from the flow-by-flow fill this replaces (the oracle
+        in ``tests/wan/reference_fill.py``) and would move every later
+        share.  No later iteration reads the bottleneck's own residual,
+        so it is folded only when ``sampling`` asks for it; links whose
+        last pair froze leave the scan, which keeps its order.
 
         Only the interning tables outlive a round: 246 of 5 131 perfbench
         ``serve-contended`` rounds see the previous round's flow set, so
@@ -436,16 +455,29 @@ class WanSession:
         """
         pairs = self._pairs
         pair_links = self._pair_links
-        pair_rate = {0: self.scheduler.lan_bps}
-        counts = Counter(pairs)
+        counts: Dict[int, int] = {}
+        _count_elements(counts, pairs)
         wan = len(pairs) - counts.pop(0, 0)
         live = [0] * len(self._links)
+        # By link in use: (pair, the pair's other link, its flow count)
+        # for every pair crossing it, in first-appearance order.
+        crossing: List[List[Tuple[int, int, int]]]
+        crossing = [None] * len(live)  # type: ignore[list-item]
         order: List[int] = []
         for pair, count in counts.items():
-            for link in pair_links[pair]:
-                if not live[link]:
-                    order.append(link)
-                live[link] += count
+            up, down = pair_links[pair]
+            if live[up]:
+                crossing[up].append((pair, down, count))
+            else:
+                order.append(up)
+                crossing[up] = [(pair, down, count)]
+            live[up] += count
+            if live[down]:
+                crossing[down].append((pair, up, count))
+            else:
+                order.append(down)
+                crossing[down] = [(pair, up, count)]
+            live[down] += count
         if self._static:
             capacity = self._static_capacity[:]
         else:
@@ -458,33 +490,45 @@ class WanSession:
             original_capacity = capacity[:]
             users = live[:]
 
+        pair_rate = {0: self.scheduler.lan_bps}
         parked_possible = False
-        unfrozen = list(counts)
+        unfrozen = wan
+        scan = order[:]  # the links with unfrozen pairs, in tie order
         while unfrozen:
             bottleneck = -1
             bottleneck_share = math.inf
-            for link in order:
-                users_left = live[link]
-                if users_left:
-                    share = capacity[link] / users_left
-                    if share < bottleneck_share:
-                        bottleneck_share = share
-                        bottleneck = link
+            for link in scan:
+                share = capacity[link] / live[link]
+                if share < bottleneck_share:
+                    bottleneck_share = share
+                    bottleneck = link
             assert bottleneck >= 0
+            scan.remove(bottleneck)
             if bottleneck_share <= 0.0:
                 parked_possible = True
-            for pair in [p for p in unfrozen if bottleneck in pair_links[p]]:
-                unfrozen.remove(pair)
+            for pair, other, count in crossing[bottleneck]:
+                if not live[other]:
+                    continue  # frozen when ``other`` was the bottleneck
                 pair_rate[pair] = bottleneck_share
-                count = counts[pair]
-                for link in pair_links[pair]:
-                    left = capacity[link]
-                    for _ in range(count):
-                        left -= bottleneck_share
-                        if not left > 0.0:
-                            left = 0.0
-                    capacity[link] = left
-                    live[link] -= count
+                if count == 1:  # the fold of one subtraction
+                    left = capacity[other] - bottleneck_share
+                else:
+                    left = reduce(
+                        sub, repeat(bottleneck_share, count), capacity[other]
+                    )
+                capacity[other] = left if left > 0.0 else 0.0
+                users_left = live[other] - count
+                live[other] = users_left
+                if not users_left:
+                    scan.remove(other)
+            frozen = live[bottleneck]
+            if sampling:
+                left = reduce(
+                    sub, repeat(bottleneck_share, frozen), capacity[bottleneck]
+                )
+                capacity[bottleneck] = left if left > 0.0 else 0.0
+            live[bottleneck] = 0
+            unfrozen -= frozen
 
         rates = [pair_rate[pair] for pair in pairs]
         if not sampling:
@@ -680,12 +724,19 @@ class TransferScheduler:
         zero capacity for ``stall_timeout_seconds`` total fails its
         attempt (the default keeps flows parked indefinitely).
         """
-        if lan_bps <= 0:
-            raise TopologyError("lan_bps must be > 0")
-        if propagation_seconds < 0:
-            raise TopologyError("propagation_seconds must be >= 0")
-        if stall_timeout_seconds <= 0:
-            raise TopologyError("stall_timeout_seconds must be > 0")
+        # Only the stall timeout may be infinite (its default: park
+        # forever); NaN fails every one of these ranges.
+        if not 0.0 < lan_bps < math.inf:
+            raise TopologyError(f"lan_bps must be finite and > 0, got {lan_bps}")
+        if not 0.0 <= propagation_seconds < math.inf:
+            raise TopologyError(
+                f"propagation_seconds must be finite and >= 0, "
+                f"got {propagation_seconds}"
+            )
+        if not stall_timeout_seconds > 0.0:
+            raise TopologyError(
+                f"stall_timeout_seconds must be > 0, got {stall_timeout_seconds}"
+            )
         self.topology = topology
         self.lan_bps = lan_bps
         self.profiles = profiles or {}

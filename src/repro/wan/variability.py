@@ -25,8 +25,8 @@ class BandwidthProfile:
     """Piecewise-constant capacity multiplier over time.
 
     ``epochs`` is a sorted list of ``(start_time, multiplier)`` pairs;
-    the first epoch must start at 0 and every multiplier must be > 0
-    (links degrade, they do not vanish).
+    the first epoch must start at 0, starts are finite, and every
+    multiplier is finite and > 0 (links degrade, they do not vanish).
     """
 
     epochs: Tuple[Tuple[float, float], ...]
@@ -43,11 +43,18 @@ class BandwidthProfile:
         if self.epochs[0][0] != 0.0:  # lint: allow[R004] — exact zero-start contract on the user-supplied schedule
             raise TopologyError("first epoch must start at time 0")
         previous = -math.inf
-        for start, multiplier in self.epochs:
-            if start <= previous:
-                raise TopologyError("epoch start times must strictly increase")
-            if multiplier <= 0:
-                raise TopologyError(f"multiplier must be > 0, got {multiplier}")
+        for index, (start, multiplier) in enumerate(self.epochs):
+            # Chained ranges are False for NaN, so NaN fails them too.
+            if not previous < start < math.inf:
+                raise TopologyError(
+                    f"epoch {index} start must be finite and strictly "
+                    f"increasing, got {start}"
+                )
+            if not 0.0 < multiplier < math.inf:
+                raise TopologyError(
+                    f"epoch {index} multiplier must be finite and > 0, "
+                    f"got {multiplier}"
+                )
             previous = start
         object.__setattr__(
             self, "_starts", tuple(start for start, _ in self.epochs)

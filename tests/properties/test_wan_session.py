@@ -8,7 +8,9 @@ replaced (``tests/wan/reference_fill.py``), bit for bit.
 """
 
 import math
+from collections import Counter
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -268,14 +270,24 @@ class TableScheduler(TransferScheduler):
         return self.table[(direction, site)]
 
 
-def pair_fill(flows, table, per_round=False):
+def pair_fill(flows, table, per_round=False, interned=()):
     """``(rate per flow, residual per link in use)`` of one
-    ``WanSession`` round over ``(src, dst)`` flows, all in flight."""
+    ``WanSession`` round over ``(src, dst)`` flows, all in flight.
+
+    ``interned`` links get their ids first, as earlier traffic of a long
+    session would have given them: then link ids are not in the order
+    this round's flows meet the links, and only the scan's order can
+    break a tie the way the flow-by-flow fill does.
+    """
     session = WanSession(TableScheduler(table, per_round))
+    for direction, site in interned:
+        session._link_id(direction, site)
     session.submit([Transfer(src, dst, 1.0) for src, dst in flows])
     # Admits every flow; the limit stops the call short of a round.
     assert session.advance(limit=0.0) == [] and session.filling_rounds == 0
     rates, sample = session._assign_rates(0.0, sampling=True)
+    # Telemetry off skips the bottleneck residuals, never a rate.
+    assert session._assign_rates(0.0, sampling=False) == (rates, None)
     wan, order, capacities, residual, users, parked_possible = sample
     assert wan == sum(src != dst for src, dst in flows)
     assert [capacities[link] for link in order] == [
@@ -293,25 +305,104 @@ def all_links(names, capacity):
 def rounds(draw):
     names = "abcde"[: draw(st.integers(min_value=2, max_value=5))]
     site = st.sampled_from(names)
-    # Three values, one of them zero: exact share ties and parked links
-    # in most draws.
+    # Few values, one of them zero: exact share ties and parked links in
+    # most draws.  0.2 and 0.4 tie at 0.1 over two and four flows, and
+    # what is left after subtracting 0.1 rounds, so the link a tie picks
+    # shows in the bits of every later share.
     table = {
-        link: draw(st.sampled_from([0.0, 120.0, 360.0]))
+        link: draw(st.sampled_from([0.0, 0.2, 0.4, 120.0, 360.0]))
         for link in all_links(names, None)
     }
     flows = draw(st.lists(st.tuples(site, site), min_size=1, max_size=40))
     return flows, table
 
 
-@settings(max_examples=300, deadline=None)
-@given(round_=rounds(), per_round=st.booleans())
-def test_pair_class_fill_is_the_flow_by_flow_fill(round_, per_round):
+@st.composite
+def crowded_rounds(draw):
+    """Few pairs of up to 50 flows each, interleaved, over capacities
+    that are zero, tie exactly, or round — or over links that all tie at
+    the first scan: every pair class is a fold."""
+    names = "abcd"[: draw(st.integers(min_value=2, max_value=4))]
+    site = st.sampled_from(names)
+    table = {
+        link: draw(
+            st.one_of(
+                st.sampled_from([0.0, 0.2, 0.4, 120.0, 360.0]),
+                st.floats(min_value=1.0, max_value=1e4),
+            )
+        )
+        for link in all_links(names, None)
+    }
+    classes = draw(
+        st.lists(
+            st.tuples(site, site, st.integers(min_value=1, max_value=50)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    flows = [(src, dst) for src, dst, count in classes for _ in range(count)]
+    if draw(st.booleans()):
+        # Every link in use carries 0.1 per flow crossing it (0.1 * n / n
+        # is exactly 0.1 for most n): the first scan ties nearly every
+        # link, only the scan order picks the bottleneck, and 0.1 rounds
+        # in the subtractions that decide every later share.
+        users = Counter(
+            link
+            for src, dst in flows
+            if src != dst
+            for link in (("up", src), ("down", dst))
+        )
+        table.update({link: 0.1 * n for link, n in users.items()})
+    return draw(st.permutations(flows)), table
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    round_=st.one_of(rounds(), crowded_rounds()),
+    per_round=st.booleans(),
+    data=st.data(),
+)
+def test_pair_class_fill_is_the_flow_by_flow_fill(round_, per_round, data):
     flows, table = round_
-    rates, residual = pair_fill(flows, table, per_round)
+    interned = data.draw(st.permutations(sorted(table)))
+    rates, residual = pair_fill(flows, table, per_round, interned)
     want_rates, want_residual = reference_fill(flows, table, LAN_BPS)
     assert rates == want_rates
     # Same links, same order, same bits.
     assert list(residual.items()) == list(want_residual.items())
+
+
+@pytest.mark.parametrize("count", range(1, 51))
+@pytest.mark.parametrize("share", [0.1, 1.0 / 3.0, 0.25])
+def test_a_pair_folds_its_share_off_a_capacity_of_exactly_count_shares(count, share):
+    # up(a) is met first and ties down(b) at ``share`` per flow, so the
+    # pair freezes at up(a) and down(b) keeps the clamped running
+    # difference of ``count`` subtractions: zero, a rounding crumb, or a
+    # negative crumb clamped to zero — whatever the flow-by-flow fill did.
+    flows = [("a", "b")] * count
+    table = {("up", "a"): count * share, ("down", "b"): count * share}
+    rates, residual = pair_fill(flows, table)
+    assert (rates, residual) == reference_fill(flows, table, LAN_BPS)
+    assert rates == [count * share / count] * count
+    running = count * share
+    for _ in range(count):
+        running = max(0.0, running - rates[0])
+    assert residual[("down", "b")] == running
+
+
+def test_a_share_of_zero_and_a_capacity_of_zero():
+    # up(a) carries nothing: its pairs park at 0.0 and take nothing off
+    # their downlinks; down(c) carries nothing either, so (b, c) parks at
+    # 0.0 off a zero capacity and up(b) keeps all of its capacity for
+    # (b, d).
+    table = {**all_links("abcd", 90.0), ("up", "a"): 0.0, ("down", "c"): 0.0}
+    flows = [("a", "b")] * 3 + [("a", "d")] * 2 + [("b", "c")] * 4 + [("b", "d")]
+    rates, residual = pair_fill(flows, table)
+    assert (rates, residual) == reference_fill(flows, table, LAN_BPS)
+    assert rates[:9] == [0.0] * 9
+    assert residual[("down", "b")] == 90.0 and residual[("down", "c")] == 0.0
+    # (b, d) is the last unfrozen flow on down(d) and on up(b): all 90.
+    assert rates[9] == 90.0 and residual[("up", "b")] == 0.0
 
 
 def test_400_flows_of_one_pair_subtract_their_share_400_times():
@@ -332,7 +423,12 @@ def test_first_appearance_order_breaks_a_tie_between_links():
     downlink_first = [("d", "c"), ("a", "c"), ("a", "c"), ("b", "c")]
     uplink_first = [("a", "c"), ("a", "c"), ("d", "c"), ("b", "c")]
     for flows in (downlink_first, uplink_first):
-        assert pair_fill(flows, table) == reference_fill(flows, table, LAN_BPS)
+        want = reference_fill(flows, table, LAN_BPS)
+        assert pair_fill(flows, table) == want
+        # Link ids given in some other order (as a long session's earlier
+        # traffic would) must not change which link the tie picks.
+        for interned in ([("up", "a"), ("down", "c")], [("down", "c"), ("up", "a")]):
+            assert pair_fill(flows, table, interned=interned) == want
     # down(c) met first: it freezes all four flows at once.
     assert pair_fill(downlink_first, table)[0] == [0.1] * 4
     # up(a) met first: down(c) then splits 0.4 - 0.1 - 0.1 in two.
