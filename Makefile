@@ -98,12 +98,16 @@ profile:  ## smoke benchmarks under the wall profiler (collapsed stacks)
 	$(PYTHON) -m repro bench --suite smoke --profile \
 		--profile-out bench.collapsed
 
-telemetry:  ## sanitized chaos run with telemetry capture (critpath-conservation armed); load-then-write is byte-identical; inspect + dashboard off the one archive
+telemetry:  ## sanitized chaos run with telemetry capture (critpath-conservation armed); load-then-write and the reference writer are byte-identical; inspect + dashboard off the one archive
 	$(PYTHON) -m repro run --scheme bohr --workload bigdata-aggregation \
-		--queries 2 --chaos flaky-wan --telemetry telemetry.jsonl --sanitize
+		--queries 3 --chaos flaky-wan --telemetry telemetry.jsonl --sanitize
 	$(PYTHON) -c "from repro.obs.telemetry import load_jsonl, write_jsonl; \
 		write_jsonl(load_jsonl('telemetry.jsonl')[1], 'telemetry.rewritten.jsonl')"
 	cmp telemetry.jsonl telemetry.rewritten.jsonl
+	$(PYTHON) -c "from repro.obs.telemetry import load_jsonl; \
+		from tests.obs.reference_export import reference_write_jsonl; \
+		reference_write_jsonl(load_jsonl('telemetry.jsonl')[1], 'telemetry.reference.jsonl')"
+	cmp telemetry.jsonl telemetry.reference.jsonl
 	$(PYTHON) -m repro inspect telemetry.jsonl --breakdown
 	$(PYTHON) -m repro report telemetry.jsonl --out report.html
 

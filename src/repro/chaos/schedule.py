@@ -70,12 +70,18 @@ class FaultEvent:
             )
         if not self.site:
             raise FaultError("fault event needs a site name")
+        if not math.isfinite(self.start):
+            raise FaultError(f"fault start must be finite, got {self.start}")
         if self.start < 0:
             raise FaultError(f"fault start must be >= 0, got {self.start}")
+        if math.isnan(self.end):  # inf is a permanent fault
+            raise FaultError(f"fault end must be a number or inf, got {self.end}")
         if self.end <= self.start:
             raise FaultError(
                 f"fault window must be non-empty, got [{self.start}, {self.end}]"
             )
+        if not math.isfinite(self.severity):
+            raise FaultError(f"fault severity must be finite, got {self.severity}")
         if self.kind == "link-degrade" and not 0.0 < self.severity < 1.0:
             raise FaultError(
                 f"link-degrade severity must be in (0, 1), got {self.severity}"

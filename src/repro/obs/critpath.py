@@ -225,6 +225,12 @@ def _query_span(stream) -> Tuple[List[TelemetryEvent], Optional[float]]:
     return held, None  # the span never closed: no QCT to decompose
 
 
+#: The kinds the index pass reads; it skips every other event at once.
+_INDEXED = frozenset({
+    "link-sample", "serve-queue", "serve-admit", "serve-start", "serve-finish",
+    "stage-finish", "flow-start", "flow-finish", "flow-fail", "span-begin",
+})
+
 #: What the index pass reads as a float (and ``query`` as an int).
 _FLOATS = {"t", "queue_seconds", "qct", "start", "num_bytes", "dt", "capacity_bps"}
 
@@ -265,8 +271,17 @@ class _EventIndex:
         stream = iter(events)
         try:
             for event in stream:
-                kind, attrs, t = event.kind, event.attrs, event.t
-                if kind == "serve-queue":
+                kind = event.kind
+                if kind not in _INDEXED:
+                    continue
+                attrs, t = event.attrs, event.t
+                if kind == "link-sample":
+                    t0 = float(t)
+                    t1 = t0 + float(attrs.get("dt", 0.0))
+                    self.link_segments.setdefault(
+                        (str(attrs["direction"]), str(attrs["site"])), []
+                    ).append((t0, t1, float(attrs.get("capacity_bps", 0.0))))
+                elif kind == "serve-queue":
                     self.arrival[int(attrs["query"])] = float(t)
                 elif kind == "serve-admit":
                     query = int(attrs["query"])
@@ -314,12 +329,6 @@ class _EventIndex:
                     started = open_flows.get(key)
                     if started:
                         started.pop(0).finish = float(t)
-                elif kind == "link-sample":
-                    t0 = float(t)
-                    t1 = t0 + float(attrs.get("dt", 0.0))
-                    self.link_segments.setdefault(
-                        (str(attrs["direction"]), str(attrs["site"])), []
-                    ).append((t0, t1, float(attrs.get("capacity_bps", 0.0))))
                 elif kind == "span-begin" and attrs.get("stage") == "query":
                     self.batch.append((attrs, *_query_span(stream)))
         except (KeyError, TypeError, ValueError, OverflowError) as error:

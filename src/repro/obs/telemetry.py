@@ -40,9 +40,12 @@ import hashlib
 import json
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ObservabilityError
@@ -139,9 +142,15 @@ _Scalar = Union[str, int, float, bool, None]
 _isfinite = math.isfinite
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TelemetryEvent:
-    """One typed event on the stream."""
+    """One typed event on the stream.
+
+    Slotted: a run materializes tens of thousands of these, and slots
+    keep each one smaller than a dict-backed instance.  Construction
+    validates the kind and ``t``; :attr:`TelemetryBus.events` skips that
+    check for columns :meth:`TelemetryBus.emit` has already validated.
+    """
 
     seq: int
     kind: str
@@ -180,6 +189,19 @@ class TelemetryEvent:
             raise ObservabilityError(
                 f"malformed telemetry event: {error}"
             ) from None
+
+
+#: Slot setters that bypass the frozen ``__setattr__`` (and validation):
+#: :attr:`TelemetryBus.events` fills pre-validated columns through them.
+_set_seq = TelemetryEvent.seq.__set__
+_set_kind = TelemetryEvent.kind.__set__
+_set_t = TelemetryEvent.t.__set__
+_set_attrs = TelemetryEvent.attrs.__set__
+
+
+def _drain(effects: Iterable[Any]) -> None:
+    """Run an iterator of side effects to exhaustion, keeping nothing."""
+    deque(effects, maxlen=0)
 
 
 #: A subscriber gets every event as it is emitted (the ``repro top`` hook).
@@ -234,19 +256,20 @@ class TelemetryBus:
 
     @property
     def events(self) -> List[TelemetryEvent]:
-        """Materialized event list (lazily extended; same objects returned)."""
-        kinds = self._kinds
+        """Materialized event list (lazily extended; same objects returned).
+
+        ``emit`` validated every column entry, so the new events are
+        built through the slot descriptors, one C-level ``map`` per
+        field, without running ``__init__``/``__post_init__`` again."""
         events = self._materialized
-        while len(events) < len(kinds):
-            index = len(events)
-            events.append(
-                TelemetryEvent(
-                    seq=index,
-                    kind=kinds[index],
-                    t=self._ts[index],
-                    attrs=self._attr_rows[index],
-                )
-            )
+        start, stop = len(events), len(self._kinds)
+        if start < stop:
+            fresh = list(map(object.__new__, repeat(TelemetryEvent, stop - start)))
+            _drain(map(_set_seq, fresh, range(start, stop)))
+            _drain(map(_set_kind, fresh, self._kinds[start:]))
+            _drain(map(_set_t, fresh, self._ts[start:]))
+            _drain(map(_set_attrs, fresh, self._attr_rows[start:]))
+            events += fresh
         return events
 
     def emit(
@@ -367,6 +390,31 @@ _JSON = {
     type(None): lambda value: "null",
 }
 
+#: The encoders a column of one exact type runs through a single ``map``
+#: (floats only when every value is finite).
+_COLUMN = {int: int.__repr__, str: encode_basestring_ascii, bool: _JSON[bool]}
+
+#: Events :func:`write_jsonl` formats per batch: the lines of one window
+#: are held in memory at once, never the whole archive.
+_EXPORT_WINDOW = 2048
+
+
+def _encode_column(values: List[Any]) -> List[str]:
+    """``json.dumps`` of each value: one C-level ``map`` when the column
+    is all exact finite floats or all of one :data:`_COLUMN` type,
+    otherwise the per-value :data:`_JSON` encoders (``None``, numpy
+    scalars, non-finite floats, nested values, mixed types)."""
+    types = set(map(type, values))
+    if len(types) == 1:
+        (kind,) = types
+        if kind is float:
+            if all(map(_isfinite, values)):
+                return list(map(float.__repr__, values))
+        elif kind in _COLUMN:
+            return list(map(_COLUMN[kind], values))
+    encoder, other = _JSON.get, partial(json.dumps, sort_keys=True)
+    return [encoder(type(value), other)(value) for value in values]
+
 
 def _line_template(kind: str, *keys: str) -> Tuple[List[str], str]:
     """Sorted attr keys and the event line with a ``%s`` per value."""
@@ -382,16 +430,21 @@ def write_jsonl(
     """Write the versioned JSONL archive; returns the event count.
 
     Each line is ``json.dumps(event.to_dict(), sort_keys=True)`` byte for
-    byte, formatted from the bus's columns (or the seq-sorted events)."""
+    byte, formatted from the bus's columns (or the seq-sorted events).
+    Each window of :data:`_EXPORT_WINDOW` events is grouped by kind and
+    key set; a group's lines come from one template, each value column
+    encoded at once (:func:`_encode_column`)."""
     if isinstance(source, TelemetryBus):
-        count = len(source._kinds)
-        rows = zip(range(count), source._kinds, source._ts, source._attr_rows)
+        kinds, ts, attr_rows = source._kinds, source._ts, source._attr_rows
+        seqs: Sequence[int] = range(len(kinds))
     else:
         events = sorted(source, key=lambda event: event.seq)
-        count = len(events)
-        rows = ((event.seq, event.kind, event.t, event.attrs) for event in events)
+        seqs = [event.seq for event in events]
+        kinds = [event.kind for event in events]
+        ts = [event.t for event in events]
+        attr_rows = [event.attrs for event in events]
+    count = len(kinds)
     template_of = lru_cache(maxsize=None)(_line_template)
-    encoder, other = _JSON.get, partial(json.dumps, sort_keys=True)
     with open(path, "w", encoding="utf-8") as handle:
         header = {
             "telemetry": "repro.obs.telemetry",
@@ -400,10 +453,24 @@ def write_jsonl(
         }
         handle.write(json.dumps(header, sort_keys=True))
         handle.write("\n")
-        for seq, kind, t, attrs in rows:
-            keys, template = template_of(kind, *attrs)
-            values = (*map(attrs.__getitem__, keys), seq, t)
-            handle.write(template % tuple([encoder(type(v), other)(v) for v in values]))
+        for low in range(0, count, _EXPORT_WINDOW):
+            window = slice(low, low + _EXPORT_WINDOW)
+            rows, window_seqs, window_ts = attr_rows[window], seqs[window], ts[window]
+            groups: Dict[Tuple[str, ...], List[int]] = {}
+            for position, (kind, row) in enumerate(zip(kinds[window], rows)):
+                groups.setdefault((kind, *row), []).append(position)
+            lines = [""] * len(rows)
+            for (kind, *keys), positions in groups.items():
+                ordered, template = template_of(kind, *keys)
+                group = list(map(rows.__getitem__, positions))
+                columns = [
+                    _encode_column(list(map(itemgetter(key), group))) for key in ordered
+                ]
+                for column in (window_seqs, window_ts):
+                    columns.append(_encode_column(list(map(column.__getitem__, positions))))
+                lines_of_group = map(template.__mod__, zip(*columns))
+                _drain(map(lines.__setitem__, positions, lines_of_group))
+            handle.writelines(lines)
     return count
 
 

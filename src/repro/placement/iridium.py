@@ -109,7 +109,9 @@ class IridiumPlanner:
                 key = (dataset, source, destination)
                 moves[key] = moves.get(key, 0.0) + chunk
                 candidate_t = current_t()
-                if candidate_t > best_t + 1e-9:
+                # Ties are relative to t: an LP's t carries rounding that
+                # grows with it (1.5e-9 on a t of 2.5e3 s has been seen).
+                if candidate_t > best_t + 1e-9 * max(1.0, best_t):
                     # Strictly worse: revert and stop this dataset.
                     moves[key] -= chunk
                     if moves[key] <= 1e-9:
@@ -119,7 +121,7 @@ class IridiumPlanner:
                 remaining[(dataset, source)] -= chunk
                 up_budget[source] -= chunk
                 down_budget[destination] -= chunk
-                if candidate_t < best_t - 1e-9:
+                if candidate_t < best_t - 1e-9 * max(1.0, best_t):
                     best_t = candidate_t
                     stalled = 0
                     committed_since_improvement = []

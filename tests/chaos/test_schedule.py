@@ -58,6 +58,21 @@ class TestFaultEvent:
             FaultEvent("task-failure", "a", 0.0, 1.0, severity=1.5)
         FaultEvent("task-failure", "a", 0.0, 1.0, severity=2.0)  # ok
 
+    @pytest.mark.parametrize(
+        "field, kind, start, end, severity",
+        [
+            ("start", "link-blackout", math.nan, 1.0, 0.0),
+            ("end", "link-blackout", 0.0, math.nan, 0.0),
+            ("severity", "straggler", 0.0, 1.0, math.nan),
+            ("severity", "straggler", 0.0, 1.0, math.inf),
+            ("severity", "task-failure", 0.0, 1.0, math.nan),
+            ("severity", "task-failure", 0.0, 1.0, math.inf),
+        ],
+    )
+    def test_non_finite_input_names_the_field(self, field, kind, start, end, severity):
+        with pytest.raises(FaultError, match=f"fault {field} must be"):
+            FaultEvent(kind, "a", start, end, severity=severity)
+
     def test_active_window_is_half_open(self):
         event = blackout(start=2.0, end=7.0)
         assert not event.active_at(1.999)

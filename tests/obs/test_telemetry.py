@@ -4,6 +4,7 @@ The heavier end-to-end properties (two-run digest equality, telemetry
 on/off bit-identity of sim metrics) run one small experiment each.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -86,6 +87,26 @@ class TestEventSchema:
         )
         assert list(event.to_dict()["attrs"]) == ["alpha", "zeta"]
 
+    @pytest.mark.parametrize(
+        "record, match",
+        [
+            ({"seq": 0, "kind": "no-such-kind"}, "unknown telemetry"),
+            ({"seq": 0, "kind": "flow-start", "t": float("nan")}, "finite"),
+        ],
+    )
+    def test_from_dict_validates(self, record, match):
+        with pytest.raises(ObservabilityError, match=match):
+            TelemetryEvent.from_dict(record)
+
+    def test_replace_revalidates_a_slot_event(self):
+        event = TelemetryEvent(seq=0, kind="plan", t=1.0, attrs={"a": 1})
+        assert dataclasses.replace(event, seq=4) == TelemetryEvent(
+            seq=4, kind="plan", t=1.0, attrs={"a": 1}
+        )
+        with pytest.raises(ObservabilityError, match="unknown telemetry"):
+            dataclasses.replace(event, kind="bogus")
+        assert not hasattr(event, "__dict__")
+
     def test_iter_kind_validates(self):
         with pytest.raises(ObservabilityError, match="unknown telemetry kinds"):
             iter_kind([], "flow-start", "bogus")
@@ -101,6 +122,41 @@ class TestBus:
         assert [event.seq for event in bus.events] == [0, 1]
         assert seen == bus.events
         assert bus.counts_by_kind() == {"query-start": 1, "query-finish": 1}
+
+    def test_events_are_the_validated_constructions_extended_in_place(self):
+        bus = TelemetryBus()
+        bus.emit("flow-start", t=0.5, src="a", dst="b", wan=True)
+        bus.emit("plan")
+        first = bus.events
+        assert first == [
+            TelemetryEvent(seq=0, kind="flow-start", t=0.5,
+                           attrs={"src": "a", "dst": "b", "wan": True}),
+            TelemetryEvent(seq=1, kind="plan"),
+        ]
+        bus.emit("flow-finish", t=2, src="a")
+        again = bus.events
+        assert again is first and len(again) == 3
+        assert again[2] == TelemetryEvent(seq=2, kind="flow-finish", t=2, attrs={"src": "a"})
+        assert all(a is b for a, b in zip(bus.events, again))
+
+    def test_subscriber_sees_the_materialized_objects(self):
+        bus = TelemetryBus()
+        bus.emit("plan")
+        seen = []
+        bus.subscribe(seen.append)
+        returned = [bus.emit("link-sample", t=float(t), site="a") for t in range(3)]
+        assert seen == returned == bus.events[1:]
+        assert all(a is b for a, b in zip(seen, bus.events[1:]))
+
+    @pytest.mark.parametrize(
+        "kind, t, match",
+        [("no-such-kind", 0.0, "unknown telemetry"), ("plan", float("inf"), "finite")],
+    )
+    def test_emit_validates_what_events_will_skip(self, kind, t, match):
+        bus = TelemetryBus()
+        with pytest.raises(ObservabilityError, match=match):
+            bus.emit(kind, t=t)
+        assert bus.events == []
 
     def test_null_bus_records_nothing(self):
         NULL_TELEMETRY.emit("flow-start", t=0.0, src="a")

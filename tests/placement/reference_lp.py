@@ -378,7 +378,7 @@ def reference_iridium_plan(
             key = (dataset, source, destination)
             moves[key] = moves.get(key, 0.0) + chunk
             candidate_t = current_t()
-            if candidate_t > best_t + 1e-9:
+            if candidate_t > best_t + 1e-9 * max(1.0, best_t):
                 # Strictly worse: revert and stop this dataset.
                 moves[key] -= chunk
                 if moves[key] <= 1e-9:
@@ -387,7 +387,7 @@ def reference_iridium_plan(
             remaining[(dataset, source)] -= chunk
             up_budget[source] -= chunk
             down_budget[destination] -= chunk
-            if candidate_t < best_t - 1e-9:
+            if candidate_t < best_t - 1e-9 * max(1.0, best_t):
                 best_t = candidate_t
                 stalled = 0
                 committed_since_improvement = []

@@ -8,7 +8,10 @@ subnormals, ints past 64 bits, bools and ``None``, strings with quotes,
 backslashes, control characters, non-ASCII and lone surrogates, numpy
 floats, nested lists and dicts, one kind emitted with different key sets
 in different insertion orders — the archives are equal byte for byte,
-from a bus and from an event list alike.
+from a bus and from an event list alike.  Runs of one kind and key set
+whose columns hold one type (the exporter's one-``map`` path) or mix
+ints, floats, bools, numpy floats, ``None`` and non-finite floats (its
+per-value fallback) cross export windows shrunk to a few events.
 
 The analyzer's blame pass and solo-time integral read interval indexes;
 ``tests/obs/reference_blame.py`` keeps the scans of every flow, map span
@@ -20,10 +23,13 @@ unfinished flows, cached queries, tags that name no served query — the
 paths, ``blame`` and ``query_blame`` are ``==`` to the reference.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import telemetry
 from repro.obs.critpath import analyze_critical_paths
 from repro.obs.telemetry import EVENT_KINDS, TelemetryBus, TelemetryEvent, write_jsonl
 from tests.obs.reference_blame import reference_analysis
@@ -61,27 +67,59 @@ rows = st.lists(
 )
 
 
+#: A column of one exact type, or one whose types mix across events.
+columns = st.sampled_from([
+    st.floats(allow_nan=False, allow_infinity=False),
+    floats,
+    st.integers(),
+    st.text(max_size=3),
+    st.booleans(),
+    st.one_of(floats, st.integers(), st.booleans(), floats.map(np.float64), st.none()),
+])
+
+
+@st.composite
+def template_runs(draw):
+    """Events of one kind and key set, each key's values from one column."""
+    kind = draw(st.sampled_from(sorted(EVENT_KINDS)))
+    names = draw(st.lists(keys, unique=True, max_size=3))
+    drawn = [draw(columns) for _ in names]
+    return [
+        (kind, draw(times), [(name, draw(column)) for name, column in zip(names, drawn)])
+        for _ in range(draw(st.integers(min_value=1, max_value=12)))
+    ]
+
+
+streams = st.lists(rows | template_runs(), max_size=4).map(
+    lambda runs: [row for run in runs for row in run]
+)
+
+
 def archive_bytes(write, source, path):
     write(source, str(path))
     return path.read_bytes()
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=rows, order=st.randoms(use_true_random=False))
-def test_archive_bytes_equal_the_per_event_encoder(tmp_path_factory, rows, order):
+@given(
+    rows=streams,
+    order=st.randoms(use_true_random=False),
+    window=st.integers(min_value=1, max_value=7) | st.just(telemetry._EXPORT_WINDOW),
+)
+def test_archive_bytes_equal_the_per_event_encoder(tmp_path_factory, rows, order, window):
     path = tmp_path_factory.mktemp("archive") / "tele.jsonl"
     events = [
         TelemetryEvent(seq=seq, kind=kind, t=t, attrs=dict(pairs))
         for seq, (kind, t, pairs) in enumerate(rows)
     ]
     order.shuffle(events)  # a list is written in seq order, not list order
-    want = archive_bytes(reference_write_jsonl, events, path)
-    assert archive_bytes(write_jsonl, events, path) == want
     bus = TelemetryBus()
     for kind, t, pairs in rows:
         bus.emit(kind, t, **{k: v for k, v in pairs if k not in ("self", "kind", "t")})
-    want = archive_bytes(reference_write_jsonl, bus, path)
-    assert archive_bytes(write_jsonl, bus, path) == want
+    for source in (events, bus):
+        want = archive_bytes(reference_write_jsonl, source, path)
+        with mock.patch.object(telemetry, "_EXPORT_WINDOW", window):
+            assert archive_bytes(write_jsonl, source, path) == want
 
 
 # ----------------------------------------------------------------------
