@@ -98,7 +98,7 @@ profile:  ## smoke benchmarks under the wall profiler (collapsed stacks)
 	$(PYTHON) -m repro bench --suite smoke --profile \
 		--profile-out bench.collapsed
 
-telemetry:  ## sanitized chaos run with telemetry capture (critpath-conservation armed); load-then-write and the reference writer are byte-identical; inspect + dashboard off the one archive
+telemetry:  ## sanitized chaos run with telemetry capture (critpath-conservation armed); load-then-write and the reference writer are byte-identical; inspect, Chrome trace + dashboard off the one archive
 	$(PYTHON) -m repro run --scheme bohr --workload bigdata-aggregation \
 		--queries 3 --chaos flaky-wan --telemetry telemetry.jsonl --sanitize
 	$(PYTHON) -c "from repro.obs.telemetry import load_jsonl, write_jsonl; \
@@ -108,7 +108,13 @@ telemetry:  ## sanitized chaos run with telemetry capture (critpath-conservation
 		from tests.obs.reference_export import reference_write_jsonl; \
 		reference_write_jsonl(load_jsonl('telemetry.jsonl')[1], 'telemetry.reference.jsonl')"
 	cmp telemetry.jsonl telemetry.reference.jsonl
-	$(PYTHON) -m repro inspect telemetry.jsonl --breakdown
+	$(PYTHON) -m repro inspect telemetry.jsonl --chrome trace.json
+	$(PYTHON) -c "import json; from repro.obs.export import validate_chrome_events; \
+		events = json.load(open('trace.json'))['traceEvents']; \
+		validate_chrome_events(events); \
+		faults = [event for event in events if event.get('cat') == 'fault']; \
+		assert faults, 'no fault windows in the Chrome trace'; \
+		print(f'Chrome trace OK: {len(events)} events, {len(faults)} fault windows')"
 	$(PYTHON) -m repro report telemetry.jsonl --out report.html
 
 examples:  ## run every script under examples/; fails on the first non-zero exit (~6 s)

@@ -32,6 +32,7 @@ verdict.
 from __future__ import annotations
 
 import json
+import math
 import platform
 import subprocess
 import time
@@ -133,6 +134,11 @@ def validate_report(report: Dict[str, Any], source: str = "report") -> None:
                         f"{source}: benchmark {name!r} metric "
                         f"{kind}.{metric} is not numeric: {value!r}"
                     )
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise BenchError(
+                        f"{source}: benchmark {name!r} metric "
+                        f"{kind}.{metric} is not finite: {value!r}"
+                    )
         duration = entry["duration_seconds"]
         if not isinstance(duration, dict) or "median" not in duration:
             raise BenchError(
@@ -170,6 +176,8 @@ def load_report(path: str) -> Dict[str, Any]:
             report = json.load(handle)
     except OSError as error:
         raise BenchError(f"cannot read {path}: {error}") from None
+    except UnicodeDecodeError as error:
+        raise BenchError(f"{path}: invalid UTF-8 ({error})") from None
     except json.JSONDecodeError as error:
         raise BenchError(f"{path}: invalid JSON ({error})") from None
     validate_report(report, source=path)

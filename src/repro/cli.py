@@ -7,7 +7,7 @@
     python -m repro run --scheme bohr --workload tpcds [options]
     python -m repro compare --workload bigdata-aggregation \
         --schemes iridium,iridium-c,bohr [options]
-    python -m repro inspect trace.jsonl [--chrome trace.json]
+    python -m repro inspect tele.jsonl [--chrome trace.json]
 
 ``run`` executes one scheme on one workload (with the vanilla in-place
 baseline for the data-reduction metric) and prints the QCT and per-site
@@ -15,14 +15,14 @@ reduction; ``compare`` does the same for several schemes side by side.
 Results can be saved to JSON with ``--json`` and reloaded by
 :mod:`repro.core.persistence`.
 
-``run`` and ``compare`` take ``--trace FILE`` (JSONL span trace),
-``--chrome-trace FILE`` (Chrome ``chrome://tracing`` / Perfetto
-trace-event format), ``--metrics FILE`` (metrics snapshot JSON) and
-``--sanitize`` (runtime invariant sanitizer: bytes conservation,
+``run`` and ``compare`` take ``--metrics FILE`` (metrics snapshot JSON)
+and ``--sanitize`` (runtime invariant sanitizer: bytes conservation,
 sim-clock monotonicity, LP feasibility — non-zero exit on violation);
-``inspect`` renders a saved JSONL trace (or a ``--telemetry`` archive:
-spans and metrics are views of that one event stream) as a per-stage
-latency breakdown and can convert it to the Chrome format; ``lint`` runs
+``inspect`` reads a ``--telemetry`` archive (spans and metrics are views
+of that one event stream), prints its per-stage latency breakdown and
+the critical-path components of every query's completion time, and can
+convert it to the Chrome ``chrome://tracing`` / Perfetto trace-event
+format, chaos fault windows included; ``lint`` runs
 the project's simulation-aware static analysis (per-file rules R001–R008,
 whole-program passes R009–R012 with ``--static``) and the two-run
 ``--determinism`` smoke.  ``--chaos PROFILE`` (with
@@ -46,13 +46,13 @@ file, ungated).  ``--profile`` (on ``run``, ``compare`` and ``bench``)
 enables the two-clock profiler: the critical-path components of every
 query's completion time (:mod:`repro.obs.critpath`), plus cProfile
 wall-clock hotspots with a collapsed-stack export (``--profile-out``,
-flamegraph-renderable); ``inspect --breakdown`` prints the same
-component table for a saved ``--telemetry`` archive::
+flamegraph-renderable); ``inspect`` prints the same component table
+for a saved ``--telemetry`` archive::
 
     python -m repro bench --suite smoke --out BENCH_smoke.json
     python -m repro bench --suite smoke --compare BENCH_smoke.json
     python -m repro run --scheme bohr --profile
-    python -m repro inspect tele.jsonl --breakdown
+    python -m repro inspect tele.jsonl
 
 ``--telemetry FILE`` (on ``run`` and ``compare``) records the streaming
 runtime event bus — flow/link/stage/fault/plan events on the simulated
@@ -160,11 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_seed_arguments(cmd)
         cmd.add_argument("--json", metavar="PATH",
                          help="also write results to a JSON file")
-        cmd.add_argument("--trace", metavar="FILE",
-                         help="write the span trace as JSONL")
-        cmd.add_argument("--chrome-trace", metavar="FILE",
-                         help="write the span trace in Chrome "
-                         "chrome://tracing trace-event format")
         cmd.add_argument("--metrics", metavar="FILE",
                          help="write a metrics snapshot as JSON")
         cmd.add_argument("--telemetry", metavar="FILE",
@@ -188,17 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     inspect_cmd = commands.add_parser(
         "inspect", help="per-stage latency breakdown of a saved trace"
     )
-    inspect_cmd.add_argument("trace", metavar="TRACE",
-                             help="JSONL trace written by --trace")
+    inspect_cmd.add_argument("archive", metavar="ARCHIVE",
+                             help="telemetry archive written by --telemetry")
     inspect_cmd.add_argument("--chrome", metavar="FILE",
-                             help="also convert the trace to Chrome "
+                             help="also convert the archive to Chrome "
                              "trace-event format")
-    inspect_cmd.add_argument("--breakdown", action="store_true",
-                             help="print the critical-path components of "
-                             "QCT (queue, slot, map, WAN serial/contention, "
-                             "reduce, cache); needs a --telemetry archive: "
-                             "--trace spans carry no link-sample segments to "
-                             "split serial from contention")
 
     report_cmd = commands.add_parser(
         "report",
@@ -401,37 +390,20 @@ def _print_result(result: ExperimentResult) -> None:
 
 
 def _wants_observability(args: argparse.Namespace) -> bool:
-    return bool(
-        args.trace or args.chrome_trace or args.metrics or args.profile
-        or args.telemetry
-    )
+    return bool(args.metrics or args.profile or args.telemetry)
 
 
-def _export_views(args: argparse.Namespace, events) -> None:
-    """``--trace`` / ``--chrome-trace`` / ``--metrics``: views of the stream."""
-    from repro.obs.export import export_chrome, export_jsonl
-    from repro.obs.views import metrics_from_events, spans_from_events
+def _write_metrics(path: str, events) -> None:
+    """``--metrics``: the series view of the stream, as JSON."""
+    import json
 
-    if args.trace or args.chrome_trace:
-        spans = spans_from_events(events)
-    if args.trace:
-        export_jsonl(spans, args.trace)
-        print(f"trace written to {args.trace} ({len(spans)} spans)")
-    if args.chrome_trace:
-        # Rebuilt from the same profile/seed/topology, so it is exactly
-        # the schedule the runtime saw.
-        chaos = _build_inputs(args)[2]
-        export_chrome(
-            spans, args.chrome_trace, faults=chaos.faults if chaos else None
-        )
-        print(f"Chrome trace written to {args.chrome_trace}")
-    if args.metrics:
-        metrics = metrics_from_events(events)
-        metrics.to_json(args.metrics)
-        print(
-            f"metrics written to {args.metrics} "
-            f"({len(metrics.series())} series)"
-        )
+    from repro.obs.views import metrics_from_events
+
+    records = metrics_from_events(events)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(records, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"metrics written to {path} ({len(records)} series)")
 
 
 def _run_top(args: argparse.Namespace) -> int:
@@ -664,24 +636,17 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "inspect":
-        from repro.obs.export import export_chrome, load_jsonl
+        from repro.obs.export import export_chrome
         from repro.obs.inspect import render_inspection
+        from repro.obs.telemetry import load_jsonl
+        from repro.obs.views import spans_from_events
 
-        spans = load_jsonl(args.trace)
-        print(render_inspection(spans, source=args.trace))
-        if args.breakdown:
-            from repro.errors import ObservabilityError
-            from repro.obs.telemetry import load_jsonl as load_telemetry
-
-            try:
-                _header, events = load_telemetry(args.trace)
-            except ObservabilityError as error:
-                print(f"\n--breakdown needs a --telemetry archive ({error})")
-                return 2
-            print()
-            print(render_components(analyze_critical_paths(events)))
+        _header, events = load_jsonl(args.archive)
+        print(render_inspection(spans_from_events(events), source=args.archive))
+        print()
+        print(render_components(analyze_critical_paths(events)))
         if args.chrome:
-            export_chrome(spans, args.chrome)
+            export_chrome(events, args.chrome)
             print(f"\nChrome trace written to {args.chrome}")
         return 0
 
@@ -761,7 +726,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
     if _wants_observability(args):
         print()
-        _export_views(args, events)
+    if args.metrics:
+        _write_metrics(args.metrics, events)
     return _finish_observed(args, obs)
 
 

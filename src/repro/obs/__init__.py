@@ -11,11 +11,10 @@ first-class, machine-readable artifact instead of a post-hoc guess:
   ``--telemetry``);
 * :mod:`repro.obs.views` — the two views of that stream: hierarchical
   :mod:`repro.obs.span` trees (``experiment > query > probe/lp/map/
-  shuffle/reduce``, wall and simulated clocks) and
-  :mod:`repro.obs.metrics` series (bytes shuffled per link, combiner
-  hit rate, LP iterations, ...);
-* :mod:`repro.obs.export` — JSONL and Chrome ``chrome://tracing``
-  trace-event export, with JSONL round-trip loading;
+  shuffle/reduce``, wall and simulated clocks) and metric series
+  (bytes shuffled per link, combiner hit rate, LP iterations, ...);
+* :mod:`repro.obs.export` — Chrome ``chrome://tracing`` trace-event
+  export of a stream's spans and fault windows;
 * :mod:`repro.obs.instrument` — the process-wide instrumentation slot
   (bus + sanitizer); the default is a no-op, so uninstrumented runs pay
   ~zero cost;
@@ -23,7 +22,7 @@ first-class, machine-readable artifact instead of a post-hoc guess:
   conservation, sim-clock monotonicity, LP feasibility) behind the CLI
   ``--sanitize`` flag;
 * :mod:`repro.obs.inspect` — per-stage latency breakdown of a saved
-  trace (the ``python -m repro inspect`` command);
+  archive's spans (the ``python -m repro inspect`` command);
 * :mod:`repro.obs.series` — derivations from event streams to sim-time
   time-series (link utilization, site busy fraction, estimator error);
 * :mod:`repro.obs.report_html` / :mod:`repro.obs.top` — the static
@@ -36,7 +35,6 @@ from repro.obs.instrument import (
     current,
     instrumented,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.sanitize import NULL_SANITIZER, NullSanitizer, Sanitizer
 from repro.obs.span import Span
 from repro.obs.telemetry import (
@@ -49,11 +47,7 @@ from repro.obs.telemetry import (
 from repro.obs.views import metrics_from_events, spans_from_events
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "Instrumentation",
-    "MetricsRegistry",
     "NULL_INSTRUMENTATION",
     "NULL_SANITIZER",
     "NULL_TELEMETRY",

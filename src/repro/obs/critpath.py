@@ -529,7 +529,7 @@ def analyze_critical_paths(events: Sequence[TelemetryEvent]) -> CritPathReport:
 
 
 def render_components(report: CritPathReport) -> str:
-    """The QCT attribution table of ``inspect --breakdown`` / ``--profile``."""
+    """The QCT attribution table of ``inspect`` / ``--profile``."""
     if not report.paths:
         return "no finished queries in the stream — nothing to attribute"
     total = math.fsum(path.qct for path in report.paths)

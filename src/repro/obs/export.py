@@ -1,67 +1,31 @@
-"""Trace export: JSONL (with round-trip loading) and Chrome trace events.
-
-JSONL is the machine-readable span format — one :class:`Span` dict per
-line, loadable with :func:`load_jsonl` (the ``inspect`` command's input).
-:func:`load_jsonl` also accepts a ``--telemetry`` archive and derives the
-spans from its events, so one archive feeds ``inspect`` and ``report``.
+"""Chrome trace export of a telemetry stream.
 
 Chrome export targets the ``chrome://tracing`` / Perfetto trace-event
 JSON format (``{"traceEvents": [...]}``, complete events with ``ph: "X"``
-and microsecond timestamps).  The dual-clock span model maps onto two
-trace *processes*: pid 1 renders wall-clock intervals, pid 2 renders
-simulated-clock intervals, so both decompositions are visible side by
-side without conflating their time bases.  Span nesting is expressed per
-process through ``tid`` lanes (one lane per root span's subtree on the
-wall process; one lane per site on the simulated process).
+and microsecond timestamps), rendered from the events of a live bus or
+of a reloaded ``--telemetry`` archive (``repro inspect ARCHIVE --chrome
+FILE``).  The dual-clock span model maps onto two trace *processes*:
+pid 1 renders wall-clock intervals, pid 2 renders simulated-clock
+intervals, so both decompositions are visible side by side without
+conflating their time bases.  Span nesting is expressed per process
+through ``tid`` lanes (one lane per root span's subtree on the wall
+process; one lane per site on the simulated process); the stream's
+chaos fault windows share the simulated process's site lanes.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Sequence
 
 from repro.errors import ObservabilityError
+from repro.obs.series import fault_windows
 from repro.obs.span import Span
-from repro.obs.telemetry import load_jsonl as load_telemetry, read_jsonl
+from repro.obs.telemetry import TelemetryEvent
 from repro.obs.views import spans_from_events
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.chaos.schedule import FaultSchedule
 
 _WALL_PID = 1
 _SIM_PID = 2
-
-
-def _spans_of(spans: Sequence[Span]) -> List[Span]:
-    return sorted(spans, key=lambda span: span.span_id)
-
-
-# ----------------------------------------------------------------------
-# JSONL
-# ----------------------------------------------------------------------
-
-
-def export_jsonl(spans: Sequence[Span], path: str) -> None:
-    """Write one span per line, in span-id order."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for span in _spans_of(spans):
-            handle.write(json.dumps(span.to_dict(), sort_keys=True))
-            handle.write("\n")
-
-
-def load_jsonl(path: str) -> List[Span]:
-    """Load spans written by :func:`export_jsonl`, or derive them from a
-    telemetry archive (recognised by its header line)."""
-    records = read_jsonl(path)
-    if records and "telemetry" in records[0][1]:
-        return spans_from_events(load_telemetry(path)[1])
-    return [Span.from_dict(record) for _, record in records]
-
-
-# ----------------------------------------------------------------------
-# Chrome trace events
-# ----------------------------------------------------------------------
 
 
 def _metadata_event(pid: int, tid: int, name: str, kind: str) -> Dict[str, Any]:
@@ -90,7 +54,9 @@ def _subtree_lanes(spans: Sequence[Span]) -> Dict[int, int]:
 
 
 def _fault_trace_events(
-    faults: "FaultSchedule", sim_lanes: Dict[str, int], events: List[Dict[str, Any]]
+    windows: List[Dict[str, Any]],
+    sim_lanes: Dict[str, int],
+    trace: List[Dict[str, Any]],
 ) -> List[Dict[str, Any]]:
     """Chaos fault windows as trace events on the affected site's lane.
 
@@ -101,44 +67,37 @@ def _fault_trace_events(
     """
     annotations: List[Dict[str, Any]] = []
     ordered = sorted(
-        faults.events, key=lambda event: (event.start, event.site, event.kind)
+        windows, key=lambda window: (window["start"], window["site"], window["fault"])
     )
-    for fault in ordered:
-        site = fault.site
+    for window in ordered:
+        site, start, end = window["site"], window["start"], window["end"]
         if site not in sim_lanes:
             sim_lanes[site] = len(sim_lanes) + 1
-            events.append(
+            trace.append(
                 _metadata_event(_SIM_PID, sim_lanes[site], site, "thread_name")
             )
         base: Dict[str, Any] = {
-            "name": f"fault:{fault.kind}",
+            "name": f"fault:{window['fault']}",
             "cat": "fault",
             "pid": _SIM_PID,
             "tid": sim_lanes[site],
-            "ts": fault.start * 1e6,
-            "args": {"site": site, "severity": fault.severity},
+            "ts": start * 1e6,
+            "args": {"site": site, "severity": window["severity"]},
         }
-        if math.isinf(fault.end):
+        if end is None:
             annotations.append({**base, "ph": "i", "s": "t"})
         else:
             annotations.append(
-                {**base, "ph": "X", "dur": max(fault.end - fault.start, 0.0) * 1e6}
+                {**base, "ph": "X", "dur": max(end - start, 0.0) * 1e6}
             )
     return annotations
 
 
-def chrome_trace_events(
-    spans: Sequence[Span],
-    faults: "Optional[FaultSchedule]" = None,
-) -> List[Dict[str, Any]]:
-    """All spans as Chrome trace-event dicts (metadata events first).
-
-    ``faults`` annotates the simulated-clock process with the chaos
-    schedule's windows so blackouts and stragglers render inline with
-    the spans they disturbed.
-    """
-    spans = _spans_of(spans)
-    events: List[Dict[str, Any]] = [
+def chrome_trace_events(events: Sequence[TelemetryEvent]) -> List[Dict[str, Any]]:
+    """The stream's spans and fault windows as Chrome trace-event dicts
+    (metadata events first, fault windows last)."""
+    spans = spans_from_events(events)
+    trace: List[Dict[str, Any]] = [
         _metadata_event(_WALL_PID, 0, "wall-clock", "process_name"),
         _metadata_event(_SIM_PID, 0, "simulated-clock", "process_name"),
     ]
@@ -147,7 +106,7 @@ def chrome_trace_events(
     sim_lanes: Dict[str, int] = {}
     for span in spans:
         if span.wall_end is not None:
-            events.append(
+            trace.append(
                 {
                     "name": span.name,
                     "cat": span.stage or "span",
@@ -163,12 +122,12 @@ def chrome_trace_events(
             site = str(span.attrs.get("site", "global"))
             if site not in sim_lanes:
                 sim_lanes[site] = len(sim_lanes) + 1
-                events.append(
+                trace.append(
                     _metadata_event(
                         _SIM_PID, sim_lanes[site], site, "thread_name"
                     )
                 )
-            events.append(
+            trace.append(
                 {
                     "name": span.name,
                     "cat": span.stage or "span",
@@ -180,19 +139,14 @@ def chrome_trace_events(
                     "args": {"span_id": span.span_id, **span.attrs},
                 }
             )
-    if faults is not None:
-        events.extend(_fault_trace_events(faults, sim_lanes, events))
-    return events
+    trace.extend(_fault_trace_events(fault_windows(events), sim_lanes, trace))
+    return trace
 
 
-def export_chrome(
-    spans: Sequence[Span],
-    path: str,
-    faults: "Optional[FaultSchedule]" = None,
-) -> None:
+def export_chrome(events: Sequence[TelemetryEvent], path: str) -> None:
     """Write the Chrome ``chrome://tracing`` JSON object format."""
     document = {
-        "traceEvents": chrome_trace_events(spans, faults=faults),
+        "traceEvents": chrome_trace_events(events),
         "displayTimeUnit": "ms",
     }
     with open(path, "w", encoding="utf-8") as handle:

@@ -1,10 +1,11 @@
-"""Stage-level latency breakdown of a saved trace.
+"""Stage-level latency breakdown of a saved telemetry archive.
 
-``python -m repro inspect TRACE.jsonl`` loads the spans written by
-``--trace`` and tabulates them per stage.  (Which share of a QCT each
-stage *caused* is the critical-path analyzer's question —
-``inspect --breakdown``, :mod:`repro.obs.critpath` — not this table's.)
-The report has three parts:
+``python -m repro inspect ARCHIVE`` derives the spans from a
+``--telemetry`` archive's events and tabulates them per stage, then
+prints the critical-path components of every query.  (Which share of a
+QCT each stage *caused* is the critical-path analyzer's question —
+:mod:`repro.obs.critpath` — not this table's.)  The table's report has
+three parts:
 
 * a per-stage table (probe, lp, map, shuffle, reduce, ...) with span
   counts and total wall/simulated seconds — ``wall s`` is where the
@@ -112,8 +113,8 @@ def stage_breakdown(spans: Sequence[Span]) -> List[List[object]]:
     return rows
 
 
-def render_inspection(spans: Sequence[Span], source: str = "trace") -> str:
-    """The full ``inspect`` report for one loaded trace."""
+def render_inspection(spans: Sequence[Span], source: str = "archive") -> str:
+    """The span part of the ``inspect`` report for one loaded archive."""
     if not spans:
         return f"{source}: no spans"
     lines: List[str] = []

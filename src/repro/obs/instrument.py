@@ -21,7 +21,7 @@ lookups.  Enable collection for a region with :func:`instrumented`::
 
     with instrument.instrumented() as obs:
         run_experiment(...)
-    export_jsonl(spans_from_events(obs.telemetry.events), "trace.jsonl")
+    write_jsonl(obs.telemetry, "tele.jsonl")  # what `repro inspect` reads
 
 The slot is deliberately process-global rather than threaded through
 every constructor: the engine, solver, WAN simulator and similarity

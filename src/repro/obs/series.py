@@ -415,19 +415,21 @@ def mean_abs_estimator_error(events: Sequence[TelemetryEvent]) -> Optional[float
 
 
 def fault_windows(events: Sequence[TelemetryEvent]) -> List[Dict]:
-    """Decoded fault-window events: fault, site, start, end, severity."""
-    windows: List[Dict] = []
+    """Decoded fault-window events — fault, site, start, end, severity —
+    each distinct window once, in stream order (every controller a run
+    builds emits the whole schedule, so ``compare`` holds one copy per
+    scheme)."""
+    windows: Dict[Tuple, Dict] = {}
     for event in events:
         if event.kind != "fault-window":
             continue
         attrs = event.attrs
-        windows.append(
-            {
-                "fault": str(attrs["fault"]),
-                "site": str(attrs["site"]),
-                "start": float(attrs["start"]),
-                "end": None if attrs.get("end") is None else float(attrs["end"]),
-                "severity": float(attrs.get("severity", 0.0)),
-            }
-        )
-    return windows
+        window = {
+            "fault": str(attrs["fault"]),
+            "site": str(attrs["site"]),
+            "start": float(attrs["start"]),
+            "end": None if attrs.get("end") is None else float(attrs["end"]),
+            "severity": float(attrs.get("severity", 0.0)),
+        }
+        windows.setdefault(tuple(window.values()), window)
+    return list(windows.values())

@@ -80,58 +80,6 @@ class Span:
     def is_simulated(self) -> bool:
         return self.sim_start is not None and self.sim_end is not None
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable representation (the JSONL line)."""
-        record: Dict[str, Any] = {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "stage": self.stage,
-            "wall_start": self.wall_start,
-            "wall_end": self.wall_end,
-        }
-        if self.sim_start is not None:
-            record["sim_start"] = self.sim_start
-        if self.sim_end is not None:
-            record["sim_end"] = self.sim_end
-        if self.attrs:
-            record["attrs"] = self.attrs
-        return record
-
-    @classmethod
-    def from_dict(cls, record: Dict[str, Any]) -> "Span":
-        """Inverse of :meth:`to_dict`."""
-        try:
-            return cls(
-                span_id=int(record["span_id"]),
-                name=str(record["name"]),
-                stage=str(record.get("stage", "")),
-                parent_id=(
-                    None
-                    if record.get("parent_id") is None
-                    else int(record["parent_id"])
-                ),
-                wall_start=float(record.get("wall_start", 0.0)),
-                wall_end=(
-                    None
-                    if record.get("wall_end") is None
-                    else float(record["wall_end"])
-                ),
-                sim_start=(
-                    None
-                    if record.get("sim_start") is None
-                    else float(record["sim_start"])
-                ),
-                sim_end=(
-                    None
-                    if record.get("sim_end") is None
-                    else float(record["sim_end"])
-                ),
-                attrs=dict(record.get("attrs", {})),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ObservabilityError(f"malformed span record: {error}") from None
-
 
 def children_index(spans: Sequence[Span]) -> Dict[Optional[int], List[Span]]:
     """Spans grouped by ``parent_id`` (``None`` holds the roots)."""

@@ -4,9 +4,9 @@ The bus observes the system *while* it runs: the WAN simulator, the
 engine, the chaos runtime, the planners and the controller publish small
 typed events as simulation advances, and every consumer — the JSONL
 archive (``--telemetry FILE``), the span and metric views of
-:mod:`repro.obs.views` (``--trace``/``--metrics``/``inspect``), the
-``repro report`` dashboard, the ``repro top`` live view — either
-subscribes to the stream or replays the archive.
+:mod:`repro.obs.views` (``--metrics``, ``inspect`` and its Chrome
+export), the ``repro report`` dashboard, the ``repro top`` live view —
+either subscribes to the stream or replays the archive.
 
 The bus has a no-op twin (:data:`NULL_TELEMETRY`): a disabled call site
 costs one attribute lookup and a truthiness check, so the telemetry-off
@@ -185,7 +185,7 @@ class TelemetryEvent:
                 t=None if record.get("t") is None else float(record["t"]),
                 attrs=dict(record.get("attrs", {})),
             )
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise ObservabilityError(
                 f"malformed telemetry event: {error}"
             ) from None
@@ -477,12 +477,16 @@ def write_jsonl(
 def read_jsonl(path: str) -> List[Tuple[int, Any]]:
     """``(line number, parsed JSON)`` for every non-blank line of a file."""
     records: List[Tuple[int, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as handle:
+        for line_number, raw in enumerate(handle, start=1):
             try:
-                records.append((line_number, json.loads(line)))
+                line = raw.decode("utf-8")
+                if line.strip():
+                    records.append((line_number, json.loads(line)))
+            except UnicodeDecodeError as error:
+                raise ObservabilityError(
+                    f"{path}:{line_number}: invalid UTF-8 ({error})"
+                ) from None
             except json.JSONDecodeError as error:
                 raise ObservabilityError(
                     f"{path}:{line_number}: invalid JSON ({error})"
@@ -498,7 +502,8 @@ def load_jsonl(path: str) -> Tuple[Dict[str, Any], List[TelemetryEvent]]:
     header = records[0][1]
     if not isinstance(header, dict) or header.get("telemetry") != "repro.obs.telemetry":
         raise ObservabilityError(
-            f"{path}: missing telemetry header line (is this a span trace?)"
+            f"{path}: missing telemetry header line; span traces are no "
+            "longer read, record the run with --telemetry"
         )
     version = header.get("version")
     if version not in SUPPORTED_VERSIONS:

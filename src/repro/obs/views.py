@@ -1,10 +1,9 @@
 """One stream, two views: spans and metric snapshots derived from events.
 
 Nothing but the telemetry bus records while the system runs; the span
-tree behind ``--trace`` / ``--chrome-trace`` / ``inspect`` / ``--profile``
-and the series behind ``--metrics`` are pure functions of its event
-sequence, so they are identical on a live bus and on a reloaded
-``--telemetry`` archive:
+tree behind ``inspect`` and its Chrome export and the series behind
+``--metrics`` are pure functions of its event sequence, so they are
+identical on a live bus and on a reloaded ``--telemetry`` archive:
 
 * :func:`spans_from_events` — wall-clock spans from ``span-begin`` /
   ``span-end`` pairs (nesting is stream order), ``map@site`` /
@@ -13,8 +12,9 @@ sequence, so they are identical on a live bus and on a reloaded
   (materialized at its ``job-finish``, under whatever span is open
   there), and a query span's ``qct`` and ``[0, qct]`` interval from the
   ``query-finish`` inside it;
-* :func:`metrics_from_events` — the same replay folded into a
-  :class:`~repro.obs.metrics.MetricsRegistry`.
+* :func:`metrics_from_events` — the same replay folded into labeled
+  counter, gauge and histogram series (exact, linearly interpolated
+  percentiles), returned as the snapshot records ``--metrics`` writes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Any, Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.errors import ObservabilityError
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Span
 from repro.obs.telemetry import TelemetryEvent
 
@@ -135,21 +134,85 @@ def _replay(
 
 
 def spans_from_events(events: Iterable[TelemetryEvent]) -> List[Span]:
-    """The span tree ``--trace`` writes and ``inspect`` reads."""
+    """The span tree ``inspect`` tabulates and exports to Chrome."""
     return _replay(events, hidden=_SPAN_FIELDS | _METRIC_ONLY_ATTRS)
 
 
-def _count(metrics: MetricsRegistry, name: str, amount: float = 1.0, **labels) -> None:
-    metrics.counter(name, **labels).inc(amount)
+#: A fold's series, keyed by (metric name, sorted label items); each value
+#: is the snapshot record being built (histograms hold raw ``samples``).
+_Series = Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Dict[str, Any]]
 
 
-def _observe(metrics: MetricsRegistry, name: str, value: float, **labels) -> None:
-    # Histogram.observe; resolving the call by method name alone also
-    # matches the WAN estimator's and the SLO tracker's observe().
-    metrics.histogram(name, **labels).observe(value)  # lint: allow[R011]
+def _series(
+    metrics: _Series, kind: str, name: str, labels: Dict[str, Any]
+) -> Dict[str, Any]:
+    """The one place a series is made: ``kind`` is counter, gauge or histogram."""
+    key = (name, tuple(sorted((label, str(value)) for label, value in labels.items())))
+    record = metrics.get(key)
+    if record is None:
+        # Labels are stored pre-sorted so every dump is byte-identical
+        # whatever the kwargs order at the call site.
+        record = metrics[key] = {"name": name, "labels": dict(key[1]), "type": kind}
+        if kind == "histogram":
+            record["samples"] = []
+        else:
+            record["value"] = 0.0
+    elif record["type"] != kind:
+        raise ObservabilityError(
+            f"metric {name!r} already registered as {record['type']}, not {kind}"
+        )
+    return record
 
 
-def _fold_span(metrics: MetricsRegistry, span: Span) -> None:
+def _count(metrics: _Series, name: str, amount: float = 1.0, **labels) -> None:
+    if amount < 0:
+        raise ObservabilityError(f"counter {name!r} cannot decrease (inc {amount})")
+    _series(metrics, "counter", name, labels)["value"] += amount
+
+
+def _set(metrics: _Series, name: str, value: float, **labels) -> None:
+    _series(metrics, "gauge", name, labels)["value"] = float(value)
+
+
+def _observe(metrics: _Series, name: str, value: float, **labels) -> None:
+    _series(metrics, "histogram", name, labels)["samples"].append(float(value))
+
+
+def _percentile(ordered: List[float], q: float) -> float:
+    """Exact percentile ``q`` in [0, 100] of sorted samples, interpolated
+    linearly between the two nearest ranks."""
+    if not 0.0 <= q <= 100.0:
+        raise ObservabilityError(f"percentile must be in [0, 100], got {q}")
+    if len(ordered) < 2:
+        return ordered[0] if ordered else 0.0
+    position = q / 100.0 * (len(ordered) - 1)
+    low = int(position)
+    high = min(low + 1, len(ordered) - 1)
+    return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
+
+
+def _snapshot(metrics: _Series) -> List[Dict[str, Any]]:
+    """Every series as its ``--metrics`` record, in key order."""
+    records = []
+    for key in sorted(metrics):
+        record = metrics[key]
+        samples = record.pop("samples", None)
+        if samples is not None:
+            ordered, total = sorted(samples), sum(samples)
+            record.update(
+                count=len(samples),
+                sum=total,
+                mean=total / len(samples),
+                p50=_percentile(ordered, 50),
+                p90=_percentile(ordered, 90),
+                p99=_percentile(ordered, 99),
+                max=max(samples),
+            )
+        records.append(record)
+    return records
+
+
+def _fold_span(metrics: _Series, span: Span) -> None:
     attrs = span.attrs
     if span.name == "wan-simulate":
         _count(metrics, "wan_simulations")
@@ -160,7 +223,7 @@ def _fold_span(metrics: MetricsRegistry, span: Span) -> None:
     elif span.name == "lp-solve" and "backend" in attrs:
         _count(metrics, "lp_solves", backend=attrs["backend"])
         _observe(metrics, "lp_solve_seconds", span.wall_duration)
-        metrics.gauge("lp_variables").set(attrs["variables"])
+        _set(metrics, "lp_variables", attrs["variables"])
         if attrs["warm_started"]:
             _count(metrics, "lp_warm_starts")
         if "simplex_status" in attrs:
@@ -198,10 +261,10 @@ def _fold_span(metrics: MetricsRegistry, span: Span) -> None:
             _observe(metrics, "rdd_overhead_seconds", overhead, site=site)
 
 
-def metrics_from_events(events: Iterable[TelemetryEvent]) -> MetricsRegistry:
+def metrics_from_events(events: Iterable[TelemetryEvent]) -> List[Dict[str, Any]]:
     """The series ``--metrics`` writes, folded from the event stream."""
     events = list(events)
-    metrics = MetricsRegistry()
+    metrics: _Series = {}
     for span in _replay(events):
         _fold_span(metrics, span)
     for event in events:
@@ -223,11 +286,11 @@ def metrics_from_events(events: Iterable[TelemetryEvent]) -> MetricsRegistry:
         elif kind == "task-wave":
             _count(metrics, "task_retries", attrs["waves"], site=attrs["site"])
         elif kind == "reduce-tasks":
-            metrics.gauge("reduce_tasks", site=attrs["site"]).set(attrs["tasks"])
+            _set(metrics, "reduce_tasks", attrs["tasks"], site=attrs["site"])
         elif kind == "plan":
             _count(metrics, "moved_bytes", attrs["moved_bytes"], scheme=attrs["scheme"])
         elif kind == "degraded-replan":
             _count(metrics, "degraded_replans", scheme=attrs["scheme"])
         elif kind == "query-abort":
             _count(metrics, "query_aborts", scheme=attrs["scheme"])
-    return metrics
+    return _snapshot(metrics)

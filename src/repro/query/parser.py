@@ -32,6 +32,12 @@ _SQL_RE = re.compile(
 
 _CALL_RE = re.compile(r"^(?P<func>\w+)\s*\(\s*(?P<args>[^)]*)\s*\)$")
 
+#: ``col = 'value'`` (possibly ``''``) or ``col = value``; a lone quote
+#: or a missing value does not match.
+_PREDICATE_RE = re.compile(
+    r"^\s*(\w+)\s*=\s*(?:'(?P<quoted>[^']*)'|(?P<bare>[^'\s](?:[^']*[^'\s])?))\s*$"
+)
+
 
 def parse_sql(sql: str) -> QuerySpec:
     """Parse one SQL statement into a :class:`QuerySpec`."""
@@ -39,7 +45,7 @@ def parse_sql(sql: str) -> QuerySpec:
     if not match:
         raise QueryError(f"cannot parse query: {sql!r}")
     dataset = match.group("dataset")
-    select_items = _split_commas(match.group("select"))
+    select_items = _split_commas(match.group("select"), "select list")
     if not select_items:
         raise QueryError("empty select list")
 
@@ -51,7 +57,7 @@ def parse_sql(sql: str) -> QuerySpec:
         call = _CALL_RE.match(item)
         if call:
             func = call.group("func").upper()
-            args = _split_commas(call.group("args"))
+            args = _split_commas(call.group("args"), f"arguments of {item!r}")
             if func in _AGGREGATES:
                 if func != "COUNT" and len(args) != 1:
                     raise QueryError(f"{func} takes exactly one column: {item!r}")
@@ -70,16 +76,18 @@ def parse_sql(sql: str) -> QuerySpec:
     where = match.group("where")
     if where:
         for clause in re.split(r"\s+AND\s+", where, flags=re.IGNORECASE):
-            eq = re.match(
-                r"^\s*(\w+)\s*=\s*'?([^']*?)'?\s*$", clause
-            )
+            eq = _PREDICATE_RE.match(clause)
             if not eq:
-                raise QueryError(f"only equality predicates supported: {clause!r}")
-            filters.append((eq.group(1), eq.group(2)))
+                raise QueryError(
+                    f"only equality predicates col = 'value' supported: {clause!r}"
+                )
+            quoted = eq.group("quoted")
+            value = eq.group("bare") if quoted is None else quoted
+            filters.append((eq.group(1), value))
 
     group = match.group("group")
     if group:
-        group_by = tuple(_split_commas(group))
+        group_by = tuple(_split_commas(group, "GROUP BY"))
         for column in group_by:
             if not _is_identifier(column):
                 raise QueryError(f"bad group-by column {column!r}")
@@ -111,8 +119,9 @@ def parse_sql(sql: str) -> QuerySpec:
     )
 
 
-def _split_commas(text: str) -> List[str]:
-    """Split on commas not nested inside parentheses."""
+def _split_commas(text: str, where: str) -> List[str]:
+    """Split on commas not nested inside parentheses; an empty item (a
+    stray comma) is an error, an empty ``text`` no items."""
     pieces: List[str] = []
     depth = 0
     current: List[str] = []
@@ -126,10 +135,12 @@ def _split_commas(text: str) -> List[str]:
             current = []
         else:
             current.append(char)
-    tail = "".join(current).strip()
-    if tail:
-        pieces.append(tail)
-    return [piece for piece in pieces if piece]
+    pieces.append("".join(current).strip())
+    if pieces == [""]:
+        return []
+    if "" in pieces:
+        raise QueryError(f"empty item in {where}: {text!r}")
+    return pieces
 
 
 def _is_identifier(text: str) -> bool:

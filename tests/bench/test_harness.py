@@ -174,6 +174,25 @@ class TestSchema:
         with pytest.raises(BenchError, match="invalid JSON"):
             load_report(str(path))
 
+    @pytest.mark.parametrize("kind", ["sim", "wall"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_metric_rejected(self, tmp_path, kind, value):
+        """Python's ``json`` reads NaN/Infinity, and a NaN compares as
+        neither better nor worse: the gate would pass it.  Both load and
+        save refuse it, naming the case and the metric."""
+        report = build_report(
+            self._benchmarks(), suite="smoke", seed=11, warmup=0, repeat=1
+        )
+        metric = next(iter(report["benchmarks"]["case-a"][kind]))
+        report["benchmarks"]["case-a"][kind][metric] = float(value)
+        path = tmp_path / "BENCH_nan.json"
+        path.write_text(json.dumps(report))
+        expected = f"'case-a' metric {kind}.{metric} is not finite"
+        with pytest.raises(BenchError, match=expected):
+            load_report(str(path))
+        with pytest.raises(BenchError, match=expected):
+            save_report(report, str(tmp_path / "out.json"))
+
 
 class TestEndToEnd:
     def test_smoke_suite_self_compare_is_bit_identical(self, clean_registry):

@@ -205,3 +205,30 @@ class TestCliErrors:
         ):
             assert main(["bench", "--suite", "smoke", "--compare", str(missing)]) == 2
         self.single_error_line(capsys, f"cannot read {missing}")
+
+    @pytest.mark.parametrize("command", ["inspect", "report"])
+    def test_invalid_utf8_archive(self, command, corrupt_archive, capsys, tmp_path):
+        """A byte with its high bit set is named by file and line."""
+        from repro.cli import main
+
+        path = tmp_path / "telemetry.jsonl"
+        lines = corrupt_archive.read_bytes().splitlines(keepends=True)
+        lines[1] = b"\xff" + lines[1][1:]
+        path.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        argv = [command, str(path)]
+        if command == "report":
+            argv += ["--out", str(tmp_path / "report.html")]
+        assert main(argv) == 2
+        self.single_error_line(capsys, f"{path}:2: invalid UTF-8")
+
+    def test_bench_baseline_with_invalid_utf8(self, capsys, tmp_path):
+        from repro.cli import main
+
+        baseline = tmp_path / "BENCH_bad.json"
+        baseline.write_bytes(b'{"schema_version": 1\xff}')
+        with mock.patch(
+            "repro.bench.harness.run_suite", side_effect=AssertionError("the suite ran")
+        ):
+            assert main(["bench", "--suite", "smoke", "--compare", str(baseline)]) == 2
+        self.single_error_line(capsys, f"{baseline}: invalid UTF-8")

@@ -14,6 +14,7 @@ same query through ``Controller.run_query`` and through a one-tenant
 """
 
 import dataclasses
+import json
 import math
 import re
 
@@ -32,7 +33,6 @@ from repro.obs.critpath import (
     emit_blame,
     render_components,
 )
-from repro.obs.export import export_jsonl
 from repro.obs.report_html import render_report
 from repro.obs.sanitize import Sanitizer
 from repro.obs.telemetry import (
@@ -427,9 +427,12 @@ class TestBatchQueries:
         _, events, crit = batch_experiment()
         archive, trace = tmp_path / "tele.jsonl", tmp_path / "trace.jsonl"
         write_jsonl(events, str(archive))
-        export_jsonl(spans_from_events(events), str(trace))
+        trace.write_text("".join(  # a span trace: one span dict per line
+            json.dumps({"span_id": span.span_id, "name": span.name}) + "\n"
+            for span in spans_from_events(events)
+        ))
 
-        assert main(["inspect", str(archive), "--breakdown"]) == 0
+        assert main(["inspect", str(archive)]) == 0
         out = capsys.readouterr().out
         table = out[out.index("critical path: 4 queries"):]
         assert table.strip() == render_components(crit)
@@ -442,8 +445,8 @@ class TestBatchQueries:
         assert sum(shares) == pytest.approx(100.0, abs=0.05)
         assert "wan-bound" in table and "max residual" in table
 
-        assert main(["inspect", str(trace), "--breakdown"]) == 2
-        assert "--telemetry" in capsys.readouterr().out
+        assert main(["inspect", str(trace)]) == 2
+        assert "span traces are no longer read" in capsys.readouterr().err
 
     def test_report_draws_batch_paths(self):
         _, events, _ = batch_experiment()

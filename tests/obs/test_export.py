@@ -1,23 +1,30 @@
-"""Trace export: JSONL round-trip and Chrome trace-event structure."""
+"""The archive as the one trace format: span round-trip through it, and
+Chrome trace events rendered from its events, fault windows included."""
 
 import json
 
 import pytest
 
+from repro.cli import _build_inputs, build_parser, run_scheme
 from repro.errors import ObservabilityError
-from repro.obs import TelemetryBus, spans_from_events
+from repro.obs import TelemetryBus, instrument, spans_from_events
 from repro.obs.export import (
     chrome_trace_events,
     export_chrome,
-    export_jsonl,
-    load_jsonl,
     validate_chrome_events,
 )
-from repro.obs.telemetry import write_jsonl
+from repro.obs.series import fault_windows
+from repro.obs.telemetry import load_jsonl, write_jsonl
+from tests.obs.reference_export import reference_chrome_trace_events
 
 
-def build_bus() -> TelemetryBus:
+def build_bus(faults: bool = False) -> TelemetryBus:
     bus = TelemetryBus()
+    if faults:  # as a chaos controller emits its schedule, before any work
+        bus.emit("fault-window", t=1.0, fault="link-blackout", site="a",
+                 start=1.0, end=3.0, severity=0.0)
+        bus.emit("fault-window", t=2.0, fault="site-outage", site="b",
+                 start=2.0, end=None, severity=0.0)
     with bus.span("experiment", stage="experiment", scheme="bohr"):
         with bus.span("query", stage="query", dataset="d0") as query:
             bus.emit("stage-finish", t=1.5, stage="map", site="a",
@@ -29,16 +36,20 @@ def build_bus() -> TelemetryBus:
     return bus
 
 
-def build_trace():
-    return spans_from_events(build_bus().events)
+def build_events(faults: bool = False):
+    return build_bus(faults).events
+
+
+def reloaded(bus: TelemetryBus, path) -> list:
+    write_jsonl(bus, str(path))
+    return load_jsonl(str(path))[1]
 
 
 class TestJsonlRoundTrip:
     def test_round_trip_preserves_everything(self, tmp_path):
-        spans = build_trace()
-        path = tmp_path / "trace.jsonl"
-        export_jsonl(spans, str(path))
-        loaded = load_jsonl(str(path))
+        bus = build_bus()
+        spans = spans_from_events(bus.events)
+        loaded = spans_from_events(reloaded(bus, tmp_path / "tele.jsonl"))
         assert len(loaded) == len(spans)
         for original, restored in zip(spans, loaded):
             assert restored.span_id == original.span_id
@@ -52,42 +63,55 @@ class TestJsonlRoundTrip:
             assert restored.wall_end == pytest.approx(original.wall_end)
 
     def test_telemetry_archive_loads_as_the_same_spans(self, tmp_path):
-        """``inspect`` reads a ``--telemetry`` archive directly: the
-        header line is recognised and the spans derived from the events."""
+        """``inspect`` reads a ``--telemetry`` archive and derives the
+        spans from its events: the live view's spans, exactly."""
         bus = build_bus()
-        path = tmp_path / "tele.jsonl"
-        write_jsonl(bus, str(path))
-        assert load_jsonl(str(path)) == spans_from_events(bus.events)
+        events = reloaded(bus, tmp_path / "tele.jsonl")
+        assert spans_from_events(events) == spans_from_events(bus.events)
 
     def test_one_json_object_per_line(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        export_jsonl(build_trace(), str(path))
+        path = tmp_path / "tele.jsonl"
+        write_jsonl(build_bus(), str(path))
         lines = [l for l in path.read_text().splitlines() if l.strip()]
-        assert len(lines) == 4
-        for line in lines:
-            record = json.loads(line)
-            assert "span_id" in record and "name" in record
+        header, *records = map(json.loads, lines)
+        assert header["events"] == len(records) == 7
+        for record in records:
+            assert "seq" in record and "kind" in record
 
     def test_malformed_line_raises(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"span_id": 0, "name": "ok"}\nnot json\n')
-        with pytest.raises(ObservabilityError):
+        path.write_text(
+            '{"events": 1, "telemetry": "repro.obs.telemetry", "version": 4}\n'
+            "not json\n"
+        )
+        with pytest.raises(ObservabilityError, match=":2: invalid JSON"):
             load_jsonl(str(path))
+
+    def test_a_span_trace_is_no_longer_read(self, tmp_path):
+        """The span-per-line format ``--trace`` used to write has no
+        header: it is refused, by name, and ``inspect`` exits 2."""
+        from repro.cli import main
+
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"name": "query", "span_id": 0}\n')
+        with pytest.raises(ObservabilityError, match="span traces are no longer read"):
+            load_jsonl(str(path))
+        assert main(["inspect", str(path)]) == 2
 
 
 class TestChromeExport:
     def test_events_validate(self):
-        events = chrome_trace_events(build_trace())
+        events = chrome_trace_events(build_events())
         validate_chrome_events(events)
         complete = [e for e in events if e["ph"] == "X"]
-        # 3 wall spans (experiment/query live on the wall clock; record()'d
-        # spans are instantaneous wall events too) + 3 simulated events.
+        # 4 wall spans (experiment/query live on the wall clock; the job's
+        # spans are instantaneous wall events too) + 2 simulated events.
         assert len(complete) >= 5
         pids = {e["pid"] for e in complete}
         assert pids == {1, 2}  # wall-clock and simulated-clock processes
 
     def test_sim_events_use_sim_timestamps(self):
-        events = chrome_trace_events(build_trace())
+        events = chrome_trace_events(build_events())
         sim = [e for e in events if e["ph"] == "X" and e["pid"] == 2]
         by_name = {e["name"]: e for e in sim}
         assert by_name["map@a"]["ts"] == 0.0
@@ -95,33 +119,24 @@ class TestChromeExport:
         assert by_name["shuffle a->b"]["ts"] == pytest.approx(1.5e6)
 
     def test_metadata_names_processes(self):
-        events = chrome_trace_events(build_trace())
+        events = chrome_trace_events(build_events())
         metadata = [e for e in events if e["ph"] == "M"]
         names = {e["args"]["name"] for e in metadata}
         assert {"wall-clock", "simulated-clock"} <= names
 
     def test_export_chrome_document_loads(self, tmp_path):
         path = tmp_path / "trace.json"
-        export_chrome(build_trace(), str(path))
+        export_chrome(build_events(), str(path))
         document = json.loads(path.read_text())
         assert "traceEvents" in document
         validate_chrome_events(document["traceEvents"])
 
     def test_chrome_round_trip_from_jsonl(self, tmp_path):
-        """JSONL trace → loaded spans → Chrome events (the inspect
-        --chrome path) must equal exporting the live span view directly."""
-        spans = build_trace()
-        jsonl = tmp_path / "trace.jsonl"
-        export_jsonl(spans, str(jsonl))
-        from_disk = chrome_trace_events(load_jsonl(str(jsonl)))
-        live = chrome_trace_events(spans)
-        assert len(from_disk) == len(live)
-        for disk_event, live_event in zip(from_disk, live):
-            assert disk_event["name"] == live_event["name"]
-            assert disk_event["pid"] == live_event["pid"]
-            assert disk_event.get("ts", 0.0) == pytest.approx(
-                live_event.get("ts", 0.0)
-            )
+        """Archive → reloaded events → Chrome events (the inspect
+        --chrome path) equals exporting the live stream directly."""
+        bus = build_bus(faults=True)
+        from_disk = chrome_trace_events(reloaded(bus, tmp_path / "tele.jsonl"))
+        assert from_disk == chrome_trace_events(bus.events)
 
     def test_validation_catches_missing_fields(self):
         with pytest.raises(ObservabilityError):
@@ -135,23 +150,8 @@ class TestChromeExport:
 class TestFaultAnnotations:
     """Chaos fault windows render inline on the simulated-clock process."""
 
-    @staticmethod
-    def _schedule():
-        import math
-
-        from repro.chaos.schedule import FaultEvent, FaultSchedule
-
-        return FaultSchedule(
-            events=[
-                FaultEvent(kind="link-blackout", site="a", start=1.0, end=3.0),
-                FaultEvent(
-                    kind="site-outage", site="b", start=2.0, end=math.inf
-                ),
-            ]
-        )
-
     def test_finite_window_is_duration_event(self):
-        events = chrome_trace_events(build_trace(), faults=self._schedule())
+        events = chrome_trace_events(build_events(faults=True))
         validate_chrome_events(events)
         blackout = [e for e in events if e["name"] == "fault:link-blackout"]
         assert len(blackout) == 1
@@ -162,7 +162,7 @@ class TestFaultAnnotations:
         assert blackout[0]["pid"] == 2  # simulated-clock process
 
     def test_unbounded_window_is_instant_event(self):
-        events = chrome_trace_events(build_trace(), faults=self._schedule())
+        events = chrome_trace_events(build_events(faults=True))
         outage = [e for e in events if e["name"] == "fault:site-outage"]
         assert len(outage) == 1
         assert outage[0]["ph"] == "i"
@@ -170,7 +170,7 @@ class TestFaultAnnotations:
 
     def test_fault_shares_site_lane_with_spans(self):
         """A fault on a site that has spans lands in that site's lane."""
-        events = chrome_trace_events(build_trace(), faults=self._schedule())
+        events = chrome_trace_events(build_events(faults=True))
         span_lane = {
             e["tid"] for e in events
             if e.get("ph") == "X" and e["pid"] == 2
@@ -183,7 +183,7 @@ class TestFaultAnnotations:
 
     def test_export_chrome_accepts_faults(self, tmp_path):
         path = tmp_path / "trace.json"
-        export_chrome(build_trace(), str(path), faults=self._schedule())
+        export_chrome(build_events(faults=True), str(path))
         document = json.loads(path.read_text())
         validate_chrome_events(document["traceEvents"])
         assert any(
@@ -191,13 +191,74 @@ class TestFaultAnnotations:
         )
 
     def test_no_faults_is_unchanged(self):
-        spans = build_trace()
-        assert chrome_trace_events(spans) == chrome_trace_events(
-            spans, faults=None
-        )
+        """Fault windows only append: the span events are the same with
+        them and without them, and without them no fault event is drawn."""
+
+        def sim_clock(events):  # the two buses' wall readings differ
+            return [
+                {k: v for k, v in e.items() if e["pid"] == 2 or k not in ("ts", "dur")}
+                for e in events
+            ]
+
+        plain = chrome_trace_events(build_events())
+        faulted = chrome_trace_events(build_events(faults=True))
+        assert not any(event.get("cat") == "fault" for event in plain)
+        assert sim_clock(faulted[: len(plain)]) == sim_clock(plain)
+        assert len(faulted) == len(plain) + 2  # the two windows; both sites have lanes
+
+    def test_each_window_is_drawn_once(self):
+        """Every controller of a run emits the whole schedule; a window
+        the stream holds twice is one window."""
+        bus = build_bus(faults=True)
+        once = chrome_trace_events(bus.events)
+        bus.emit("fault-window", t=1.0, fault="link-blackout", site="a",
+                 start=1.0, end=3.0, severity=0.0)
+        assert len(fault_windows(bus.events)) == 2
+        assert chrome_trace_events(bus.events) == once
 
     def test_validation_rejects_instant_without_ts(self):
         with pytest.raises(ObservabilityError):
             validate_chrome_events(
                 [{"name": "x", "ph": "i", "pid": 1, "tid": 1}]
             )
+
+
+def _json(value):
+    return json.loads(json.dumps(value))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--scheme", "bohr"],
+        ["compare", "--schemes", "iridium-c,bohr"],
+    ],
+    ids=["run", "compare"],
+)
+def test_archive_chrome_equals_the_live_schedule_document(argv, tmp_path):
+    """A chaos ``run`` and a two-scheme chaos ``compare``: the Chrome
+    document of the reloaded archive is JSON-equal to the one ``run``/
+    ``compare --chrome-trace`` used to write — live spans, fault lanes
+    from the schedule rebuilt from the flags — with each window once,
+    though the compare archive holds one copy per scheme."""
+    args = build_parser().parse_args(argv + [
+        "--workload", "bigdata-aggregation", "--queries", "2",
+        "--chaos", "flaky-wan",
+    ])
+    schemes = [args.scheme] if argv[0] == "run" else args.schemes.split(",")
+    with instrument.instrumented() as obs:
+        for scheme in schemes:
+            run_scheme(scheme, args)
+    live = obs.telemetry.events
+    schedule = _build_inputs(args)[2].faults
+    archived = reloaded(obs.telemetry, tmp_path / "tele.jsonl")
+
+    document = chrome_trace_events(archived)
+    validate_chrome_events(document)
+    assert _json(document) == _json(
+        reference_chrome_trace_events(spans_from_events(live), faults=schedule)
+    )
+    raw = [event for event in archived if event.kind == "fault-window"]
+    drawn = [event for event in document if event.get("cat") == "fault"]
+    assert len(raw) == len(schemes) * len(schedule.events)
+    assert len(drawn) == len(fault_windows(archived)) == len(schedule.events)

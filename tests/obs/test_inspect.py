@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 from repro.obs import Span, instrument, metrics_from_events, spans_from_events
 from repro.obs.critpath import analyze_critical_paths, render_components
-from repro.obs.export import export_jsonl
+from repro.obs.telemetry import write_jsonl
 from repro.obs.inspect import (
     overall_coverage,
     query_coverage,
@@ -75,7 +75,7 @@ class TestEndToEndTrace:
 
     def test_metrics_cover_the_paper_tables(self, experiment):
         _, events = experiment
-        names = {series.name for series in metrics_from_events(events).series()}
+        names = {record["name"] for record in metrics_from_events(events)}
         assert {
             "shuffle_bytes",          # bytes per link
             "combiner_input_bytes",   # combiner hit rate
@@ -93,7 +93,7 @@ class TestEndToEndTrace:
         assert "per-stage latency breakdown" in report
         assert "QCT span coverage" in report
         assert "shuffle" in report
-        assert "% QCT" not in report  # attribution is --breakdown's table
+        assert "% QCT" not in report  # attribution is the critpath table's
         table = render_components(analyze_critical_paths(events))
         assert "critical path: 4 queries" in table
         assert "wan contention" in table and "max residual" in table
@@ -111,12 +111,17 @@ class TestEndToEndTrace:
         assert sum(shares) == pytest.approx(100.0)
 
     def test_inspect_cli_round_trip(self, experiment, tmp_path, capsys):
+        """``inspect ARCHIVE``: the span table, then the critical-path
+        components, from the one archive; ``--chrome`` converts it."""
         _, events = experiment
-        trace = tmp_path / "trace.jsonl"
-        export_jsonl(spans_from_events(events), str(trace))
+        archive = tmp_path / "tele.jsonl"
+        write_jsonl(events, str(archive))
         chrome = tmp_path / "trace.json"
-        assert main(["inspect", str(trace), "--chrome", str(chrome)]) == 0
+        assert main(["inspect", str(archive), "--chrome", str(chrome)]) == 0
         out = capsys.readouterr().out
+        table = render_inspection(spans_from_events(events), source=str(archive))
+        components = render_components(analyze_critical_paths(events))
+        assert out.startswith(f"{table}\n\n{components}\n")
         assert "per-stage latency breakdown" in out
         assert "QCT span coverage" in out
         document = json.loads(chrome.read_text())

@@ -1,139 +1,152 @@
-"""Metrics registry: labeled series, histogram percentiles, sorted dumps."""
+"""The metrics fold of ``views.metrics_from_events``: labeled series,
+exact histogram percentiles, sorted dumps."""
 
 import json
 
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs import MetricsRegistry
+from repro.obs.views import _count, _observe, _percentile, _set, _snapshot
+
+
+def by_name(metrics):
+    return {record["name"]: record for record in _snapshot(metrics)}
+
+
+def histogram(*samples):
+    metrics = {}
+    for sample in samples:
+        _observe(metrics, "lat", sample)
+    return by_name(metrics)["lat"]
 
 
 class TestCountersAndGauges:
     def test_counter_accumulates(self):
-        registry = MetricsRegistry()
-        registry.counter("bytes", src="a", dst="b").inc(10)
-        registry.counter("bytes", src="a", dst="b").inc(5)
-        assert registry.counter("bytes", src="a", dst="b").value == 15
+        metrics = {}
+        _count(metrics, "bytes", 10, src="a", dst="b")
+        _count(metrics, "bytes", 5, src="a", dst="b")
+        assert by_name(metrics)["bytes"]["value"] == 15
 
     def test_labels_partition_series(self):
-        registry = MetricsRegistry()
-        registry.counter("bytes", src="a").inc(1)
-        registry.counter("bytes", src="b").inc(2)
-        assert registry.counter("bytes", src="a").value == 1
-        assert registry.counter("bytes", src="b").value == 2
-        assert len(registry.series()) == 2
+        metrics = {}
+        _count(metrics, "bytes", 1, src="a")
+        _count(metrics, "bytes", 2, src="b")
+        records = _snapshot(metrics)
+        assert [(r["labels"], r["value"]) for r in records] == [
+            ({"src": "a"}, 1), ({"src": "b"}, 2),
+        ]
 
     def test_counter_rejects_decrease(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ObservabilityError):
-            registry.counter("c").inc(-1)
+        with pytest.raises(ObservabilityError, match="cannot decrease"):
+            _count({}, "c", -1)
 
     def test_gauge_last_write_wins(self):
-        registry = MetricsRegistry()
-        registry.gauge("tasks", site="a").set(4)
-        registry.gauge("tasks", site="a").set(7)
-        assert registry.gauge("tasks", site="a").value == 7
+        metrics = {}
+        _set(metrics, "tasks", 4, site="a")
+        _set(metrics, "tasks", 7, site="a")
+        assert by_name(metrics)["tasks"]["value"] == 7
 
     def test_kind_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ObservabilityError):
-            registry.gauge("x")
+        metrics = {}
+        _count(metrics, "x")
+        with pytest.raises(ObservabilityError, match="already registered"):
+            _set(metrics, "x", 1.0)
 
 
 class TestHistogramPercentiles:
     def test_exact_percentiles_interpolate(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("lat")
-        for value in range(1, 101):  # 1..100
-            histogram.observe(float(value))
-        assert histogram.percentile(0) == 1.0
-        assert histogram.percentile(100) == 100.0
-        assert histogram.percentile(50) == pytest.approx(50.5)
-        assert histogram.percentile(90) == pytest.approx(90.1)
-        assert histogram.count == 100
-        assert histogram.mean == pytest.approx(50.5)
+        ordered = [float(value) for value in range(1, 101)]  # 1..100
+        assert _percentile(ordered, 0) == 1.0
+        assert _percentile(ordered, 100) == 100.0
+        assert _percentile(ordered, 50) == pytest.approx(50.5)
+        assert _percentile(ordered, 90) == pytest.approx(90.1)
+        record = histogram(*ordered)
+        assert record["count"] == 100
+        assert record["mean"] == pytest.approx(50.5)
+        assert record["p50"] == pytest.approx(50.5)
 
     def test_single_sample(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("lat")
-        histogram.observe(3.0)
         for q in (0, 50, 99, 100):
-            assert histogram.percentile(q) == 3.0
+            assert _percentile([3.0], q) == 3.0
+        assert histogram(3.0)["p99"] == 3.0
 
     def test_empty_histogram(self):
-        histogram = MetricsRegistry().histogram("lat")
-        assert histogram.percentile(50) == 0.0
-        assert histogram.mean == 0.0
+        assert _percentile([], 50) == 0.0
 
     def test_percentile_bounds_checked(self):
-        histogram = MetricsRegistry().histogram("lat")
         with pytest.raises(ObservabilityError):
-            histogram.percentile(101)
+            _percentile([1.0], 101)
 
     def test_unsorted_observations(self):
-        histogram = MetricsRegistry().histogram("lat")
-        for value in (9.0, 1.0, 5.0, 3.0, 7.0):
-            histogram.observe(value)
-        assert histogram.percentile(50) == 5.0
+        record = histogram(9.0, 1.0, 5.0, 3.0, 7.0)
+        assert record["p50"] == 5.0
+        assert record["max"] == 9.0
 
 
 class TestSnapshot:
-    def test_snapshot_shape(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("bytes", src="a").inc(10)
-        registry.histogram("lat").observe(1.0)
-        registry.histogram("lat").observe(3.0)
-        snapshot = registry.snapshot()
-        by_name = {record["name"]: record for record in snapshot}
-        assert by_name["bytes"]["value"] == 10
-        assert by_name["lat"]["count"] == 2
-        assert by_name["lat"]["p50"] == 2.0
-        path = tmp_path / "metrics.json"
-        registry.to_json(str(path))
-        assert json.loads(path.read_text()) == snapshot
+    def test_snapshot_shape(self):
+        metrics = {}
+        _count(metrics, "bytes", 10, src="a")
+        _observe(metrics, "lat", 1.0)
+        _observe(metrics, "lat", 3.0)
+        records = by_name(metrics)
+        assert records["bytes"] == {
+            "name": "bytes", "labels": {"src": "a"}, "type": "counter", "value": 10.0,
+        }
+        assert list(records["lat"]) == [
+            "name", "labels", "type",
+            "count", "sum", "mean", "p50", "p90", "p99", "max",
+        ]
+        assert records["lat"]["count"] == 2
+        assert records["lat"]["p50"] == 2.0
 
 
 class TestDeterministicDumps:
     """Regression: dumps must not depend on call-site kwargs order."""
 
     @staticmethod
-    def _populate(registry, swap_kwargs):
+    def _populate(swap_kwargs):
+        metrics = {}
         if swap_kwargs:
-            registry.counter("bytes", dst="b", src="a").inc(5)
+            _count(metrics, "bytes", 5, dst="b", src="a")
         else:
-            registry.counter("bytes", src="a", dst="b").inc(5)
-        registry.gauge("frac", site="x").set(0.5)
-        registry.histogram("lat", stage="map").observe(1.0)
+            _count(metrics, "bytes", 5, src="a", dst="b")
+        _set(metrics, "frac", 0.5, site="x")
+        _observe(metrics, "lat", 1.0, stage="map")
+        return _snapshot(metrics)
 
     def test_snapshot_identical_across_kwargs_order(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        self._populate(first, swap_kwargs=False)
-        self._populate(second, swap_kwargs=True)
-        assert json.dumps(first.snapshot()) == json.dumps(second.snapshot())
+        assert json.dumps(self._populate(False)) == json.dumps(self._populate(True))
 
     def test_labels_stored_sorted(self):
-        registry = MetricsRegistry()
-        registry.counter("bytes", zeta="z", alpha="a").inc(1)
-        (series,) = registry.series()
-        assert list(series.labels) == ["alpha", "zeta"]
+        metrics = {}
+        _count(metrics, "bytes", 1, zeta="z", alpha="a")
+        (record,) = _snapshot(metrics)
+        assert list(record["labels"]) == ["alpha", "zeta"]
 
     def test_to_json_bytes_identical(self, tmp_path):
+        """``--metrics`` writes the records as sorted-key JSON."""
+        from repro.cli import _write_metrics
+
         paths = []
         for index, swap in enumerate((False, True)):
-            registry = MetricsRegistry()
-            self._populate(registry, swap_kwargs=swap)
             path = tmp_path / f"metrics{index}.json"
-            registry.to_json(str(path))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(
+                    "repro.obs.views.metrics_from_events",
+                    lambda events, swap=swap: self._populate(swap),
+                )
+                _write_metrics(str(path), [])
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert json.loads(paths[0].read_text()) == self._populate(False)
 
     def test_series_sorted_regardless_of_creation_order(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        first.counter("a_metric").inc()
-        first.counter("z_metric").inc()
-        second.counter("z_metric").inc()
-        second.counter("a_metric").inc()
-        assert [s.name for s in first.series()] == [
-            s.name for s in second.series()
+        first, second = {}, {}
+        _count(first, "a_metric")
+        _count(first, "z_metric")
+        _count(second, "z_metric")
+        _count(second, "a_metric")
+        assert [r["name"] for r in _snapshot(first)] == [
+            r["name"] for r in _snapshot(second)
         ] == ["a_metric", "z_metric"]

@@ -230,14 +230,14 @@ class TestInstrumented:
     def test_recording_builds_no_spans_and_no_series(self, monkeypatch):
         """With telemetry on, the run itself makes no record but
         ``bus.emit``: spans and series exist only once a view is asked."""
-        from repro.obs import metrics, span
+        from repro.obs import span, views
 
         def forbidden(*args, **kwargs):
             raise AssertionError("built while recording")
 
         with monkeypatch.context() as patch:
             patch.setattr(span.Span, "__init__", forbidden)
-            patch.setattr(metrics.MetricsRegistry, "_get", forbidden)
+            patch.setattr(views, "_series", forbidden)
             with instrument.instrumented() as obs:
                 _tiny_engine_run()
         assert obs.telemetry.counts_by_kind()["flow-finish"] > 0
@@ -316,7 +316,7 @@ def _span_rows(spans):
 
 def _metric_records(events):
     records = []
-    for record in metrics_from_events(events).snapshot():
+    for record in metrics_from_events(events):
         if record["name"] in _WALL_SERIES:
             record = {k: record[k] for k in ("name", "labels", "type", "count")}
         records.append(record)

@@ -140,3 +140,28 @@ class TestParser:
     def test_aggregate_only_without_group_by_rejected(self):
         with pytest.raises(QueryError):
             parse_sql("SELECT SUM(a) FROM d")
+
+    @pytest.mark.parametrize(
+        "sql, item",
+        [
+            ("SELECT a, FROM d", "select list: 'a,'"),
+            ("SELECT f(a,,b) FROM d", "'a,,b'"),
+            ("SELECT a FROM d GROUP BY a,,b", "GROUP BY: 'a,,b'"),
+            ("SELECT a FROM d GROUP BY a,", "GROUP BY: 'a,'"),
+            ("SELECT a FROM d WHERE a = 'x", "\"a = 'x\""),
+            ("SELECT a FROM d WHERE a = x'", "\"a = x'\""),
+            ("SELECT a FROM d WHERE a = ", "'a ='"),
+        ],
+    )
+    def test_malformed_items_rejected_by_name(self, sql, item):
+        """A stray comma, an unbalanced quote or a missing value used to
+        be dropped or read as something else; each is refused, naming
+        the item."""
+        with pytest.raises(QueryError) as error:
+            parse_sql(sql)
+        assert item in str(error.value)
+
+    def test_empty_call_and_empty_string_stay_legal(self):
+        spec = parse_sql("SELECT a, COUNT() FROM d WHERE b = '' AND c = x y GROUP BY a")
+        assert spec.aggregates == ("COUNT()",)
+        assert spec.filters == (("b", ""), ("c", "x y"))

@@ -64,7 +64,7 @@ class TestDeterminism:
         assert first.sim_digest() != second.sim_digest()
 
     def test_telemetry_is_pure_observer(self, monkeypatch):
-        from repro.obs import instrument, metrics, span
+        from repro.obs import instrument, span, views
         from repro.obs.telemetry import TelemetryBus
 
         def forbidden(*args, **kwargs):
@@ -76,7 +76,7 @@ class TestDeterminism:
         with monkeypatch.context() as patch:
             # An observed serve run builds no Span and no metric series.
             patch.setattr(span.Span, "__init__", forbidden)
-            patch.setattr(metrics.MetricsRegistry, "_get", forbidden)
+            patch.setattr(views, "_series", forbidden)
             with instrument.instrumented(telemetry=bus):
                 observed = run(config)
         assert plain.sim_digest() == observed.sim_digest()
