@@ -70,7 +70,7 @@ SEED ?= 11
 perfbench-pairs:  ## N alternating BASE/checkout pairs of workload W: medians, quartiles, wins; fails on any incorrect run or sim_* drift
 	python3 tools/perfbench_pairs.py --workload $(W) --pairs $(N) --base $(BASE) --seed $(SEED)
 
-serve-smoke:  ## two same-seed serve runs: bit-identical sim + analyzer digests
+serve-smoke:  ## two same-seed serve runs: bit-identical sim + analyzer digests; a one-tenant run: SLO p50/p99 == serve p50/p99
 	$(PYTHON) -m repro serve --tenants 3 --queries 12 --seed 11 \
 		--cache-size 4 --json serve_a.json --hist serve_hist.json \
 		--slo default=5 --slo-report serve_slo_a.json
@@ -89,6 +89,15 @@ serve-smoke:  ## two same-seed serve runs: bit-identical sim + analyzer digests
 		assert sa == sb, f'slo digests diverged: {sa} != {sb}'; \
 		print(f'serve digests identical: {a[:16]}'); \
 		print(f'critpath digest: {ca[:16]}  slo digest: {sa[:16]}')"
+	$(PYTHON) -m repro serve --tenants 1 --queries 12 --seed 11 \
+		--cache-size 0 --slo default=5 --slo-report serve_slo_one.json \
+		--json serve_one.json
+	$(PYTHON) -c "import json; \
+		(row,) = json.load(open('serve_slo_one.json'))['slo']['tenants']; \
+		serve = json.load(open('serve_one.json')); \
+		slo, summary = (row['p50'], row['p99']), (serve['p50_qct'], serve['p99_qct']); \
+		assert slo == summary, f'SLO p50/p99 {slo} != serve p50/p99 {summary}'; \
+		print(f'one-tenant SLO p50/p99 equal the serve summary: {slo}')"
 
 slo:  ## sanitized serve run with SLO tracking (critpath conservation armed)
 	$(PYTHON) -m repro serve --tenants 3 --queries 12 --seed 11 \

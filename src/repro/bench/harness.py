@@ -18,20 +18,12 @@ from repro.bench import registry
 from repro.bench.discover import discover
 from repro.bench.schema import build_report
 from repro.errors import BenchError
-from repro.util.stats import stdev
+from repro.util.stats import percentile, stdev
 
 #: The curated subsets `repro bench --suite` accepts.
 SUITES = ("smoke", "figures", "tables", "ablations", "serve", "hotpaths", "full")
 
 ProgressFn = Callable[[str], None]
-
-
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
 def run_case(
@@ -72,10 +64,11 @@ def run_case(
         "description": case.description,
         "sim": sim_metrics or {},
         "wall": {
-            key: _median(values) for key, values in sorted(wall_samples.items())
+            key: percentile(values, 50.0)
+            for key, values in sorted(wall_samples.items())
         },
         "duration_seconds": {
-            "median": _median(samples),
+            "median": percentile(samples, 50.0),
             "stdev": stdev(samples),
             "samples": samples,
         },

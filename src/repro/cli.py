@@ -449,6 +449,7 @@ def _run_top(args: argparse.Namespace) -> int:
 def _run_serve(args: argparse.Namespace) -> int:
     import json
 
+    from repro.obs.slo import SloTracker, parse_slo_targets
     from repro.serve import ServeConfig, serve_workload
 
     topology, config, _chaos, factory = _build_inputs(args)
@@ -469,6 +470,14 @@ def _run_serve(args: argparse.Namespace) -> int:
         map_slots_per_site=args.map_slots,
         tenant_weights=weights,
     )
+    tracker = None
+    if args.slo:
+        # Built before the run so a bad target or window fails at once.
+        tenants = [tenant.name for tenant in serve_config.tenant_list()]
+        tracker = SloTracker(
+            parse_slo_targets(args.slo, tenants, goal=args.slo_goal),
+            window_seconds=args.slo_window,
+        )
     analyze = bool(args.slo or args.slo_report)
     crit = slo_report = None
     with _observed(args, record=bool(args.telemetry or analyze)) as obs:
@@ -476,7 +485,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             args.scheme, factory, topology, config, serve_config
         )
         if analyze:
-            crit, slo_report = _analyze_serve(args, report, obs.telemetry)
+            crit, slo_report = _analyze_serve(tracker, report, obs.telemetry)
 
     print(
         f"{report.scheme} serving {args.workload}: "
@@ -535,7 +544,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     return _finish_observed(args, obs)
 
 
-def _analyze_serve(args: argparse.Namespace, report, bus):
+def _analyze_serve(tracker, report, bus):
     """Run the critical-path analyzer + SLO tracker over a serve run.
 
     The derived ``slo-*`` / ``slo-blame`` events are appended to the bus
@@ -544,14 +553,10 @@ def _analyze_serve(args: argparse.Namespace, report, bus):
     all see the same stream.
     """
     from repro.obs.critpath import emit_blame
-    from repro.obs.slo import SloTracker, parse_slo_targets
 
     crit = analyze_critical_paths(bus.events)
     slo_report = None
-    if args.slo:
-        tenants = [tenant.name for tenant in report.tenants]
-        specs = parse_slo_targets(args.slo, tenants, goal=args.slo_goal)
-        tracker = SloTracker(specs, window_seconds=args.slo_window)
+    if tracker is not None:
         tracker.observe_events(bus.events)
         slo_report = tracker.finalize(report.makespan)
         tracker.emit_events(bus, slo_report)

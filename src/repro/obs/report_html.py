@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.critpath import analyze_critical_paths
 from repro.obs.series import (
+    Link,
     TimeSeries,
     cumulative_bytes,
     estimator_error_series,
@@ -50,6 +51,9 @@ _SEQ_RAMP = (
     "#3987e5", "#2a78d6", "#256abf", "#1c5cab", "#184f95", "#104281",
     "#0d366b",
 )
+
+#: (t, value) points of one line-chart series.
+Points = List[Tuple[float, float]]
 
 _PLOT_W = 760
 _LABEL_W = 150
@@ -110,30 +114,30 @@ def _time_ticks(horizon: float, count: int = 5) -> List[float]:
 # ----------------------------------------------------------------------
 
 
-def _stat_tiles(events: Sequence[TelemetryEvent]) -> str:
-    counts: Dict[str, int] = {}
-    for event in events:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
-    horizon = sim_horizon(events)
-    delivered, abandoned = cumulative_bytes(events)
-    utilization = link_utilization(events)
+def _stat_tiles(
+    counts: Dict[str, int],
+    horizon: float,
+    utilization: Dict[Link, TimeSeries],
+    busy: Dict[str, float],
+    wan_bytes: Tuple[Points, Points],
+    error: Optional[float],
+) -> str:
+    delivered, abandoned = wan_bytes
     peak = max(
         (rollup(series)["p99"] for series in utilization.values()), default=0.0
     )
-    error = mean_abs_estimator_error(events)
-    busy = site_busy_fraction(events, horizon)
     mean_busy = sum(busy.values()) / len(busy) if busy else 0.0
+    # Batch queries finish as query-finish, served ones (executed or
+    # cache-served) as serve-finish.
+    finished = counts.get("query-finish", 0) + counts.get("serve-finish", 0)
+    dropped = ", ".join(
+        f"{counts[kind]} {label}"
+        for kind, label in (("query-abort", "aborted"), ("serve-shed", "shed"))
+        if counts.get(kind)
+    )
     tiles = [
         ("Sim horizon", _fmt_seconds(horizon)),
-        (
-            "Queries",
-            f"{counts.get('query-finish', 0)}"
-            + (
-                f" ({counts.get('query-abort', 0)} aborted)"
-                if counts.get("query-abort")
-                else ""
-            ),
-        ),
+        ("Queries", f"{finished}" + (f" ({dropped})" if dropped else "")),
         ("Delivered WAN", _fmt_bytes(delivered[-1][1] if delivered else 0.0)),
         ("Abandoned", _fmt_bytes(abandoned[-1][1] if abandoned else 0.0)),
         ("p99 link utilization", _fmt_pct(peak)),
@@ -168,13 +172,13 @@ def _fault_legend(windows: List[Dict]) -> str:
     return f'<div class="legend">{chips}</div>'
 
 
-def _heatmap_panel(events: Sequence[TelemetryEvent]) -> str:
-    utilization = link_utilization(events)
+def _heatmap_panel(
+    utilization: Dict[Link, TimeSeries], windows: List[Dict]
+) -> str:
     if not utilization:
         return "<p class='empty'>No link-sample events (no WAN traffic recorded).</p>"
     horizon = max(series.end for series in utilization.values())
     links = sorted(utilization)
-    windows = fault_windows(events)
     row_h, gap = 18, 2
     top, bottom = 8, 28
     height = top + len(links) * (row_h + gap) + bottom
@@ -270,15 +274,17 @@ def _heatmap_panel(events: Sequence[TelemetryEvent]) -> str:
     return "".join(parts)
 
 
-def _gantt_panel(events: Sequence[TelemetryEvent]) -> str:
-    intervals = stage_intervals(events)
+def _gantt_panel(
+    intervals: List[Dict],
+    horizon: float,
+    windows: List[Dict],
+    busy: Dict[str, float],
+) -> str:
+    """Per-site map/reduce lanes over the stream's ``horizon`` (every
+    interval ends at its own stage-finish event, so inside it)."""
     if not intervals:
         return "<p class='empty'>No stage-finish events.</p>"
-    horizon = max(
-        sim_horizon(events), max(interval["end"] for interval in intervals)
-    )
     sites = sorted({interval["site"] for interval in intervals})
-    windows = fault_windows(events)
     lane_h, bar_h, gap = 26, 9, 4
     top, bottom = 8, 28
     height = top + len(sites) * (lane_h + gap) + bottom
@@ -349,7 +355,7 @@ def _gantt_panel(events: Sequence[TelemetryEvent]) -> str:
         "<tr><td>{site}</td><td>{busy}</td></tr>".format(
             site=_esc(site), busy=_fmt_pct(fraction)
         )
-        for site, fraction in sorted(site_busy_fraction(events, horizon).items())
+        for site, fraction in sorted(busy.items())
     )
     parts.append(
         "<details><summary>Data table</summary><table>"
@@ -360,7 +366,7 @@ def _gantt_panel(events: Sequence[TelemetryEvent]) -> str:
 
 
 def _line_chart(
-    series: Dict[str, List[Tuple[float, float]]],
+    series: Dict[str, Points],
     colors: Dict[str, str],
     y_label: str,
     y_format,
@@ -453,8 +459,7 @@ def _line_chart(
     return "".join(parts)
 
 
-def _estimator_panel(events: Sequence[TelemetryEvent]) -> str:
-    series = estimator_error_series(events)
+def _estimator_panel(series: Dict[str, Points], error: Optional[float]) -> str:
     if not series:
         return (
             "<p class='empty'>No estimator-sample events with a truth oracle "
@@ -474,7 +479,6 @@ def _estimator_panel(events: Sequence[TelemetryEvent]) -> str:
         y_format=_fmt_pct,
         aria="Estimator error over time",
     )
-    error = mean_abs_estimator_error(events)
     summary = (
         f"<p class='note'>Mean absolute relative error: "
         f"<strong>{_fmt_pct(error)}</strong> over "
@@ -500,9 +504,8 @@ def _estimator_panel(events: Sequence[TelemetryEvent]) -> str:
     return chart + summary + table
 
 
-def _bytes_panel(events: Sequence[TelemetryEvent]) -> str:
-    delivered, abandoned = cumulative_bytes(events)
-    series: Dict[str, List[Tuple[float, float]]] = {}
+def _bytes_panel(delivered: Points, abandoned: Points) -> str:
+    series: Dict[str, Points] = {}
     if delivered:
         series["delivered"] = delivered
     if abandoned:
@@ -684,7 +687,7 @@ def _blame_panel(crit) -> str:
 
 
 def _burn_panel(events: Sequence[TelemetryEvent]) -> str:
-    series: Dict[str, List[Tuple[float, float]]] = {}
+    series: Dict[str, Points] = {}
     for event in events:
         if event.kind != "slo-window":
             continue
@@ -722,17 +725,14 @@ def _burn_panel(events: Sequence[TelemetryEvent]) -> str:
     return chart + note
 
 
-def _event_summary(events: Sequence[TelemetryEvent]) -> str:
-    counts: Dict[str, int] = {}
-    for event in events:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
+def _event_summary(counts: Dict[str, int]) -> str:
     rows = "".join(
         f"<tr><td>{_esc(kind)}</td><td>{count}</td></tr>"
         for kind, count in sorted(counts.items())
     )
     return (
         "<details><summary>Event stream summary "
-        f"({len(events)} events)</summary><table>"
+        f"({sum(counts.values())} events)</summary><table>"
         "<tr><th>Kind</th><th>Count</th></tr>"
         f"{rows}</table></details>"
     )
@@ -838,23 +838,39 @@ def render_report(
     title: str = "repro telemetry report",
     source: str = "",
 ) -> str:
-    """Render the dashboard for one telemetry event stream."""
+    """Render the dashboard for one telemetry event stream.
+
+    Each series is folded from the stream once and handed to every
+    panel that draws it.
+    """
+    counts: Dict[str, int] = {}
+    for event in events:
+        counts[event.kind] = counts.get(event.kind, 0) + 1
+    horizon = sim_horizon(events)
+    utilization = link_utilization(events)
+    windows = fault_windows(events)
+    busy = site_busy_fraction(events, horizon)
+    wan_bytes = cumulative_bytes(events)
+    errors = estimator_error_series(events)
+    error = mean_abs_estimator_error(errors)
     subtitle = (
-        f"{len(events)} events · sim horizon "
-        f"{_fmt_seconds(sim_horizon(events))}"
+        f"{len(events)} events · sim horizon {_fmt_seconds(horizon)}"
         + (f" · {source}" if source else "")
     )
     crit = analyze_critical_paths(events)
     sections = [
-        ("", _stat_tiles(events)),
-        ("Per-link utilization", _heatmap_panel(events)),
-        ("Stage Gantt", _gantt_panel(events)),
-        ("Bandwidth-estimator error", _estimator_panel(events)),
-        ("Delivered vs. abandoned WAN bytes", _bytes_panel(events)),
+        ("", _stat_tiles(counts, horizon, utilization, busy, wan_bytes, error)),
+        ("Per-link utilization", _heatmap_panel(utilization, windows)),
+        (
+            "Stage Gantt",
+            _gantt_panel(stage_intervals(events), horizon, windows, busy),
+        ),
+        ("Bandwidth-estimator error", _estimator_panel(errors, error)),
+        ("Delivered vs. abandoned WAN bytes", _bytes_panel(*wan_bytes)),
         ("Per-query critical path", _critpath_panel(crit)),
         ("Contention blame (tenant × tenant)", _blame_panel(crit)),
         ("SLO burn rate", _burn_panel(events)),
-        ("", _event_summary(events)),
+        ("", _event_summary(counts)),
     ]
     body = "".join(
         (f"<h2>{_esc(heading)}</h2>" if heading else "")

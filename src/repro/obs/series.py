@@ -67,7 +67,10 @@ class TimeSeries:
         return self.integral() / total
 
     def percentile(self, q: float) -> float:
-        """Time-weighted percentile: the value exceeded (1-q) of the time."""
+        """Time-weighted percentile: the value exceeded (1-q) of the time.
+
+        Each value weighs as long as it held, so this is not the sample
+        quantile :func:`repro.util.stats.percentile`."""
         if not 0.0 <= q <= 1.0:
             raise ObservabilityError(f"q must be in [0, 1], got {q}")
         if not self.segments:
@@ -398,12 +401,11 @@ def estimator_error_series(
     return series
 
 
-def mean_abs_estimator_error(events: Sequence[TelemetryEvent]) -> Optional[float]:
-    errors = [
-        abs(error)
-        for points in estimator_error_series(events).values()
-        for _, error in points
-    ]
+def mean_abs_estimator_error(
+    series: Dict[str, List[Tuple[float, float]]],
+) -> Optional[float]:
+    """Mean |error| over an :func:`estimator_error_series`; None if empty."""
+    errors = [abs(error) for points in series.values() for _, error in points]
     if not errors:
         return None
     return sum(errors) / len(errors)

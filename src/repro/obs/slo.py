@@ -3,11 +3,11 @@
 The serving layer's per-tenant latency is summarized three ways, all
 deterministic (two same-seed runs produce bit-identical digests):
 
-* a **streaming quantile sketch** (:class:`QuantileSketch`, the
-  Greenwald–Khanna epsilon-approximate summary) folds every completed
-  query's QCT without retaining the full sample list — rank error is
-  bounded by ``epsilon * n``, pinned by the sketch-vs-exact parity
-  test;
+* **exact quantiles**: the tracker keeps every completed query's QCT
+  (it re-emits each one as an ``slo-sample`` anyway), and each tenant's
+  p50/p99 is :func:`repro.util.stats.percentile` of its samples — the
+  one quantile definition shared with the ``repro serve`` summary line
+  and ``--metrics`` histograms, so all three print the same number;
 * an **SLO target** per tenant (:class:`SloSpec`: a latency target plus
   an attainment goal) turns each QCT into an ok/violation sample;
 * **rolling burn-rate windows**: sim time is cut into fixed windows and
@@ -27,15 +27,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ObservabilityError
 from repro.obs.telemetry import TelemetryEvent
+from repro.util.stats import percentile
 
-#: Default rank-error budget for the latency sketches.
-DEFAULT_EPSILON = 0.005
 #: Default attainment goal when a target comes without one.
 DEFAULT_GOAL = 0.95
 #: Default burn-rate window length (sim seconds).
@@ -44,112 +42,6 @@ DEFAULT_WINDOW_SECONDS = 5.0
 
 def _canonical(value: float) -> str:
     return format(float(value), ".12e")
-
-
-# ----------------------------------------------------------------------
-# streaming quantiles
-# ----------------------------------------------------------------------
-
-
-class QuantileSketch:
-    """Greenwald–Khanna epsilon-approximate streaming quantile summary.
-
-    Entries are ``[value, g, delta]`` tuples kept sorted by value;
-    ``g`` is the rank gap to the previous entry and ``delta`` the rank
-    uncertainty.  :meth:`query` returns a value whose rank is within
-    ``epsilon * count`` of the requested one.  Insertion and the
-    periodic compress are purely value-driven — no randomness — so the
-    summary is deterministic for a given input order.
-    """
-
-    def __init__(self, epsilon: float = DEFAULT_EPSILON) -> None:
-        if not 0.0 < epsilon < 0.5:
-            raise ObservabilityError(
-                f"sketch epsilon must be in (0, 0.5), got {epsilon}"
-            )
-        self.epsilon = epsilon
-        self.count = 0
-        self._entries: List[List[float]] = []
-        self._since_compress = 0
-        self._compress_every = max(1, int(1.0 / (2.0 * epsilon)))
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def add(self, value: float) -> None:
-        """Fold one sample into the summary."""
-        value = float(value)
-        if math.isnan(value) or math.isinf(value):
-            raise ObservabilityError(f"sketch sample must be finite, got {value}")
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-        position = bisect_right(self._entries, value, key=lambda entry: entry[0])
-        if position == 0 or position == len(self._entries):
-            delta = 0.0
-        else:
-            delta = math.floor(2.0 * self.epsilon * self.count)
-        self._entries.insert(position, [value, 1.0, delta])
-        self.count += 1
-        self._since_compress += 1
-        if self._since_compress >= self._compress_every:
-            self._compress()
-            self._since_compress = 0
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
-
-    def _compress(self) -> None:
-        """Merge adjacent entries whose combined rank span stays in budget."""
-        threshold = math.floor(2.0 * self.epsilon * self.count)
-        entries = self._entries
-        position = len(entries) - 2
-        while position >= 1:
-            _value, g, _delta = entries[position]
-            nxt = entries[position + 1]
-            if g + nxt[1] + nxt[2] <= threshold:
-                nxt[1] += g
-                del entries[position]
-            position -= 1
-
-    def query(self, q: float) -> float:
-        """Value at quantile ``q`` in [0, 1], within epsilon rank error."""
-        if not self.count:
-            return 0.0
-        q = min(max(q, 0.0), 1.0)
-        if q <= 0.0:
-            return self.minimum
-        if q >= 1.0:
-            return self.maximum
-        rank = max(1.0, math.ceil(q * self.count))
-        margin = self.epsilon * self.count
-        rank_floor = 0.0
-        previous = self._entries[0][0]
-        for value, g, delta in self._entries:
-            rank_floor += g
-            if rank_floor + delta > rank + margin:
-                return previous
-            previous = value
-        return self._entries[-1][0]
-
-    @property
-    def retained(self) -> int:
-        """Entries currently held (the sketch's memory footprint)."""
-        return len(self._entries)
-
-    def digest_fields(self) -> List[str]:
-        """Canonical strings for determinism digests."""
-        fields = [str(self.count), str(self.retained)]
-        if self.count:
-            fields.append(_canonical(self.minimum))
-            fields.append(_canonical(self.maximum))
-            for grid in (0.5, 0.9, 0.99):
-                fields.append(_canonical(self.query(grid)))
-        return fields
-
-
-# ----------------------------------------------------------------------
-# SLO specs and tracking
-# ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -161,10 +53,10 @@ class SloSpec:
     goal: float = DEFAULT_GOAL
 
     def __post_init__(self) -> None:
-        if self.target_seconds <= 0.0:
+        if not (math.isfinite(self.target_seconds) and self.target_seconds > 0.0):
             raise ObservabilityError(
-                f"{self.tenant}: SLO target must be positive, "
-                f"got {self.target_seconds}"
+                f"{self.tenant}: SLO target_seconds must be finite and "
+                f"positive, got {self.target_seconds}"
             )
         if not 0.0 < self.goal < 1.0:
             raise ObservabilityError(
@@ -239,6 +131,20 @@ class TenantSlo:
     def met(self) -> bool:
         return self.attainment >= self.goal
 
+    def to_dict(self) -> Dict:
+        return {
+            "tenant": self.tenant,
+            "target_seconds": self.target_seconds,
+            "goal": self.goal,
+            "completed": self.completed,
+            "violations": self.violations,
+            "attainment": self.attainment,
+            "met": self.met,
+            "p50": self.p50,
+            "p99": self.p99,
+            "max_burn": self.max_burn,
+        }
+
 
 @dataclass
 class SloReport:
@@ -287,21 +193,7 @@ class SloReport:
         return {
             "window_seconds": self.window_seconds,
             "makespan": self.makespan,
-            "tenants": [
-                {
-                    "tenant": row.tenant,
-                    "target_seconds": row.target_seconds,
-                    "goal": row.goal,
-                    "completed": row.completed,
-                    "violations": row.violations,
-                    "attainment": row.attainment,
-                    "met": row.met,
-                    "p50": row.p50,
-                    "p99": row.p99,
-                    "max_burn": row.max_burn,
-                }
-                for row in self.rows
-            ],
+            "tenants": [row.to_dict() for row in self.rows],
             "windows": [
                 {
                     "tenant": tenant,
@@ -325,18 +217,19 @@ class SloTracker:
     ``serve-finish`` events, or ``(finish, index)``-sorted report rows)
     and the emitted ``slo-*`` events are bit-identical across same-seed
     runs.  Tenants without a spec are ignored — SLOs are opt-in per
-    tenant.
+    tenant.  Every observation is kept; :meth:`finalize` reads counts,
+    quantiles and burn windows from that one list.
     """
 
     def __init__(
         self,
         specs: Sequence[SloSpec],
         window_seconds: float = DEFAULT_WINDOW_SECONDS,
-        epsilon: float = DEFAULT_EPSILON,
     ) -> None:
-        if window_seconds <= 0.0:
+        if not (math.isfinite(window_seconds) and window_seconds > 0.0):
             raise ObservabilityError(
-                f"burn window must be positive, got {window_seconds}"
+                f"SLO burn window_seconds must be finite and positive, "
+                f"got {window_seconds}"
             )
         names = [spec.tenant for spec in specs]
         if len(set(names)) != len(names):
@@ -345,33 +238,22 @@ class SloTracker:
             spec.tenant: spec for spec in sorted(specs, key=lambda s: s.tenant)
         }
         self.window_seconds = window_seconds
-        self._sketches: Dict[str, QuantileSketch] = {
-            tenant: QuantileSketch(epsilon) for tenant in self.specs
-        }
-        self._totals: Dict[str, List[int]] = {
-            tenant: [0, 0] for tenant in self.specs
-        }
-        self._windows: Dict[Tuple[str, int], List[int]] = {}
         #: (t, query, tenant, qct, ok) in observation order.
         self._samples: List[Tuple[float, int, str, float, bool]] = []
 
     def observe(self, tenant: str, finish: float, qct: float, query: int = -1) -> None:
-        """Fold one completed query; no-op for tenants without a spec."""
+        """Keep one completed query; no-op for tenants without a spec."""
+        if not (math.isfinite(qct) and math.isfinite(finish)):
+            raise ObservabilityError(
+                f"{tenant}: SLO sample qct and finish must be finite, "
+                f"got qct={qct}, finish={finish}"
+            )
         spec = self.specs.get(tenant)
         if spec is None:
             return
-        ok = qct <= spec.target_seconds
-        self._sketches[tenant].add(qct)
-        totals = self._totals[tenant]
-        totals[0] += 1
-        if not ok:
-            totals[1] += 1
-        window = int(finish // self.window_seconds)
-        counts = self._windows.setdefault((tenant, window), [0, 0])
-        counts[0] += 1
-        if not ok:
-            counts[1] += 1
-        self._samples.append((finish, query, tenant, qct, ok))
+        self._samples.append(
+            (finish, query, tenant, qct, qct <= spec.target_seconds)
+        )
 
     def observe_events(self, events: Sequence[TelemetryEvent]) -> int:
         """Replay ``serve-finish`` events in stream order; returns count."""
@@ -390,29 +272,42 @@ class SloTracker:
         return observed
 
     def finalize(self, makespan: float = 0.0) -> SloReport:
+        qcts: Dict[str, List[float]] = {tenant: [] for tenant in self.specs}
+        violations = dict.fromkeys(self.specs, 0)
+        windows: Dict[Tuple[str, int], List[int]] = {}
+        for finish, _query, tenant, qct, ok in self._samples:
+            qcts[tenant].append(qct)
+            counts = windows.setdefault(
+                (tenant, int(finish // self.window_seconds)), [0, 0]
+            )
+            counts[0] += 1
+            if not ok:
+                violations[tenant] += 1
+                counts[1] += 1
         report = SloReport(
             window_seconds=self.window_seconds,
-            windows=dict(self._windows),
+            windows=windows,
             makespan=makespan,
         )
         for tenant, spec in self.specs.items():
-            sketch = self._sketches[tenant]
-            total, violations = self._totals[tenant]
             row = TenantSlo(
                 tenant=tenant,
                 target_seconds=spec.target_seconds,
                 goal=spec.goal,
-                completed=total,
-                violations=violations,
-                p50=sketch.query(0.5) if total else 0.0,
-                p99=sketch.query(0.99) if total else 0.0,
+                completed=len(qcts[tenant]),
+                violations=violations[tenant],
+                p50=percentile(qcts[tenant], 50.0),
+                p99=percentile(qcts[tenant], 99.0),
             )
-            report.rows.append(row)
-        for (tenant, window), _counts in sorted(self._windows.items()):
-            burn = report.burn_rate(tenant, window)
-            for row in report.rows:
-                if row.tenant == tenant:
-                    row.max_burn = max(row.max_burn, burn)
+            report.rows.append(row)  # burn_rate reads the row's goal
+            row.max_burn = max(
+                (
+                    report.burn_rate(tenant, window)
+                    for name, window in windows
+                    if name == tenant
+                ),
+                default=0.0,
+            )
         return report
 
     def emit_events(self, bus, report: SloReport) -> int:
@@ -434,7 +329,7 @@ class SloTracker:
                 target_seconds=self.specs[tenant].target_seconds,
             )
             emitted += 1
-        for (tenant, window), counts in sorted(self._windows.items()):
+        for (tenant, window), counts in sorted(report.windows.items()):
             bus.emit(
                 "slo-window",
                 t=(window + 1) * self.window_seconds,
@@ -447,19 +342,6 @@ class SloTracker:
             )
             emitted += 1
         for row in report.rows:
-            bus.emit(
-                "slo-status",
-                t=report.makespan,
-                tenant=row.tenant,
-                target_seconds=row.target_seconds,
-                goal=row.goal,
-                completed=row.completed,
-                violations=row.violations,
-                attainment=row.attainment,
-                met=row.met,
-                p50=row.p50,
-                p99=row.p99,
-                max_burn=row.max_burn,
-            )
+            bus.emit("slo-status", t=report.makespan, **row.to_dict())
             emitted += 1
         return emitted

@@ -24,6 +24,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Tuple
 from repro.errors import ObservabilityError
 from repro.obs.span import Span
 from repro.obs.telemetry import TelemetryEvent
+from repro.util.stats import percentile
 
 #: ``span-begin``/``span-end`` attrs that are the span itself, not its attrs.
 _SPAN_FIELDS = frozenset({"name", "stage", "at_wall_seconds", "sim_start", "sim_end"})
@@ -178,19 +179,6 @@ def _observe(metrics: _Series, name: str, value: float, **labels) -> None:
     _series(metrics, "histogram", name, labels)["samples"].append(float(value))
 
 
-def _percentile(ordered: List[float], q: float) -> float:
-    """Exact percentile ``q`` in [0, 100] of sorted samples, interpolated
-    linearly between the two nearest ranks."""
-    if not 0.0 <= q <= 100.0:
-        raise ObservabilityError(f"percentile must be in [0, 100], got {q}")
-    if len(ordered) < 2:
-        return ordered[0] if ordered else 0.0
-    position = q / 100.0 * (len(ordered) - 1)
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
-
-
 def _snapshot(metrics: _Series) -> List[Dict[str, Any]]:
     """Every series as its ``--metrics`` record, in key order."""
     records = []
@@ -203,9 +191,9 @@ def _snapshot(metrics: _Series) -> List[Dict[str, Any]]:
                 count=len(samples),
                 sum=total,
                 mean=total / len(samples),
-                p50=_percentile(ordered, 50),
-                p90=_percentile(ordered, 90),
-                p99=_percentile(ordered, 99),
+                p50=percentile(ordered, 50),
+                p90=percentile(ordered, 90),
+                p99=percentile(ordered, 99),
                 max=max(samples),
             )
         records.append(record)

@@ -26,11 +26,12 @@ def stdev(values: Iterable[float]) -> float:
 def percentile(values: Sequence[float], pct: float) -> float:
     """Linear-interpolated percentile, ``pct`` in [0, 100].
 
-    Pinned edge behaviour (relied on by metrics and the SLO sketch
-    parity tests): empty input returns 0.0, a single sample is every
-    percentile of itself, ``pct`` outside [0, 100] clamps to the
-    min/max, and a NaN ``pct`` raises rather than silently producing a
-    NaN rank.
+    The one sample quantile of the package: the serve summary, the SLO
+    tracker, ``--metrics`` histograms and the bench harness's medians
+    all read it.  Pinned edge behaviour: empty input returns 0.0, a
+    single sample is every percentile of itself, ``pct`` outside
+    [0, 100] clamps to the min/max, and a NaN ``pct`` raises rather
+    than silently producing a NaN rank.
     """
     if math.isnan(pct):
         raise ValueError("percentile rank must not be NaN")
@@ -38,18 +39,14 @@ def percentile(values: Sequence[float], pct: float) -> float:
     items = sorted(values)
     if not items:
         return 0.0
-    if len(items) == 1:
-        return items[0]
-    rank = (pct / 100.0) * (len(items) - 1)
-    low = int(math.floor(rank))
-    high = int(math.ceil(rank))
-    if low == high:
-        return items[low]
+    rank = pct / 100.0 * (len(items) - 1)
+    low = int(rank)
     frac = rank - low
-    # Clamp: the lerp can escape [low, high] by one ulp when both ends
-    # are (nearly) equal subnormals.
-    value = items[low] * (1.0 - frac) + items[high] * frac
-    return min(max(value, items[low]), items[high])
+    if not frac:
+        return items[low]
+    lo, hi = items[low], items[low + 1]
+    # Clamp: the lerp can round one ulp past either end.
+    return min(max(lo + (hi - lo) * frac, lo), hi)
 
 
 class RunningStats:

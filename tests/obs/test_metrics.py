@@ -6,7 +6,8 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs.views import _count, _observe, _percentile, _set, _snapshot
+from repro.obs.views import _count, _observe, _set, _snapshot
+from repro.util.stats import percentile
 
 
 def by_name(metrics):
@@ -56,10 +57,10 @@ class TestCountersAndGauges:
 class TestHistogramPercentiles:
     def test_exact_percentiles_interpolate(self):
         ordered = [float(value) for value in range(1, 101)]  # 1..100
-        assert _percentile(ordered, 0) == 1.0
-        assert _percentile(ordered, 100) == 100.0
-        assert _percentile(ordered, 50) == pytest.approx(50.5)
-        assert _percentile(ordered, 90) == pytest.approx(90.1)
+        assert percentile(ordered, 0) == 1.0
+        assert percentile(ordered, 100) == 100.0
+        assert percentile(ordered, 50) == pytest.approx(50.5)
+        assert percentile(ordered, 90) == pytest.approx(90.1)
         record = histogram(*ordered)
         assert record["count"] == 100
         assert record["mean"] == pytest.approx(50.5)
@@ -67,15 +68,18 @@ class TestHistogramPercentiles:
 
     def test_single_sample(self):
         for q in (0, 50, 99, 100):
-            assert _percentile([3.0], q) == 3.0
+            assert percentile([3.0], q) == 3.0
         assert histogram(3.0)["p99"] == 3.0
 
     def test_empty_histogram(self):
-        assert _percentile([], 50) == 0.0
+        assert percentile([], 50) == 0.0
 
     def test_percentile_bounds_checked(self):
-        with pytest.raises(ObservabilityError):
-            _percentile([1.0], 101)
+        # Out-of-range ranks clamp to the extremes; a NaN rank raises.
+        assert percentile([1.0, 2.0], 101) == 2.0
+        assert percentile([1.0, 2.0], -1) == 1.0
+        with pytest.raises(ValueError, match="NaN"):
+            percentile([1.0], float("nan"))
 
     def test_unsorted_observations(self):
         record = histogram(9.0, 1.0, 5.0, 3.0, 7.0)

@@ -7,7 +7,9 @@ import pytest
 
 from repro.obs.report_html import render_report, write_report
 from repro.obs.telemetry import TelemetryEvent
+from repro.serve import ServeConfig
 
+from tests.obs.test_critpath import run_recorded
 from tests.obs.test_telemetry import run_instrumented
 
 
@@ -61,6 +63,36 @@ class TestDashboard:
         path = tmp_path / "report.html"
         write_report(chaos_events, str(path), title="t")
         assert path.read_text().startswith("<!DOCTYPE html>")
+
+
+def queries_tile(page):
+    return re.search(
+        r'Queries</div><div class="tile-value">([^<]*)</div>', page
+    ).group(1)
+
+
+class TestServeArchive:
+    def test_queries_tile_counts_served_and_shed(self):
+        # One slot and a one-deep queue under a burst: most arrivals shed.
+        bus, report = run_recorded(ServeConfig(
+            seed=11, num_tenants=2, num_queries=10, arrival_rate=20.0,
+            max_inflight=1, max_inflight_per_tenant=1, queue_depth=1,
+            cache_capacity=2, map_slots_per_site=1,
+        ))
+        assert report.completed and report.shed
+        page = render_report(bus.events)
+        assert queries_tile(page) == (
+            f"{len(report.completed)} ({report.shed} shed)"
+        )
+
+    def test_batch_tile_counts_finished_and_aborted(self):
+        events = [
+            TelemetryEvent(seq=0, kind="query-finish", t=1.0,
+                           attrs={"dataset": "d0", "qct": 1.0}),
+            TelemetryEvent(seq=1, kind="query-abort", t=2.0,
+                           attrs={"dataset": "d1"}),
+        ]
+        assert queries_tile(render_report(events)) == "1 (1 aborted)"
 
 
 class TestEmptyStream:

@@ -149,7 +149,7 @@ class TestEstimator:
         series = estimator_error_series(events)
         assert series["up"] == [(1.0, pytest.approx(0.1))]
         assert series["down"] == [(2.0, pytest.approx(-0.2))]
-        assert mean_abs_estimator_error(events) == pytest.approx(0.15)
+        assert mean_abs_estimator_error(series) == pytest.approx(0.15)
 
     def test_truthless_samples_skipped(self):
         events = [
@@ -158,7 +158,7 @@ class TestEstimator:
         ]
         assert estimator_samples(events)[0].relative_error is None
         assert estimator_error_series(events) == {}
-        assert mean_abs_estimator_error(events) is None
+        assert mean_abs_estimator_error({}) is None
 
 
 class TestFaultWindows:

@@ -1,21 +1,21 @@
-"""SLO tracking: sketch parity, burn-rate math, spec parsing, emission.
+"""SLO tracking: exact quantiles, burn-rate math, spec parsing, emission.
 
-The Greenwald–Khanna sketch is held against the exact
-:func:`repro.util.stats.percentile` on the same sample sets — the
-sketch must land within its ``epsilon * n`` rank budget (the
-sketch-vs-exact parity regression).  Tracker tests use hand-built
-observation feeds so every count and burn rate is checkable by eye.
+Each tenant's p50/p99 is :func:`repro.util.stats.percentile` of the
+samples the tracker keeps — held ``==`` by a hypothesis property over
+generated sample feeds.  Tracker tests use hand-built observation feeds
+so every count and burn rate is checkable by eye.
 """
 
 import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
 from repro.obs.slo import (
     DEFAULT_GOAL,
-    QuantileSketch,
     SloSpec,
     SloTracker,
     parse_slo_targets,
@@ -26,72 +26,80 @@ from repro.util.stats import percentile
 TENANTS = ["tenant-00", "tenant-01", "tenant-02"]
 
 
+def fed_row(qcts, finishes=None):
+    """The one-tenant standing after observing ``qcts`` in order."""
+    tracker = SloTracker([SloSpec(tenant="a", target_seconds=1.0)])
+    for index, qct in enumerate(qcts):
+        tracker.observe("a", finishes[index] if finishes else float(index), qct)
+    return tracker.finalize().rows[0]
+
+
 class TestQuantileSketch:
+    """Each tenant's latency summary: exact percentiles of its samples."""
+
     def test_exact_for_small_streams(self):
-        sketch = QuantileSketch()
-        sketch.extend([5.0, 1.0, 3.0])
-        assert sketch.query(0.0) == 1.0
-        assert sketch.query(1.0) == 5.0
-        assert sketch.query(0.5) == 3.0
+        row = fed_row([5.0, 1.0, 3.0])
+        assert row.p50 == 3.0
+        assert row.p99 == pytest.approx(4.96)
 
     def test_empty_queries_zero(self):
-        assert QuantileSketch().query(0.5) == 0.0
+        row = fed_row([])
+        assert (row.completed, row.p50, row.p99) == (0, 0.0, 0.0)
 
     def test_rejects_non_finite(self):
-        sketch = QuantileSketch()
+        tracker = SloTracker([SloSpec(tenant="a", target_seconds=1.0)])
         for bad in (float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ObservabilityError, match="finite"):
-                sketch.add(bad)
+            with pytest.raises(ObservabilityError, match="qct and finish"):
+                tracker.observe("a", 1.0, bad)
+            with pytest.raises(ObservabilityError, match="qct and finish"):
+                tracker.observe("a", bad, 1.0)
+        assert tracker.finalize().rows[0].completed == 0
 
-    def test_rejects_bad_epsilon(self):
-        for epsilon in (0.0, -0.1, 0.5, 1.0):
-            with pytest.raises(ObservabilityError, match="epsilon"):
-                QuantileSketch(epsilon)
-
-    def test_parity_with_exact_percentile(self):
-        """Sketch-vs-exact parity: rank error stays within epsilon*n.
-
-        A skewed latency-like sample (lognormal-ish via exp of normals)
-        mirrors serve QCT distributions; for each queried quantile the
-        sketch answer must sit between the exact percentiles one epsilon
-        below and above.
-        """
-        rng = random.Random(13)
-        values = [math.exp(rng.gauss(0.0, 1.5)) for _ in range(5000)]
-        epsilon = 0.01
-        sketch = QuantileSketch(epsilon)
-        sketch.extend(values)
-        for q in (0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99):
-            got = sketch.query(q)
-            low = percentile(values, 100.0 * (q - epsilon))
-            high = percentile(values, 100.0 * (q + epsilon))
-            assert low <= got <= high, (q, low, got, high)
-
-    def test_sublinear_memory(self):
-        sketch = QuantileSketch(0.01)
-        sketch.extend(float(value % 997) for value in range(5000))
-        assert sketch.count == 5000
-        assert sketch.retained < 600
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1e4),
+                st.floats(min_value=0.0, max_value=1e4),
+            ),
+            max_size=60,
+        )
+    )
+    def test_parity_with_exact_percentile(self, samples):
+        """The tracker's p50/p99 are ``percentile`` of its samples, to the bit."""
+        finishes = [finish for finish, _qct in samples]
+        qcts = [qct for _finish, qct in samples]
+        row = fed_row(qcts, finishes)
+        assert row.completed == len(qcts)
+        assert row.p50 == percentile(qcts, 50.0)
+        assert row.p99 == percentile(qcts, 99.0)
 
     def test_deterministic_for_same_input_order(self):
-        values = [math.sin(i) * 10.0 for i in range(2000)]
-        first = QuantileSketch()
-        first.extend(values)
-        second = QuantileSketch()
-        second.extend(values)
-        assert first.digest_fields() == second.digest_fields()
+        values = [math.sin(i) * 10.0 + 10.0 for i in range(2000)]
+        first, second = fed_row(values), fed_row(values)
+        assert (first.p50, first.p99) == (second.p50, second.p99)
+        # Exact quantiles do not depend on the order either.
+        shuffled = values[:]
+        random.Random(3).shuffle(shuffled)
+        third = fed_row(shuffled)
+        assert (third.p50, third.p99) == (first.p50, first.p99)
 
     def test_out_of_range_quantiles_clamp(self):
-        sketch = QuantileSketch()
-        sketch.extend([1.0, 2.0, 3.0])
-        assert sketch.query(-0.5) == 1.0
-        assert sketch.query(1.5) == 3.0
+        """p50/p99 never leave the samples' range, subnormals included."""
+        tiny = math.ulp(0.0)
+        for values in ([3 * tiny, tiny, 2 * tiny], [tiny, 1.0, 1e300]):
+            row = fed_row(values)
+            assert min(values) <= row.p50 <= row.p99 <= max(values)
 
 
 class TestSloSpec:
     def test_rejects_non_positive_target(self):
         with pytest.raises(ObservabilityError, match="positive"):
             SloSpec(tenant="t", target_seconds=0.0)
+
+    def test_rejects_non_finite_target(self):
+        for target in (float("nan"), float("inf")):
+            with pytest.raises(ObservabilityError, match="target_seconds"):
+                SloSpec(tenant="t", target_seconds=target)
 
     def test_rejects_degenerate_goal(self):
         for goal in (0.0, 1.0, -0.5, 2.0):
@@ -159,7 +167,7 @@ class TestTracker:
         tracker = self.tracker()
         tracker.observe("a", 9.999, 0.5)
         tracker.observe("a", 10.0, 0.5)
-        assert set(tracker._windows) == {("a", 0), ("a", 1)}
+        assert set(tracker.finalize().windows) == {("a", 0), ("a", 1)}
 
     def test_unspecced_tenant_ignored(self):
         tracker = self.tracker()
@@ -181,6 +189,12 @@ class TestTracker:
         with pytest.raises(ObservabilityError, match="window"):
             SloTracker([SloSpec(tenant="a", target_seconds=1.0)],
                        window_seconds=0.0)
+
+    def test_rejects_non_finite_window(self):
+        for window in (float("nan"), float("inf")):
+            with pytest.raises(ObservabilityError, match="window_seconds"):
+                SloTracker([SloSpec(tenant="a", target_seconds=1.0)],
+                           window_seconds=window)
 
 
 class TestEmission:
@@ -224,3 +238,41 @@ class TestEmission:
         second = self.fed_tracker().finalize(makespan=20.0)
         assert first.digest() == second.digest()
         assert first.to_dict() == second.to_dict()
+
+
+class TestServeCli:
+    SERVE = ["serve", "--tenants", "1", "--queries", "12", "--seed", "11"]
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--slo", "default=nan"], "target_seconds"),
+            (["--slo", "default=inf"], "target_seconds"),
+            (["--slo", "default=5", "--slo-window", "nan"], "window_seconds"),
+            (["--slo", "default=5", "--slo-window", "inf"], "window_seconds"),
+        ],
+    )
+    def test_hostile_slo_input_is_one_error_line(self, flags, field, capsys):
+        from repro.cli import main
+
+        assert main(self.SERVE + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before the run
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and field in captured.err
+
+    def test_one_tenant_quantiles_are_the_summary_quantiles(self, tmp_path):
+        """The SLO table and the serve summary print the same p50/p99."""
+        import json
+
+        from repro.cli import main
+
+        slo_path, serve_path = tmp_path / "slo.json", tmp_path / "serve.json"
+        assert main(self.SERVE + [
+            "--cache-size", "0", "--slo", "default=5",
+            "--slo-report", str(slo_path), "--json", str(serve_path),
+        ]) == 0
+        (row,) = json.loads(slo_path.read_text())["slo"]["tenants"]
+        serve = json.loads(serve_path.read_text())
+        assert row["completed"] == serve["completed"] == 12
+        assert (row["p50"], row["p99"]) == (serve["p50_qct"], serve["p99_qct"])

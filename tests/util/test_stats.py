@@ -71,6 +71,17 @@ class TestPercentile:
         result = percentile(values, pct)
         assert min(values) <= result <= max(values)
 
+    @given(
+        st.lists(
+            st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=40
+        ),
+        st.floats(min_value=0.0, max_value=100.0),
+        st.floats(min_value=0.0, max_value=100.0),
+    )
+    def test_property_monotone_in_rank(self, values, first, second):
+        low, high = sorted((first, second))
+        assert percentile(values, low) <= percentile(values, high)
+
 
 class TestRunningStats:
     def test_matches_batch(self):
