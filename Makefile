@@ -35,7 +35,8 @@ parity:  ## scalar/columnar hot-path parity suite (bit-identity oracle)
 		tests/placement/test_warm_start.py \
 		tests/properties/test_placement_lp.py \
 		tests/properties/test_obs_oracles.py \
-		tests/properties/test_wan_session.py
+		tests/properties/test_wan_session.py \
+		tests/properties/test_batch_kernels.py
 
 bench-smoke:  ## smoke benchmarks vs the committed baseline (sim metrics; wall is never gated)
 	$(PYTHON) -m repro bench --suite smoke --compare BENCH_7.json \

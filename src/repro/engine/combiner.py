@@ -8,8 +8,10 @@ merging k same-key records keeps one representative-size record — the
 word-count semantics of Figure 1.
 
 :func:`combine` is a per-record loop: no call of any benchmark workload
-or bench suite carries more than 123 records, below where a NumPy
-grouped aggregation starts to pay (DESIGN.md "Measured crossovers").
+or bench suite carries more than 123 records (seed 11: five instances of
+each perfbench workload, 101 k calls, and ``repro bench --suite full``,
+48 k calls of at most 57), below where a NumPy grouped aggregation
+starts to pay (DESIGN.md "Measured crossovers").
 """
 
 from __future__ import annotations
@@ -89,23 +91,24 @@ def combine(
     Each input record maps to one intermediate record of size
     ``record.size_bytes * reduction_ratio``; same-key intermediates
     merge, in first-appearance order.  ``map_output_bytes`` is a strict
-    left fold over the records.
+    left fold over the records, kept in a local until the output is
+    built.
     """
     if not 0.0 < reduction_ratio <= 1.0:
         raise EngineError(f"reduction_ratio must be in (0, 1], got {reduction_ratio}")
     if not isinstance(records, list):
         records = list(records)
-    output = CombinedOutput()
+    merged: Dict[Key, CombinedRecord] = {}
+    map_output_bytes = 0.0
     for record, key in zip(records, project_keys(records, key_indices)):
         intermediate_bytes = record.size_bytes * reduction_ratio
-        output.map_output_bytes += intermediate_bytes
-        output.map_output_records += 1
-        existing = output.records.get(key)
+        map_output_bytes += intermediate_bytes
+        existing = merged.get(key)
         if existing is None:
-            output.records[key] = CombinedRecord(
-                key=key, merged_count=1, size_bytes=intermediate_bytes
-            )
+            merged[key] = CombinedRecord(key, 1, intermediate_bytes)
         else:
             existing.merged_count += 1
-            existing.size_bytes = max(existing.size_bytes, intermediate_bytes)
-    return output
+            # max() keeps the earlier of two equal sizes; so does this.
+            if intermediate_bytes > existing.size_bytes:
+                existing.size_bytes = intermediate_bytes
+    return CombinedOutput(merged, map_output_bytes, len(records))

@@ -492,8 +492,9 @@ class MapReduceEngine:
                     record
                     for partition in executor_partitions
                     for record in partition.records
-                    if spec.matches(record)  # WHERE pushdown at the map
                 ]
+                if spec.filters:  # WHERE pushdown at the map
+                    records = [record for record in records if spec.matches(record)]
                 if not records:
                     continue
                 output = combine(records, spec.key_indices, spec.reduction_ratio)

@@ -10,11 +10,12 @@ sorted and clustered according to their similarity" of §4.1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CubeError
-from repro.types import Key, Record, Schema, Value
+from repro.types import Key, Record, Schema, Value, project_keys
 
 
 @dataclass
@@ -73,32 +74,38 @@ class OLAPCube:
         dimensions: Sequence[str],
         measure: Optional[str] = None,
     ) -> "OLAPCube":
-        """Build a cube by inserting every record."""
+        """Build a cube over every record.
+
+        Keys are projected in one pass and each cell is summed inline, in
+        record order: the additions :meth:`insert` makes one at a time.
+        """
         cube = cls(dimensions=tuple(dimensions), measure=measure)
-        indices = schema.indices(dimensions)
+        if not isinstance(records, list):
+            records = list(records)
         measure_index = schema.index(measure) if measure is not None else None
-        for record in records:
-            cube._insert_at(record.key(indices), record, measure_index)
+        keys = project_keys(records, schema.indices(dimensions))
+        cells = cube.cells
+        value = 0.0
+        for key, record in zip(keys, records):
+            if measure_index is not None:
+                value = _measure_value(measure, record.values[measure_index])
+            cell = cells.get(key)
+            if cell is None:
+                # add() sums onto 0.0, so a -0.0 measure opens at 0.0.
+                cells[key] = CellAggregate(1, record.size_bytes, 0.0 + value)
+            else:
+                cell.count += 1
+                cell.size_bytes += record.size_bytes
+                cell.measure_sum += value
         return cube
 
     def insert(self, record: Record, schema: Schema) -> None:
         """Insert one record (used by the incremental builder)."""
-        indices = schema.indices(self.dimensions)
-        measure_index = schema.index(self.measure) if self.measure else None
-        self._insert_at(record.key(indices), record, measure_index)
-
-    def _insert_at(
-        self, coordinate: Key, record: Record, measure_index: Optional[int]
-    ) -> None:
+        coordinate = record.key(schema.indices(self.dimensions))
         measure_value = 0.0
-        if measure_index is not None:
-            raw = record.values[measure_index]
-            if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-                raise CubeError(
-                    f"measure attribute {self.measure!r} must be numeric, "
-                    f"got {raw!r}"
-                )
-            measure_value = float(raw)
+        if self.measure:
+            raw = record.values[schema.index(self.measure)]
+            measure_value = _measure_value(self.measure, raw)
         cell = self.cells.get(coordinate)
         if cell is None:
             cell = self.cells[coordinate] = CellAggregate()
@@ -172,3 +179,16 @@ class OLAPCube:
             measure=self.measure,
             cells={coordinate: cell.copy() for coordinate, cell in self.cells.items()},
         )
+
+
+def _measure_value(measure: str, raw: Value) -> float:
+    """One record's measure as a float; a cube sums only finite numbers."""
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        raise CubeError(f"measure attribute {measure!r} must be numeric, got {raw!r}")
+    try:
+        value = float(raw)
+    except OverflowError:  # an int beyond float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise CubeError(f"measure attribute {measure!r} must be finite, got {raw!r}")
+    return value

@@ -7,6 +7,7 @@ dimension cubes.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Set
 
 from repro.errors import CubeError
@@ -90,9 +91,23 @@ def project(cube: OLAPCube, dimensions: Sequence[str]) -> OLAPCube:
         raise CubeError(f"duplicate dimensions in projection: {dimensions}")
     indices = [cube.dimension_index(name) for name in dimensions]
     result = OLAPCube(dimensions=tuple(dimensions), measure=cube.measure)
-    for coordinate, cell in cube.cells.items():
-        projected: Key = tuple(coordinate[index] for index in indices)
-        _accumulate(result, projected, cell)
+    # One batch of projected keys (itemgetter returns a bare value for a
+    # single index), then each cell copied or merged inline.
+    if len(indices) == 1:
+        (index,) = indices
+        projected = [(coordinate[index],) for coordinate in cube.cells]
+    else:
+        getter = itemgetter(*indices)
+        projected = [getter(coordinate) for coordinate in cube.cells]
+    cells = result.cells
+    for key, cell in zip(projected, cube.cells.values()):
+        existing = cells.get(key)
+        if existing is None:
+            cells[key] = CellAggregate(cell.count, cell.size_bytes, cell.measure_sum)
+        else:
+            existing.count += cell.count
+            existing.size_bytes += cell.size_bytes
+            existing.measure_sum += cell.measure_sum
     return result
 
 

@@ -20,9 +20,9 @@ The hot path (:func:`dimsum_similarity_matrix`) is vectorized under an
 RNG consumption-order contract: the per-pair reference (the test tree's
 ``tests/similarity/reference_dimsum.py``) draws one uniform per pair in
 upper-triangle ``(i, j)`` order, and the columnar path draws the whole
-vector at once with ``rng.random(num_pairs)`` over ``np.triu_indices``
-— the identical stream in the identical order, so the same seed skips
-the same pairs bit-for-bit.  Empty partitions share no keys with
+vector at once with ``rng.random(num_pairs)`` over the same row-major
+pairs — the identical stream in the identical order, so the same seed
+skips the same pairs bit-for-bit.  Empty partitions share no keys with
 anything, including each other: any pair with an empty side reports 0.0
 similarity.
 """
@@ -85,7 +85,7 @@ def dimsum_similarity_matrix(
     be similar.  Pairs with an empty side also report 0.0.
 
     This is the columnar path: the full sampling-probability vector over
-    ``np.triu_indices``, one ``rng.random(k)`` draw matching the scalar
+    the upper triangle, one ``rng.random(k)`` draw matching the scalar
     per-pair stream, and — only when some examined pair is large enough
     to be estimated — batched signatures with matrix-slot comparison for
     every estimated pair at once.  Bit-identical to the per-pair
@@ -102,7 +102,10 @@ def dimsum_similarity_matrix(
         (len(partition) for partition in partitions), dtype=np.int64, count=n
     )
     sizes = np.maximum(lengths, 1).astype(np.float64)
-    rows, cols = np.triu_indices(n, k=1)
+    # The upper triangle in row-major order, as np.triu_indices(n, 1)
+    # lists it, from one comparison instead of its helper arrays.
+    index = np.arange(n)
+    rows, cols = np.nonzero(index[:, None] < index)
     num_pairs = rows.size
     # min(1, γ/√(ni·nj)) per pair; int sizes convert to float64 exactly
     # and np.sqrt is correctly rounded like math.sqrt, so each entry
@@ -126,8 +129,18 @@ def dimsum_similarity_matrix(
 
     # Exact path: set-based Jaccard stays a per-pair Python computation
     # (set intersections do not vectorize); only sampled small pairs pay.
-    for i, j in zip(rows[exact_mask].tolist(), cols[exact_mask].tolist()):
-        matrix[i, j] = matrix[j, i] = jaccard(partitions[i], partitions[j])
+    # Both sides are non-empty, so |X ∩ Y| / |X ∪ Y| is jaccard() with
+    # the union counted as |X| + |Y| - |X ∩ Y|: the same two ints.
+    exact_rows = rows[exact_mask].tolist()
+    if exact_rows:
+        exact_cols = cols[exact_mask].tolist()
+        sizes_of = lengths.tolist()
+        similarities = []
+        for i, j in zip(exact_rows, exact_cols):
+            shared = len(partitions[i] & partitions[j])
+            similarities.append(shared / (sizes_of[i] + sizes_of[j] - shared))
+        matrix[exact_rows, exact_cols] = similarities
+        matrix[exact_cols, exact_rows] = similarities
 
     if np.any(estimate_mask):
         # Signatures are read nowhere else, so they are built only here.
