@@ -29,7 +29,7 @@ from repro.engine.spec import MapReduceSpec
 from repro.errors import EngineError
 from repro.obs import instrument
 from repro.similarity.dimsum import DimsumConfig
-from repro.types import GeoDataset
+from repro.types import GeoDataset, records_bytes
 from repro.wan.topology import WanTopology
 from repro.wan.transfer import Transfer, TransferResult, TransferScheduler
 
@@ -462,7 +462,7 @@ class MapReduceEngine:
         """Run map + combine at one site; returns per-executor outputs."""
         site = self.topology.site(site_name)
         shard = dataset.shard(site_name)
-        site_metrics.input_bytes = float(sum(r.size_bytes for r in shard))
+        site_metrics.input_bytes = float(records_bytes(shard))
         site_metrics.input_records = len(shard)
         if not shard:
             return []
@@ -499,7 +499,7 @@ class MapReduceEngine:
                     continue
                 output = combine(records, spec.key_indices, spec.reduction_ratio)
                 executor_outputs.append(output)
-                executor_bytes = float(sum(r.size_bytes for r in records))
+                executor_bytes = float(records_bytes(records))
                 busiest_executor_bytes = max(busiest_executor_bytes, executor_bytes)
 
         site_metrics.map_output_bytes = sum(

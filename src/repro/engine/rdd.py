@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Set, Tuple
 
 from repro.errors import EngineError
-from repro.types import Key, Record, project_keys
+from repro.types import Key, Record, project_keys, records_bytes
 
 
 @dataclass
@@ -30,7 +30,7 @@ class RDDPartition:
 
     @property
     def size_bytes(self) -> int:
-        return sum(record.size_bytes for record in self.records)
+        return records_bytes(self.records)
 
     def key_set(self, key_indices: Sequence[int]) -> Set[Key]:
         """Distinct keys in this partition (input to RDD similarity)."""

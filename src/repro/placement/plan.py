@@ -25,7 +25,7 @@ from repro.errors import PlacementError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chaos.runtime import RetryPolicy
 from repro.placement.lp import Moves
-from repro.types import DatasetCatalog, Key, Record
+from repro.types import DatasetCatalog, Key, Record, records_bytes
 from repro.util.rng import derive_rng
 from repro.wan.transfer import Transfer, TransferResult, TransferScheduler
 
@@ -108,7 +108,7 @@ def select_records(
         clusters.items(),
         key=lambda item: (
             0 if item[0] in destination_keys else 1,
-            -sum(record.size_bytes for record in item[1]),
+            -records_bytes(item[1]),
             str(item[0]),
         ),
     )
@@ -247,4 +247,4 @@ def _select_all(
 
 
 def _bytes_of(records: Sequence[Record]) -> float:
-    return float(sum(record.size_bytes for record in records))
+    return float(records_bytes(records))

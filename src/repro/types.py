@@ -13,6 +13,7 @@ that a 40 GB/site deployment stays tractable in pure Python.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -106,8 +107,11 @@ class Record:
     size_bytes: int = 100
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise SchemaError("record size_bytes must be > 0")
+        # Written so a nan fails it too: every comparison with nan is False.
+        if not 0 < self.size_bytes < math.inf:
+            raise SchemaError(
+                f"record size_bytes must be finite and > 0, got {self.size_bytes!r}"
+            )
 
     def key(self, indices: Sequence[int]) -> Key:
         """Project the record onto the given attribute positions."""

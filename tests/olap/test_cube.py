@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import CubeError
+from repro.errors import CubeError, SchemaError
 from repro.olap.cube import CellAggregate, OLAPCube
 from repro.types import Record, Schema
 
@@ -57,6 +57,14 @@ class TestConstruction:
         with pytest.raises(CubeError):
             OLAPCube.from_records(
                 [Record(("a", "not-a-number"))], schema, ["k"], measure="v"
+            )
+
+    @pytest.mark.parametrize("size", [float("nan"), float("inf")])
+    def test_a_non_finite_record_size_never_reaches_a_cell(self, size):
+        with pytest.raises(SchemaError, match=f"got {size!r}$"):
+            OLAPCube.from_records(
+                [Record(("2014", "asia", "A", 1.0), size_bytes=size)],
+                SCHEMA, ["time"], measure="sales",
             )
 
     def test_insert_single(self):

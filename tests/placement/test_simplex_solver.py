@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SolverError
+from repro.errors import PlacementError, SolverError
+from repro.placement.lp import solve_task_lp, task_lp_optimum
+from repro.placement.model import PlacementProblem
 from repro.placement.simplex import simplex_solve
 from repro.placement.solver import (
     _BINDING,
@@ -20,6 +22,7 @@ from repro.placement.solver import (
     _tolerance_violation,
     solve_lp,
 )
+from repro.wan.topology import Site, WanTopology
 
 
 class TestSimplexBasics:
@@ -132,6 +135,38 @@ class TestSimplexAgainstScipy:
             assert ours.objective == pytest.approx(theirs.fun, rel=1e-6, abs=1e-8)
         else:
             assert not ours.ok
+
+
+def two_site_task_lp(downlinks, volumes):
+    """Two sites, uplinks 1.0, reduce compute 1.0 B/s at each."""
+    topology = WanTopology.from_sites(
+        [Site(f"s{i}", 1.0, down) for i, down in enumerate(downlinks)]
+    )
+    problem = PlacementProblem(
+        topology=topology, input_bytes={"d0": {}}, reduction_ratio={"d0": 1.0},
+        similarity={}, lag_seconds=1.0, compute_bps={"s0": 1.0, "s1": 1.0},
+    )
+    return dict(zip(topology.site_names, volumes)), problem
+
+
+class TestBadlyScaledTaskLps:
+    """The simplex's absolute pivot and feasibility tolerances on rows whose
+    coefficients span 1e0-1e9: two deterministic failures, found by the
+    task-LP property.  HiGHS and the closed form agree on both optima."""
+
+    @pytest.mark.xfail(strict=True, raises=PlacementError, reason="the simplex returns all-zero fractions")
+    def test_volumes_three_decades_apart(self):
+        volumes, problem = two_site_task_lp((1.0, 615.0), (783913.0, 999217362.0))
+        closed = task_lp_optimum(volumes, problem)
+        assert solve_task_lp(volumes, problem, backend="scipy")[1] == pytest.approx(5.000006375e8, rel=1e-12)
+        assert solve_task_lp(volumes, problem, backend="simplex")[1] == pytest.approx(closed, rel=1e-9)
+
+    @pytest.mark.xfail(strict=True, raises=SolverError, reason="the simplex calls a feasible task LP infeasible")
+    def test_one_site_holds_every_byte(self):
+        volumes, problem = two_site_task_lp((1.0, 1.0), (0.0, 1e9))
+        closed = task_lp_optimum(volumes, problem)
+        assert solve_task_lp(volumes, problem, backend="scipy")[1] == pytest.approx(5e8, rel=1e-12)
+        assert solve_task_lp(volumes, problem, backend="simplex")[1] == pytest.approx(closed, rel=1e-9)
 
 
 class TestSolverFrontend:

@@ -36,7 +36,7 @@ from repro.placement.simplex import simplex_solve
 from repro.placement.solver import LinearProgram, LpSolution, solve_lp
 from repro.systems.base import SystemConfig
 from repro.systems.registry import make_system
-from repro.wan.presets import uniform_sites
+from repro.wan.presets import ec2_ten_sites, uniform_sites
 from repro.wan.topology import Site, WanTopology
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.tpcds import tpcds_workload
@@ -410,6 +410,90 @@ def test_iterate_canonicalizes_an_arbitrary_basis_like_the_scalar_loop(case):
         return status, tableau.tobytes(), b.tobytes(), basis
 
     assert run(simplex._iterate) == run(reference_iterate)
+
+
+@pytest.fixture(scope="module")
+def full_size_programs():
+    """The two LP shapes of perfbench's ``prepare-replan``: ten EC2 sites and
+    eight datasets give a 120 x 721 data LP (16 of its rows negated, so
+    phase 1 runs) and a 20 x 11 task LP with its one equality.  The data LP
+    is taken at the task LP's fractions, as the joint planner alternates
+    (solved by the scalar loop: neither program depends on the code under
+    test)."""
+    topology = ec2_ten_sites(base_uplink="2MB/s")
+    sites = topology.site_names
+    rng = np.random.default_rng(11)
+    datasets = [f"d{a}" for a in range(8)]
+    problem = PlacementProblem(
+        topology=topology,
+        input_bytes={
+            d: {s: float(rng.integers(0, 200) * 512 * 1024) for s in sites}
+            for d in datasets
+        },
+        reduction_ratio={d: 0.55 for d in datasets},
+        similarity={d: {s: float(rng.uniform(0.0, 0.6)) for s in sites} for d in datasets},
+        lag_seconds=8.0,
+    )
+    handed = []
+
+    def spy(program, backend="auto", warm_names=None):
+        handed.append(program)
+        return solve_lp(program, backend=backend, warm_names=warm_names)
+
+    with mock.patch("repro.placement.lp.solve_lp", spy), \
+            mock.patch("repro.placement.solver.simplex_solve", reference_simplex_solve):
+        volumes = {site: problem.total_input_at(site) for site in sites}
+        fractions, _, _ = solve_task_lp(volumes, problem, backend="simplex")
+    (task,) = handed
+    data = DataLp(problem).program(fractions)
+    assert task.a_ub.shape == (20, 11) and task.a_eq.shape == (1, 11)
+    assert data.a_ub.shape == (120, 721) and data.a_eq is None
+    return {"task": task, "data": data}
+
+
+def solve_cold_then_warm(program, c):
+    """Field-for-field against the scalar loop, cold and then warm-started
+    from its own final basis; returns the cold result."""
+    arguments = (c, program.a_ub, program.b_ub, program.a_eq, program.b_eq)
+    cold = simplex_solve(*arguments)
+    assert result_fields(cold) == result_fields(reference_simplex_solve(*arguments))
+    assert cold.ok
+    warm = simplex_solve(*arguments, warm_columns=cold.basis_columns)
+    expected = reference_simplex_solve(*arguments, warm_columns=cold.basis_columns)
+    assert result_fields(warm) == result_fields(expected)
+    assert warm.warm_started
+    return cold
+
+
+def costed_basics(result, c):
+    return [float(c[column]) for column in result.basis_columns if column < c.size and c[column] != 0]
+
+
+@pytest.mark.parametrize("name", ["task", "data"])
+def test_simplex_is_the_scalar_loop_at_full_size(full_size_programs, name):
+    """Phase 2 of a placement LP prices from t's row alone."""
+    program = full_size_programs[name]
+    result = solve_cold_then_warm(program, program.c)
+    assert costed_basics(result, program.c) == [1.0]
+
+
+def test_one_costed_basic_row_that_is_not_one(full_size_programs):
+    """t costs 0.3 and each byte of dataset d0 moved 1e-9: the moves stay
+    nonbasic, so every phase-2 pivot prices them from ``0.3 * tableau[t]``
+    (a cost of 1.0 in its place changes the pivots)."""
+    program = full_size_programs["data"]
+    c = 0.3 * program.c
+    c[1:1 + 90] = 1e-9  # x[d0][i->j]: the first n(n-1) = 90 columns after t
+    assert costed_basics(solve_cold_then_warm(program, c), c) == [0.3]
+
+
+def test_two_costed_basic_rows_price_through_the_product(full_size_programs):
+    """Every byte moved costs 1e-7: a costed move enters beside t, and
+    from then on the reduced costs are the gemv's (one row's changes them)."""
+    program = full_size_programs["data"]
+    c = program.c.copy()
+    c[1:] = 1e-7
+    assert sorted(costed_basics(solve_cold_then_warm(program, c), c)) == [1e-7, 1.0]
 
 
 # ------------------------------------------------------------ whole planner

@@ -79,6 +79,11 @@ class TestRecord:
         with pytest.raises(SchemaError):
             Record(("a",), size_bytes=0)
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"), float("-inf"), -1, 0.0])
+    def test_non_finite_or_nonpositive_size_is_named(self, size):
+        with pytest.raises(SchemaError, match=rf"finite and > 0, got {size!r}$"):
+            Record(("a",), size_bytes=size)
+
     def test_records_bytes(self):
         assert records_bytes([Record(("a",), 10), Record(("b",), 15)]) == 25
 
