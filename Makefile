@@ -36,6 +36,7 @@ parity:  ## scalar/columnar hot-path parity suite (bit-identity oracle)
 		tests/properties/test_placement_lp.py \
 		tests/properties/test_obs_oracles.py \
 		tests/properties/test_wan_session.py \
+		tests/properties/test_wan_emission.py \
 		tests/properties/test_batch_kernels.py
 
 bench-smoke:  ## smoke benchmarks vs the committed baseline (sim metrics; wall is never gated)
@@ -108,16 +109,21 @@ profile:  ## smoke benchmarks under the wall profiler (collapsed stacks)
 	$(PYTHON) -m repro bench --suite smoke --profile \
 		--profile-out bench.collapsed
 
-telemetry:  ## sanitized chaos run with telemetry capture (critpath-conservation armed); load-then-write and the reference writer are byte-identical; inspect, Chrome trace + dashboard off the one archive
+telemetry:  ## sanitized chaos run and static-WAN serve run with telemetry capture (critpath-conservation armed); load-then-write and the reference writer are byte-identical on both; inspect, Chrome trace + dashboard off the chaos archive
 	$(PYTHON) -m repro run --scheme bohr --workload bigdata-aggregation \
 		--queries 3 --chaos flaky-wan --telemetry telemetry.jsonl --sanitize
-	$(PYTHON) -c "from repro.obs.telemetry import load_jsonl, write_jsonl; \
-		write_jsonl(load_jsonl('telemetry.jsonl')[1], 'telemetry.rewritten.jsonl')"
-	cmp telemetry.jsonl telemetry.rewritten.jsonl
-	$(PYTHON) -c "from repro.obs.telemetry import load_jsonl; \
-		from tests.obs.reference_export import reference_write_jsonl; \
-		reference_write_jsonl(load_jsonl('telemetry.jsonl')[1], 'telemetry.reference.jsonl')"
-	cmp telemetry.jsonl telemetry.reference.jsonl
+	$(PYTHON) -m repro serve --tenants 3 --queries 12 --seed 11 \
+		--cache-size 4 --telemetry telemetry.serve.jsonl
+	@for archive in telemetry telemetry.serve; do \
+		$(PYTHON) -c "from repro.obs.telemetry import load_jsonl, write_jsonl; \
+			write_jsonl(load_jsonl('$$archive.jsonl')[1], '$$archive.rewritten.jsonl')" && \
+		cmp $$archive.jsonl $$archive.rewritten.jsonl && \
+		$(PYTHON) -c "from repro.obs.telemetry import load_jsonl; \
+			from tests.obs.reference_export import reference_write_jsonl; \
+			reference_write_jsonl(load_jsonl('$$archive.jsonl')[1], '$$archive.reference.jsonl')" && \
+		cmp $$archive.jsonl $$archive.reference.jsonl && \
+		echo "$$archive.jsonl: load-then-write and the reference writer are byte-identical" || exit 1; \
+	done
 	$(PYTHON) -m repro inspect telemetry.jsonl --chrome trace.json
 	$(PYTHON) -c "import json; from repro.obs.export import validate_chrome_events; \
 		events = json.load(open('trace.json'))['traceEvents']; \

@@ -35,7 +35,10 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter, itemgetter, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ObservabilityError
@@ -63,6 +66,9 @@ COMPONENTS = (
 )
 
 
+_components_of = attrgetter(*COMPONENTS)
+
+
 @dataclass(frozen=True)
 class QueryPath:
     """One query's reconstructed critical path (all sim seconds)."""
@@ -87,7 +93,7 @@ class QueryPath:
 
     @property
     def components(self) -> Tuple[float, ...]:
-        return tuple(getattr(self, name) for name in COMPONENTS)
+        return _components_of(self)
 
     @property
     def total(self) -> float:
@@ -192,7 +198,7 @@ def _canonical(value: float) -> str:
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class _Flow:
     """One WAN/LAN flow reassembled from flow-start/flow-finish pairs."""
 
@@ -201,8 +207,8 @@ class _Flow:
     dst: str
     num_bytes: float
     start: float
-    finish: float = math.nan
     wan: bool = True
+    finish: float = math.nan
 
 
 def _query_span(stream) -> Tuple[List[TelemetryEvent], Optional[float]]:
@@ -233,6 +239,9 @@ _INDEXED = frozenset({
 
 #: What the index pass reads as a float (and ``query`` as an int).
 _FLOATS = {"t", "queue_seconds", "qct", "start", "num_bytes", "dt", "capacity_bps"}
+
+
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 def _unreadable(error: Exception, attrs: Dict, t) -> str:
@@ -267,7 +276,12 @@ class _EventIndex:
         # events stay out of this index: every batch query restarts the
         # sim clock at 0 and reuses the job tag.
         self.batch: List[Tuple[Dict, List[TelemetryEvent], Optional[float]]] = []
-        open_flows: Dict[Tuple[str, str, str], List[_Flow]] = {}
+        # Filled through defaultdicts (no empty list built per event),
+        # handed on as plain dicts.
+        open_flows: Dict[Tuple[str, str, str], List[_Flow]] = defaultdict(list)
+        segments_of: Dict[Tuple[str, str], list] = defaultdict(list)
+        flows_by_tag: Dict[str, List[_Flow]] = defaultdict(list)
+        flows = self.flows
         stream = iter(events)
         try:
             for event in stream:
@@ -275,12 +289,44 @@ class _EventIndex:
                 if kind not in _INDEXED:
                     continue
                 attrs, t = event.attrs, event.t
+                # The kinds a serve stream holds most of come first.
                 if kind == "link-sample":
                     t0 = float(t)
                     t1 = t0 + float(attrs.get("dt", 0.0))
-                    self.link_segments.setdefault(
-                        (str(attrs["direction"]), str(attrs["site"])), []
-                    ).append((t0, t1, float(attrs.get("capacity_bps", 0.0))))
+                    segments_of[(str(attrs["direction"]), str(attrs["site"]))].append(
+                        (t0, t1, float(attrs.get("capacity_bps", 0.0)))
+                    )
+                elif kind == "flow-start":
+                    tag = str(attrs.get("tag", ""))
+                    src = str(attrs["src"])
+                    dst = str(attrs["dst"])
+                    flow = _Flow(
+                        tag, src, dst, float(attrs.get("num_bytes", 0.0)), float(t),
+                        bool(attrs.get("wan", True)),
+                    )
+                    flows.append(flow)
+                    flows_by_tag[tag].append(flow)
+                    open_flows[(tag, src, dst)].append(flow)
+                elif kind == "flow-finish" or kind == "flow-fail":
+                    key = (
+                        str(attrs.get("tag", "")),
+                        str(attrs["src"]),
+                        str(attrs["dst"]),
+                    )
+                    started = open_flows.get(key)
+                    if started:
+                        started.pop(0).finish = float(t)
+                elif kind == "stage-finish":
+                    spans = (
+                        self.map_spans
+                        if attrs.get("stage") == "map"
+                        else self.reduce_spans
+                    )
+                    job = str(attrs.get("job", ""))
+                    spans.setdefault(job, {})[str(attrs["site"])] = (
+                        float(attrs.get("start", t)),
+                        float(t),
+                    )
                 elif kind == "serve-queue":
                     self.arrival[int(attrs["query"])] = float(t)
                 elif kind == "serve-admit":
@@ -297,38 +343,6 @@ class _EventIndex:
                         str(attrs.get("tenant", "")),
                         str(attrs.get("dataset", "")),
                     )
-                elif kind == "stage-finish":
-                    spans = (
-                        self.map_spans
-                        if attrs.get("stage") == "map"
-                        else self.reduce_spans
-                    )
-                    job = str(attrs.get("job", ""))
-                    spans.setdefault(job, {})[str(attrs["site"])] = (
-                        float(attrs.get("start", t)),
-                        float(t),
-                    )
-                elif kind == "flow-start":
-                    flow = _Flow(
-                        tag=str(attrs.get("tag", "")),
-                        src=str(attrs["src"]),
-                        dst=str(attrs["dst"]),
-                        num_bytes=float(attrs.get("num_bytes", 0.0)),
-                        start=float(t),
-                        wan=bool(attrs.get("wan", True)),
-                    )
-                    self.flows.append(flow)
-                    self.flows_by_tag.setdefault(flow.tag, []).append(flow)
-                    open_flows.setdefault((flow.tag, flow.src, flow.dst), []).append(flow)
-                elif kind in ("flow-finish", "flow-fail"):
-                    key = (
-                        str(attrs.get("tag", "")),
-                        str(attrs["src"]),
-                        str(attrs["dst"]),
-                    )
-                    started = open_flows.get(key)
-                    if started:
-                        started.pop(0).finish = float(t)
                 elif kind == "span-begin" and attrs.get("stage") == "query":
                     self.batch.append((attrs, *_query_span(stream)))
         except (KeyError, TypeError, ValueError, OverflowError) as error:
@@ -337,12 +351,15 @@ class _EventIndex:
             raise ObservabilityError(
                 f"{kind} event at t={t} has {_unreadable(error, attrs, t)}"
             ) from None
-        for segments in self.link_segments.values():
+        self.link_segments = dict(segments_of)
+        self.flows_by_tag = dict(flows_by_tag)
+        longest = 0.0
+        for segments in segments_of.values():
             segments.sort()
+            ends, starts = map(_second, segments), map(_first, segments)
+            longest = max(chain((longest,), map(abs, map(sub, ends, starts))))
         # Any segment with an end inside a window starts within this of it.
-        self.segment_reach = _TOL + max(
-            [0.0, *(abs(t1 - t0) for s in self.link_segments.values() for t0, t1, _ in s)]
-        )
+        self.segment_reach = _TOL + longest
 
 
 def _capacity_at(
@@ -393,15 +410,13 @@ def _solo_seconds(
     carried = 0.0
     elapsed = 0.0
     for left, right in zip(ordered, ordered[1:]):
-        capacities = [
-            capacity
-            for capacity in (
-                _capacity_at(left, up_segments),
-                _capacity_at(left, down_segments),
-            )
-            if capacity is not None
-        ]
-        rate = min(capacities) if capacities else 0.0
+        # The least capacity on record, as ``min`` picks it.
+        up = _capacity_at(left, up_segments)
+        down = _capacity_at(left, down_segments)
+        if up is None:
+            rate = 0.0 if down is None else down
+        else:
+            rate = up if down is None or not down < up else down
         if rate <= 0.0:
             elapsed += right - left
             continue
@@ -420,7 +435,10 @@ def _solo_seconds(
 
 
 def _overlap(a0: float, a1: float, b0: float, b1: float) -> float:
-    return max(0.0, min(a1, b1) - max(a0, b0))
+    """``max(0.0, min(a1, b1) - max(a0, b0))`` as those builtins pick
+    (a NaN included), without calling them."""
+    shared = (b1 if b1 < a1 else a1) - (b0 if b0 > a0 else a0)
+    return shared if shared > 0.0 else 0.0
 
 
 def _occupancy(index: _EventIndex) -> Dict[object, tuple]:
@@ -443,14 +461,20 @@ def _occupancy(index: _EventIndex) -> Dict[object, tuple]:
         owner = job.startswith("q") and owners[job]
         for start, end in spans.values() if owner else ():
             held["map"].append((start, end, (ordinal, job, owner)))
+    ups: Dict[str, list] = {}
+    downs: Dict[str, list] = {}
     for position, flow in enumerate(index.flows):
         owner = flow.wan and owners[flow.tag]
-        interval = (flow.start, flow.finish, (position, owner))
-        for link in (("up", flow.src), ("down", flow.dst)) if owner else ():
-            held.setdefault(link, []).append(interval)
+        if owner:
+            interval = (flow.start, flow.finish, (position, owner))
+            ups.setdefault(flow.src, []).append(interval)
+            downs.setdefault(flow.dst, []).append(interval)
+    held.update((("up", site), intervals) for site, intervals in ups.items())
+    held.update((("down", site), intervals) for site, intervals in downs.items())
     for key, intervals in held.items():
-        kept = sorted(item for item in intervals if item[0] < item[1])
-        held[key] = kept, max((end - start for start, end, _ in kept), default=0.0)
+        kept = sorted([item for item in intervals if item[0] < item[1]])
+        lengths = map(sub, map(_second, kept), map(_first, kept))
+        held[key] = kept, max(lengths, default=0.0)
     return held
 
 

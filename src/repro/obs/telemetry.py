@@ -43,9 +43,9 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import repeat
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import itemgetter, not_
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ObservabilityError
@@ -276,6 +276,15 @@ class TelemetryBus:
         self, kind: str, t: Optional[float] = None, **attrs: _Scalar
     ) -> Optional[TelemetryEvent]:
         """Append one event and fan it out to subscribers."""
+        return self.record(kind, t, attrs)
+
+    def record(
+        self, kind: str, t: Optional[float], attrs: Dict[str, _Scalar]
+    ) -> Optional[TelemetryEvent]:
+        """:meth:`emit` with the attrs dict built by the caller, which
+        keeps it (the bus stores it as given).  For the per-round
+        emitters: packing keyword arguments into a fresh dict costs about
+        as much again as a dict literal."""
         if kind not in EVENT_KINDS:
             raise ObservabilityError(
                 f"unknown telemetry event kind {kind!r}; "
@@ -362,6 +371,9 @@ class NullTelemetryBus:
     def emit(self, kind: str, t: Optional[float] = None, **attrs: Any) -> None:
         return None
 
+    def record(self, kind: str, t: Optional[float], attrs: Dict[str, Any]) -> None:
+        return None
+
     def span(self, name: str, stage: str = "", **attrs: Any) -> "_NullSpan":
         return _NULL_SPAN
 
@@ -390,8 +402,7 @@ _JSON = {
     type(None): lambda value: "null",
 }
 
-#: The encoders a column of one exact type runs through a single ``map``
-#: (floats only when every value is finite).
+#: The encoders a column of one exact type runs through a single ``map``.
 _COLUMN = {int: int.__repr__, str: encode_basestring_ascii, bool: _JSON[bool]}
 
 #: Events :func:`write_jsonl` formats per batch: the lines of one window
@@ -399,8 +410,25 @@ _COLUMN = {int: int.__repr__, str: encode_basestring_ascii, bool: _JSON[bool]}
 _EXPORT_WINDOW = 2048
 
 
+def _encode_floats(values: List[float]) -> List[str]:
+    """``repr`` of each of a column of finite floats: once per distinct
+    value when at most half of them are distinct (capacities, byte
+    counts, zero park times).  A dict holds 0.0 and -0.0 as one key, so
+    zeros are then re-encoded one by one."""
+    distinct = dict.fromkeys(values)
+    if 2 * len(distinct) > len(values):
+        return list(map(float.__repr__, values))
+    memo = dict(zip(distinct, map(float.__repr__, distinct)))
+    encoded = list(map(memo.__getitem__, values))
+    if 0.0 in memo:
+        zeros = list(compress(range(len(values)), map(not_, values)))
+        zero_reprs = map(float.__repr__, map(values.__getitem__, zeros))
+        _drain(map(encoded.__setitem__, zeros, zero_reprs))
+    return encoded
+
+
 def _encode_column(values: List[Any]) -> List[str]:
-    """``json.dumps`` of each value: one C-level ``map`` when the column
+    """``json.dumps`` of each value: C-level ``map`` passes when the column
     is all exact finite floats or all of one :data:`_COLUMN` type,
     otherwise the per-value :data:`_JSON` encoders (``None``, numpy
     scalars, non-finite floats, nested values, mixed types)."""
@@ -408,20 +436,28 @@ def _encode_column(values: List[Any]) -> List[str]:
     if len(types) == 1:
         (kind,) = types
         if kind is float:
-            if all(map(_isfinite, values)):
-                return list(map(float.__repr__, values))
+            # Finite only when every term is (an overflow just falls back).
+            if _isfinite(sum(values)):
+                return _encode_floats(values)
         elif kind in _COLUMN:
             return list(map(_COLUMN[kind], values))
     encoder, other = _JSON.get, partial(json.dumps, sort_keys=True)
     return [encoder(type(value), other)(value) for value in values]
 
 
-def _line_template(kind: str, *keys: str) -> Tuple[List[str], str]:
-    """Sorted attr keys and the event line with a ``%s`` per value."""
+def _line_pieces(kind: str, *keys: str) -> Tuple[List[str], List[str]]:
+    """Sorted attr keys and the event line's constant text: what comes
+    before each attr value, before ``seq``, before ``t``, and after it."""
     ordered = sorted(keys)
-    names = [encode_basestring_ascii(key).replace("%", "%%") for key in ordered]
-    head = '{"attrs": {' + ": %s, ".join(names) + ": %s}, " if keys else "{"
-    return ordered, head + f'"kind": "{kind}", "seq": %s, "t": %s}}\n'
+    openers = ['{"attrs": {'] + [", "] * (len(ordered) - 1)
+    pieces = [
+        opener + encode_basestring_ascii(key) + ": "
+        for opener, key in zip(openers, ordered)
+    ]
+    pieces += [
+        ("}, " if ordered else "{") + f'"kind": "{kind}", "seq": ', ', "t": ', "}\n"
+    ]
+    return ordered, pieces
 
 
 def write_jsonl(
@@ -432,8 +468,9 @@ def write_jsonl(
     Each line is ``json.dumps(event.to_dict(), sort_keys=True)`` byte for
     byte, formatted from the bus's columns (or the seq-sorted events).
     Each window of :data:`_EXPORT_WINDOW` events is grouped by kind and
-    key set; a group's lines come from one template, each value column
-    encoded at once (:func:`_encode_column`)."""
+    key set; each value column of a group is encoded at once
+    (:func:`_encode_column`) and a line is one ``str.join`` of its
+    values between the group's constant pieces (:func:`_line_pieces`)."""
     if isinstance(source, TelemetryBus):
         kinds, ts, attr_rows = source._kinds, source._ts, source._attr_rows
         seqs: Sequence[int] = range(len(kinds))
@@ -444,7 +481,7 @@ def write_jsonl(
         ts = [event.t for event in events]
         attr_rows = [event.attrs for event in events]
     count = len(kinds)
-    template_of = lru_cache(maxsize=None)(_line_template)
+    pieces_of = lru_cache(maxsize=None)(_line_pieces)
     with open(path, "w", encoding="utf-8") as handle:
         header = {
             "telemetry": "repro.obs.telemetry",
@@ -461,14 +498,18 @@ def write_jsonl(
                 groups.setdefault((kind, *row), []).append(position)
             lines = [""] * len(rows)
             for (kind, *keys), positions in groups.items():
-                ordered, template = template_of(kind, *keys)
+                ordered, pieces = pieces_of(kind, *keys)
                 group = list(map(rows.__getitem__, positions))
                 columns = [
                     _encode_column(list(map(itemgetter(key), group))) for key in ordered
                 ]
                 for column in (window_seqs, window_ts):
                     columns.append(_encode_column(list(map(column.__getitem__, positions))))
-                lines_of_group = map(template.__mod__, zip(*columns))
+                parts = []
+                for piece, column in zip(pieces, columns):
+                    parts += (repeat(piece), column)
+                parts.append(repeat(pieces[-1]))
+                lines_of_group = map("".join, zip(*parts))
                 _drain(map(lines.__setitem__, positions, lines_of_group))
             handle.writelines(lines)
     return count

@@ -15,7 +15,7 @@ with Bland's anti-cycling rule.  Suitable for the problem sizes here
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,6 +155,30 @@ def _try_warm_basis(
     return [assigned[row] for row in range(num_rows)], work_a, work_b
 
 
+def require_finite(
+    arrays: Iterable[Tuple[str, Optional[np.ndarray]]],
+    variable_names: Sequence[str] = (),
+) -> None:
+    """Name the first nan/inf entry of ``arrays`` (``(label, values)``
+    pairs; ``None`` values are skipped), and the variable of a ``c`` or
+    ``a_*`` column when ``variable_names`` has it: on a non-finite
+    tableau the pivots return a plausible "optimal" point."""
+    for label, values in arrays:
+        if values is None:
+            continue
+        values = np.asarray(values, dtype=float)
+        finite = np.isfinite(values)
+        if finite.all():
+            continue
+        index = [int(k) for k in np.argwhere(~finite)[0]]
+        where = f"{label}[{', '.join(map(str, index))}]"
+        if not label.startswith("b_") and index[-1] < len(variable_names):
+            where += f" (variable {variable_names[index[-1]]!r})"
+        raise SolverError(
+            f"LP input must be finite: {where} is {values[tuple(index)]}"
+        )
+
+
 def simplex_solve(
     c: np.ndarray,
     a_ub: Optional[np.ndarray] = None,
@@ -163,6 +187,7 @@ def simplex_solve(
     b_eq: Optional[np.ndarray] = None,
     max_iterations: int = 20000,
     warm_columns: Optional[Sequence[int]] = None,
+    check_finite: bool = True,
 ) -> SimplexResult:
     """Two-phase simplex for the standard-form LP above.
 
@@ -170,6 +195,8 @@ def simplex_solve(
     of a related solve) to crash a starting basis from; when the hinted
     basis — completed with slack columns — is feasible, phase 1 is
     skipped.  An unusable hint silently falls back to the cold path.
+    A nan/inf entry is a :class:`SolverError` naming it, unless
+    ``check_finite`` is off because the caller has already checked.
     """
     c = np.asarray(c, dtype=float)
     num_vars = c.shape[0]
@@ -184,6 +211,10 @@ def simplex_solve(
             raise SolverError(f"{kind} shapes are inconsistent")
         blocks += [matrix, rhs]
     a_ub, b_ub, a_eq, b_eq = blocks
+    if check_finite:
+        require_finite(
+            (("c", c), ("a_ub", a_ub), ("b_ub", b_ub), ("a_eq", a_eq), ("b_eq", b_eq))
+        )
     num_slacks = len(b_ub)
     num_rows = num_slacks + len(b_eq)
     if not num_rows:

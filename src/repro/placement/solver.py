@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import SolverError
 from repro.obs import instrument
-from repro.placement.simplex import simplex_solve
+from repro.placement.simplex import require_finite, simplex_solve
 
 
 @dataclass
@@ -114,21 +114,13 @@ def _require_well_formed(program: LinearProgram) -> None:
             raise SolverError(
                 f"LP shapes do not match: {a} {shape_a}, {b} {shape_b}, c ({n},)"
             )
-    for label in ("c", "a_ub", "b_ub", "a_eq", "b_eq"):
-        values = getattr(program, label)
-        if values is None:
-            continue
-        values = np.asarray(values, dtype=float)
-        finite = np.isfinite(values)
-        if finite.all():
-            continue
-        index = [int(k) for k in np.argwhere(~finite)[0]]
-        where = f"{label}[{', '.join(map(str, index))}]"
-        if not label.startswith("b_") and index[-1] < len(program.variable_names):
-            where += f" (variable {program.variable_names[index[-1]]!r})"
-        raise SolverError(
-            f"LP input must be finite: {where} is {values[tuple(index)]}"
-        )
+    require_finite(
+        (
+            (label, getattr(program, label))
+            for label in ("c", "a_ub", "b_ub", "a_eq", "b_eq")
+        ),
+        program.variable_names,
+    )
 
 
 #: scipy's ``_check_result`` tolerance: ``sqrt(tol) * 10`` at ``tol=1e-9``.
@@ -276,6 +268,7 @@ def _solve(
         program.a_eq,
         program.b_eq,
         warm_columns=warm_columns,
+        check_finite=False,  # _require_well_formed has
     )
     span.set(simplex_status=result.status, simplex_iterations=result.iterations)
     if not result.ok:

@@ -43,9 +43,7 @@ from __future__ import annotations
 import math
 from collections import _count_elements
 from dataclasses import dataclass
-from functools import reduce
-from itertools import repeat
-from operator import sub, truediv
+from operator import truediv
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TopologyError
@@ -306,15 +304,13 @@ class WanSession:
                 flow = pending[self._head]
                 self._head += 1
                 if telemetry.enabled:
-                    telemetry.emit(
-                        "flow-start",
-                        t=now,
-                        src=flow.transfer.src,
-                        dst=flow.transfer.dst,
-                        num_bytes=flow.transfer.num_bytes,
-                        tag=flow.transfer.tag,
-                        wan=flow.pair != 0,
-                    )
+                    telemetry.record("flow-start", now, {
+                        "src": flow.transfer.src,
+                        "dst": flow.transfer.dst,
+                        "num_bytes": flow.transfer.num_bytes,
+                        "tag": flow.transfer.tag,
+                        "wan": flow.pair != 0,
+                    })
                 if flow.transfer.num_bytes <= _EPSILON_BYTES:
                     flow.finish = max(now, flow.start)
                     completed.append(flow)
@@ -433,10 +429,10 @@ class WanSession:
         ``order``, for the least ``capacity / live``, and freezes the
         unfrozen pairs crossing that bottleneck.  Each is the only one of
         them on its other link (two pairs sharing both links are one
-        pair), so it takes its share off that link ``count`` times in one
-        fold and is clamped at zero once: the share is >= 0, so a running
-        difference that reaches zero stays there and one clamp at the end
-        is a clamp at every step.  Never ``count * share``, which rounds
+        pair), so it takes its share off that link ``count`` times, one
+        subtraction after another, and is clamped at zero once: the share
+        is >= 0, so a running difference that reaches zero stays there and
+        one clamp at the end is a clamp at every step.  Never ``count * share``, which rounds
         differently from the flow-by-flow fill this replaces (the oracle
         in ``tests/wan/reference_fill.py``) and would move every later
         share.  No later iteration reads the bottleneck's own residual,
@@ -487,7 +483,8 @@ class WanSession:
                 direction, site = self._links[link]
                 capacity[link] = effective_bps(site, direction, now)
         if sampling:
-            original_capacity = capacity[:]
+            # The fill writes ``capacity`` only, never the static list.
+            original_capacity = self._static_capacity if self._static else capacity[:]
             users = live[:]
 
         pair_rate = {0: self.scheduler.lan_bps}
@@ -510,12 +507,16 @@ class WanSession:
                 if not live[other]:
                     continue  # frozen when ``other`` was the bottleneck
                 pair_rate[pair] = bottleneck_share
-                if count == 1:  # the fold of one subtraction
+                # The fold, written out for the one or two flows most
+                # pairs hold (no loop to set up).
+                if count == 1:
                     left = capacity[other] - bottleneck_share
+                elif count == 2:
+                    left = capacity[other] - bottleneck_share - bottleneck_share
                 else:
-                    left = reduce(
-                        sub, repeat(bottleneck_share, count), capacity[other]
-                    )
+                    left = capacity[other]
+                    for _ in range(count):
+                        left -= bottleneck_share
                 capacity[other] = left if left > 0.0 else 0.0
                 users_left = live[other] - count
                 live[other] = users_left
@@ -523,9 +524,9 @@ class WanSession:
                     scan.remove(other)
             frozen = live[bottleneck]
             if sampling:
-                left = reduce(
-                    sub, repeat(bottleneck_share, frozen), capacity[bottleneck]
-                )
+                left = capacity[bottleneck]
+                for _ in range(frozen):
+                    left -= bottleneck_share
                 capacity[bottleneck] = left if left > 0.0 else 0.0
             live[bottleneck] = 0
             unfrozen -= frozen
@@ -561,41 +562,41 @@ class WanSession:
     def _emit_flow_end(self, telemetry, flow: _Flow, parked_seconds: float) -> None:
         """flow-fail, or flow-finish with the throughput achieved."""
         transfer = flow.transfer
-        attrs = dict(
-            src=transfer.src,
-            dst=transfer.dst,
-            num_bytes=transfer.num_bytes,
-            tag=transfer.tag,
-            start=transfer.start_time,
-            parked_seconds=parked_seconds,
-        )
         if flow.failed:
-            telemetry.emit("flow-fail", t=flow.finish, **attrs)
+            telemetry.record("flow-fail", flow.finish, {
+                "src": transfer.src,
+                "dst": transfer.dst,
+                "num_bytes": transfer.num_bytes,
+                "tag": transfer.tag,
+                "start": transfer.start_time,
+                "parked_seconds": parked_seconds,
+            })
             return
         seconds = flow.finish - flow.start
-        telemetry.emit(
-            "flow-finish",
-            t=flow.finish,
-            wan=flow.pair != 0,
-            seconds=seconds,
-            throughput_bps=transfer.num_bytes / seconds if seconds > 0 else 0.0,
-            **attrs,
-        )
+        telemetry.record("flow-finish", flow.finish, {
+            "wan": flow.pair != 0,
+            "seconds": seconds,
+            "throughput_bps": transfer.num_bytes / seconds if seconds > 0 else 0.0,
+            "src": transfer.src,
+            "dst": transfer.dst,
+            "num_bytes": transfer.num_bytes,
+            "tag": transfer.tag,
+            "start": transfer.start_time,
+            "parked_seconds": parked_seconds,
+        })
 
     def _emit_link_sample(self, telemetry, link: int, segment: List[float]) -> None:
         """One coalesced ``[start, end, bytes, capacity_bps, flows]`` segment."""
         direction, site = self._links[link]
         duration = segment[1] - segment[0]
-        telemetry.emit(
-            "link-sample",
-            t=segment[0],
-            site=site,
-            direction=direction,
-            used_bps=segment[2] / duration if duration > 0 else 0.0,
-            capacity_bps=segment[3],
-            flows=int(segment[4]),
-            dt=duration,
-        )
+        telemetry.record("link-sample", segment[0], {
+            "site": site,
+            "direction": direction,
+            "used_bps": segment[2] / duration if duration > 0 else 0.0,
+            "capacity_bps": segment[3],
+            "flows": int(segment[4]),
+            "dt": duration,
+        })
 
     def _emit_round_samples(
         self, telemetry, now: float, horizon: float,
@@ -632,17 +633,19 @@ class WanSession:
                 parked += 1
                 if not flow.was_parked:
                     flow.was_parked = True
-                    telemetry.emit(
-                        "flow-park",
-                        t=now,
-                        src=flow.transfer.src,
-                        dst=flow.transfer.dst,
-                        tag=flow.transfer.tag,
-                        remaining_bytes=left,
-                    )
+                    telemetry.record("flow-park", now, {
+                        "src": flow.transfer.src,
+                        "dst": flow.transfer.dst,
+                        "tag": flow.transfer.tag,
+                        "remaining_bytes": left,
+                    })
         self._had_parked = parked > 0
         end = now + horizon
         pending_samples = self._pending_samples
+        multipliers = self._site_multipliers
+        # A static session's multiplier is 1.0 throughout: its one epoch
+        # per site fires at the site's first segment.
+        static = self._static
         # ``order`` follows flow order, so no sort is needed to reproduce.
         for link in order:
             capacity = capacities[link]
@@ -663,11 +666,13 @@ class WanSession:
             site = self._links[link][1]
             # A multiplier change always changes capacity_bps, so epoch
             # detection only needs to run on segment breaks.
-            multiplier = self.scheduler._capacity_multiplier(site, now)
-            if self._site_multipliers.get(site) != multiplier:
-                self._site_multipliers[site] = multiplier
-                telemetry.emit(
-                    "capacity-epoch", t=now, site=site, multiplier=multiplier
+            multiplier = (
+                1.0 if static else self.scheduler._capacity_multiplier(site, now)
+            )
+            if multipliers.get(site) != multiplier:
+                multipliers[site] = multiplier
+                telemetry.record(
+                    "capacity-epoch", now, {"site": site, "multiplier": multiplier}
                 )
             if segment is not None:
                 self._emit_link_sample(telemetry, link, segment)
@@ -677,14 +682,12 @@ class WanSession:
         if len(pending_samples) > len(order):
             for link in [idle for idle in pending_samples if not users[idle]]:
                 self._emit_link_sample(telemetry, link, pending_samples.pop(link))
-        telemetry.emit(
-            "flows-sample",
-            t=now,
-            active=wan - parked,
-            parked=parked,
-            lan=len(self._active) - wan,
-            dt=horizon,
-        )
+        telemetry.record("flows-sample", now, {
+            "active": wan - parked,
+            "parked": parked,
+            "lan": len(self._active) - wan,
+            "dt": horizon,
+        })
 
 
 class TransferScheduler:

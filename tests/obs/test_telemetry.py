@@ -6,6 +6,7 @@ on/off bit-identity of sim metrics) run one small experiment each.
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -158,8 +159,21 @@ class TestBus:
             bus.emit(kind, t=t)
         assert bus.events == []
 
+    def test_record_is_emit_with_the_callers_dict(self):
+        bus, attrs = TelemetryBus(), {"site": "a", "dt": 0.5}
+        bus.emit("link-sample", t=1.0, site="a", dt=0.5)
+        assert bus.record("link-sample", 1.0, attrs) is None
+        first, second = bus.events
+        assert second.attrs is attrs and first.attrs == attrs
+        assert (first.kind, first.t) == (second.kind, second.t)
+        for kind, t, match in (("no-such-kind", 0.0, "unknown"), ("plan", math.nan, "finite")):
+            with pytest.raises(ObservabilityError, match=match):
+                bus.record(kind, t, {})
+        assert len(bus.events) == 2
+
     def test_null_bus_records_nothing(self):
         NULL_TELEMETRY.emit("flow-start", t=0.0, src="a")
+        NULL_TELEMETRY.record("flow-start", 0.0, {"src": "a"})
         NULL_TELEMETRY.subscribe(lambda event: None)
         with NULL_TELEMETRY.span("x", stage="query") as span:
             span.set(qct=1.0)

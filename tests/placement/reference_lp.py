@@ -552,6 +552,7 @@ def reference_simplex_solve(
     b_eq: Optional[np.ndarray] = None,
     max_iterations: int = 20000,
     warm_columns: Optional[Sequence[int]] = None,
+    check_finite: bool = True,
 ) -> SimplexResult:
     """Two-phase simplex for the standard-form LP above.
 
@@ -559,6 +560,9 @@ def reference_simplex_solve(
     of a related solve) to crash a starting basis from; when the hinted
     basis — completed with slack columns — is feasible, phase 1 is
     skipped.  An unusable hint silently falls back to the cold path.
+    ``check_finite`` is accepted so this can stand in for
+    ``simplex_solve`` under ``solve_lp``, and ignored: this solver checks
+    no input for nan/inf.
     """
     c = np.asarray(c, dtype=float)
     num_vars = c.shape[0]

@@ -92,6 +92,22 @@ class TestSimplexBasics:
                 b_ub=np.array([1.0]),
             )
 
+    @pytest.mark.parametrize(
+        "lp, named",
+        [
+            # Each used to come back "optimal": x = 0, objective nan,
+            # x = [inf, 0], and nan behind a numpy RuntimeWarning.
+            (dict(c=[1.0], a_ub=[[1.0]], b_ub=[np.nan]), "b_ub[0] is nan"),
+            (dict(c=[np.nan, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0]), "c[0] is nan"),
+            (dict(c=[-1.0, 0.0], a_ub=[[1.0, 1.0]], b_ub=[np.inf]), "b_ub[0] is inf"),
+            (dict(c=[1.0], a_eq=[[np.inf]], b_eq=[1.0]), "a_eq[0, 0] is inf"),
+        ],
+    )
+    def test_non_finite_input_is_named(self, lp, named):
+        with pytest.raises(SolverError) as raised:
+            simplex_solve(**{key: np.array(value) for key, value in lp.items()})
+        assert str(raised.value) == f"LP input must be finite: {named}"
+
 
 class TestSimplexAgainstScipy:
     @settings(max_examples=25, deadline=None)

@@ -11,7 +11,9 @@ in different insertion orders — the archives are equal byte for byte,
 from a bus and from an event list alike.  Runs of one kind and key set
 whose columns hold one type (the exporter's one-``map`` path) or mix
 ints, floats, bools, numpy floats, ``None`` and non-finite floats (its
-per-value fallback) cross export windows shrunk to a few events.
+per-value fallback) cross export windows shrunk to a few events; so do
+float columns of one to three distinct values (each value encoded once),
+with signed zeros and subnormals among them.
 
 The analyzer's blame pass and solo-time integral read interval indexes;
 ``tests/obs/reference_blame.py`` keeps the scans of every flow, map span
@@ -21,19 +23,39 @@ with other tenants, capacity segments reaching into a flow's lifetime,
 zero-length and touching intervals on a quarter-second grid, LAN and
 unfinished flows, cached queries, tags that name no served query — the
 paths, ``blame`` and ``query_blame`` are ``==`` to the reference.
+
+The index pass and the occupancy index it feeds are held to the ones
+kept in ``tests/obs/reference_index.py`` over the generated streams
+above and over recorded ones: a serve run drawn from contended
+configurations (executed, cache-served and shed queries) followed by a
+batch query span; the reports' paths, blame, ``query_blame`` and digest
+are equal, and a hostile event fails both with the same words.
 """
 
+import math
+import random
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from repro.obs import telemetry
+from repro.core.runner import run_experiment
+from repro.errors import ObservabilityError
+from repro.obs import instrument, telemetry
 from repro.obs.critpath import analyze_critical_paths
 from repro.obs.telemetry import EVENT_KINDS, TelemetryBus, TelemetryEvent, write_jsonl
+from repro.serve import ServeConfig, serve_workload
+from repro.systems.base import SystemConfig
+from repro.wan.presets import ec2_ten_sites
+from repro.workloads import build_workload
+from repro.workloads.base import WorkloadSpec
+from repro.workloads.bigdata import bigdata_workload
 from tests.obs.reference_blame import reference_analysis
 from tests.obs.reference_export import reference_write_jsonl
+from tests.obs.reference_index import reference_critical_paths
 
 # ----------------------------------------------------------------------
 # the archive writer
@@ -67,7 +89,15 @@ rows = st.lists(
 )
 
 
-#: A column of one exact type, or one whose types mix across events.
+#: Finite floats the encoder must not conflate when it writes each
+#: distinct value of a column once: both zeros, subnormals, the smallest
+#: normal, and values equal to a zero or each other but not in ``repr``.
+few_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.1, 1e16]
+)
+
+#: A column of one exact type, or one whose types mix across events, or
+#: finite floats drawn from a pool of one to three values.
 columns = st.sampled_from([
     st.floats(allow_nan=False, allow_infinity=False),
     floats,
@@ -75,7 +105,7 @@ columns = st.sampled_from([
     st.text(max_size=3),
     st.booleans(),
     st.one_of(floats, st.integers(), st.booleans(), floats.map(np.float64), st.none()),
-])
+]) | st.lists(few_floats, min_size=1, max_size=3).map(st.sampled_from)
 
 
 @st.composite
@@ -100,11 +130,28 @@ def archive_bytes(write, source, path):
     return path.read_bytes()
 
 
+#: One kind and key set whose float column mixes 0.0 and -0.0 among
+#: other finite values: half its values distinct or fewer, so each is
+#: encoded once, and a dict holds both zeros as one key.
+SIGNED_ZEROS = [
+    ("link-sample", 1.0, [("dt", value)])
+    for value in (0.0, -0.0, 2.5, 0.0, -0.0, 2.5, -0.0, 0.0)
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     rows=streams,
     order=st.randoms(use_true_random=False),
     window=st.integers(min_value=1, max_value=7) | st.just(telemetry._EXPORT_WINDOW),
+)
+@example(rows=SIGNED_ZEROS, order=random.Random(0), window=telemetry._EXPORT_WINDOW)
+@example(rows=SIGNED_ZEROS, order=random.Random(1), window=4)
+@example(
+    rows=[("flow-finish", 0.5, [("parked_seconds", -0.0)])] * 3
+    + [("flow-finish", 0.5, [("parked_seconds", 5e-324)])] * 3,
+    order=random.Random(2),
+    window=telemetry._EXPORT_WINDOW,
 )
 def test_archive_bytes_equal_the_per_event_encoder(tmp_path_factory, rows, order, window):
     path = tmp_path_factory.mktemp("archive") / "tele.jsonl"
@@ -255,3 +302,125 @@ def test_paths_and_blame_equal_the_scans_they_replaced(events):
     assert report.paths == want.paths
     assert report.query_blame == want.query_blame
     assert report.blame == want.blame
+
+
+# ----------------------------------------------------------------------
+# the index pass
+# ----------------------------------------------------------------------
+
+#: Slow uplinks and one map slot per site, so queries queue, wait for
+#: slots and contend on the WAN.
+TOPOLOGY = ec2_ten_sites(base_uplink="1MB/s", machines=1, executors_per_machine=2)
+SPEC = WorkloadSpec(records_per_site=60, record_bytes=200_000, num_datasets=2)
+CONFIG = SystemConfig(lag_seconds=6.0, partition_records=8)
+
+
+@lru_cache(maxsize=2)  # the mixed run and one more: each holds a run's events
+def served(scheme, seed, rate, queue_depth, cache_capacity, queries):
+    """The events of one serve run (the serve loop's own flows, stages,
+    admissions and finishes)."""
+    serve_config = ServeConfig(
+        seed=seed, num_tenants=3, num_queries=queries, arrival_rate=rate,
+        max_inflight=3, max_inflight_per_tenant=2, queue_depth=queue_depth,
+        cache_capacity=cache_capacity, map_slots_per_site=1,
+    )
+    bus = TelemetryBus()
+    with instrument.instrumented(telemetry=bus):
+        report = serve_workload(
+            scheme,
+            lambda: bigdata_workload(TOPOLOGY, seed=13, spec=SPEC, flavour="aggregation"),
+            TOPOLOGY, CONFIG, serve_config,
+        )
+    return tuple(bus.events), tuple(query.status for query in report.queries)
+
+
+@lru_cache(maxsize=None)
+def batch_span():
+    """One batch query span and its baseline's, as ``repro run`` records them."""
+    bus = TelemetryBus()
+    with instrument.instrumented(telemetry=bus):
+        run_experiment(
+            "spark",
+            lambda: build_workload("bigdata-aggregation", TOPOLOGY, seed=7, scale=0.15),
+            TOPOLOGY, config=SystemConfig(seed=11, partition_records=8), query_limit=1,
+        )
+    return tuple(bus.events)
+
+
+#: Executed, cache-served and shed queries in one run (8, 5 and 3).
+MIXED = ("centralized", 11, 1.0, 1, 4, 16)
+
+#: No shrink phase for the index-pass properties: shrinking a failing
+#: stream or serve run took minutes and hundreds of MB, and the first
+#: failing example already names the mismatch.
+UNSHRUNK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+@settings(max_examples=20, deadline=None, phases=UNSHRUNK)
+@given(
+    run=st.tuples(
+        st.sampled_from(["centralized", "bohr"]),
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from([0.5, 1.0, 4.0, 16.0]),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=4, max_value=16),
+    ),
+    trailing=st.booleans(),
+)
+@example(run=MIXED, trailing=True)
+def test_reports_equal_the_index_pass_they_replaced(run, trailing):
+    events, _ = served(*run)
+    events = list(events) + (list(batch_span()) if trailing else [])
+    report, want = analyze_critical_paths(events), reference_critical_paths(events)
+    assert report.paths == want.paths
+    assert report.blame == want.blame
+    assert report.query_blame == want.query_blame
+    assert report.digest() == want.digest()
+
+
+@settings(max_examples=300, deadline=None, phases=UNSHRUNK)
+@given(events=serve_streams())
+def test_reports_equal_the_index_pass_on_generated_streams(events):
+    # Repeated tags, flows that never finish and overlapping flows of one
+    # tag, source and destination (ended first in, first out).
+    report, want = analyze_critical_paths(events), reference_critical_paths(events)
+    assert report.paths == want.paths
+    assert report.blame == want.blame
+    assert report.query_blame == want.query_blame
+
+
+def test_the_mixed_run_holds_every_kind_of_query():
+    events, statuses = served(*MIXED)
+    assert {"executed", "cached", "shed"} <= set(statuses)
+    report = analyze_critical_paths(list(events) + list(batch_span()))
+    assert {path.status for path in report.paths} == {"executed", "cached"}
+    assert report.paths[-1].dataset  # the batch span's own path comes last
+
+
+@pytest.mark.parametrize(
+    "kind, t, attrs",
+    [
+        ("serve-queue", 1.5, {"tenant": "a"}),
+        ("serve-queue", 1.5, {"query": "abc"}),
+        ("serve-queue", 1.5, {"query": math.inf}),
+        ("serve-queue", None, {"query": 3}),
+        ("link-sample", 2.0, {"direction": "up", "site": "s", "dt": "x"}),
+        ("link-sample", None, {"site": "s"}),
+        ("flow-start", 0.5, {"src": "a", "dst": "b", "num_bytes": [1]}),
+        ("flow-finish", 0.5, {"src": "a"}),
+        ("stage-finish", 0.5, {"stage": "map", "start": "x"}),
+        ("serve-finish", 0.5, {"query": 1, "qct": None}),
+    ],
+)
+def test_a_hostile_event_fails_both_with_the_same_words(kind, t, attrs):
+    # Readable events first, so the failure is not the stream's first event.
+    events, _ = served(*MIXED)
+    hostile = TelemetryEvent(seq=len(events), kind=kind, t=t, attrs=attrs)
+    messages = []
+    for analyze in (analyze_critical_paths, reference_critical_paths):
+        with pytest.raises(ObservabilityError) as raised:
+            analyze(list(events) + [hostile])
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"{kind} event at t={t} has ")
