@@ -36,6 +36,7 @@ parity:  ## scalar/columnar hot-path parity suite (bit-identity oracle)
 		tests/properties/test_placement_lp.py \
 		tests/properties/test_obs_oracles.py \
 		tests/properties/test_wan_session.py \
+		tests/properties/test_wan_session_fills.py \
 		tests/properties/test_wan_emission.py \
 		tests/properties/test_batch_kernels.py
 

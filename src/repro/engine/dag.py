@@ -17,7 +17,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.engine.job import JobResult, MapReduceEngine
 from repro.engine.join import JoinResult, JoinSpec, run_join
-from repro.engine.shuffle import ReduceTaskMap
 from repro.engine.spec import MapReduceSpec
 from repro.errors import EngineError
 from repro.obs import instrument
@@ -103,12 +102,13 @@ def _output_schema(key_names: Sequence[str]) -> Schema:
 
 
 def _materialize_map_reduce(
+    engine: MapReduceEngine,
     stage: MapReduceStage,
     result: JobResult,
     fractions: Mapping[str, float],
 ) -> GeoDataset:
     """One output record per distinct key, at its reduce task's site."""
-    task_map = ReduceTaskMap.from_fractions(fractions, stage.spec.num_reduce_tasks)
+    task_map = engine.task_map(fractions, stage.spec.num_reduce_tasks)
     schema = _output_schema(stage.key_names)
     output = GeoDataset(f"{stage.name}.out", schema)
     for key, count in result.key_counts.items():
@@ -119,12 +119,13 @@ def _materialize_map_reduce(
 
 
 def _materialize_join(
+    engine: MapReduceEngine,
     stage: JoinStage,
     result: JoinResult,
     fractions: Mapping[str, float],
 ) -> GeoDataset:
     """One output record per matched key, sized by its joined rows."""
-    task_map = ReduceTaskMap.from_fractions(fractions, stage.spec.num_reduce_tasks)
+    task_map = engine.task_map(fractions, stage.spec.num_reduce_tasks)
     schema = _output_schema(stage.key_names)
     output = GeoDataset(f"{stage.name}.out", schema)
     for key, left_count in result.left.key_counts.items():
@@ -186,7 +187,7 @@ def execute_dag(
                     cube_sorted=cube_sorted,
                     collect_keys=True,
                 )
-                output = _materialize_map_reduce(stage, result, fractions)
+                output = _materialize_map_reduce(engine, stage, result, fractions)
             else:
                 result = run_join(
                     engine,
@@ -196,7 +197,7 @@ def execute_dag(
                     reduce_fractions=fractions,
                     cube_sorted=cube_sorted,
                 )
-                output = _materialize_join(stage, result, fractions)
+                output = _materialize_join(engine, stage, result, fractions)
             finish = start + result.qct
             span.set(
                 sim_start=start,

@@ -173,6 +173,8 @@ class MapReduceEngine:
             stall_timeout_seconds=stall_timeout_seconds,
         )
         self.seed = seed
+        # By task count: the last fractions dealt and their task map.
+        self._task_maps: Dict[int, "tuple[tuple, ReduceTaskMap]"] = {}
 
     # ------------------------------------------------------------------
 
@@ -226,11 +228,11 @@ class MapReduceEngine:
                     "share_task_map requires equal num_reduce_tasks; "
                     f"got {sorted(task_counts)}"
                 )
-            shared = ReduceTaskMap.from_fractions(fractions, task_counts.pop())
+            shared = self.task_map(fractions, task_counts.pop())
             task_maps = [shared] * len(jobs)
         else:
             task_maps = [
-                ReduceTaskMap.from_fractions(fractions, spec.num_reduce_tasks)
+                self.task_map(fractions, spec.num_reduce_tasks)
                 for _dataset, spec in jobs
             ]
 
@@ -258,6 +260,22 @@ class MapReduceEngine:
     # plan / complete halves (the serving layer's entry points)
     # ------------------------------------------------------------------
 
+    def task_map(
+        self, fractions: Mapping[str, float], num_tasks: int
+    ) -> ReduceTaskMap:
+        """The reduce-task map dealing ``num_tasks`` tasks by ``fractions``:
+        the last one built for ``num_tasks`` while its fractions (in
+        order) hold, key→site memo included, else a fresh deal.  Every
+        call emits the deal's ``reduce-tasks`` events, reused or not."""
+        dealt = tuple(fractions.items())
+        last = self._task_maps.get(num_tasks)
+        if last is not None and last[0] == dealt:
+            last[1].emit_dealt()
+            return last[1]
+        task_map = ReduceTaskMap.from_fractions(fractions, num_tasks)
+        self._task_maps[num_tasks] = (dealt, task_map)
+        return task_map
+
     def resolve_routing(
         self,
         reduce_fractions: Optional[Mapping[str, float]],
@@ -269,7 +287,7 @@ class MapReduceEngine:
         through to :meth:`plan_job`).
         """
         fractions, dead_sites = self._live_fractions(reduce_fractions)
-        return ReduceTaskMap.from_fractions(fractions, num_reduce_tasks), dead_sites
+        return self.task_map(fractions, num_reduce_tasks), dead_sites
 
     def plan_job(
         self,

@@ -17,6 +17,7 @@ by convention — the memo and the per-site count cache assume it.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional
@@ -70,10 +71,13 @@ class ReduceTaskMap:
     """Assignment of reduce tasks to sites.
 
     ``task_sites`` is treated as immutable after construction; the
-    per-site count cache and the key→site memo rely on that.
+    per-site count cache and the key→site memo rely on that, and so does
+    the engine, which hands one map to every job dealt the same
+    fractions.  ``dealt``: tasks per site with a positive fraction.
     """
 
     task_sites: List[str]
+    dealt: Dict[str, int] = field(default_factory=dict, repr=False, compare=False)
     _site_counts: Optional[Dict[str, int]] = field(
         default=None, repr=False, compare=False
     )
@@ -87,23 +91,32 @@ class ReduceTaskMap:
     ) -> "ReduceTaskMap":
         """Deal ``num_tasks`` tasks to sites proportionally to fractions.
 
-        Fractions must be non-negative; at least one must be positive.
-        Counts use largest-remainder so they sum exactly to ``num_tasks``.
+        Fractions must be finite and non-negative, at least one positive,
+        and their total times ``num_tasks`` finite.  Counts use
+        largest-remainder so they sum exactly to ``num_tasks``.
         Tasks are interleaved across sites (not blocked) so consecutive
         task ids spread load, mirroring how Spark interleaves partitions.
         """
         if num_tasks < 1:
             raise EngineError("num_tasks must be >= 1")
+        for site, frac in fractions.items():
+            # A chained range rejects NaN (every comparison is False).
+            if not -math.inf < frac < math.inf:
+                raise EngineError(
+                    f"reduce fraction of site {site!r} must be finite, got {frac}"
+                )
         positive = {site: frac for site, frac in fractions.items() if frac > 0}
         if not positive:
             raise EngineError("at least one site needs a positive reduce fraction")
         if any(frac < 0 for frac in fractions.values()):
             raise EngineError("reduce fractions must be >= 0")
+        total = sum(positive.values())
+        if not total * num_tasks < math.inf:
+            raise EngineError(
+                f"reduce fractions total {total} is not finite over "
+                f"{num_tasks} tasks"
+            )
         counts = largest_remainder_allocation(positive, num_tasks)
-        telemetry = instrument.current().telemetry
-        if telemetry.enabled:
-            for site in sorted(counts):
-                telemetry.emit("reduce-tasks", site=site, tasks=counts[site])
         # Interleave: repeatedly deal one task to each site that still has quota.
         remaining = dict(counts)
         order = [site for site in fractions if counts.get(site, 0) > 0]
@@ -117,7 +130,16 @@ class ReduceTaskMap:
                     progressed = True
             if not progressed:
                 raise EngineError("task dealing stalled (internal error)")
-        return cls(task_sites=task_sites[:num_tasks])
+        task_map = cls(task_sites=task_sites[:num_tasks], dealt=counts)
+        task_map.emit_dealt()
+        return task_map
+
+    def emit_dealt(self) -> None:
+        """One ``reduce-tasks`` event per site of the deal, by site name."""
+        telemetry = instrument.current().telemetry
+        if telemetry.enabled:
+            for site in sorted(self.dealt):
+                telemetry.emit("reduce-tasks", site=site, tasks=self.dealt[site])
 
     @property
     def num_tasks(self) -> int:

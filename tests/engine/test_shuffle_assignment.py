@@ -1,6 +1,10 @@
 """Shuffle routing and executor assignment tests."""
 
+import math
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.engine import assignment as assignment_mod
 from repro.engine.assignment import assign_partitions
@@ -9,6 +13,7 @@ from repro.engine.shuffle import ReduceTaskMap, key_to_task
 from repro.errors import EngineError
 from repro.similarity.dimsum import DimsumConfig, dimsum_similarity_matrix
 from repro.similarity.kmeans import kmeans
+from repro.similarity.probes import largest_remainder_allocation
 from repro.types import Record
 
 
@@ -66,6 +71,53 @@ class TestReduceTaskMap:
         task_map = ReduceTaskMap.from_fractions({"a": 1.0}, 5)
         with pytest.raises(EngineError):
             task_map.site_of(5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fraction_names_its_site(self, value):
+        # NaN used to deal every task to "b"; inf raised a bare ValueError.
+        message = rf"reduce fraction of site 'a' must be finite, got {value}"
+        with pytest.raises(EngineError, match=message):
+            ReduceTaskMap.from_fractions({"a": value, "b": 1.0}, 8)
+
+    @pytest.mark.parametrize("fractions", [
+        {"a": 1e308, "b": 1e308},  # the total overflows
+        {"a": 1e308, "b": 1.0},  # the total times the task count does
+    ])
+    def test_overflowing_total_is_an_engine_error(self, fractions):
+        message = r"reduce fractions total .* is not finite"
+        with pytest.raises(EngineError, match=message):
+            ReduceTaskMap.from_fractions(fractions, 8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fractions=st.dictionaries(
+            st.sampled_from("abcdef"),
+            st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e300)),
+            min_size=1,
+        ),
+        num_tasks=st.integers(min_value=1, max_value=64),
+    )
+    def test_finite_fractions_deal_as_before(self, fractions, num_tasks):
+        assume(any(frac > 0 for frac in fractions.values()))
+        assume(sum(fractions.values()) * num_tasks < math.inf)
+        task_map = ReduceTaskMap.from_fractions(fractions, num_tasks)
+        assert task_map.task_sites == reference_deal(fractions, num_tasks)
+
+
+def reference_deal(fractions, num_tasks):
+    """``from_fractions``' deal as it was before non-finite input was
+    checked: largest remainder, then one task per site per pass."""
+    positive = {site: frac for site, frac in fractions.items() if frac > 0}
+    counts = largest_remainder_allocation(positive, num_tasks)
+    remaining = dict(counts)
+    order = [site for site in fractions if counts.get(site, 0) > 0]
+    task_sites = []
+    while len(task_sites) < num_tasks:
+        for site in order:
+            if remaining.get(site, 0) > 0:
+                task_sites.append(site)
+                remaining[site] -= 1
+    return task_sites[:num_tasks]
 
 
 def partitions_with_key_groups():

@@ -8,6 +8,13 @@ through ``repro.cli.main`` (FILE in a temporary directory) and reports the
 ``scipy*`` modules it left in ``sys.modules``; this process times the child
 and reads its peak RSS from ``getrusage(RUSAGE_CHILDREN)`` (Linux: KiB).
 
+Then ``import repro.cli`` is timed in two more fresh interpreters: with
+``PYTHONDONTWRITEBYTECODE=1`` (bytecode is read where it exists and
+never written, so every module without a cached ``.pyc`` is compiled
+from source on every start), and with a warm cache under a temporary
+``PYTHONPYCACHEPREFIX`` (filled by one untimed import first).  Their
+difference is what compiling costs a start-up.
+
 Exit status is non-zero when the run fails or ``scipy.optimize`` was
 imported: LP solving loads scipy's HiGHS binding from its own file, so the
 package init of ``scipy.optimize`` has no reason to run.  Standard library
@@ -35,6 +42,22 @@ names = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 print(json.dumps({"exit": code, "scipy_modules": names}))
 """
 
+IMPORT_CHILD = """
+import time
+started = time.perf_counter()
+import repro.cli
+print(time.perf_counter() - started)
+"""
+
+
+def import_seconds(env) -> float:
+    """Seconds ``import repro.cli`` takes in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_CHILD],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+    )
+    return float(done.stdout.strip().splitlines()[-1])
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -51,7 +74,13 @@ def main(argv=None) -> int:
             cwd=ROOT, env=env, capture_output=True, text=True, check=False,
         )
         wall = time.perf_counter() - started
-    peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        # Read before the import probes run: the peak is over all children.
+        peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        uncached = import_seconds(dict(env, PYTHONDONTWRITEBYTECODE="1"))
+        cached = dict(env, PYTHONPYCACHEPREFIX=os.path.join(scratch, "pycache"))
+        cached.pop("PYTHONDONTWRITEBYTECODE", None)
+        import_seconds(cached)
+        warm = import_seconds(cached)
     lines = done.stdout.strip().splitlines()
     try:
         report = json.loads(lines[-1])
@@ -63,6 +92,10 @@ def main(argv=None) -> int:
     print(
         f"footprint: repro {' '.join(run[:-2])}: peak RSS {peak_mib:.1f} MiB, "
         f"wall {wall:.2f} s, {len(names)} scipy modules"
+    )
+    print(
+        f"footprint: import repro.cli: {uncached:.3f} s with "
+        f"PYTHONDONTWRITEBYTECODE=1, {warm:.3f} s from a warm bytecode cache"
     )
     if done.returncode or report["exit"]:
         sys.stderr.write(done.stderr)
