@@ -38,7 +38,8 @@ parity:  ## scalar/columnar hot-path parity suite (bit-identity oracle)
 		tests/properties/test_wan_session.py \
 		tests/properties/test_wan_session_fills.py \
 		tests/properties/test_wan_emission.py \
-		tests/properties/test_batch_kernels.py
+		tests/properties/test_batch_kernels.py \
+		tests/workloads/test_generator_parity.py
 
 bench-smoke:  ## smoke benchmarks vs the committed baseline (sim metrics; wall is never gated)
 	$(PYTHON) -m repro bench --suite smoke --compare BENCH_7.json \
@@ -139,7 +140,7 @@ examples:  ## run every script under examples/; fails on the first non-zero exit
 		echo "examples: $$script"; $(PYTHON) $$script > /dev/null; \
 	done
 
-footprint:  ## peak RSS, wall time and scipy modules of `repro run --scheme bohr --queries 6` in a fresh process; fails if scipy.optimize was imported
+footprint:  ## peak RSS, wall time and scipy modules of `repro run --scheme bohr --queries 6` in a fresh process, and the modules and source lines a cold `import repro.cli` loads; fails if scipy.optimize was imported
 	$(PYTHON) tools/footprint.py --queries 6
 
 loc:  ## src/repro line counts, per package and in total (the numbers ROADMAP and CHANGES quote)

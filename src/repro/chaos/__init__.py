@@ -8,25 +8,8 @@ stalls; the WAN simulator and engine consume it during simulation, and
 :class:`~repro.chaos.runtime.ChaosConfig` bundle the controller runs
 under.  Same seed, same faults, same results — chaos runs are as
 deterministic as benign ones.
+
+This package imports none of its modules: import a name from the module
+that defines it, so a start-up loads only what it runs (DESIGN.md
+"Start-up cost").
 """
-
-from repro.chaos.profiles import CHAOS_PROFILES, build_schedule
-from repro.chaos.runtime import (
-    ChaosConfig,
-    RetryOutcome,
-    RetryPolicy,
-    simulate_with_retries,
-)
-from repro.chaos.schedule import FaultEvent, FaultSchedule, merge_schedules
-
-__all__ = [
-    "CHAOS_PROFILES",
-    "ChaosConfig",
-    "FaultEvent",
-    "FaultSchedule",
-    "RetryOutcome",
-    "RetryPolicy",
-    "build_schedule",
-    "merge_schedules",
-    "simulate_with_retries",
-]

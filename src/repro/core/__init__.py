@@ -5,34 +5,8 @@ controller of §3: it pre-processes data into cubes, checks similarity
 with probes, solves placement, executes the data movement in the query
 lag, and runs queries on the engine.  The experiment runner and report
 helpers regenerate the paper's tables and figures from it.
+
+This package imports none of its modules: import a name from the module
+that defines it, so a start-up loads only what it runs (DESIGN.md
+"Start-up cost").
 """
-
-from repro.core.controller import Controller, PreparationReport
-from repro.core.dynamic import (
-    DynamicRunResult,
-    initial_workload_from_feeds,
-    run_dynamic,
-)
-from repro.core.persistence import load_results, save_results
-from repro.core.runner import ExperimentResult, QueryRun, run_experiment
-from repro.core.report import (
-    data_reduction_by_site,
-    mean_qct_by_workload,
-    summarize_reduction,
-)
-
-__all__ = [
-    "Controller",
-    "DynamicRunResult",
-    "ExperimentResult",
-    "PreparationReport",
-    "QueryRun",
-    "data_reduction_by_site",
-    "initial_workload_from_feeds",
-    "load_results",
-    "mean_qct_by_workload",
-    "run_dynamic",
-    "run_experiment",
-    "save_results",
-    "summarize_reduction",
-]

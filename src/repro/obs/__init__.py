@@ -27,39 +27,8 @@ first-class, machine-readable artifact instead of a post-hoc guess:
   time-series (link utilization, site busy fraction, estimator error);
 * :mod:`repro.obs.report_html` / :mod:`repro.obs.top` — the static
   ``repro report`` dashboard and the live ``repro top`` terminal view.
+
+This package imports none of its modules: import a name from the module
+that defines it, so a start-up loads only what it runs (DESIGN.md
+"Start-up cost").
 """
-
-from repro.obs.instrument import (
-    NULL_INSTRUMENTATION,
-    Instrumentation,
-    current,
-    instrumented,
-)
-from repro.obs.sanitize import NULL_SANITIZER, NullSanitizer, Sanitizer
-from repro.obs.span import Span
-from repro.obs.telemetry import (
-    NULL_TELEMETRY,
-    NullTelemetryBus,
-    TelemetryBus,
-    TelemetryEvent,
-    telemetry_digest,
-)
-from repro.obs.views import metrics_from_events, spans_from_events
-
-__all__ = [
-    "Instrumentation",
-    "NULL_INSTRUMENTATION",
-    "NULL_SANITIZER",
-    "NULL_TELEMETRY",
-    "NullSanitizer",
-    "NullTelemetryBus",
-    "Sanitizer",
-    "Span",
-    "TelemetryBus",
-    "TelemetryEvent",
-    "current",
-    "instrumented",
-    "metrics_from_events",
-    "spans_from_events",
-    "telemetry_digest",
-]

@@ -44,7 +44,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ObservabilityError
 from repro.obs import instrument
 from repro.obs.telemetry import TelemetryEvent
-from repro.util.tabulate import format_table
 
 #: Absolute slack when matching event timestamps (mirrors the
 #: sanitizer's sim-clock tolerance).
@@ -554,6 +553,8 @@ def analyze_critical_paths(events: Sequence[TelemetryEvent]) -> CritPathReport:
 
 def render_components(report: CritPathReport) -> str:
     """The QCT attribution table of ``inspect`` / ``--profile``."""
+    from repro.util.tabulate import format_table
+
     if not report.paths:
         return "no finished queries in the stream — nothing to attribute"
     total = math.fsum(path.qct for path in report.paths)

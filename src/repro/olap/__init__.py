@@ -13,28 +13,8 @@ instead of raw records.  This package provides the equivalent:
 - :class:`~repro.olap.builder.CubeBuilder` — incremental cube maintenance
   with buffering of data generated during query execution.
 - :mod:`~repro.olap.storage` — the storage-overhead model behind Table 6.
+
+This package imports none of its modules: import a name from the module
+that defines it, so a start-up loads only what it runs (DESIGN.md
+"Start-up cost").
 """
-
-from repro.olap.builder import CubeBuilder
-from repro.olap.cube import CellAggregate, OLAPCube
-from repro.olap.dimension import Dimension, Hierarchy
-from repro.olap.dimension_cube import DimensionCubeSet
-from repro.olap.operations import dice, drill_down, pivot, project, roll_up, slice_cube
-from repro.olap.storage import StorageModel, StorageReport
-
-__all__ = [
-    "CellAggregate",
-    "CubeBuilder",
-    "Dimension",
-    "DimensionCubeSet",
-    "Hierarchy",
-    "OLAPCube",
-    "StorageModel",
-    "StorageReport",
-    "dice",
-    "drill_down",
-    "pivot",
-    "project",
-    "roll_up",
-    "slice_cube",
-]

@@ -10,25 +10,8 @@
   task-placement LP and greedy high-value data movement heuristic [27].
 - :mod:`~repro.placement.plan` — executing a plan against real shards,
   with similarity-aware or random record selection.
+
+This package imports none of its modules: import a name from the module
+that defines it, so a start-up loads only what it runs (DESIGN.md
+"Start-up cost").
 """
-
-from repro.placement.iridium import IridiumPlanner
-from repro.placement.joint import JointPlanner
-from repro.placement.lp import solve_data_lp, solve_task_lp
-from repro.placement.model import PlacementProblem
-from repro.placement.plan import MovementPolicy, PlacementPlan, execute_plan
-from repro.placement.solver import LinearProgram, LpSolution, solve_lp
-
-__all__ = [
-    "IridiumPlanner",
-    "JointPlanner",
-    "LinearProgram",
-    "LpSolution",
-    "MovementPolicy",
-    "PlacementPlan",
-    "PlacementProblem",
-    "execute_plan",
-    "solve_data_lp",
-    "solve_lp",
-    "solve_task_lp",
-]

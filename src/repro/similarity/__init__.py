@@ -5,42 +5,8 @@ top cells of OLAP dimension cubes; runtime RDD-partition similarity uses a
 Jaccard-modified DIMSUM algorithm plus k-means clustering.  High-dimension
 feature vectors (the paper's image datasets) go through a vector space
 model and locality sensitive hashing.
+
+This package imports none of its modules: import a name from the module
+that defines it, so a start-up loads only what it runs (DESIGN.md
+"Start-up cost").
 """
-
-from repro.similarity.checker import SimilarityChecker, SiteSimilarity
-from repro.similarity.dimsum import DimsumConfig, dimsum_similarity_matrix
-from repro.similarity.kmeans import KMeansResult, kmeans
-from repro.similarity.lsh import CosineLSH, MinHashLSH
-from repro.similarity.metrics import (
-    cosine_similarity,
-    intra_similarity,
-    jaccard,
-    overlap_coefficient,
-    weighted_jaccard,
-)
-from repro.similarity.minhash import MinHasher, MinHashSignature
-from repro.similarity.probes import Probe, ProbeBuilder, ProbeRecord
-from repro.similarity.vsm import VectorSpaceModel, synthetic_image_features
-
-__all__ = [
-    "CosineLSH",
-    "DimsumConfig",
-    "KMeansResult",
-    "MinHashLSH",
-    "MinHashSignature",
-    "MinHasher",
-    "Probe",
-    "ProbeBuilder",
-    "ProbeRecord",
-    "SimilarityChecker",
-    "SiteSimilarity",
-    "VectorSpaceModel",
-    "cosine_similarity",
-    "dimsum_similarity_matrix",
-    "intra_similarity",
-    "jaccard",
-    "kmeans",
-    "overlap_coefficient",
-    "synthetic_image_features",
-    "weighted_jaccard",
-]

@@ -35,8 +35,6 @@ from typing import Sequence, Set, Tuple
 import numpy as np
 
 from repro.errors import SimilarityError
-from repro.similarity.metrics import jaccard
-from repro.similarity.minhash import MinHasher
 from repro.util.rng import derive_rng
 
 
@@ -143,7 +141,10 @@ def dimsum_similarity_matrix(
         matrix[exact_cols, exact_rows] = similarities
 
     if np.any(estimate_mask):
-        # Signatures are read nowhere else, so they are built only here.
+        # Signatures are read nowhere else, so they are built (and the
+        # hasher's module loaded) only here.
+        from repro.similarity.minhash import MinHasher
+
         hasher = MinHasher(num_hashes=config.num_hashes, seed=config.seed)
         signatures = hasher.signatures(partitions)
         slots = np.array(
@@ -162,6 +163,8 @@ def dimsum_similarity_matrix(
 
 def exact_similarity_matrix(partitions: Sequence[Set]) -> np.ndarray:
     """Exact all-pairs Jaccard (the oracle DIMSUM approximates)."""
+    from repro.similarity.metrics import jaccard
+
     n = len(partitions)
     matrix = np.eye(n, dtype=float)
     for i in range(n):

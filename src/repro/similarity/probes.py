@@ -11,6 +11,7 @@ dataset size (Table 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -66,12 +67,24 @@ def largest_remainder_allocation(
 
     Uses the largest-remainder method so the shares sum exactly to
     ``total``.  Zero-weight keys get nothing; ties break by key order.
+    Every weight must be finite and >= 0, and their sum times ``total``
+    finite: a NaN, negative or overflowing share has no floor to take.
     """
     if total < 0:
         raise SimilarityError("total must be >= 0")
+    for key, weight in weights.items():
+        # A chained range rejects NaN (every comparison is False).
+        if not 0 <= weight < math.inf:
+            raise SimilarityError(
+                f"weight of {key!r} must be finite and >= 0, got {weight}"
+            )
     weight_sum = sum(weights.values())
     if weight_sum <= 0:
         raise SimilarityError("weights must sum to a positive value")
+    if not total * weight_sum < math.inf:
+        raise SimilarityError(
+            f"weights total {weight_sum} is not finite over {total} units"
+        )
     exact = {key: total * weight / weight_sum for key, weight in weights.items()}
     floors = {key: int(value) for key, value in exact.items()}
     shortfall = total - sum(floors.values())

@@ -10,15 +10,8 @@ bohr-joint     yes    yes         yes        no
 bohr-rdd       yes    yes         no         yes
 bohr           yes    yes         yes        yes
 =============  =====  ==========  =========  =========
+
+This package imports none of its modules: import a name from the module
+that defines it, so a start-up loads only what it runs (DESIGN.md
+"Start-up cost").
 """
-
-from repro.systems.base import SystemProfile, SystemConfig
-from repro.systems.registry import SCHEME_NAMES, make_system, profile_for
-
-__all__ = [
-    "SCHEME_NAMES",
-    "SystemConfig",
-    "SystemProfile",
-    "make_system",
-    "profile_for",
-]

@@ -1,33 +1,6 @@
-"""Shared utilities: units, seeded RNG helpers, statistics, ASCII tables."""
+"""Shared utilities: units, seeded RNG helpers, statistics, ASCII tables.
 
-from repro.util.rng import derive_rng, spawn_seeds
-from repro.util.stats import RunningStats, mean, percentile, stdev
-from repro.util.tabulate import format_table
-from repro.util.units import (
-    GB,
-    KB,
-    MB,
-    format_bytes,
-    format_rate,
-    format_seconds,
-    parse_bytes,
-    parse_rate,
-)
-
-__all__ = [
-    "GB",
-    "KB",
-    "MB",
-    "RunningStats",
-    "derive_rng",
-    "format_bytes",
-    "format_rate",
-    "format_seconds",
-    "format_table",
-    "mean",
-    "parse_bytes",
-    "parse_rate",
-    "percentile",
-    "spawn_seeds",
-    "stdev",
-]
+This package imports none of its modules: import a name from the module
+that defines it, so a start-up loads only what it runs (DESIGN.md
+"Start-up cost").
+"""

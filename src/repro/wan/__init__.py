@@ -11,28 +11,8 @@ by WAN shuffle transfers.  This package provides the equivalent substrate:
   transfers with max-min fair bandwidth sharing (progressive filling).
 - :class:`~repro.wan.estimator.BandwidthEstimator` implements the periodic
   bandwidth estimation described in §7.
+
+This package imports none of its modules: import a name from the module
+that defines it, so a start-up loads only what it runs (DESIGN.md
+"Start-up cost").
 """
-
-from repro.wan.estimator import BandwidthEstimator
-from repro.wan.presets import ec2_ten_sites, uniform_sites
-from repro.wan.topology import Site, WanTopology
-from repro.wan.transfer import Transfer, TransferResult, TransferScheduler
-from repro.wan.variability import (
-    BandwidthProfile,
-    diurnal_profile,
-    random_walk_profile,
-)
-
-__all__ = [
-    "BandwidthEstimator",
-    "BandwidthProfile",
-    "Site",
-    "Transfer",
-    "TransferResult",
-    "TransferScheduler",
-    "WanTopology",
-    "diurnal_profile",
-    "ec2_ten_sites",
-    "random_walk_profile",
-    "uniform_sites",
-]

@@ -12,28 +12,26 @@ Three workload families drive the evaluation, mirroring the paper's:
 Generators produce a global record pool; :mod:`~repro.workloads.placement_init`
 assigns it to sites uniformly at random or locality-aware, and
 :mod:`~repro.workloads.dynamic` feeds batched arrivals for §8.6.
+
+Only the names the benchmark harness and ``build_workload`` callers take
+from the package are imported here, and only from modules every batch
+run loads anyway; the other families load when ``build_workload`` asks
+for them (DESIGN.md "Start-up cost").
 """
 
 from repro.workloads.base import Workload, WorkloadSpec
-from repro.workloads.bigdata import bigdata_workload
 from repro.workloads.dynamic import DynamicDataFeed
 from repro.workloads.facebook import facebook_workload
-from repro.workloads.images import images_workload
-from repro.workloads.placement_init import InitialPlacement, assign_records
-from repro.workloads.synthetic import SyntheticDatasetConfig, generate_records
+from repro.workloads.placement_init import InitialPlacement
 from repro.workloads.tpcds import tpcds_workload
 
 __all__ = [
     "DynamicDataFeed",
     "InitialPlacement",
-    "SyntheticDatasetConfig",
     "Workload",
     "WorkloadSpec",
-    "assign_records",
-    "bigdata_workload",
+    "build_workload",
     "facebook_workload",
-    "generate_records",
-    "images_workload",
     "tpcds_workload",
 ]
 
@@ -46,10 +44,11 @@ def build_workload(kind, topology, placement="random", seed=7, scale=1.0):
     benchmark size).
     """
     from repro.errors import WorkloadError
-    from repro.workloads.placement_init import InitialPlacement
 
     placement_enum = InitialPlacement(placement)
     if kind.startswith("bigdata"):
+        from repro.workloads.bigdata import bigdata_workload
+
         _, _, flavour = kind.partition("-")
         return bigdata_workload(
             topology, placement=placement_enum, seed=seed, scale=scale,
@@ -60,5 +59,7 @@ def build_workload(kind, topology, placement="random", seed=7, scale=1.0):
     if kind == "facebook":
         return facebook_workload(topology, placement=placement_enum, seed=seed, scale=scale)
     if kind == "images":
+        from repro.workloads.images import images_workload
+
         return images_workload(topology, placement=placement_enum, seed=seed, scale=scale)
     raise WorkloadError(f"unknown workload kind {kind!r}")

@@ -24,7 +24,11 @@ from repro.workloads.placement_init import (
     assign_records,
     region_names_for,
 )
-from repro.workloads.synthetic import zipf_weights
+from repro.workloads.synthetic import (
+    round_half_even,
+    weighted_sampler,
+    zipf_weights,
+)
 
 
 def trace_schema() -> Schema:
@@ -110,20 +114,20 @@ def _generate_trace_records(
 ) -> List[Record]:
     rng = derive_rng(seed, "fbtrace", dataset_id)
     keys = [f"{dataset_id}/job-{index}" for index in range(num_keys)]
-    key_p = zipf_weights(num_keys, zipf_exponent)
+    draw_key = weighted_sampler(rng, zipf_weights(num_keys, zipf_exponent))
     days = [f"2010-10-{day:02d}" if day <= 31 else f"2010-11-{day - 31:02d}"
             for day in range(1, num_days + 1)]
     records: List[Record] = []
-    region_choices = rng.integers(0, len(regions), size=count)
+    region_choices = rng.integers(0, len(regions), size=count).tolist()
     for position in range(count):
         records.append(
             Record(
                 values=(
-                    keys[int(rng.choice(num_keys, p=key_p))],
+                    keys[draw_key()],
                     f"user-{int(rng.integers(0, num_users))}",
                     days[int(rng.integers(0, num_days))],
-                    regions[int(region_choices[position])],
-                    float(np.round(rng.lognormal(10.0, 1.0), 0)),
+                    regions[region_choices[position]],
+                    round_half_even(rng.lognormal(10.0, 1.0), 0),
                 ),
                 size_bytes=record_bytes,
             )

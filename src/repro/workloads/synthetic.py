@@ -12,8 +12,10 @@ initial placement, plus key/date/agent attributes used by queries.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +63,54 @@ def zipf_weights(count: int, exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+#: How far from 1 ``Generator.choice`` lets probabilities sum.
+_SUM_TOLERANCE = math.sqrt(np.finfo(np.float64).eps)
+
+
+def weighted_sampler(rng: np.random.Generator, p: np.ndarray) -> Callable[[], int]:
+    """A draw of ``rng.choice(len(p), p=p)``, without its per-call cost.
+
+    ``choice`` checks ``p``, normalizes its running sum into a cdf, draws
+    one ``rng.random()`` and answers the right-hand insertion point of
+    that draw in the cdf.  Here ``p`` is checked and the cdf built once;
+    each call is that one draw and a bisect, so the stream is consumed
+    exactly as ``choice`` consumes it and every pick is the same.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or not p.size:
+        raise WorkloadError("probabilities must be a non-empty 1-d array")
+    total = float(p.sum())
+    if math.isnan(total):
+        raise WorkloadError("probabilities contain NaN")
+    if (p < 0).any():
+        raise WorkloadError("probabilities must be >= 0")
+    if not abs(total - 1.0) <= _SUM_TOLERANCE:
+        raise WorkloadError(f"probabilities sum to {total!r}, not 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    bounds = cdf.tolist()
+    random = rng.random
+    return lambda: bisect_right(bounds, random())
+
+
+def round_half_even(value: float, decimals: int) -> float:
+    """``float(np.round(value, decimals))`` for a float, without NumPy's
+    per-call cost.
+
+    NumPy scales by ``10**decimals``, rounds half to even (``rint``) and
+    scales back; ``round`` of a float is half-even too.  ``round``
+    answers an int, which loses the sign of a zero (NumPy rounds
+    ``-0.004`` to two places as ``-0.0``), so the sign is put back; a
+    non-finite value has no int and passes through as ``rint`` passes it.
+    """
+    scale = 10.0 ** decimals
+    scaled = value * scale
+    try:
+        return math.copysign(round(scaled) / scale, value)
+    except (OverflowError, ValueError):
+        return scaled / scale
+
+
 def generate_records(
     dataset_id: str,
     regions: Sequence[str],
@@ -96,19 +146,20 @@ def generate_records(
     agents = [f"agent-{index}" for index in range(config.num_agents)]
 
     records: List[Record] = []
-    home_regions = rng.integers(0, len(regions), size=count)
-    use_local = rng.random(count) < config.locality_bias
+    home_regions = rng.integers(0, len(regions), size=count).tolist()
+    use_local = (rng.random(count) < config.locality_bias).tolist()
+    draw_popular = weighted_sampler(rng, popular_p)
     for position in range(count):
-        region = regions[int(home_regions[position])]
+        region = regions[home_regions[position]]
         region_local = local_keys[region]
         if use_local[position] and region_local:
             url = region_local[int(rng.integers(0, len(region_local)))]
         else:
-            url = popular[int(rng.choice(config.num_popular_keys, p=popular_p))]
+            url = popular[draw_popular()]
         record = Record(
             values=(
                 url,
-                float(np.round(rng.uniform(0.0, 10.0), 3)),
+                round_half_even(rng.uniform(0.0, 10.0), 3),
                 days[int(rng.integers(0, len(days)))],
                 region,
                 agents[int(rng.integers(0, len(agents)))],

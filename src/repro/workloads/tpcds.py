@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from repro.errors import WorkloadError
 from repro.query.parser import parse_sql
 from repro.query.spec import RecurringQuery
@@ -24,7 +22,11 @@ from repro.workloads.placement_init import (
     assign_records,
     region_names_for,
 )
-from repro.workloads.synthetic import zipf_weights
+from repro.workloads.synthetic import (
+    round_half_even,
+    weighted_sampler,
+    zipf_weights,
+)
 
 
 def sales_schema() -> Schema:
@@ -47,22 +49,22 @@ def _generate_sales(
 ) -> List[Record]:
     rng = derive_rng(seed, "tpcds", dataset_id)
     items = [f"item-{index}" for index in range(num_items)]
-    item_p = zipf_weights(num_items, zipf_exponent)
+    draw_item = weighted_sampler(rng, zipf_weights(num_items, zipf_exponent))
     days = [f"2018-05-{day:02d}" for day in range(1, num_days + 1)]
     records: List[Record] = []
-    region_choices = rng.integers(0, len(regions), size=count)
+    region_choices = rng.integers(0, len(regions), size=count).tolist()
     for position in range(count):
-        region = regions[int(region_choices[position])]
+        region = regions[region_choices[position]]
         store = f"{region}/store-{int(rng.integers(0, stores_per_region))}"
         records.append(
             Record(
                 values=(
-                    items[int(rng.choice(num_items, p=item_p))],
+                    items[draw_item()],
                     store,
                     days[int(rng.integers(0, num_days))],
                     region,
                     int(rng.integers(1, 10)),
-                    float(np.round(rng.uniform(1.0, 500.0), 2)),
+                    round_half_even(rng.uniform(1.0, 500.0), 2),
                 ),
                 size_bytes=record_bytes,
             )

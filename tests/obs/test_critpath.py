@@ -25,7 +25,7 @@ from repro.chaos.runtime import ChaosConfig
 from repro.cli import main
 from repro.core.runner import run_experiment
 from repro.errors import InvariantViolation, ObservabilityError
-from repro.obs import instrument, spans_from_events
+from repro.obs import instrument
 from repro.obs.critpath import (
     COMPONENTS,
     QueryPath,
@@ -42,6 +42,7 @@ from repro.obs.telemetry import (
     load_jsonl,
     write_jsonl,
 )
+from repro.obs.views import spans_from_events
 from repro.serve import Arrival, ServeConfig, ServeScheduler, serve_workload
 from repro.systems.base import SystemConfig
 from repro.systems.registry import SCHEME_NAMES, make_system

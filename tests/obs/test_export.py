@@ -7,14 +7,15 @@ import pytest
 
 from repro.cli import _build_inputs, build_parser, run_scheme
 from repro.errors import ObservabilityError
-from repro.obs import TelemetryBus, instrument, spans_from_events
+from repro.obs import instrument
 from repro.obs.export import (
     chrome_trace_events,
     export_chrome,
     validate_chrome_events,
 )
 from repro.obs.series import fault_windows
-from repro.obs.telemetry import load_jsonl, write_jsonl
+from repro.obs.telemetry import TelemetryBus, load_jsonl, write_jsonl
+from repro.obs.views import spans_from_events
 from tests.obs.reference_export import reference_chrome_trace_events
 
 

@@ -5,9 +5,11 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import Span, instrument, metrics_from_events, spans_from_events
+from repro.obs import instrument
 from repro.obs.critpath import analyze_critical_paths, render_components
+from repro.obs.span import Span
 from repro.obs.telemetry import write_jsonl
+from repro.obs.views import metrics_from_events, spans_from_events
 from repro.obs.inspect import (
     overall_coverage,
     query_coverage,

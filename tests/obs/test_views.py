@@ -12,10 +12,11 @@ from repro.chaos.profiles import build_schedule
 from repro.chaos.runtime import ChaosConfig
 from repro.core.runner import run_experiment
 from repro.errors import ObservabilityError
-from repro.obs import NULL_TELEMETRY, Span, TelemetryBus, instrument
+from repro.obs import instrument
 from repro.obs.inspect import overall_coverage, query_coverage, stage_breakdown
 from repro.obs.critpath import analyze_critical_paths
-from repro.obs.telemetry import _is_wall_attr
+from repro.obs.span import Span
+from repro.obs.telemetry import NULL_TELEMETRY, TelemetryBus, _is_wall_attr
 from repro.obs.views import metrics_from_events, spans_from_events
 from repro.systems.base import SystemConfig
 from repro.wan.presets import ec2_ten_sites

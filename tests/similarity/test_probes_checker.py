@@ -53,6 +53,22 @@ class TestLargestRemainder:
         with pytest.raises(SimilarityError):
             largest_remainder_allocation({"a": 0.0}, 5)
 
+    @pytest.mark.parametrize("weights, message", [
+        ({"x": float("nan"), "y": 1.0}, "weight of 'x' must be finite and >= 0, got nan"),
+        ({"x": float("inf"), "y": 1.0}, "weight of 'x' must be finite and >= 0, got inf"),
+        ({"x": -1.0, "y": 3.0}, "weight of 'x' must be finite and >= 0, got -1.0"),
+        ({"x": 1e308, "y": 1.0}, "weights total 1e\\+308 is not finite over 8 units"),
+        ({"x": 1e308, "y": 1e308}, "weights total inf is not finite over 8 units"),
+    ])
+    def test_rejects_hostile_weights(self, weights, message):
+        with pytest.raises(SimilarityError, match=message):
+            largest_remainder_allocation(weights, 8)
+
+    def test_large_finite_weights_still_allocate(self):
+        assert largest_remainder_allocation({"x": 1e307, "y": 1e307}, 8) == {
+            "x": 4, "y": 4,
+        }
+
     @given(
         weights=st.dictionaries(
             st.text(min_size=1, max_size=3),
@@ -86,6 +102,18 @@ class TestProbeBuilder:
         assert len(url_records) <= 6
         assert len(region_records) <= 24
         assert probe.query_types == [("url",), ("region",)]
+
+    @pytest.mark.parametrize("weight, message", [
+        (float("nan"), "weight of 'url' must be finite and >= 0, got nan"),
+        (-0.5, "weight of 'url' must be finite and >= 0, got -0.5"),
+        (1e308, "weights total 1e\\+308 is not finite over 30 units"),
+    ])
+    def test_hostile_query_type_weights(self, weight, message):
+        with pytest.raises(SimilarityError, match=message):
+            ProbeBuilder(k=30).build(
+                "logs", "tokyo", bottleneck_cubes(),
+                {("url",): weight, ("region",): 1.0},
+            )
 
     def test_top_k_by_cluster_size(self):
         cubes = bottleneck_cubes()

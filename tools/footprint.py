@@ -13,7 +13,9 @@ Then ``import repro.cli`` is timed in two more fresh interpreters: with
 never written, so every module without a cached ``.pyc`` is compiled
 from source on every start), and with a warm cache under a temporary
 ``PYTHONPYCACHEPREFIX`` (filled by one untimed import first).  Their
-difference is what compiling costs a start-up.
+difference is what compiling costs a start-up.  The cold one also counts
+the ``repro`` modules the import loaded and their source lines, so a
+re-export or top-level import that grows the closure shows in the output.
 
 Exit status is non-zero when the run fails or ``scipy.optimize`` was
 imported: LP solving loads scipy's HiGHS binding from its own file, so the
@@ -43,20 +45,28 @@ print(json.dumps({"exit": code, "scipy_modules": names}))
 """
 
 IMPORT_CHILD = """
-import time
+import json, sys, time
 started = time.perf_counter()
 import repro.cli
-print(time.perf_counter() - started)
+seconds = time.perf_counter() - started
+files = [module.__file__ for name, module in sorted(sys.modules.items())
+         if name.split(".")[0] == "repro"]
+lines = 0
+for path in files:
+    with open(path, "rb") as handle:
+        lines += handle.read().count(b"\\n")
+print(json.dumps({"seconds": seconds, "modules": len(files), "lines": lines}))
 """
 
 
-def import_seconds(env) -> float:
-    """Seconds ``import repro.cli`` takes in a fresh interpreter."""
+def import_probe(env) -> dict:
+    """``import repro.cli`` in a fresh interpreter: its seconds, and the
+    ``repro`` modules it loaded and their source lines."""
     done = subprocess.run(
         [sys.executable, "-c", IMPORT_CHILD],
         cwd=ROOT, env=env, capture_output=True, text=True, check=True,
     )
-    return float(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def main(argv=None) -> int:
@@ -76,11 +86,11 @@ def main(argv=None) -> int:
         wall = time.perf_counter() - started
         # Read before the import probes run: the peak is over all children.
         peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
-        uncached = import_seconds(dict(env, PYTHONDONTWRITEBYTECODE="1"))
+        cold = import_probe(dict(env, PYTHONDONTWRITEBYTECODE="1"))
         cached = dict(env, PYTHONPYCACHEPREFIX=os.path.join(scratch, "pycache"))
         cached.pop("PYTHONDONTWRITEBYTECODE", None)
-        import_seconds(cached)
-        warm = import_seconds(cached)
+        import_probe(cached)
+        warm = import_probe(cached)["seconds"]
     lines = done.stdout.strip().splitlines()
     try:
         report = json.loads(lines[-1])
@@ -94,8 +104,9 @@ def main(argv=None) -> int:
         f"wall {wall:.2f} s, {len(names)} scipy modules"
     )
     print(
-        f"footprint: import repro.cli: {uncached:.3f} s with "
-        f"PYTHONDONTWRITEBYTECODE=1, {warm:.3f} s from a warm bytecode cache"
+        f"footprint: import repro.cli: {cold['seconds']:.3f} s with "
+        f"PYTHONDONTWRITEBYTECODE=1, {warm:.3f} s from a warm bytecode cache; "
+        f"{cold['modules']} repro modules, {cold['lines']} source lines"
     )
     if done.returncode or report["exit"]:
         sys.stderr.write(done.stderr)

@@ -15,6 +15,8 @@ Next to each run's scaled ``wall_s`` go the raw seconds and the spin-loop
 calibration reading (``calib_s``) that scaled them, read from the
 ``perfbench/out/<W>.result.json`` the run leaves in its tree: a scaled
 reading that rose while the raw one fell is the calibration, not the code.
+``setup_s`` is shown split too: ``import_s`` (the import probe) and
+``setup_median_s`` (the median of the workload's own set-up).
 
 Exit status is non-zero when any run reports ``"correct": false`` or
 ``failed > 0``, or when a ``sim_*`` metric differs between the two trees:
@@ -37,9 +39,13 @@ import tempfile
 from typing import Dict, List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-#: ``raw_wall_s`` and ``calib_s`` are not in the result line; ``run_once``
-#: adds them from the tree's ``perfbench/out/<W>.result.json``.
-WALL_METRICS = ("wall_s", "raw_wall_s", "calib_s", "setup_s", "peak_rss_mib")
+#: ``raw_wall_s``, ``calib_s``, ``import_s`` and ``setup_median_s`` are not
+#: in the result line; ``run_once`` adds them from the tree's
+#: ``perfbench/out/<W>.result.json``.
+WALL_METRICS = (
+    "wall_s", "raw_wall_s", "calib_s", "setup_s", "import_s", "setup_median_s",
+    "peak_rss_mib",
+)
 #: The end-to-end host metrics of ``BENCHMARK.json`` (lower is better):
 #: each gets a wins/losses/median-delta line.
 HOST_METRICS = ("wall_s", "setup_s", "peak_rss_mib")
@@ -79,6 +85,9 @@ def run_once(tree: str, workload: str, seed: int) -> Dict:
         detail = json.load(handle)
     result["metrics"]["raw_wall_s"] = {"value": detail["wall_s"]["raw"]}
     result["metrics"]["calib_s"] = {"value": detail["calib_s"]}
+    # setup_s is the import probe plus the median set-up.
+    result["metrics"]["import_s"] = {"value": detail["setup_s"]["import_s"]}
+    result["metrics"]["setup_median_s"] = {"value": detail["setup_s"]["median"]}
     return result
 
 
