@@ -3,18 +3,18 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke perfbench-full perfbench-pairs serve-smoke slo profile telemetry examples footprint loc check
+.PHONY: lint lint-static determinism sanitize chaos test parity bench-smoke perfbench-smoke perfbench-full perfbench-pairs serve-smoke slo telemetry examples footprint loc check
 
 lint:  ## static analysis: per-file rules R001-R008 over the shipped tree
 	$(PYTHON) -m repro.lint src/repro benchmarks
 
-lint-static:  ## whole-program passes R009-R012, gated on lint-baseline.json
-	$(PYTHON) -m repro.lint --static --graph \
+lint-static:  ## whole-program pass R010 (shared-state inventory), gated on lint-baseline.json
+	$(PYTHON) -m repro.lint --static \
 		--baseline lint-baseline.json \
 		--sarif lint.sarif --shared-state shared_state.json \
 		src/repro benchmarks
 
-determinism:  ## two-run same-seed telemetry- and result-digest determinism smoke
+determinism:  ## two-run same-seed telemetry- and result-digest determinism smoke (second run: fresh interpreter, another PYTHONHASHSEED)
 	$(PYTHON) -m repro.lint --determinism --queries 2
 
 sanitize:  ## end-to-end run with runtime invariant checks
@@ -106,10 +106,6 @@ serve-smoke:  ## two same-seed serve runs: bit-identical sim + analyzer digests;
 slo:  ## sanitized serve run with SLO tracking (critpath conservation armed)
 	$(PYTHON) -m repro serve --tenants 3 --queries 12 --seed 11 \
 		--cache-size 4 --slo default=5 --sanitize
-
-profile:  ## smoke benchmarks under the wall profiler (collapsed stacks)
-	$(PYTHON) -m repro bench --suite smoke --profile \
-		--profile-out bench.collapsed
 
 telemetry:  ## sanitized chaos run and static-WAN serve run with telemetry capture (critpath-conservation armed); load-then-write and the reference writer are byte-identical on both; inspect, Chrome trace + dashboard off the chaos archive
 	$(PYTHON) -m repro run --scheme bohr --workload bigdata-aggregation \

@@ -6,7 +6,6 @@
     repro bench --suite smoke --compare BENCH_smoke.json
     repro bench --suite full --out BENCH_new.json --compare BENCH_7.json
     repro bench --list
-    repro bench --suite smoke --profile --profile-out bench.collapsed
 
 ``--compare`` runs the suite, diffs its simulation-clock metrics against
 the baseline report, and exits nonzero on any regression (see
@@ -62,15 +61,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         "--list", action="store_true", dest="list_cases",
         help="list the suite's cases without running them",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="profile the suite run (wall-clock hotspots + collapsed stacks)",
-    )
-    parser.add_argument(
-        "--profile-out", metavar="FILE", default="bench.collapsed",
-        help="collapsed-stack output for --profile "
-        "(default: bench.collapsed)",
-    )
 
 
 def run_bench(args: argparse.Namespace) -> int:
@@ -89,24 +79,14 @@ def run_bench(args: argparse.Namespace) -> int:
 
     # Before the suite runs: a bad baseline path fails now, not minutes later.
     baseline = load_report(args.compare) if args.compare else None
-    profiler = None
-    if args.profile:
-        from repro.obs.profile import WallProfiler
-
-        profiler = WallProfiler()
-        profiler.start()
-    try:
-        report = run_suite(
-            suite=args.suite,
-            seed=args.seed,
-            warmup=args.warmup,
-            repeat=args.repeat,
-            benchmarks_dir=args.benchmarks_dir,
-            progress=lambda line: print(f"bench {line}"),
-        )
-    finally:
-        if profiler is not None:
-            profiler.stop()
+    report = run_suite(
+        suite=args.suite,
+        seed=args.seed,
+        warmup=args.warmup,
+        repeat=args.repeat,
+        benchmarks_dir=args.benchmarks_dir,
+        progress=lambda line: print(f"bench {line}"),
+    )
     total = sum(
         entry["duration_seconds"]["median"]
         for entry in report["benchmarks"].values()
@@ -115,11 +95,6 @@ def run_bench(args: argparse.Namespace) -> int:
         f"bench suite {args.suite!r}: {len(report['benchmarks'])} cases, "
         f"median wall total {total:.2f}s, seed {report['seed']}"
     )
-    if profiler is not None:
-        print()
-        print(profiler.render_hotspots(limit=15))
-        profiler.write_collapsed(args.profile_out)
-        print(f"collapsed stacks written to {args.profile_out}")
     if args.out:
         save_report(report, args.out)
         print(f"report written to {args.out}")

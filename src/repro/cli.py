@@ -24,7 +24,7 @@ the critical-path components of every query's completion time, and can
 convert it to the Chrome ``chrome://tracing`` / Perfetto trace-event
 format, chaos fault windows included; ``lint`` runs
 the project's simulation-aware static analysis (per-file rules R001–R008,
-whole-program passes R009–R012 with ``--static``) and the two-run
+the whole-program shared-state pass R010 with ``--static``) and the two-run
 ``--determinism`` smoke.  ``--chaos PROFILE`` (with
 ``--chaos-seed``) injects a deterministic fault schedule — degraded and
 blacked-out links, site outages, stragglers, lost task waves — and runs
@@ -42,16 +42,14 @@ smoke|figures|tables|ablations`` subset), runs every registered case
 with a pinned seed, and writes a versioned ``BENCH_<n>.json``;
 ``--compare BASELINE.json`` re-runs the suite and gates on per-metric
 tolerance bands on the simulated metrics (wall readings stay in the
-file, ungated).  ``--profile`` (on ``run``, ``compare`` and ``bench``)
-enables the two-clock profiler: the critical-path components of every
-query's completion time (:mod:`repro.obs.critpath`), plus cProfile
-wall-clock hotspots with a collapsed-stack export (``--profile-out``,
-flamegraph-renderable); ``inspect`` prints the same component table
-for a saved ``--telemetry`` archive::
+file, ungated).  ``inspect`` prints the critical-path components of
+every query's completion time (:mod:`repro.obs.critpath`) from a saved
+``--telemetry`` archive; wall-clock profiles come from ``perfbench
+--trace`` or ``python -m cProfile``::
 
     python -m repro bench --suite smoke --out BENCH_smoke.json
     python -m repro bench --suite smoke --compare BENCH_smoke.json
-    python -m repro run --scheme bohr --profile
+    python -m repro run --scheme bohr --telemetry tele.jsonl
     python -m repro inspect tele.jsonl
 
 ``--telemetry FILE`` (on ``run`` and ``compare``) records the streaming
@@ -171,14 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "feasibility) during the run; exit 1 on any "
                          "violation")
         _add_chaos_arguments(cmd, describe=True)
-        cmd.add_argument("--profile", action="store_true",
-                         help="two-clock profiler: print the QCT "
-                         "critical-path components and collect wall-clock "
-                         "hotspots with a collapsed-stack export")
-        cmd.add_argument("--profile-out", metavar="FILE",
-                         default="profile.collapsed",
-                         help="collapsed-stack file for --profile "
-                         "(default: profile.collapsed)")
 
     inspect_cmd = commands.add_parser(
         "inspect", help="per-stage latency breakdown of a saved trace"
@@ -295,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_cmd = commands.add_parser(
         "lint",
         help="simulation-aware static analysis (R001-R008, --static "
-        "adds whole-program R009-R012) + determinism smoke",
+        "adds whole-program R010) + determinism smoke",
     )
     add_lint_arguments(lint_cmd)
     return parser
@@ -333,14 +323,16 @@ def _observed(args: argparse.Namespace, record: bool):
     output needs the event stream, the collecting sanitizer under
     ``--sanitize``, the no-op twins otherwise."""
     from repro.obs import instrument
-    from repro.obs.sanitize import Sanitizer
     from repro.obs.telemetry import NULL_TELEMETRY, TelemetryBus
 
+    sanitizer = None
+    if getattr(args, "sanitize", False):
+        from repro.obs.sanitize import Sanitizer
+
+        sanitizer = Sanitizer(mode="collect")
     return instrument.instrumented(
         telemetry=TelemetryBus() if record else NULL_TELEMETRY,
-        sanitizer=(
-            Sanitizer(mode="collect") if getattr(args, "sanitize", False) else None
-        ),
+        sanitizer=sanitizer,
     )
 
 
@@ -390,7 +382,7 @@ def _print_result(result: ExperimentResult) -> None:
 
 
 def _wants_observability(args: argparse.Namespace) -> bool:
-    return bool(args.metrics or args.profile or args.telemetry)
+    return bool(args.metrics or args.telemetry)
 
 
 def _write_metrics(path: str, events) -> None:
@@ -690,21 +682,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     else:  # compare
         schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
 
-    profiler = None
-    if args.profile:
-        from repro.obs.profile import WallProfiler
-
-        profiler = WallProfiler()
     with _observed(args, record=_wants_observability(args)) as obs:
-        if profiler is not None:
-            with profiler:
-                results = [run_scheme(scheme, args) for scheme in schemes]
-        else:
-            results = [run_scheme(scheme, args) for scheme in schemes]
+        results = [run_scheme(scheme, args) for scheme in schemes]
         events = obs.telemetry.events
-        if args.profile or args.sanitize:
+        if args.sanitize:
             # Inside the slot, so --sanitize checks critpath-conservation.
-            crit = analyze_critical_paths(events)
+            analyze_critical_paths(events)
 
     for result in results:
         _print_result(result)
@@ -719,16 +702,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         save_results(results, args.json)
         print(f"\nresults written to {args.json}")
-    if profiler is not None:
-        print()
-        print(render_components(crit))
-        print()
-        print(profiler.render_hotspots(limit=15))
-        stack_lines = profiler.write_collapsed(args.profile_out)
-        print(
-            f"collapsed stacks written to {args.profile_out} "
-            f"({stack_lines} lines)"
-        )
     if _wants_observability(args):
         print()
     if args.metrics:

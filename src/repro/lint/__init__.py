@@ -9,14 +9,14 @@ equality on sim quantities (R004), no mutable defaults (R005), no
 blanket excepts (R006).  See DESIGN.md "Determinism & invariants
 contract".
 
-On top of the per-file rules sits a whole-program layer
-(:mod:`repro.lint.graph` / :mod:`repro.lint.flow` /
-:mod:`repro.lint.passes`): an import/call graph over ``src/repro`` and a
-fixed-point taint engine powering the interprocedural passes R009–R012
-(laundered wall-clock/RNG reads, the shared-mutable-state inventory,
-observer purity, helper-returned unordered sets).  Their accepted
-findings live in the committed ``lint-baseline.json`` with per-entry
-justifications; CI fails on any *new* finding.
+On top of the per-file rules sits one whole-program pass
+(:mod:`repro.lint.graph` / :mod:`repro.lint.passes`): R010, the
+shared-mutable-state inventory over every module of ``src/repro``.  Its
+accepted findings live in the committed ``lint-baseline.json`` with
+per-entry justifications; CI fails on any *new* finding.  Hash-seed
+dependence that no rule sees is caught end to end instead: the
+``--determinism`` smoke runs its second run in a fresh interpreter
+under a different ``PYTHONHASHSEED``.
 
 Run it exactly as CI does::
 

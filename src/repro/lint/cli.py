@@ -9,43 +9,30 @@ from __future__ import annotations
 
 import argparse
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import LintError
 
 
-def _run_static(
-    args: argparse.Namespace,
-    findings: "List",
-    static_select: Optional[List[str]],
-) -> "Tuple[List, str]":
-    """Build the project graph, run R009-R012, write side artifacts.
+def _run_static(args: argparse.Namespace, findings: "List") -> "List":
+    """Build the project model, run R010 under ``--static``, write
+    ``shared_state.json``; returns the combined finding list.
 
-    Returns the combined finding list and the graph summary text.
     Parse failures are not double-reported: the per-file runner already
     emitted R000 for every file in ``args.paths``.
     """
     from repro.lint.graph import ProjectGraph
-    from repro.lint.passes import (
-        build_inventory,
-        run_static_passes,
-        write_shared_state,
-    )
+    from repro.lint.passes import shared_state_pass, write_shared_state
 
     roots = [path for path in args.paths if os.path.isdir(path)]
     if not roots:
         raise LintError(
-            "--static/--graph need directory PATH arguments "
+            "--static needs directory PATH arguments "
             "(e.g. src/repro benchmarks)"
         )
-    graph = ProjectGraph.build(roots)
+    static_findings, inventory = shared_state_pass(ProjectGraph.build(roots))
     if args.static:
-        static_findings, inventory = run_static_passes(
-            graph, select=static_select
-        )
         findings = sorted(findings + static_findings)
-    else:
-        inventory = build_inventory(graph)
     if args.shared_state:
         baseline = None
         if args.baseline and os.path.isfile(args.baseline):
@@ -58,7 +45,7 @@ def _run_static(
             f"shared-state inventory written to {args.shared_state} "
             f"({count} entries)"
         )
-    return findings, graph.describe()
+    return findings
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -78,18 +65,13 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--select",
         metavar="RULES",
         help="comma-separated rule ids to run (default: all; "
-        "R009-R012 imply --static)",
+        "R010 implies --static)",
     )
     parser.add_argument(
         "--static",
         action="store_true",
-        help="also run the whole-program passes R009-R012 (call-graph "
-        "taint, shared-state inventory, observer purity, unordered flow)",
-    )
-    parser.add_argument(
-        "--graph",
-        action="store_true",
-        help="print call-graph construction and resolution statistics",
+        help="also run the whole-program pass R010 (shared-mutable-state "
+        "inventory)",
     )
     parser.add_argument(
         "--baseline",
@@ -167,30 +149,20 @@ def run_lint(args: argparse.Namespace) -> int:
     if args.select:
         select = [token.strip() for token in args.select.split(",") if token.strip()]
 
-    static_select: Optional[List[str]] = None
     file_select = select
     if select is not None:
-        static_select = [
-            rule_id for rule_id in select
-            if rule_id.upper() in STATIC_RULE_IDS
-        ]
         file_select = [
             rule_id for rule_id in select
             if rule_id.upper() not in STATIC_RULE_IDS
         ]
-        if static_select:
+        if len(file_select) < len(select):
             args.static = True
 
-    wants_graph = bool(
-        args.static or args.graph or args.write_baseline or args.shared_state
-    )
     exit_code = 0
     if args.paths:
         findings, files_checked = lint_paths(args.paths, select=file_select)
-        if wants_graph:
-            findings, graph_report = _run_static(
-                args, findings, static_select
-            )
+        if args.static or args.write_baseline or args.shared_state:
+            findings = _run_static(args, findings)
         if args.baseline and not args.write_baseline:
             from repro.lint.baseline import Baseline
 
@@ -205,8 +177,6 @@ def run_lint(args: argparse.Namespace) -> int:
         print(renderer(gated, files_checked))
         if diff is not None and args.format != "json":
             print(diff.render())
-        if wants_graph and args.graph and args.format != "json":
-            print(graph_report)
         if args.sarif:
             from repro.lint.sarif import write_sarif
 
@@ -250,7 +220,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro.lint",
         description="Simulation-aware static analysis + determinism smoke "
         "for the Bohr reproduction (per-file rules R001-R008, "
-        "whole-program passes R009-R012; see DESIGN.md).",
+        "whole-program pass R010; see DESIGN.md).",
     )
     add_lint_arguments(parser)
     return run_lint(parser.parse_args(argv))

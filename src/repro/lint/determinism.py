@@ -12,14 +12,25 @@ failure mode: a silently drifting simulator corrupts every
 seed-controlled comparison).  Both runs are ``repro run``: the flags are
 parsed by the CLI's own parser and run by the CLI's own
 :func:`repro.cli.run_scheme`, so no configuration is retyped here.
+
+The first run executes in this interpreter, the second in a fresh one
+(``python -m repro.lint.determinism``) under a different
+``PYTHONHASHSEED``: set and dict-key iteration order that leaks into a
+result, and state one run leaves behind for the next, both show up as a
+digest mismatch.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
+
+from repro.errors import LintError
 
 #: Significant digits kept when digesting floats; identical computations
 #: produce bit-identical floats, so this only guards repr formatting.
@@ -70,6 +81,8 @@ class DeterminismReport:
     scheme: str
     workload: str
     seed: int
+    #: PYTHONHASHSEED of the two runs ("random" when unset).
+    hash_seeds: Tuple[str, str]
 
     def render(self) -> str:
         verdict = "DETERMINISTIC" if self.deterministic else "NON-DETERMINISTIC"
@@ -80,8 +93,56 @@ class DeterminismReport:
             f"{self.result_digests[1][:16]}…",
             f"  telemetry digests: {self.telemetry_digests[0][:16]}… vs "
             f"{self.telemetry_digests[1][:16]}…",
+            f"  PYTHONHASHSEED:    {self.hash_seeds[0]} (this interpreter) vs "
+            f"{self.hash_seeds[1]} (fresh interpreter)",
         ]
         return "\n".join(lines)
+
+
+def second_hash_seed(current: Optional[str]) -> str:
+    """A ``PYTHONHASHSEED`` other than ``current``, this process's setting."""
+    if current is not None and current.isdigit():
+        return str((int(current) + 1) % 2**32)
+    return "0"  # this process hashes under a random seed
+
+
+def run_digests(argv: List[str]) -> Tuple[str, str, int]:
+    """``repro run`` with ``argv`` in this interpreter: (result digest,
+    telemetry digest, event count)."""
+    from repro.cli import build_parser, run_scheme
+    from repro.obs import instrument
+    from repro.obs.telemetry import TelemetryBus, telemetry_digest
+
+    args = build_parser().parse_args(argv)
+    bus = TelemetryBus()
+    with instrument.instrumented(telemetry=bus):
+        result = run_scheme(args.scheme, args)
+    return result_digest([result]), telemetry_digest(bus), len(bus.events)
+
+
+def fresh_interpreter_digests(
+    argv: List[str], hash_seed: str
+) -> Tuple[str, str, int]:
+    """:func:`run_digests` in a new interpreter under ``hash_seed``."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ, PYTHONHASHSEED=hash_seed,
+        PYTHONPATH=os.pathsep.join([src, path]) if path else src,
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.lint.determinism", *argv],
+        env=env, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        raise LintError(
+            f"determinism second run exited {done.returncode}: "
+            + (done.stderr.strip().splitlines() or ["no output"])[-1]
+        )
+    result, telemetry, events = json.loads(done.stdout.splitlines()[-1])
+    return result, telemetry, events
 
 
 def run_determinism_check(
@@ -101,10 +162,6 @@ def run_determinism_check(
     fault schedule: faults, retries, and degraded replanning must be
     exactly as deterministic as the benign simulator.
     """
-    from repro.cli import build_parser, run_scheme
-    from repro.obs import instrument
-    from repro.obs.telemetry import TelemetryBus, telemetry_digest
-
     argv = [
         "run", "--scheme", scheme, "--workload", workload,
         "--placement", placement, "--seed", str(seed),
@@ -113,17 +170,10 @@ def run_determinism_check(
     ]
     if chaos_profile is not None:
         argv += ["--chaos", chaos_profile, "--chaos-seed", str(chaos_seed)]
-    args = build_parser().parse_args(argv)
-    digests: List[Tuple[str, str, int]] = []
-    for _ in range(2):
-        bus = TelemetryBus()
-        with instrument.instrumented(telemetry=bus):
-            result = run_scheme(scheme, args)
-        digests.append(
-            (result_digest([result]), telemetry_digest(bus), len(bus.events))
-        )
-
-    (result_a, tele_a, events_a), (result_b, tele_b, _events_b) = digests
+    first_seed = os.environ.get("PYTHONHASHSEED")
+    second_seed = second_hash_seed(first_seed)
+    result_a, tele_a, events_a = run_digests(argv)
+    result_b, tele_b, _events_b = fresh_interpreter_digests(argv, second_seed)
     return DeterminismReport(
         deterministic=result_a == result_b and tele_a == tele_b,
         result_digests=(result_a, result_b),
@@ -132,4 +182,10 @@ def run_determinism_check(
         scheme=scheme,
         workload=workload,
         seed=seed,
+        hash_seeds=(first_seed or "random", second_seed),
     )
+
+
+if __name__ == "__main__":
+    # The second run's entry point: its digests, as the last stdout line.
+    print(json.dumps(run_digests(sys.argv[1:])))  # lint: allow[R008]

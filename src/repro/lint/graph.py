@@ -1,87 +1,32 @@
-"""Whole-program project model: modules, symbols, import and call graphs.
+"""Whole-program project model: modules, import aliases, function frames.
 
-The per-file rules (R001–R008) see one AST at a time; the interprocedural
-passes (R009–R012, :mod:`repro.lint.passes`) need to know *who calls
-whom* across the whole of ``src/repro``.  :class:`ProjectGraph` supplies
-that: it parses every module under one or more roots, builds a symbol
-table per module (functions, classes, methods, import aliases,
-re-exports, star-imports), and resolves every call site to a set of
-candidate project functions.
-
-Resolution is deliberately conservative and honest about its limits:
-
-* dotted names are resolved through import aliases, re-export chains
-  (``repro.SystemConfig`` → ``repro.systems.base.SystemConfig``) and
-  ``__init__`` star-imports, with a cycle guard;
-* ``self.method()`` resolves through the enclosing class and its
-  project-resolvable bases;
-* attribute calls on unknown receivers fall back to class-hierarchy
-  analysis by method name (every project class defining that method is a
-  candidate — an over-approximation, never an omission);
-* what cannot be classified is *counted* as unresolved and reported in
-  :class:`ResolutionStats`, never silently dropped.  CI gates on the
-  resolution rate (see ``tests/lint/test_graph.py``).
+The per-file rules (R001–R008) see one AST at a time; the shared-state
+pass R010 (:mod:`repro.lint.passes`) needs every module of ``src/repro``
+at once, to find module- and class-level state and the function bodies
+that mutate it.  :class:`ProjectGraph` supplies that: it parses every
+module under one or more roots and records, per module, its import
+alias table (module- and function-level imports, relative ones
+resolved) and, per function frame, the names bound locally in it.
 
 Parse failures do not abort the build: the broken module is recorded as
 an ``R000`` finding (same convention as the per-file runner) and the
-graph is built from the modules that do parse.
+model is built from the modules that do parse.
 """
 
 from __future__ import annotations
 
 import ast
-import builtins
 import os
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import LintError
 from repro.lint.findings import Finding
 from repro.lint.pragmas import parse_pragmas
+from repro.lint.runner import SKIP_DIRS
 
 #: Pseudo-function name for a module's import-time frame.
 MODULE_FRAME = "<module>"
-
-_SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "node_modules",
-                        ".pytest_cache", "build", "dist"})
-
-#: Method names of builtin container/scalar types — attribute calls whose
-#: receiver is unknown but whose name lives here are classified external.
-_BUILTIN_METHOD_NAMES: FrozenSet[str] = frozenset(
-    name
-    for tp in (list, dict, set, frozenset, str, bytes, bytearray, tuple,
-               int, float, complex)
-    for name in dir(tp)
-    if not name.startswith("_")
-) | frozenset({
-    # file-like / io
-    "read", "write", "close", "readline", "readlines", "flush", "seek",
-    # re module objects
-    "match", "search", "findall", "finditer", "fullmatch", "sub",
-    "group", "groups", "groupdict", "start", "end", "span",
-})
-
-
-def _numpy_method_names() -> FrozenSet[str]:
-    """Method names of numpy arrays/generators, when numpy is present.
-
-    Receivers of these calls are overwhelmingly ndarrays or seeded
-    generators in this codebase; without this set every ``matrix.sum()``
-    would count against the resolution rate as a false unknown.
-    """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is a hard dep here
-        return frozenset()
-    names: Set[str] = set()
-    for tp in (np.ndarray, np.random.Generator):
-        names.update(name for name in dir(tp) if not name.startswith("_"))
-    return frozenset(names)
-
-
-_EXTERNAL_METHOD_NAMES = _BUILTIN_METHOD_NAMES | _numpy_method_names()
-
-_BUILTIN_NAMES = frozenset(vars(builtins))
 
 
 def dotted_name(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
@@ -120,19 +65,6 @@ def iter_frame(nodes: Sequence[ast.AST]) -> Iterator[ast.AST]:
 
 
 @dataclass
-class CallSite:
-    """One call expression inside one function frame."""
-
-    caller: str          #: qualname of the enclosing function frame
-    lineno: int
-    col: int
-    text: str            #: callee as written (dotted, aliases resolved)
-    kind: str            #: "project" | "external" | "builtin" | "unresolved"
-    targets: Tuple[str, ...]  #: candidate project callee qualnames
-    node: ast.Call = field(repr=False, compare=False, default=None)
-
-
-@dataclass
 class FunctionInfo:
     """One function/method/nested-def (or a module's import-time frame)."""
 
@@ -143,76 +75,28 @@ class FunctionInfo:
     path: str
     lineno: int
     node: Optional[ast.AST] = field(repr=False, default=None)
-    calls: List[CallSite] = field(default_factory=list)
     #: names bound locally in this frame (params + assignments), used to
-    #: tell dynamic callables from module symbols.
+    #: tell a local from the module global of the same name.
     local_names: FrozenSet[str] = frozenset()
-    params: Tuple[str, ...] = ()
-
-
-@dataclass
-class ClassInfo:
-    qualname: str
-    module: str
-    name: str
-    node: ast.ClassDef = field(repr=False, default=None)
-    bases: Tuple[str, ...] = ()
-    methods: Dict[str, str] = field(default_factory=dict)  #: name -> qualname
 
 
 @dataclass
 class ModuleInfo:
     name: str
     path: str
-    source: str = field(repr=False, default="")
     tree: Optional[ast.Module] = field(repr=False, default=None)
     pragmas: Dict[int, FrozenSet[str]] = field(default_factory=dict)
     #: local alias -> canonical dotted path, module- and function-level.
     import_aliases: Dict[str, str] = field(default_factory=dict)
-    star_imports: List[str] = field(default_factory=list)
-    functions: Dict[str, str] = field(default_factory=dict)   #: top-level name -> qualname
-    classes: Dict[str, str] = field(default_factory=dict)     #: name -> qualname
-
-
-@dataclass
-class ResolutionStats:
-    """Call-site classification counts; the graph's honesty report."""
-
-    project: int = 0
-    external: int = 0
-    builtin: int = 0
-    unresolved: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.project + self.external + self.builtin + self.unresolved
-
-    @property
-    def rate(self) -> float:
-        """Fraction of call sites classified (not left unresolved)."""
-        if self.total == 0:
-            return 1.0
-        return 1.0 - self.unresolved / self.total
 
 
 class ProjectGraph:
-    """The project model: modules, functions, classes, call edges."""
+    """The project model: modules and their function frames."""
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
-        self.classes: Dict[str, ClassInfo] = {}
         self.parse_failures: List[Finding] = []
-        #: caller qualname -> callee qualnames (project edges only).
-        self.edges: Dict[str, Set[str]] = {}
-        self.stats = ResolutionStats()
-        self._reverse: Optional[Dict[str, Set[str]]] = None
-        self._export_memo: Dict[Tuple[str, str], Optional[Tuple[str, str]]] = {}
-        self._methods_by_name: Dict[str, Tuple[str, ...]] = {}
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
 
     @classmethod
     def build(cls, paths: Sequence[str]) -> "ProjectGraph":
@@ -220,8 +104,9 @@ class ProjectGraph:
         graph = cls()
         for root in paths:
             graph._load_root(root)
-        graph._collect_symbols()
-        graph._resolve_calls()
+        for module in graph.modules.values():
+            graph._collect_imports(module)
+            graph._collect_functions(module)
         return graph
 
     def _load_root(self, root: str) -> None:
@@ -237,7 +122,7 @@ class ProjectGraph:
         for dirpath, dirs, names in os.walk(root):
             dirs[:] = sorted(
                 d for d in dirs
-                if d not in _SKIP_DIRS and not d.endswith(".egg-info")
+                if d not in SKIP_DIRS and not d.endswith(".egg-info")
             )
             rel = os.path.relpath(dirpath, root)
             rel_parts = [] if rel == "." else rel.replace("\\", "/").split("/")
@@ -279,46 +164,16 @@ class ProjectGraph:
             )
             return
         self.modules[module_name] = ModuleInfo(
-            name=module_name, path=path, source=source, tree=tree,
+            name=module_name, path=path, tree=tree,
             pragmas=parse_pragmas(source),
         )
-
-    # ------------------------------------------------------------------
-    # symbols
-    # ------------------------------------------------------------------
-
-    def _collect_symbols(self) -> None:
-        for module in self.modules.values():
-            self._collect_imports(module)
-            for stmt in module.tree.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qualname = f"{module.name}.{stmt.name}"
-                    module.functions[stmt.name] = qualname
-                elif isinstance(stmt, ast.ClassDef):
-                    qualname = f"{module.name}.{stmt.name}"
-                    module.classes[stmt.name] = qualname
-                    self.classes[qualname] = ClassInfo(
-                        qualname=qualname, module=module.name,
-                        name=stmt.name, node=stmt,
-                        bases=tuple(
-                            name for name in (
-                                dotted_name(b, module.import_aliases)
-                                for b in stmt.bases
-                            ) if name
-                        ),
-                    )
-            self._collect_functions(module)
-        for info in self.classes.values():
-            for method, qualname in info.methods.items():
-                self._methods_by_name.setdefault(method, ())
-                self._methods_by_name[method] += (qualname,)
 
     def _collect_imports(self, module: ModuleInfo) -> None:
         """All import statements, module- and function-level alike.
 
         Lazy in-function imports are common in this codebase (CLI entry
         points defer heavy imports); folding them into one alias table
-        keeps their call sites resolvable.
+        keeps names they bind resolvable in every frame.
         """
         package = module.name.rsplit(".", 1)[0] if "." in module.name else ""
         for node in ast.walk(module.tree):
@@ -335,7 +190,6 @@ class ProjectGraph:
                     continue
                 for alias in node.names:
                     if alias.name == "*":
-                        module.star_imports.append(target)
                         continue
                     full = f"{target}.{alias.name}" if target else alias.name
                     module.import_aliases[alias.asname or alias.name] = full
@@ -371,23 +225,14 @@ class ProjectGraph:
                 class_name=class_name, path=module.path,
                 lineno=node.lineno, node=node,
                 local_names=self._frame_locals(node),
-                params=self._param_names(node),
             )
             self.functions[qualname] = info
-            if class_name is not None:
-                self.classes[owner_qual].methods[node.name] = qualname
             for stmt in ast.walk(node):
                 if stmt is node:
                     continue
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     if self._enclosing_def(node, stmt) is node:
                         visit_def(stmt, qualname, None)
-                        # defining frame -> nested closure: conservative
-                        # "may call" edge (factories usually invoke or
-                        # hand out their closures).
-                        self.edges.setdefault(qualname, set()).add(
-                            f"{qualname}.{stmt.name}"
-                        )
 
         for stmt in module.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -457,297 +302,3 @@ class ProjectGraph:
             if isinstance(child, (ast.Global, ast.Nonlocal)):
                 names.difference_update(child.names)
         return frozenset(names)
-
-    # ------------------------------------------------------------------
-    # symbol resolution (re-exports, star imports)
-    # ------------------------------------------------------------------
-
-    def resolve_symbol(
-        self, module_name: str, symbol: str,
-        _seen: Optional[Set[Tuple[str, str]]] = None,
-    ) -> Optional[Tuple[str, str]]:
-        """Resolve ``symbol`` as seen from ``module_name``.
-
-        Returns ``(kind, qualname)`` with kind one of ``"function"``,
-        ``"class"``, ``"module"`` or ``"external"``; ``None`` when the
-        symbol cannot be found.  Follows re-export chains and
-        ``__init__`` star-imports with a cycle guard.
-        """
-        key = (module_name, symbol)
-        if key in self._export_memo:
-            return self._export_memo[key]
-        if _seen is None:
-            _seen = set()
-        if key in _seen:
-            return None
-        _seen.add(key)
-        module = self.modules.get(module_name)
-        result: Optional[Tuple[str, str]] = None
-        if module is not None:
-            if symbol in module.functions:
-                result = ("function", module.functions[symbol])
-            elif symbol in module.classes:
-                result = ("class", module.classes[symbol])
-            elif f"{module_name}.{symbol}" in self.modules:
-                result = ("module", f"{module_name}.{symbol}")
-            elif symbol in module.import_aliases:
-                result = self._resolve_dotted(
-                    module.import_aliases[symbol], _seen
-                )
-            else:
-                for star in module.star_imports:
-                    result = self.resolve_symbol(star, symbol, _seen)
-                    if result is not None:
-                        break
-        elif module_name.split(".")[0] not in self._project_roots():
-            result = ("external", f"{module_name}.{symbol}")
-        self._export_memo[key] = result
-        return result
-
-    def _project_roots(self) -> Set[str]:
-        return {name.split(".")[0] for name in self.modules}
-
-    def _resolve_dotted(
-        self, dotted: str, _seen: Optional[Set[Tuple[str, str]]] = None,
-    ) -> Optional[Tuple[str, str]]:
-        """Resolve a canonical dotted path to a project symbol or external."""
-        if dotted in self.modules:
-            return ("module", dotted)
-        root = dotted.split(".")[0]
-        if root not in self._project_roots():
-            return ("external", dotted)
-        # longest module prefix, then navigate symbols
-        parts = dotted.split(".")
-        for cut in range(len(parts) - 1, 0, -1):
-            prefix = ".".join(parts[:cut])
-            if prefix in self.modules:
-                remainder = parts[cut:]
-                resolved = self.resolve_symbol(prefix, remainder[0], _seen)
-                for attr in remainder[1:]:
-                    if resolved is None:
-                        return None
-                    kind, qual = resolved
-                    if kind == "module":
-                        resolved = self.resolve_symbol(qual, attr, _seen)
-                    elif kind == "class":
-                        info = self.classes.get(qual)
-                        method = self._class_method(info, attr)
-                        resolved = ("function", method) if method else None
-                    elif kind == "external":
-                        resolved = ("external", f"{qual}.{attr}")
-                    else:
-                        return None
-                return resolved
-        return None
-
-    def _class_method(self, info: Optional[ClassInfo],
-                      name: str, _depth: int = 0) -> Optional[str]:
-        """Look up a method on a class or its project-resolvable bases."""
-        if info is None or _depth > 8:
-            return None
-        if name in info.methods:
-            return info.methods[name]
-        for base in info.bases:
-            resolved = self._resolve_dotted(base)
-            if resolved and resolved[0] == "class":
-                found = self._class_method(
-                    self.classes.get(resolved[1]), name, _depth + 1
-                )
-                if found:
-                    return found
-        return None
-
-    # ------------------------------------------------------------------
-    # call resolution
-    # ------------------------------------------------------------------
-
-    def _resolve_calls(self) -> None:
-        for module in self.modules.values():
-            for info in list(self.functions.values()):
-                if info.module != module.name:
-                    continue
-                body = (module.tree.body if info.name == MODULE_FRAME
-                        else info.node.body)
-                if info.name == MODULE_FRAME:
-                    nodes = iter_frame(body)
-                else:
-                    nodes = iter_frame(body)
-                for node in nodes:
-                    if isinstance(node, ast.Call):
-                        self._classify_call(module, info, node)
-        self._reverse = None
-
-    def _classify_call(self, module: ModuleInfo, info: FunctionInfo,
-                       call: ast.Call) -> None:
-        kind, targets, text = self._resolve_callee(module, info, call.func)
-        site = CallSite(
-            caller=info.qualname, lineno=call.lineno, col=call.col_offset,
-            text=text, kind=kind, targets=tuple(targets), node=call,
-        )
-        info.calls.append(site)
-        setattr(self.stats, kind, getattr(self.stats, kind) + 1)
-        if targets:
-            self.edges.setdefault(info.qualname, set()).update(targets)
-
-    def _resolve_callee(
-        self, module: ModuleInfo, info: FunctionInfo, func: ast.AST,
-    ) -> Tuple[str, List[str], str]:
-        if isinstance(func, ast.Name):
-            return self._resolve_name_call(module, info, func.id)
-        if isinstance(func, ast.Attribute):
-            return self._resolve_attr_call(module, info, func)
-        if isinstance(func, ast.Lambda):
-            return "unresolved", [], "<lambda>"
-        return "unresolved", [], ast.dump(func)[:40]
-
-    def _resolve_name_call(
-        self, module: ModuleInfo, info: FunctionInfo, name: str,
-    ) -> Tuple[str, List[str], str]:
-        # nested defs of this frame shadow module symbols
-        nested = f"{info.qualname}.{name}"
-        if nested in self.functions:
-            return "project", [nested], name
-        if name == "cls" and info.class_name is not None:
-            # ``cls(...)`` in a classmethod constructs this class
-            class_qual = f"{module.name}.{info.class_name}"
-            init = self._class_method(self.classes.get(class_qual), "__init__")
-            return "project", [init] if init else [class_qual], name
-        if name in info.local_names and name not in module.import_aliases:
-            return "unresolved", [], name  # dynamic callable (param/local)
-        resolved = self.resolve_symbol(module.name, name)
-        if resolved is not None:
-            return self._targets_from(resolved, name)
-        if name in _BUILTIN_NAMES:
-            return "builtin", [], name
-        return "unresolved", [], name
-
-    def _resolve_attr_call(
-        self, module: ModuleInfo, info: FunctionInfo, func: ast.Attribute,
-    ) -> Tuple[str, List[str], str]:
-        text = dotted_name(func, module.import_aliases) or func.attr
-        chain: List[str] = []
-        current: ast.AST = func
-        while isinstance(current, ast.Attribute):
-            chain.append(current.attr)
-            current = current.value
-        chain.reverse()
-        if isinstance(current, ast.Name):
-            root = current.id
-            if root in ("self", "cls") and info.class_name is not None:
-                class_qual = f"{module.name}.{info.class_name}"
-                if len(chain) == 1:
-                    method = self._class_method(
-                        self.classes.get(class_qual), chain[0]
-                    )
-                    if method:
-                        return "project", [method], text
-                return self._cha_fallback(chain[-1], text)
-            if root not in info.local_names or root in module.import_aliases:
-                dotted = dotted_name(func, module.import_aliases)
-                if dotted is not None:
-                    resolved = self._resolve_dotted(dotted)
-                    if resolved is not None:
-                        return self._targets_from(resolved, dotted)
-                    # roots that are project symbols (e.g. Class.method)
-                    sym = self.resolve_symbol(module.name, root)
-                    if sym and sym[0] == "class":
-                        method = self._class_method(
-                            self.classes.get(sym[1]), chain[-1]
-                        )
-                        if method:
-                            return "project", [method], text
-        return self._cha_fallback(chain[-1], text)
-
-    def _cha_fallback(self, method_name: str,
-                      text: str) -> Tuple[str, List[str], str]:
-        """Class-hierarchy analysis: candidates = every project method
-        with this name.
-
-        Builtin-container method names win over CHA: ``record.update(x)``
-        on a local dict must not resolve to every project ``update``
-        method (a precision > recall trade — a project method that
-        shadows a dict/list/str method name loses its CHA edges, but
-        receivers the analysis cannot type stop producing phantom
-        interprocedural findings).
-        """
-        if method_name in _EXTERNAL_METHOD_NAMES:
-            return "builtin", [], text
-        candidates = self._methods_by_name.get(method_name)
-        if candidates:
-            return "project", sorted(set(candidates)), text
-        return "unresolved", [], text
-
-    def _targets_from(self, resolved: Tuple[str, str],
-                      text: str) -> Tuple[str, List[str], str]:
-        kind, qual = resolved
-        if kind == "function":
-            return "project", [qual], text
-        if kind == "class":
-            init = self._class_method(self.classes.get(qual), "__init__")
-            return "project", [init] if init else [qual], text
-        if kind == "module":
-            # calling a module is nonsense; treat as unresolved
-            return "unresolved", [], text
-        return "external", [], text
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-
-    @property
-    def reverse_edges(self) -> Dict[str, Set[str]]:
-        """callee qualname -> caller qualnames (built lazily)."""
-        if self._reverse is None:
-            reverse: Dict[str, Set[str]] = {}
-            for caller, callees in self.edges.items():
-                for callee in callees:
-                    reverse.setdefault(callee, set()).add(caller)
-            self._reverse = reverse
-        return self._reverse
-
-    def functions_in(self, prefixes: Iterable[str]) -> Iterator[FunctionInfo]:
-        """All function frames defined in modules matching the prefixes."""
-        prefixes = tuple(prefixes)
-        for info in self.functions.values():
-            if module_matches(info.module, prefixes):
-                yield info
-
-    def describe(self) -> str:
-        """Human summary for ``repro lint --graph``."""
-        stats = self.stats
-        lines = [
-            f"project graph: {len(self.modules)} modules, "
-            f"{len(self.functions)} functions, "
-            f"{len(self.classes)} classes, "
-            f"{sum(len(v) for v in self.edges.values())} call edges",
-            f"call sites: {stats.total} total — "
-            f"{stats.project} project, {stats.external} external, "
-            f"{stats.builtin} builtin, {stats.unresolved} unresolved "
-            f"(resolution rate {stats.rate:.1%})",
-        ]
-        if self.parse_failures:
-            lines.append(
-                f"parse failures: {len(self.parse_failures)} module(s) "
-                "skipped (reported as R000)"
-            )
-        unresolved: Dict[str, int] = {}
-        for info in self.functions.values():
-            for site in info.calls:
-                if site.kind == "unresolved":
-                    unresolved[site.text] = unresolved.get(site.text, 0) + 1
-        if unresolved:
-            worst = sorted(unresolved.items(),
-                           key=lambda item: (-item[1], item[0]))[:8]
-            lines.append(
-                "top unresolved callees: "
-                + ", ".join(f"{name}×{count}" for name, count in worst)
-            )
-        return "\n".join(lines)
-
-
-def module_matches(module: str, prefixes: Iterable[str]) -> bool:
-    """True when ``module`` is one of the prefixes or nested beneath one."""
-    for prefix in prefixes:
-        if module == prefix or module.startswith(prefix + "."):
-            return True
-    return False

@@ -1,51 +1,28 @@
-"""Interprocedural passes R009–R012 over the project graph.
+"""The whole-program pass R010: the shared-mutable-state inventory.
 
-Where the per-file rules (R001–R008) are syntactic — they flag the line
-that *contains* the hazard — these passes are semantic: they flag the
-line that *reaches* the hazard through call chains the per-file walker
-cannot see.
+Where the per-file rules (R001–R008) see one module at a time, R010
+needs the whole of ``src/repro`` (:class:`~repro.lint.graph.ProjectGraph`):
+module-level mutable containers, class-level mutable attributes,
+``lru_cache`` memo tables and ``global``-rebound slots are collected
+into a machine-readable inventory (``shared_state.json``); the ones
+actually *mutated* from function bodies become findings.  The
+multi-tenant serving layer treats this inventory as its isolation TODO
+list.
 
-* **R009** — wall-clock / global-RNG taint.  A helper that reads
-  ``time.perf_counter()`` (unpragma'd) or draws from an unseeded
-  generator taints every caller; simulation code calling a tainted
-  helper outside the sim packages gets a finding with the full chain.
-  Sources sanctioned with ``# lint: allow[R001]``/``[R002]`` pragmas
-  (the audited offline-prep timing sites) do not taint.
-* **R010** — shared-mutable-state inventory.  Module-level mutable
-  containers, class-level mutable attributes, ``lru_cache`` memo tables
-  and ``global``-rebound slots are collected into a machine-readable
-  inventory (``shared_state.json``); the ones actually *mutated* from
-  function bodies become findings.  The future multi-tenant serving
-  layer treats this inventory as its isolation TODO list.
-* **R011** — observer purity.  No code reachable from ``repro.obs``
-  may write attributes of engine/wan/core objects; the CI bit-identity
-  guard checks this dynamically for one workload, this pass proves it
-  for every call chain.
-* **R012** — interprocedural unordered iteration.  A helper returning a
-  ``set`` (directly, transitively, or per its return annotation) makes
-  order-sensitive iteration at its call sites hash-seed dependent —
-  the R003 hazard, laundered through a function boundary.
-
-Passes honour the same ``allow[R009]``-style line pragmas as the
-per-file rules, evaluated at the finding line (full line range for
-multi-line expressions).
+A finding is anchored at the statement that creates the state, and an
+``allow[R010]`` pragma there suppresses it under the per-file runner's
+rule: anywhere on a simple statement, on the header lines of a compound
+one.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import LintError
+from repro.lint.baseline import normalize_path
 from repro.lint.findings import Finding
-from repro.lint.flow import (
-    propagate_property,
-    reach_chain,
-    reachable_from,
-    taint_callers,
-    taint_chain,
-)
 from repro.lint.graph import (
     MODULE_FRAME,
     FunctionInfo,
@@ -53,162 +30,9 @@ from repro.lint.graph import (
     ProjectGraph,
     dotted_name,
     iter_frame,
-    module_matches,
 )
-from repro.lint.baseline import normalize_path
-from repro.lint.pragmas import is_suppressed
-from repro.lint.registry import STATIC_RULE_IDS
-from repro.lint.rules import _NUMPY_GLOBAL_RNG, _WALL_CLOCK_CALLS
-
-
-@dataclass(frozen=True)
-class ProjectRoles:
-    """Which packages play which part in the determinism contract.
-
-    ``sim`` packages own sim-clock state and placement decisions (R009
-    sinks); ``observer`` packages must be pure readers (R011 roots);
-    ``protected`` packages own the objects observers must not write
-    (R011 targets).  Tests rebind these to fixture module names.
-    """
-
-    sim: Tuple[str, ...]
-    observer: Tuple[str, ...]
-    protected: Tuple[str, ...]
-
-
-DEFAULT_ROLES = ProjectRoles(
-    sim=(
-        "repro.engine", "repro.wan", "repro.core", "repro.placement",
-        "repro.similarity", "repro.chaos", "repro.systems",
-        "repro.workloads", "repro.query", "repro.olap",
-    ),
-    observer=("repro.obs",),
-    protected=("repro.engine", "repro.wan", "repro.core"),
-)
-
-
-def _suppressed(module: ModuleInfo, node: ast.AST, rule_id: str) -> bool:
-    line = getattr(node, "lineno", 1)
-    end = line
-    if isinstance(node, ast.expr):
-        end = getattr(node, "end_lineno", None) or line
-    return any(
-        is_suppressed(module.pragmas, lineno, rule_id)
-        for lineno in range(line, end + 1)
-    )
-
-
-def _frame_body(graph: ProjectGraph, info: FunctionInfo) -> Sequence[ast.AST]:
-    if info.name == MODULE_FRAME:
-        return graph.modules[info.module].tree.body
-    return info.node.body
-
-
-# ----------------------------------------------------------------------
-# R009 — wall-clock / global-RNG taint through call chains
-# ----------------------------------------------------------------------
-
-#: Entropy sources the syntactic rules never see (R002 only knows the
-#: legacy global-state numpy API; an *unseeded* Generator is just as
-#: nondeterministic).
-_SEMANTIC_ENTROPY = frozenset({"os.urandom", "uuid.uuid4", "uuid.uuid1"})
-
-
-def _call_source_desc(name: str, call: ast.Call) -> Optional[Tuple[str, str]]:
-    """(description, sanctioning per-file rule id) for a source call."""
-    if name in _WALL_CLOCK_CALLS:
-        return f"wall-clock read {name}()", "R001"
-    if name.startswith("random."):
-        return f"global-state {name}()", "R002"
-    if name in ("numpy.random.default_rng", "numpy.random.RandomState"):
-        if not call.args and not call.keywords:
-            return f"unseeded {name}()", "R002"
-        return None
-    if name.startswith("numpy.random."):
-        if name.rsplit(".", 1)[1] in _NUMPY_GLOBAL_RNG:
-            return f"global-state {name}()", "R002"
-        return None
-    if name in _SEMANTIC_ENTROPY or name.startswith("secrets."):
-        return f"entropy source {name}()", "R002"
-    return None
-
-
-def _direct_sources(graph: ProjectGraph) -> Dict[str, str]:
-    """Functions containing an unsanctioned clock/entropy read."""
-    direct: Dict[str, str] = {}
-    for info in graph.functions.values():
-        module = graph.modules[info.module]
-        for node in iter_frame(_frame_body(graph, info)):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func, module.import_aliases)
-            if not name:
-                continue
-            described = _call_source_desc(name, node)
-            if described is None:
-                continue
-            desc, sanction_rule = described
-            if (
-                _suppressed(module, node, sanction_rule)
-                or _suppressed(module, node, "R009")
-            ):
-                continue
-            direct.setdefault(info.qualname, desc)
-    return direct
-
-
-class TaintPass:
-    rule_id = "R009"
-    title = "laundered wall-clock/global-RNG read reaches simulation code"
-
-    def run(self, graph: ProjectGraph, roles: ProjectRoles) -> List[Finding]:
-        tainted = taint_callers(graph, _direct_sources(graph))
-        findings: List[Finding] = []
-        seen: Set[Tuple[str, int, int]] = set()
-        for info in graph.functions_in(roles.sim):
-            module = graph.modules[info.module]
-            for site in info.calls:
-                if site.kind != "project":
-                    continue
-                culprit = next(
-                    (
-                        target for target in site.targets
-                        if target in tainted
-                        and not self._in_sim(graph, target, roles)
-                    ),
-                    None,
-                )
-                if culprit is None:
-                    continue
-                if _suppressed(module, site.node, "R009"):
-                    continue
-                key = (info.path, site.lineno, site.col)
-                if key in seen:
-                    continue
-                seen.add(key)
-                chain = [info.qualname] + taint_chain(tainted, culprit)
-                findings.append(Finding(
-                    path=info.path, line=site.lineno, col=site.col,
-                    rule_id=self.rule_id,
-                    message=(
-                        f"{tainted[culprit].source} reaches sim code through "
-                        + " -> ".join(chain)
-                        + " — route through the sim clock / a derived "
-                        "generator, or pragma the source line"
-                    ),
-                ))
-        return findings
-
-    @staticmethod
-    def _in_sim(graph: ProjectGraph, qualname: str,
-                roles: ProjectRoles) -> bool:
-        info = graph.functions.get(qualname)
-        return info is not None and module_matches(info.module, roles.sim)
-
-
-# ----------------------------------------------------------------------
-# R010 — shared-mutable-state inventory
-# ----------------------------------------------------------------------
+from repro.lint.pragmas import suppressed_in
+from repro.lint.visitor import statement_span
 
 _MUTABLE_FACTORIES = frozenset({
     "list", "dict", "set", "bytearray",
@@ -239,6 +63,8 @@ class SharedStateEntry:
     mutated: bool = False
     mutation_sites: List[str] = field(default_factory=list)
     justification: Optional[str] = None
+    #: the statement that creates the state (the pragma anchor)
+    node: Optional[ast.stmt] = field(default=None, repr=False, compare=False)
 
     @property
     def key(self) -> str:
@@ -288,7 +114,7 @@ def build_inventory(graph: ProjectGraph) -> List[SharedStateEntry]:
                       else info.name),
                 kind="cache", path=normalize_path(info.path),
                 line=info.lineno,
-                container="lru_cache", mutated=True,
+                container="lru_cache", mutated=True, node=info.node,
             )
             entries.setdefault(entry.key, entry)
     _mark_rebinds(graph, entries)
@@ -317,7 +143,7 @@ def _collect_stmt_entry(
         entry = SharedStateEntry(
             module=module.name, name=name, kind=kind,
             path=normalize_path(module.path),
-            line=stmt.lineno, container=container,
+            line=stmt.lineno, container=container, node=stmt,
         )
         entries.setdefault(entry.key, entry)
 
@@ -352,7 +178,7 @@ def _mark_rebinds(graph: ProjectGraph,
                         module=info.module, name=name, kind="global-rebind",
                         path=normalize_path(info.path), line=node.lineno,
                         container="global", mutated=True,
-                        mutation_sites=[site],
+                        mutation_sites=[site], node=node,
                     )
 
 
@@ -428,432 +254,27 @@ def r010_message(entry: SharedStateEntry) -> str:
     )
 
 
-class SharedStatePass:
-    rule_id = "R010"
-    title = "shared mutable state (cross-tenant hazard inventory)"
-
-    def run(self, graph: ProjectGraph, roles: ProjectRoles) -> List[Finding]:
-        findings: List[Finding] = []
-        for entry in build_inventory(graph):
-            if not entry.mutated:
-                continue
-            module = graph.modules.get(entry.module)
-            anchor = ast.Pass()
-            anchor.lineno = entry.line
-            if module is not None and _suppressed(module, anchor, "R010"):
-                continue
-            findings.append(Finding(
-                path=entry.path, line=entry.line, col=0,
-                rule_id=self.rule_id, message=r010_message(entry),
-            ))
-        return findings
-
-
-# ----------------------------------------------------------------------
-# R011 — observer purity
-# ----------------------------------------------------------------------
-
-
-def _state_writes(info: FunctionInfo) -> List[ast.AST]:
-    """Attribute stores / global statements in one function frame."""
-    writes: List[ast.AST] = []
-    if info.node is None:
-        return writes
-    for node in iter_frame(info.node.body):
-        if isinstance(node, ast.Global):
-            writes.append(node)
-        targets: List[ast.AST] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, ast.AugAssign):
-            targets = [node.target]
-        elif isinstance(node, ast.Delete):
-            targets = list(node.targets)
-        for target in targets:
-            if isinstance(target, ast.Attribute):
-                writes.append(target)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            # self.flows.append(...) style in-place mutation
-            if node.func.attr in _MUTATOR_METHODS and isinstance(
-                node.func.value, ast.Attribute
-            ):
-                writes.append(node.func.value)
-    return writes
-
-
-class ObserverPurityPass:
-    rule_id = "R011"
-    title = "observer-reachable code mutates engine/wan/core state"
-
-    def run(self, graph: ProjectGraph, roles: ProjectRoles) -> List[Finding]:
-        roots = [
-            info.qualname for info in graph.functions_in(roles.observer)
-        ]
-        reached = reachable_from(graph, roots)
-        findings = self._crossing_findings(graph, roles, reached)
-        findings.extend(self._annotated_writes(graph, roles, reached))
-        return findings
-
-    def _crossing_findings(self, graph, roles, reached) -> List[Finding]:
-        # protected functions that mutate state, plus everything that
-        # (transitively) calls them
-        direct = {
-            info.qualname: f"state write in {info.qualname}"
-            for info in graph.functions_in(roles.protected)
-            if _state_writes(info)
-        }
-        impure = taint_callers(graph, direct)
-        findings: List[Finding] = []
-        seen: Set[Tuple[str, int, int]] = set()
-        for info in graph.functions_in(roles.observer):
-            module = graph.modules[info.module]
-            for site in info.calls:
-                if site.kind != "project":
-                    continue
-                culprit = next(
-                    (
-                        target for target in site.targets
-                        if target in impure and self._protected(
-                            graph, target, roles
-                        )
-                    ),
-                    None,
-                )
-                if culprit is None or _suppressed(module, site.node, "R011"):
-                    continue
-                key = (info.path, site.lineno, site.col)
-                if key in seen:
-                    continue
-                seen.add(key)
-                chain = [info.qualname] + taint_chain(impure, culprit)
-                findings.append(Finding(
-                    path=info.path, line=site.lineno, col=site.col,
-                    rule_id=self.rule_id,
-                    message=(
-                        "observer code calls an engine/wan/core mutator: "
-                        + " -> ".join(chain)
-                        + " — observers must be pure readers of sim state"
-                    ),
-                ))
-        return findings
-
-    @staticmethod
-    def _protected(graph, qualname, roles) -> bool:
-        info = graph.functions.get(qualname)
-        return info is not None and module_matches(info.module, roles.protected)
-
-    def _annotated_writes(self, graph, roles, reached) -> List[Finding]:
-        findings: List[Finding] = []
-        for qualname in reached:
-            info = graph.functions.get(qualname)
-            if info is None or not isinstance(
-                info.node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                continue  # module frames have no parameters
-            module = graph.modules[info.module]
-            protected_params = self._protected_params(graph, module, info, roles)
-            if not protected_params:
-                continue
-            for write in _state_writes(info):
-                root = write
-                while isinstance(root, ast.Attribute):
-                    root = root.value
-                if not isinstance(root, ast.Name):
-                    continue
-                if root.id not in protected_params:
-                    continue
-                if _suppressed(module, write, "R011"):
-                    continue
-                path_to_obs = reach_chain(reached, qualname)
-                findings.append(Finding(
-                    path=info.path, line=write.lineno,
-                    col=getattr(write, "col_offset", 0),
-                    rule_id=self.rule_id,
-                    message=(
-                        f"writes attribute of {protected_params[root.id]} "
-                        f"parameter {root.id!r} while reachable from "
-                        "observer code (" + " -> ".join(path_to_obs)
-                        + ") — observers must be pure readers"
-                    ),
-                ))
-        return findings
-
-    @staticmethod
-    def _protected_params(graph, module, info, roles) -> Dict[str, str]:
-        """Parameter name -> protected class qualname, from annotations."""
-        protected: Dict[str, str] = {}
-        args = info.node.args
-        for arg in args.posonlyargs + args.args + args.kwonlyargs:
-            annotation = arg.annotation
-            if annotation is None:
-                continue
-            if isinstance(annotation, ast.Subscript):  # Optional[X] etc.
-                annotation = annotation.slice
-            name = dotted_name(annotation, module.import_aliases)
-            if not name:
-                continue
-            resolved = (
-                graph._resolve_dotted(name) if "." in name
-                else graph.resolve_symbol(module.name, name)
-            )
-            if resolved and resolved[0] == "class":
-                class_info = graph.classes.get(resolved[1])
-                if class_info is not None and module_matches(
-                    class_info.module, roles.protected
-                ):
-                    protected[arg.arg] = resolved[1]
-        return protected
-
-
-# ----------------------------------------------------------------------
-# R012 — interprocedural unordered iteration
-# ----------------------------------------------------------------------
-
-_ORDER_INSENSITIVE = frozenset(
-    {"sorted", "set", "frozenset", "min", "max", "any", "all", "len"}
-)
-_ORDER_SENSITIVE = frozenset({"list", "tuple", "enumerate", "sum"})
-
-_SET_ANNOTATIONS = frozenset({
-    "set", "frozenset",
-    "typing.Set", "typing.FrozenSet", "typing.AbstractSet",
-    "typing.KeysView", "typing.MutableSet",
-    "Set", "FrozenSet", "AbstractSet", "KeysView", "MutableSet",
-})
-
-
-def _is_set_literalish(module: ModuleInfo, node: ast.AST) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        name = dotted_name(node.func, module.import_aliases)
-        if name in ("set", "frozenset"):
-            return True
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr == "keys"
-            and not node.args and not node.keywords
-        ):
-            return True
-        return False
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-    ):
-        return any(
-            _is_set_literalish(module, side)
-            for side in (node.left, node.right)
-        )
-    return False
-
-
-def _set_returners(graph: ProjectGraph) -> Set[str]:
-    """Functions returning an unordered set, to a fixed point."""
-    seeds: Set[str] = set()
-    depends: Dict[str, Set[str]] = {}
-    for info in graph.functions.values():
-        if info.name == MODULE_FRAME or info.node is None:
-            continue
-        module = graph.modules[info.module]
-        returns = getattr(info.node, "returns", None)
-        if returns is not None:
-            name = dotted_name(
-                returns.value if isinstance(returns, ast.Subscript) else returns,
-                module.import_aliases,
-            )
-            if name in _SET_ANNOTATIONS:
-                seeds.add(info.qualname)
-        sites_by_node = {id(site.node): site for site in info.calls}
-        for node in iter_frame(info.node.body):
-            if not isinstance(node, ast.Return) or node.value is None:
-                continue
-            if _is_set_literalish(module, node.value):
-                seeds.add(info.qualname)
-            elif isinstance(node.value, ast.Call):
-                site = sites_by_node.get(id(node.value))
-                if site is not None and site.kind == "project":
-                    depends.setdefault(info.qualname, set()).update(
-                        site.targets
-                    )
-    return propagate_property(seeds, depends)
-
-
-def _accumulates(loop: ast.For) -> bool:
-    for node in ast.walk(loop):
-        if isinstance(node, ast.AugAssign):
-            return True
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("append", "extend", "insert")
-        ):
-            return True
-    return False
-
-
-class UnorderedFlowPass:
-    rule_id = "R012"
-    title = "helper-returned set iterated order-sensitively at a call site"
-
-    def run(self, graph: ProjectGraph, roles: ProjectRoles) -> List[Finding]:
-        returners = _set_returners(graph)
-        findings: List[Finding] = []
-        for info in graph.functions.values():
-            if info.node is None and info.name != MODULE_FRAME:
-                continue
-            module = graph.modules[info.module]
-            findings.extend(
-                self._check_frame(graph, module, info, returners)
-            )
-        return findings
-
-    def _check_frame(self, graph, module, info, returners) -> List[Finding]:
-        unordered_calls: Dict[int, str] = {}  # id(ast.Call) -> helper name
-        for site in info.calls:
-            if site.kind == "project" and any(
-                target in returners for target in site.targets
-            ):
-                unordered_calls[id(site.node)] = site.text
-        body = _frame_body(graph, info)
-        unordered_vars = self._single_assigned_vars(body, unordered_calls)
-
-        def unordered(node: ast.AST) -> Optional[str]:
-            if isinstance(node, ast.Call):
-                return unordered_calls.get(id(node))
-            if isinstance(node, ast.Name):
-                return unordered_vars.get(node.id)
-            return None
-
-        # order-insensitive consumers sanction their argument expression
-        # (sorted(helper()) / set(x for x in helper()) are the fix, not a
-        # finding); iter_frame visits parents before children, and the
-        # final filter below re-checks, so one sweep suffices.
-        sanctioned: Set[int] = set()
-        #: (finding anchor, sanction-checked node, helper, consumer kind)
-        consumer_sites: List[Tuple[ast.AST, ast.AST, str, str]] = []
-        for node in iter_frame(body):
-            if isinstance(node, ast.Call):
-                name = dotted_name(node.func, module.import_aliases)
-                is_join = (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "join"
-                )
-                if name in _ORDER_INSENSITIVE:
-                    for arg in node.args:
-                        sanctioned.add(id(arg))
-                elif (name in _ORDER_SENSITIVE or is_join) and node.args:
-                    helper = unordered(node.args[0])
-                    if helper:
-                        consumer_sites.append(
-                            (node.args[0], node.args[0], helper,
-                             name or "str.join")
-                        )
-            elif isinstance(node, ast.For):
-                helper = unordered(node.iter)
-                if helper and _accumulates(node):
-                    consumer_sites.append(
-                        (node.iter, node.iter, helper, "accumulating loop")
-                    )
-            elif isinstance(node, (ast.ListComp, ast.GeneratorExp)):
-                for generator in node.generators:
-                    helper = unordered(generator.iter)
-                    if helper:
-                        consumer_sites.append(
-                            (generator.iter, node, helper, "comprehension")
-                        )
-
-        findings: List[Finding] = []
-        seen: Set[Tuple[int, int]] = set()
-        for where, sanction_node, helper, consumer in consumer_sites:
-            if id(sanction_node) in sanctioned or _suppressed(
-                module, where, "R012"
-            ):
-                continue
-            key = (where.lineno, where.col_offset)
-            if key in seen:
-                continue
-            seen.add(key)
-            findings.append(Finding(
-                path=info.path, line=where.lineno, col=where.col_offset,
-                rule_id=self.rule_id,
-                message=(
-                    f"{helper}() returns an unordered set and this "
-                    f"{consumer} fixes an arbitrary order — iteration "
-                    "order follows the hash seed; wrap in sorted(...)"
-                ),
-            ))
-        return findings
-
-    @staticmethod
-    def _single_assigned_vars(
-        body: Sequence[ast.AST], unordered_calls: Dict[int, str]
-    ) -> Dict[str, str]:
-        assignments: Dict[str, int] = {}
-        bound: Dict[str, str] = {}
-        for node in iter_frame(body):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
-                    isinstance(node.targets[0], ast.Name):
-                name = node.targets[0].id
-                assignments[name] = assignments.get(name, 0) + 1
-                helper = unordered_calls.get(id(node.value))
-                if helper:
-                    bound[name] = helper
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)) and \
-                    isinstance(node.target, ast.Name):
-                assignments[node.target.id] = (
-                    assignments.get(node.target.id, 0) + 1
-                )
-            elif isinstance(node, (ast.For, ast.AsyncFor)) and isinstance(
-                node.target, ast.Name
-            ):
-                assignments[node.target.id] = (
-                    assignments.get(node.target.id, 0) + 1
-                )
-        return {
-            name: helper for name, helper in bound.items()
-            if assignments.get(name, 0) == 1
-        }
-
-
-# ----------------------------------------------------------------------
-# pass registry
-# ----------------------------------------------------------------------
-
-STATIC_PASSES = (
-    TaintPass(), SharedStatePass(), ObserverPurityPass(), UnorderedFlowPass(),
-)
-
-for _pass in STATIC_PASSES:
-    if _pass.rule_id not in STATIC_RULE_IDS:  # pragma: no cover - wiring
-        raise LintError(
-            f"static pass {_pass.rule_id} missing from registry.STATIC_RULE_IDS"
-        )
-
-
-def run_static_passes(
+def shared_state_pass(
     graph: ProjectGraph,
-    roles: Optional[ProjectRoles] = None,
-    select: Optional[Sequence[str]] = None,
 ) -> Tuple[List[Finding], List[SharedStateEntry]]:
-    """Run the interprocedural passes; returns (findings, inventory).
+    """Run R010; returns (findings, inventory).
 
-    The inventory is returned even when R010 is deselected or clean, so
+    The inventory holds every entry, mutated or not, so
     ``shared_state.json`` always reflects the full audit.
     """
-    roles = roles or DEFAULT_ROLES
-    wanted = {rule_id.upper() for rule_id in select} if select else None
-    if wanted is not None:
-        unknown = wanted - set(STATIC_RULE_IDS)
-        if unknown:
-            raise LintError(
-                f"unknown static pass ids {sorted(unknown)}; "
-                f"known: {sorted(STATIC_RULE_IDS)}"
-            )
+    inventory = build_inventory(graph)
     findings: List[Finding] = []
-    for static_pass in STATIC_PASSES:
-        if wanted is not None and static_pass.rule_id not in wanted:
+    for entry in inventory:
+        if not entry.mutated:
             continue
-        findings.extend(static_pass.run(graph, roles))
-    return sorted(findings), build_inventory(graph)
+        first, last = statement_span(entry.node)
+        if suppressed_in(graph.modules[entry.module].pragmas, first, last, "R010"):
+            continue
+        findings.append(Finding(
+            path=entry.path, line=entry.line, col=0,
+            rule_id="R010", message=r010_message(entry),
+        ))
+    return sorted(findings), inventory
 
 
 def write_shared_state(

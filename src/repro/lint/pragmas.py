@@ -43,3 +43,12 @@ def is_suppressed(
     if not allowed:
         return False
     return rule_id.upper() in allowed or "*" in allowed
+
+
+def suppressed_in(
+    pragmas: Dict[int, FrozenSet[str]], first: int, last: int, rule_id: str
+) -> bool:
+    """True when a pragma on any line ``first..last`` allows ``rule_id``."""
+    return any(
+        is_suppressed(pragmas, line, rule_id) for line in range(first, last + 1)
+    )

@@ -19,10 +19,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _RULE_ID_RE = re.compile(r"^R\d{3}$")
 
-#: Interprocedural pass ids (see :mod:`repro.lint.passes`).  Listed here
+#: Whole-program pass ids (see :mod:`repro.lint.passes`).  Listed here
 #: so pragma validation and reporters know the full rule-id space
-#: without importing the whole-program graph machinery.
-STATIC_RULE_IDS: Tuple[str, ...] = ("R009", "R010", "R011", "R012")
+#: without importing the project model.
+STATIC_RULE_IDS: Tuple[str, ...] = ("R010",)
 
 #: Pseudo ids emitted by the framework itself: R000 marks a file that
 #: could not be parsed, W001 an unknown rule id inside a pragma.

@@ -9,8 +9,13 @@ DESIGN.md "Determinism & invariants contract"):
   intentional offline-prep timing sites (Tables 3 and 5 of the paper) carry
   ``# lint: allow[R001]`` pragmas.
 * **R002** — no raw ``random`` module (or legacy global-state
-  ``numpy.random.*``) use; all randomness flows through
+  ``numpy.random.*``) use, no unseeded ``default_rng()`` /
+  ``RandomState()``, no OS entropy (``os.urandom``, ``uuid.uuid1``/
+  ``uuid4``, ``secrets.*``); all randomness flows through
   :mod:`repro.util.rng` so streams are seed-derived and independent.
+  Every file under ``src/repro`` and ``benchmarks`` is linted, so a
+  source flagged where it is written covers every call chain that
+  reaches it.
 * **R003** — no iteration over unordered set expressions feeding
   order-sensitive constructs (float accumulation, list building,
   hashing) without ``sorted(...)``; set iteration order varies with the
@@ -116,6 +121,15 @@ _NUMPY_GLOBAL_RNG = frozenset(
 )
 
 
+#: Randomness drawn from the OS, never from a seed.
+_ENTROPY_SOURCES = frozenset({"os.urandom", "uuid.uuid1", "uuid.uuid4"})
+
+#: Generator constructors that draw OS entropy when called with no seed.
+_SEEDABLE_GENERATORS = frozenset(
+    {"numpy.random.default_rng", "numpy.random.RandomState"}
+)
+
+
 @register
 class RawRandomRule(LintRule):
     rule_id = "R002"
@@ -141,6 +155,20 @@ class RawRandomRule(LintRule):
             name = context.qualified_name(node) or ""
         if name.startswith("random."):
             yield node, self._message(name)
+        elif name in _ENTROPY_SOURCES or name.startswith("secrets."):
+            yield node, (
+                f"entropy source {name} is not seed-derived — route "
+                "randomness through repro.util.rng (derive_rng/spawn_seeds)"
+            )
+        elif name in _SEEDABLE_GENERATORS:
+            if (
+                isinstance(parent, ast.Call) and parent.func is node
+                and not parent.args and not parent.keywords
+            ):
+                yield node, (
+                    f"unseeded {name}() draws OS entropy — pass a seed "
+                    "derived via repro.util.rng.derive_rng"
+                )
         elif name.startswith("numpy.random."):
             terminal = name.rsplit(".", 1)[1]
             if terminal in _NUMPY_GLOBAL_RNG:

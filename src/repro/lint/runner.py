@@ -15,7 +15,7 @@ from repro.lint.findings import Finding
 from repro.lint.registry import rules_for
 from repro.lint.visitor import run_rules
 
-_SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "node_modules",
+SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "node_modules",
                         ".pytest_cache", "build", "dist"})
 
 
@@ -37,7 +37,7 @@ def collect_files(paths: Sequence[str]) -> List[str]:
                 dirs[:] = sorted(
                     name
                     for name in dirs
-                    if name not in _SKIP_DIRS and not name.endswith(".egg-info")
+                    if name not in SKIP_DIRS and not name.endswith(".egg-info")
                 )
                 collected.extend(
                     os.path.join(root, name)

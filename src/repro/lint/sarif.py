@@ -26,10 +26,7 @@ _SARIF_SCHEMA = (
 _EXTRA_RULE_TITLES = {
     "R000": "file could not be parsed",
     "W001": "pragma names an unknown rule id",
-    "R009": "laundered wall-clock/global-RNG read reaches simulation code",
     "R010": "shared mutable state (cross-tenant hazard inventory)",
-    "R011": "observer-reachable code mutates engine/wan/core state",
-    "R012": "helper-returned set iterated order-sensitively at a call site",
 }
 
 

@@ -19,7 +19,7 @@ import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.lint.findings import Finding
-from repro.lint.pragmas import is_suppressed, parse_pragmas
+from repro.lint.pragmas import parse_pragmas, suppressed_in
 from repro.lint.registry import LintRule, known_rule_ids
 
 
@@ -124,17 +124,25 @@ class LintContext:
         )
 
 
+def statement_span(stmt: ast.stmt) -> "Tuple[int, int]":
+    """Line range on which a pragma covers ``stmt``.
+
+    Its full extent for a simple statement, the header only (up to the
+    first body statement) for a compound one — a pragma buried in a loop
+    body must not silence a finding on the loop's iterable.
+    """
+    body = getattr(stmt, "body", None)
+    if isinstance(body, list) and body:
+        return stmt.lineno, max(stmt.lineno, body[0].lineno - 1)
+    return stmt.lineno, stmt.end_lineno or stmt.lineno
+
+
 def _suppression_span(
     context: LintContext, where: ast.AST, line: int
 ) -> "Tuple[int, int]":
-    """Line range on which a pragma suppresses a finding at ``where``.
-
-    The span of the enclosing statement: its full extent for simple
-    statements, the header only (up to the first body statement) for
-    compound ones — a pragma buried in a loop body must not silence a
-    finding on the loop's iterable.
-    """
-    start_line = line
+    """Line range on which a pragma suppresses a finding at ``where``:
+    the :func:`statement_span` of the enclosing statement, widened to
+    the flagged expression's own lines."""
     end_line = line
     if isinstance(where, ast.expr):
         end_line = getattr(where, "end_lineno", None) or line
@@ -142,14 +150,9 @@ def _suppression_span(
     while stmt is not None and not isinstance(stmt, ast.stmt):
         stmt = context.parent(stmt)
     if stmt is None:
-        return start_line, end_line
-    start_line = min(start_line, stmt.lineno)
-    body = getattr(stmt, "body", None)
-    if isinstance(body, list) and body:
-        header_end = body[0].lineno - 1
-    else:
-        header_end = getattr(stmt, "end_lineno", None) or end_line
-    return start_line, max(end_line, header_end)
+        return line, end_line
+    first, last = statement_span(stmt)
+    return min(line, first), max(end_line, last)
 
 
 def run_rules(
@@ -208,11 +211,8 @@ def run_rules(
             for where, message in rule.check(node, context):
                 line = getattr(where, "lineno", 1)
                 col = getattr(where, "col_offset", 0)
-                start_line, end_line = _suppression_span(context, where, line)
-                if any(
-                    is_suppressed(context.pragmas, candidate, rule.rule_id)
-                    for candidate in range(start_line, end_line + 1)
-                ):
+                first, last = _suppression_span(context, where, line)
+                if suppressed_in(context.pragmas, first, last, rule.rule_id):
                     continue
                 findings.append(
                     Finding(

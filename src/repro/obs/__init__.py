@@ -20,7 +20,8 @@ first-class, machine-readable artifact instead of a post-hoc guess:
   ~zero cost;
 * :mod:`repro.obs.sanitize` — the runtime invariant sanitizer (bytes
   conservation, sim-clock monotonicity, LP feasibility) behind the CLI
-  ``--sanitize`` flag;
+  ``--sanitize`` flag, and :mod:`repro.obs.null_sanitizer`, its no-op
+  twin;
 * :mod:`repro.obs.inspect` — per-stage latency breakdown of a saved
   archive's spans (the ``python -m repro inspect`` command);
 * :mod:`repro.obs.series` — derivations from event streams to sim-time

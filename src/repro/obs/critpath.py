@@ -24,7 +24,7 @@ contention delay (slot wait + WAN contention) to the tenants whose work
 co-occupied the contended slots/links during the relevant segments — a
 tenant x tenant blame matrix, weighted by co-occupancy overlap seconds.
 
-Everything here is a pure reader (R011): the analyzer consumes an event
+Everything here is a pure reader: the analyzer consumes an event
 sequence and produces a report; it never touches engine/wan/serve
 state.  Two same-seed runs produce bit-identical :meth:`CritPathReport.
 digest` values (the CI serve-smoke gate).
@@ -552,7 +552,7 @@ def analyze_critical_paths(events: Sequence[TelemetryEvent]) -> CritPathReport:
 
 
 def render_components(report: CritPathReport) -> str:
-    """The QCT attribution table of ``inspect`` / ``--profile``."""
+    """The QCT attribution table ``inspect`` prints."""
     from repro.util.tabulate import format_table
 
     if not report.paths:

@@ -35,7 +35,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from repro.obs.sanitize import NULL_SANITIZER, NullSanitizer, Sanitizer
+from repro.obs.null_sanitizer import NULL_SANITIZER, AnySanitizer
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetryBus, TelemetryBus
 
 
@@ -44,7 +44,7 @@ class Instrumentation:
     """The telemetry/sanitizer pair handed to call sites."""
 
     telemetry: Union[TelemetryBus, NullTelemetryBus] = NULL_TELEMETRY
-    sanitizer: Union[Sanitizer, NullSanitizer] = NULL_SANITIZER
+    sanitizer: AnySanitizer = NULL_SANITIZER
 
     @property
     def enabled(self) -> bool:
@@ -70,7 +70,7 @@ def install(instrumentation: Optional[Instrumentation] = None) -> Instrumentatio
 
 @contextmanager
 def instrumented(
-    sanitizer: Optional[Union[Sanitizer, NullSanitizer]] = None,
+    sanitizer: Optional[AnySanitizer] = None,
     telemetry: Optional[Union[TelemetryBus, NullTelemetryBus]] = None,
 ) -> Iterator[Instrumentation]:
     """Activate live collection for a region, restoring the prior slot.

@@ -26,7 +26,9 @@ when the simulator is healthy, checked at the existing
   contention, reduce, cache) are non-negative and sum to the query's
   QCT within 1e-9.
 
-A disabled call site costs one attribute check (``sanitizer.enabled``),
+A disabled call site costs one attribute check (``sanitizer.enabled``
+on :class:`repro.obs.null_sanitizer.NullSanitizer`, the no-op twin the slot
+holds by default, so this module loads only under ``--sanitize``),
 mirroring the telemetry bus's no-op twin.  In ``collect`` mode (the CLI
 default) violations accumulate for a summary report; in ``raise`` mode
 (the test default) the first violation raises
@@ -36,7 +38,7 @@ default) violations accumulate for a summary report; in ``raise`` mode
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 from repro.errors import InvariantViolation
 
@@ -46,35 +48,6 @@ _ABS_TOL_BYTES = 1e-3
 _REL_TOL = 1e-6
 #: Absolute slack for clock comparisons (progressive-filling epsilon).
 _ABS_TOL_SECONDS = 1e-9
-
-
-class NullSanitizer:
-    """No-op twin: every check is a cheap early return."""
-
-    enabled = False
-    violations: Tuple[str, ...] = ()  # always empty; shared on purpose
-    checks_run = 0
-
-    def check_job(self, result) -> None:
-        return None
-
-    def check_clock(self, previous: float, now: float, where: str = "wan") -> None:
-        return None
-
-    def check_placement(self, problem, reduce_fractions, moves) -> None:
-        return None
-
-    def check_movement(self, movement, lag_seconds: float) -> None:
-        return None
-
-    def check_retry_outcome(self, outcome, policy) -> None:
-        return None
-
-    def check_critical_path(self, path) -> None:
-        return None
-
-
-NULL_SANITIZER = NullSanitizer()
 
 
 class Sanitizer:

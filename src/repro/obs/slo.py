@@ -19,7 +19,7 @@ The tracker replays ``serve-finish`` events (or any deterministic
 sample feed) and emits the schema-v3 ``slo-sample`` / ``slo-window`` /
 ``slo-status`` kinds onto a telemetry bus, so archives, ``repro
 report`` panels, and ``repro top`` all see the same stream.  Like every
-``repro.obs`` module it is a pure observer (R011): it never mutates
+``repro.obs`` module it is a pure observer: it never mutates
 engine/wan/serve state.
 """
 

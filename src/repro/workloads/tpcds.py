@@ -64,7 +64,9 @@ def _generate_sales(
                     days[int(rng.integers(0, num_days))],
                     region,
                     int(rng.integers(1, 10)),
-                    round_half_even(rng.uniform(1.0, 500.0), 2),
+                    # rng.uniform(1.0, 500.0)'s own formula, without its
+                    # per-call cost: same floats, same stream position.
+                    round_half_even(1.0 + 499.0 * rng.random(), 2),
                 ),
                 size_bytes=record_bytes,
             )

@@ -1,9 +1,7 @@
-"""Seeded violations for the whole-program passes R009-R012.
+"""Seeded shared state for the whole-program pass R010.
 
-Every hazard in this package is *invisible* to the per-file rules
-(R001-R008) because it crosses a function or module boundary; the tests
-in ``tests/lint/test_static_passes.py`` assert exactly that — per-file
-lint of ``sim.py``/``view.py`` is clean while the interprocedural passes
-flag each one.  Roles are rebound in the tests: ``staticdemo.sim`` plays
-the sim + protected package, ``staticdemo.view`` plays the observer.
+The hazard in this package is *invisible* to the per-file rules
+(R001-R008) because the state is created in one frame and mutated in
+another; ``tests/lint/test_static_passes.py`` asserts exactly that —
+per-file lint of the package is clean while R010 flags it.
 """

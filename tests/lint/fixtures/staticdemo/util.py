@@ -1,30 +1,10 @@
-"""Helpers that launder hazards across module boundaries."""
-
-import numpy as np
+"""A module-level memo mutated from a function frame."""
 
 #: R010 demo: module-level mutable container mutated from a function
 #: frame below — the per-file rules never look at module state.
 _MEMO = {}
 
 
-def jitter() -> float:
-    """R009 demo: an *unseeded* Generator is nondeterministic, but the
-    syntactic R002 only knows the legacy global-state numpy API."""
-    rng = np.random.default_rng()
-    return float(rng.random())
-
-
 def remember(key: str, value: float) -> float:
     _MEMO[key] = value
     return value
-
-
-def active_sites():
-    """R012 demo: returns an unordered set; order-sensitive iteration at
-    the *call site* is a hash-seed dependency R003 cannot see."""
-    return {"tokyo", "dublin", "oregon"}
-
-
-def site_view():
-    """R012 propagation demo: returns whatever active_sites() returns."""
-    return active_sites()

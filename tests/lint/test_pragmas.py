@@ -99,7 +99,7 @@ class TestUnknownRuleIds:
         assert "R999" in findings[0].message
 
     def test_known_static_rule_id_does_not_warn(self):
-        assert lint_source("x = 1  # lint: allow[R009]\n") == []
+        assert lint_source("x = 1  # lint: allow[R010]\n") == []
 
     def test_wildcard_does_not_warn(self):
         assert lint_source("x = 1  # lint: allow[*]\n") == []

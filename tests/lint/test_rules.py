@@ -61,6 +61,59 @@ class TestR002RawRandom:
     def test_repro_util_rng_is_fine(self):
         assert _rule_ids("from repro.util.rng import make_rng\n") == []
 
+    # Entropy sources flagged where they are written: every file under
+    # src/repro and benchmarks is linted, so no call chain reaches one
+    # unflagged.
+
+    def test_unseeded_default_rng_fires(self):
+        assert _rule_ids(
+            "import numpy as np\nrng = np.random.default_rng()\n"
+        ) == ["R002"]
+
+    def test_unseeded_from_imported_generators_fire(self):
+        source = """
+        from numpy.random import RandomState, default_rng
+        a = default_rng()
+        b = RandomState()
+        """
+        assert _rule_ids(source) == ["R002", "R002"]
+
+    def test_seeded_generators_are_fine(self):
+        source = """
+        import numpy as np
+        a = np.random.default_rng(seed)
+        b = np.random.RandomState(7)
+        c = np.random.default_rng(seed=seed)
+        factory = np.random.default_rng
+        """
+        assert _rule_ids(source) == []
+
+    def test_os_entropy_sources_fire(self):
+        source = """
+        import os
+        import secrets
+        import uuid
+        from uuid import uuid1
+        a = os.urandom(8)
+        b = uuid.uuid4()
+        c = uuid1()
+        d = secrets.token_hex(8)
+        """
+        assert _rule_ids(source) == ["R002"] * 4
+
+    def test_name_based_uuid_is_fine(self):
+        assert _rule_ids("import uuid\nu = uuid.uuid5(ns, 'x')\n") == []
+
+    def test_allow_pragma_suppresses_entropy_source(self):
+        source = """
+        import os
+        import numpy as np
+        rng = np.random.default_rng(
+        )  # lint: allow[R002]
+        salt = os.urandom(8)  # lint: allow[R002]
+        """
+        assert _rule_ids(source) == []
+
 
 class TestR003UnorderedIteration:
     def test_accumulating_for_over_set_fires(self):

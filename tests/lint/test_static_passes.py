@@ -1,9 +1,8 @@
-"""Interprocedural passes R009-R012 against the seeded fixture package.
+"""The whole-program pass R010 against the seeded fixture package.
 
-The fixture (``tests/lint/fixtures/staticdemo``) holds one violation per
-pass, each engineered to be invisible to the per-file rules — that
-invisibility is asserted here too, since it is the whole point of the
-whole-program layer.
+The fixture (``tests/lint/fixtures/staticdemo``) holds shared state
+engineered to be invisible to the per-file rules — that invisibility is
+asserted here too, since it is why R010 needs the whole program.
 """
 
 import json
@@ -14,28 +13,22 @@ import pytest
 
 from repro.errors import LintError
 from repro.lint import lint_paths
+from repro.lint.cli import main
 from repro.lint.graph import ProjectGraph
 from repro.lint.passes import (
-    ProjectRoles,
     build_inventory,
     r010_message,
-    run_static_passes,
+    shared_state_pass,
     write_shared_state,
 )
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "staticdemo")
 
-ROLES = ProjectRoles(
-    sim=("staticdemo.sim",),
-    observer=("staticdemo.view", "staticdemo.slo"),
-    protected=("staticdemo.sim",),
-)
-
 
 @pytest.fixture(scope="module")
 def demo():
     graph = ProjectGraph.build([FIXTURE])
-    findings, inventory = run_static_passes(graph, roles=ROLES)
+    findings, inventory = shared_state_pass(graph)
     return graph, findings, inventory
 
 
@@ -45,17 +38,18 @@ def _rule_files(findings, rule_id):
     )
 
 
+def _package(tmp_path, source):
+    pkg = tmp_path / "demo"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "state.py").write_text(textwrap.dedent(source))
+    return shared_state_pass(ProjectGraph.build([str(pkg)]))[0]
+
+
 class TestFixtureDemos:
     def test_per_file_rules_miss_every_seeded_violation(self):
         findings, _ = lint_paths([FIXTURE])
         assert findings == []
-
-    def test_r009_flags_laundered_unseeded_generator(self, demo):
-        _, findings, _ = demo
-        assert _rule_files(findings, "R009") == ["sim.py"]
-        (finding,) = [f for f in findings if f.rule_id == "R009"]
-        assert "unseeded numpy.random.default_rng()" in finding.message
-        assert "staticdemo.util.jitter" in finding.message
 
     def test_r010_inventories_module_cache(self, demo):
         _, findings, inventory = demo
@@ -64,88 +58,52 @@ class TestFixtureDemos:
         assert entry.mutated and entry.kind == "module-global"
         assert any("util.py" in site for site in entry.mutation_sites)
 
-    def test_r011_flags_both_write_styles(self, demo):
-        _, findings, _ = demo
-        r011 = [f for f in findings if f.rule_id == "R011"]
-        assert _rule_files(r011, "R011") == ["slo.py", "view.py", "view.py"]
-        messages = " | ".join(f.message for f in r011)
-        assert "writes attribute" in messages          # sample()
-        assert "calls an engine/wan/core mutator" in messages  # refresh()
-
-    def test_r011_covers_analyzer_shaped_observer(self, demo):
-        # The slo.py fixture mirrors repro.obs.slo/critpath: a summary
-        # module that "normalizes" the engine state it measures.  R011
-        # must flag the reset but leave the pure burn_rate reader alone.
-        _, findings, _ = demo
-        (finding,) = [
-            f for f in findings
-            if f.rule_id == "R011" and f.path.endswith("slo.py")
-        ]
-        assert "writes attribute" in finding.message
-        assert "fold_sample" in finding.message
-
-    def test_default_roles_cover_new_obs_modules(self):
-        # The real role map already marks every repro.obs module as an
-        # observer, so the new analyzers are R011-protected by default.
-        from repro.lint.passes import DEFAULT_ROLES
-
-        for module in ("repro.obs.critpath", "repro.obs.slo"):
-            assert any(
-                module.startswith(prefix)
-                for prefix in DEFAULT_ROLES.observer
-            )
-
-    def test_r011_pure_reader_not_flagged(self, demo):
-        _, findings, _ = demo
-        assert not any(
-            f.rule_id == "R011" and f.line <= 8 for f in findings
-        ), "render() only reads engine state"
-
-    def test_r012_flags_loop_and_propagated_comprehension(self, demo):
-        _, findings, _ = demo
-        r012 = sorted(f for f in findings if f.rule_id == "R012")
-        assert len(r012) == 2
-        assert "active_sites()" in r012[0].message
-        assert "site_view()" in r012[1].message
-
 
 class TestPassMechanics:
-    def test_select_runs_only_named_passes(self, demo):
-        graph, _, _ = demo
-        findings, _ = run_static_passes(graph, roles=ROLES, select=["R012"])
-        assert {f.rule_id for f in findings} == {"R012"}
-
-    def test_select_unknown_id_raises(self, demo):
-        graph, _, _ = demo
+    def test_select_unknown_id_raises(self):
+        # R009/R011/R012 were whole-program passes; their ids are gone.
         with pytest.raises(LintError):
-            run_static_passes(graph, roles=ROLES, select=["R099"])
+            main(["--select", "R009", FIXTURE])
 
-    def test_inventory_returned_even_when_r010_deselected(self, demo):
-        graph, _, _ = demo
-        _, inventory = run_static_passes(graph, roles=ROLES, select=["R009"])
-        assert any(e.name == "_MEMO" for e in inventory)
+    def test_inventory_returned_even_when_r010_deselected(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "shared_state.json"
+        assert main(["--select", "R001", "--shared-state", str(out),
+                     FIXTURE]) == 0
+        assert "clean: 0 findings" in capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        assert [e["name"] for e in payload["entries"]] == ["_MEMO"]
 
     def test_pragma_suppresses_static_finding(self, tmp_path):
-        pkg = tmp_path / "demo"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
-        (pkg / "util.py").write_text(textwrap.dedent(
-            """\
-            import numpy as np
-            def jitter():
-                rng = np.random.default_rng()  # lint: allow[R009]
-                return float(rng.random())
-            """
-        ))
-        (pkg / "sim.py").write_text(
-            "from demo.util import jitter\n"
-            "def delay():\n"
-            "    return jitter()\n"
-        )
-        graph = ProjectGraph.build([str(pkg)])
-        roles = ProjectRoles(sim=("demo.sim",), observer=(), protected=())
-        findings, _ = run_static_passes(graph, roles=roles)
-        assert findings == []
+        # The per-file runner's rule: a pragma anywhere on a multi-line
+        # simple statement counts, the closing line included.
+        assert _package(tmp_path, """\
+            _TABLE = {
+                "a": 1,
+            }  # lint: allow[R010]
+            def put(key, value):
+                _TABLE[key] = value
+            """) == []
+
+    def test_pragma_at_mutation_site_does_not_suppress(self, tmp_path):
+        findings = _package(tmp_path, """\
+            _TABLE = {
+                "a": 1,
+            }
+            def put(key, value):
+                _TABLE[key] = value  # lint: allow[R010]
+            """)
+        assert [(f.rule_id, f.line) for f in findings] == [("R010", 1)]
+
+    def test_pragma_on_cached_def_header_suppresses(self, tmp_path):
+        assert _package(tmp_path, """\
+            import functools
+            @functools.lru_cache(maxsize=None)
+            def lookup(
+                key,
+            ):  # lint: allow[R010]
+                return key
+            """) == []
 
     def test_import_time_table_building_is_not_a_mutation(self, tmp_path):
         pkg = tmp_path / "demo"
@@ -203,7 +161,7 @@ class TestRealTreeStaticClean:
             os.path.join(self.REPO_ROOT, "src", "repro"),
             os.path.join(self.REPO_ROOT, "benchmarks"),
         ])
-        findings, _ = run_static_passes(graph)
+        findings, _ = shared_state_pass(graph)
         baseline = Baseline.load(
             os.path.join(self.REPO_ROOT, "lint-baseline.json")
         )

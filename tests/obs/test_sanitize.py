@@ -5,12 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import InvariantViolation
-from repro.obs.sanitize import (
-    NULL_SANITIZER,
-    NullSanitizer,
-    Sanitizer,
-    iter_violations,
-)
+from repro.obs.null_sanitizer import NULL_SANITIZER, NullSanitizer
+from repro.obs.sanitize import Sanitizer, iter_violations
 
 
 def _site_metrics(**overrides):

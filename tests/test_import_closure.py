@@ -45,6 +45,7 @@ NOT_LOADED = (
     "repro.core.report",
     "repro.engine.dag",
     "repro.engine.join",
+    "repro.obs.sanitize",
     "repro.obs.span",
     "repro.obs.views",
     "repro.olap.builder",
