@@ -32,7 +32,6 @@ test:  ## tier-1 test suite
 parity:  ## scalar/columnar hot-path parity suite (bit-identity oracle)
 	$(PYTHON) -m pytest -q tests/engine/test_columnar_parity.py \
 		tests/similarity/test_columnar_parity.py \
-		tests/placement/test_warm_start.py \
 		tests/properties/test_placement_lp.py \
 		tests/properties/test_obs_oracles.py \
 		tests/properties/test_wan_session.py \

@@ -124,9 +124,6 @@ class Controller:
         self.checker = SimilarityChecker()
         self._cubes: Dict[Tuple[str, str], DimensionCubeSet] = {}
         self._fractions: Optional[Dict[str, float]] = None
-        #: Task-LP basis of the standing plan; degraded replans warm-start
-        #: the simplex backend from its surviving-site restriction.
-        self._task_basis: List[str] = []
         self._prepared: Optional[PreparationReport] = None
         self._movement_fractions: Dict[Tuple[str, str, str], float] = {}
         self._policy: MovementPolicy = MovementPolicy.RANDOM
@@ -194,10 +191,6 @@ class Controller:
             report.movement = self._move(
                 workload, decision.moves, decision.reduce_fractions
             )
-        if obs.sanitizer.enabled:
-            obs.sanitizer.check_movement(
-                report.movement, self.config.lag_seconds
-            )
         self.bandwidth.observe_transfers(
             report.movement.transfers, truth=self.scheduler.effective_bps
         )
@@ -215,7 +208,6 @@ class Controller:
                 lp_wall_seconds=report.lp_solve_seconds,
             )
         self._fractions = dict(decision.reduce_fractions)
-        self._task_basis = list(decision.task_basis)
         self._movement_fractions = {}
         for (dataset_id, src, dst), moved in report.movement.moved_bytes.items():
             held = pre_move_bytes.get(dataset_id, {}).get(src, 0.0)
@@ -289,20 +281,7 @@ class Controller:
                 self._fractions = {alive[0]: 1.0}
                 report.reduce_fractions = dict(self._fractions)
             else:
-                # Seed the LP from the incumbent basis restricted to the
-                # survivors: "t" always carries over, and each surviving
-                # site's r-variable keeps its name in the smaller program.
-                alive_names = {f"r[{site}]" for site in alive}
-                warm_basis = [
-                    name
-                    for name in self._task_basis
-                    if name == "t" or name in alive_names
-                ]
-                decision = self._decide(
-                    workload, report, sites=alive,
-                    warm_task_basis=warm_basis or None,
-                )
-                self._task_basis = list(decision.task_basis)
+                decision = self._decide(workload, report, sites=alive)
                 report.movement = self._move(
                     workload, decision.moves, decision.reduce_fractions
                 )
@@ -697,12 +676,11 @@ class Controller:
         workload: Workload,
         report: PreparationReport,
         sites: Optional[List[str]],
-        warm_task_basis: Optional[List[str]] = None,
     ) -> PlacementDecision:
         """Solve the placement over ``sites`` (None = every site), check
         it, and record what the planner did in ``report``."""
         problem = self._placement_problem(workload, report, sites=sites)
-        decision = self._plan(problem, workload, warm_task_basis=warm_task_basis)
+        decision = self._plan(problem, workload)
         sanitizer = instrument.current().sanitizer
         if sanitizer.enabled:
             sanitizer.check_placement(
@@ -726,7 +704,7 @@ class Controller:
         plan = PlacementPlan(
             moves=moves, reduce_fractions=reduce_fractions, policy=self._policy
         )
-        return execute_plan(
+        movement = execute_plan(
             workload.catalog,
             plan,
             workload.key_indices(),
@@ -737,18 +715,17 @@ class Controller:
                 self.chaos.retry if retry and self.chaos is not None else None
             ),
         )
+        sanitizer = instrument.current().sanitizer
+        if sanitizer.enabled:
+            sanitizer.check_movement(movement, self.config.lag_seconds)
+        return movement
 
     def _plan(
-        self,
-        problem: PlacementProblem,
-        workload: Workload,
-        warm_task_basis: Optional[List[str]] = None,
+        self, problem: PlacementProblem, workload: Workload
     ) -> PlacementDecision:
         strategy = self.profile.placement_strategy
         if strategy == "joint":
-            return JointPlanner(backend=self.config.lp_backend).plan(
-                problem, warm_task_basis=warm_task_basis
-            )
+            return JointPlanner(backend=self.config.lp_backend).plan(problem)
         if strategy == "heuristic":
             query_counts = {
                 dataset.dataset_id: len(workload.queries_for(dataset.dataset_id))

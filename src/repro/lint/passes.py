@@ -238,7 +238,9 @@ def r010_message(entry: SharedStateEntry) -> str:
     """The R010 finding message for one inventory entry.
 
     Kept in one place so the baseline and ``shared_state.json`` writers
-    agree on the key byte-for-byte.
+    agree on the key byte-for-byte.  It names the files that mutate the
+    entry, not the lines: the message is the baseline key, and moving a
+    line must not turn an accepted finding into a new one.
     """
     detail = {
         "module-global": "module-level mutable container",
@@ -246,7 +248,8 @@ def r010_message(entry: SharedStateEntry) -> str:
         "cache": "memoization cache lives for the whole process",
         "global-rebind": "module global rebound at runtime",
     }[entry.kind]
-    sites = ", ".join(sorted(entry.mutation_sites)[:3]) or "decorator"
+    files = sorted({site.rsplit(":", 1)[0] for site in entry.mutation_sites})
+    sites = ", ".join(files[:3]) or "decorator"
     return (
         f"shared mutable state {entry.key} ({entry.container}): {detail}; "
         f"mutated at {sites} — a concurrent serving layer must scope or "

@@ -23,7 +23,7 @@ def lint_source(
     source: str, path: str = "<string>", select: Optional[Sequence[str]] = None
 ) -> List[Finding]:
     """Lint one module's source text; ``select`` narrows the rule pack."""
-    return run_rules(source, path, rules_for(list(select) if select else None))
+    return run_rules(source, path, rules_for(None if select is None else list(select)))
 
 
 def collect_files(paths: Sequence[str]) -> List[str]:
@@ -57,7 +57,7 @@ def lint_paths(
     Returns ``(findings, files_checked)`` with findings sorted by
     location.  Unreadable files surface as :class:`LintError`.
     """
-    rules = rules_for(list(select) if select else None)
+    rules = rules_for(None if select is None else list(select))
     files = collect_files(paths)
     findings: List[Finding] = []
     for file_path in files:

@@ -32,8 +32,8 @@ _SPAN_FIELDS = frozenset({"name", "stage", "at_wall_seconds", "sim_start", "sim_
 #: Attrs that ride on a span only to feed :func:`metrics_from_events`;
 #: the span view leaves them out (they stay visible in the archive).
 _METRIC_ONLY_ATTRS = frozenset({
-    "filling_rounds", "parked_seconds", "warm_started", "simplex_status",
-    "simplex_iterations", "probe_build_wall_seconds",
+    "filling_rounds", "parked_seconds", "simplex_status", "simplex_iterations",
+    "probe_build_wall_seconds",
 })
 
 _MAP_ATTRS = (
@@ -212,15 +212,11 @@ def _fold_span(metrics: _Series, span: Span) -> None:
         _count(metrics, "lp_solves", backend=attrs["backend"])
         _observe(metrics, "lp_solve_seconds", span.wall_duration)
         _set(metrics, "lp_variables", attrs["variables"])
-        if attrs["warm_started"]:
-            _count(metrics, "lp_warm_starts")
         if "simplex_status" in attrs:
             iterations = attrs["simplex_iterations"]
             _count(metrics, "simplex_solves", status=attrs["simplex_status"])
             _count(metrics, "simplex_iterations", iterations)
             _observe(metrics, "simplex_iterations_per_solve", iterations)
-            if attrs["warm_started"]:
-                _count(metrics, "simplex_warm_starts")
     elif span.name == "cube-build":
         _observe(metrics, "cube_build_seconds", span.wall_duration)
     elif span.name == "similarity":

@@ -28,26 +28,21 @@ from repro.placement.lp import (
 )
 from repro.placement.model import PlacementProblem
 
+#: Share of a dataset's bottleneck bytes one greedy step moves.
+CHUNK_FRACTION = 0.1
+#: Greedy steps per dataset.
+MAX_STEPS_PER_DATASET = 20
+#: Chunks that leave t unchanged are kept for up to this many consecutive
+#: steps: with tied bottlenecks, draining one site only pays off once its
+#: twin has been drained too.
+STALL_LIMIT = 3
+
 
 class IridiumPlanner:
     """Greedy bottleneck-draining data placement + task-placement LP."""
 
-    def __init__(
-        self,
-        backend: str = "auto",
-        chunk_fraction: float = 0.1,
-        max_steps_per_dataset: int = 20,
-        stall_limit: int = 3,
-    ) -> None:
-        if not 0.0 < chunk_fraction <= 1.0:
-            raise ValueError("chunk_fraction must be in (0, 1]")
+    def __init__(self, backend: str = "auto") -> None:
         self.backend = backend
-        self.chunk_fraction = chunk_fraction
-        self.max_steps_per_dataset = max_steps_per_dataset
-        # Chunks that leave t unchanged are kept for up to ``stall_limit``
-        # consecutive steps: with tied bottlenecks, draining one site only
-        # pays off once its twin has been drained too.
-        self.stall_limit = stall_limit
 
     def plan(
         self,
@@ -87,7 +82,7 @@ class IridiumPlanner:
         for dataset in ordered:
             stalled = 0
             committed_since_improvement: list = []
-            for _ in range(self.max_steps_per_dataset):
+            for _ in range(MAX_STEPS_PER_DATASET):
                 if volumes is None:
                     volumes = shuffle_bytes_after_moves(blind, moves)
                 source = self._bottleneck(blind, volumes)
@@ -96,7 +91,7 @@ class IridiumPlanner:
                     break
                 chunk = min(
                     available,
-                    self.chunk_fraction * max(blind.I(dataset, source), available),
+                    CHUNK_FRACTION * max(blind.I(dataset, source), available),
                     up_budget[source],
                 )
                 if chunk <= 1e-9:  # nothing meaningful left to move
@@ -128,7 +123,7 @@ class IridiumPlanner:
                 else:
                     stalled += 1
                     committed_since_improvement.append((key, chunk, source, destination))
-                    if stalled >= self.stall_limit:
+                    if stalled >= STALL_LIMIT:
                         # The speculative chunks never paid off: roll back.
                         for spec_key, spec_chunk, src, dst in committed_since_improvement:
                             residual = moves.get(spec_key, 0.0) - spec_chunk

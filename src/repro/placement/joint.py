@@ -9,7 +9,7 @@ rounds suffice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.placement.lp import (
     DataLp,
@@ -18,6 +18,11 @@ from repro.placement.lp import (
     solve_task_lp,
 )
 from repro.placement.model import PlacementProblem
+
+#: Most alternation rounds from one start.
+MAX_ROUNDS = 8
+#: Smallest drop in t that counts as an improvement.
+TOLERANCE = 1e-6
 
 
 @dataclass
@@ -31,10 +36,6 @@ class PlacementDecision:
     iterations: int = 1
     planner: str = ""
     details: Dict[str, float] = field(default_factory=dict)
-    #: Basis (or support) of the task LP that produced these fractions;
-    #: a degraded replan restricts this to surviving sites and seeds the
-    #: simplex backend's warm start from it.
-    task_basis: List[str] = field(default_factory=list)
 
     @property
     def total_moved_bytes(self) -> float:
@@ -47,13 +48,9 @@ class JointPlanner:
     def __init__(
         self,
         backend: str = "auto",
-        max_rounds: int = 8,
-        tolerance: float = 1e-6,
         heuristic_warm_start: bool = True,
     ) -> None:
         self.backend = backend
-        self.max_rounds = max_rounds
-        self.tolerance = tolerance
         # Alternation can stall in local optima of the bilinear objective;
         # seeding one start from the greedy heuristic's solution makes the
         # joint plan's LP objective t dominate the heuristic's by
@@ -62,11 +59,7 @@ class JointPlanner:
         # half the time (ROADMAP, the headline-claim item).
         self.heuristic_warm_start = heuristic_warm_start
 
-    def plan(
-        self,
-        problem: PlacementProblem,
-        warm_task_basis: "Optional[List[str]]" = None,
-    ) -> PlacementDecision:
+    def plan(self, problem: PlacementProblem) -> PlacementDecision:
         """Multi-start alternating optimization.
 
         Alternation can stall at a fixed point of the bilinear objective
@@ -75,20 +68,14 @@ class JointPlanner:
         alternate from several task-placement starts — the in-place
         optimum, uniform, and one-hot at the best-connected sites — and
         keep the best (moves, fractions) pair found.
-
-        ``warm_task_basis`` seeds the first task LP's simplex basis from
-        an incumbent decision (degraded replans pass the surviving-site
-        restriction of the previous plan's basis) — a solver-level hint
-        that never changes which starts are explored.
         """
         # Baseline candidate: no movement, optimal in-place task placement.
         in_place = shuffle_bytes_after_moves(problem, {})
         seed_fractions, best_t, seed_solution = solve_task_lp(
-            in_place, problem, backend=self.backend, warm_names=warm_task_basis
+            in_place, problem, backend=self.backend
         )
         best_moves: Moves = {}
         best_fractions = dict(seed_fractions)
-        best_basis = list(seed_solution.basis_names)
         solve_seconds = seed_solution.solve_seconds
         total_rounds = 0
 
@@ -105,18 +92,17 @@ class JointPlanner:
                 volumes, problem, backend=self.backend
             )
             solve_seconds += solution_h.solve_seconds
-            if t_h < best_t - self.tolerance:
+            if t_h < best_t - TOLERANCE:
                 best_t = t_h
                 best_moves = heuristic.moves
                 best_fractions = dict(fractions_h)
-                best_basis = list(solution_h.basis_names)
             starts.append(dict(fractions_h))
 
         data_lp = DataLp(problem)  # rows (3), (4) are all a round changes
         for start in starts:
             fractions = dict(start)
             previous_t = float("inf")
-            for _ in range(self.max_rounds):
+            for _ in range(MAX_ROUNDS):
                 total_rounds += 1
                 moves, _, data_solution = data_lp.solve(
                     fractions, backend=self.backend
@@ -127,12 +113,11 @@ class JointPlanner:
                     volumes, problem, backend=self.backend
                 )
                 solve_seconds += task_solution.solve_seconds
-                if t < best_t - self.tolerance:
+                if t < best_t - TOLERANCE:
                     best_t = t
                     best_moves = moves
                     best_fractions = dict(fractions)
-                    best_basis = list(task_solution.basis_names)
-                if t >= previous_t - self.tolerance:
+                if t >= previous_t - TOLERANCE:
                     break
                 previous_t = t
         return PlacementDecision(
@@ -142,7 +127,6 @@ class JointPlanner:
             solve_seconds=solve_seconds,
             iterations=total_rounds,
             planner="joint-lp",
-            task_basis=best_basis,
         )
 
     @staticmethod

@@ -230,14 +230,10 @@ def solve_task_lp(
     shuffle_bytes: Mapping[str, float],
     problem: PlacementProblem,
     backend: str = "auto",
-    warm_names: "Optional[List[str]]" = None,
 ) -> Tuple[Dict[str, float], float, LpSolution]:
     """Optimal reduce fractions given fixed per-site shuffle volumes F_i.
 
-    Returns ``(reduce_fractions, t, solution)``.  ``warm_names`` seeds
-    the simplex backend's starting basis — pass an incumbent solution's
-    ``basis_names`` (e.g. restricted to surviving sites on a degraded
-    replan); names absent from this program's variables are ignored.
+    Returns ``(reduce_fractions, t, solution)``.
     Only t wanted?  :func:`task_lp_optimum` is the same number, unsolved.
     """
     sites = problem.site_names
@@ -269,7 +265,7 @@ def solve_task_lp(
         b_eq=np.asarray([1.0]),
         variable_names=["t"] + [f"r[{site}]" for site in sites],
     )
-    solution = solve_lp(program, backend=backend, warm_names=warm_names)
+    solution = solve_lp(program, backend=backend)
     fractions = {
         site: max(0.0, float(solution.x[1 + position]))
         for position, site in enumerate(sites)

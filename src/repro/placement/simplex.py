@@ -32,12 +32,8 @@ class SimplexResult:
     objective: float
     iterations: int
     status: str  # "optimal" | "infeasible" | "unbounded"
-    #: Final basis columns (indices into the structural+slack space);
-    #: structural entries (< num_vars) can seed a later warm start.
+    #: Final basis columns (indices into the structural+slack space).
     basis_columns: List[int] = field(default_factory=list)
-    #: True when a warm-start crash basis was feasible and phase 1 was
-    #: skipped entirely.
-    warm_started: bool = False
 
     @property
     def ok(self) -> bool:
@@ -65,94 +61,6 @@ def _eliminate(tableau_a: np.ndarray, b: np.ndarray, row: int, column: int) -> N
     factors = factors[rows]
     tableau_a[rows] -= np.multiply.outer(factors, tableau_a[row])
     b[rows] -= factors * b[row]
-
-
-def _try_warm_basis(
-    tableau_a: np.ndarray,
-    b: np.ndarray,
-    hinted: Sequence[int],
-    slack_columns: Sequence[Tuple[int, int]],
-) -> Optional[Tuple[List[int], np.ndarray, np.ndarray]]:
-    """Crash a starting basis around the ``hinted`` structural columns.
-
-    The basic solution depends only on the chosen column *set*, so the
-    crash pivots every usable hinted column in first (each on its
-    largest-pivot unassigned row), then completes the basis with slack
-    columns — each remaining row preferring its own slack (from
-    ``slack_columns``: (row, column) pairs) before borrowing another.
-    Returns ``(basis, tableau, rhs)`` — the row-aligned basis plus the
-    canonicalized tableau copies — when that set spans the rows AND its
-    basic solution is feasible (b >= 0 after elimination); None means
-    fall back to ordinary phase 1.  (The canonical copies matter: the
-    crash pivots rows out of order, so re-canonicalizing the raw tableau
-    row-by-row could hit a transiently zero pivot.)
-    """
-    num_rows = tableau_a.shape[0]
-    work_a = tableau_a.copy()
-    work_b = b.copy()
-    assigned: dict = {}  # row -> basis column
-
-    def pivot_in(row: int, column: int) -> None:
-        assigned[row] = column
-        _eliminate(work_a, work_b, row, column)
-
-    slack_of_row = dict(slack_columns)
-    remaining_hints = list(hinted)
-
-    # Slackless rows (equalities) can only hold structural columns, so
-    # they claim hinted pivots before anything else; a slackless row no
-    # hint can cover means the crash cannot span the rows — fall back.
-    for row in range(num_rows):
-        if row in slack_of_row:
-            continue
-        best_column = None
-        best_pivot = _TOL
-        for column in remaining_hints:
-            magnitude = abs(work_a[row, column])
-            if magnitude > best_pivot:
-                best_pivot = magnitude
-                best_column = column
-        if best_column is None:
-            return None
-        remaining_hints.remove(best_column)
-        pivot_in(row, best_column)
-
-    # Then the leftover hints: a degenerate hint (no usable pivot
-    # anywhere) is skipped rather than failing the whole crash.
-    for column in remaining_hints:
-        best_row = None
-        best_pivot = _TOL
-        for row in range(num_rows):
-            if row in assigned:
-                continue
-            magnitude = abs(work_a[row, column])
-            if magnitude > best_pivot:
-                best_pivot = magnitude
-                best_row = row
-        if best_row is not None:
-            pivot_in(best_row, column)
-
-    # Complete with slacks: own-row slack first, then any usable one.
-    used = set(assigned.values())
-    spare = [col for _, col in slack_columns if col not in used]
-    for row in range(num_rows):
-        if row in assigned:
-            continue
-        own = slack_of_row.get(row)
-        if own is not None and own not in used and abs(work_a[row, own]) > _TOL:
-            used.add(own)
-            pivot_in(row, own)
-            continue
-        for column in spare:
-            if column not in used and abs(work_a[row, column]) > _TOL:
-                used.add(column)
-                pivot_in(row, column)
-                break
-        else:
-            return None
-    if np.any(work_b < -_TOL):
-        return None  # hinted basis is infeasible here; phase 1 it is
-    return [assigned[row] for row in range(num_rows)], work_a, work_b
 
 
 def require_finite(
@@ -186,15 +94,10 @@ def simplex_solve(
     a_eq: Optional[np.ndarray] = None,
     b_eq: Optional[np.ndarray] = None,
     max_iterations: int = 20000,
-    warm_columns: Optional[Sequence[int]] = None,
     check_finite: bool = True,
 ) -> SimplexResult:
     """Two-phase simplex for the standard-form LP above.
 
-    ``warm_columns`` hints structural columns (e.g. the incumbent basis
-    of a related solve) to crash a starting basis from; when the hinted
-    basis — completed with slack columns — is feasible, phase 1 is
-    skipped.  An unusable hint silently falls back to the cold path.
     A nan/inf entry is a :class:`SolverError` naming it, unless
     ``check_finite`` is off because the caller has already checked.
     """
@@ -243,23 +146,6 @@ def simplex_solve(
     b[negated] *= -1.0
     tableau_a = tableau[:, :total_real]
 
-    warm_basis: Optional[List[int]] = None
-    if warm_columns is not None:
-        hinted: List[int] = []
-        seen = set()
-        for column in warm_columns:
-            if 0 <= column < total_real and column not in seen:
-                seen.add(column)
-                hinted.append(column)
-        slack_columns = [(row, num_vars + row) for row in range(num_slacks)]
-        warm_basis = _try_warm_basis(tableau_a, b, hinted, slack_columns)
-    if warm_basis is not None:
-        basis, canonical_a, canonical_b = warm_basis
-        return _finish_phase2(
-            canonical_a, canonical_b, c, list(basis), num_vars,
-            max_iterations, 0, True,
-        )
-
     # A <= row's slack starts basic unless the row was negated; every
     # other row starts on its artificial column.
     basis_columns = np.empty(num_rows, dtype=np.intp)
@@ -293,22 +179,6 @@ def simplex_solve(
     else:
         iterations1 = 0
 
-    return _finish_phase2(
-        tableau_a, b, c, basis, num_vars, max_iterations, iterations1, False
-    )
-
-
-def _finish_phase2(
-    tableau_a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    basis: list,
-    num_vars: int,
-    max_iterations: int,
-    iterations1: int,
-    warm_started: bool,
-) -> SimplexResult:
-    """Run phase 2 from a feasible basis and package the result."""
     phase2_c = np.concatenate([c, np.zeros(tableau_a.shape[1] - num_vars)])
     status, iterations2 = _iterate(tableau_a, b, phase2_c, basis, max_iterations)
     x_full = np.zeros(tableau_a.shape[1])
@@ -321,7 +191,6 @@ def _finish_phase2(
         iterations1 + iterations2,
         status,
         basis_columns=list(basis),
-        warm_started=warm_started,
     )
 
 

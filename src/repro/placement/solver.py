@@ -51,12 +51,6 @@ class LpSolution:
     objective: float
     solve_seconds: float
     backend: str
-    #: Structural variables usable as a warm-start hint for a related
-    #: solve: the final simplex basis (simplex backend) or the solution
-    #: support (scipy; the simplex crashes its warm basis from these).
-    basis_names: List[str] = field(default_factory=list)
-    #: True when the simplex backend started from a feasible warm basis.
-    warm_started: bool = False
 
     def value_of(self, program: LinearProgram, name: str) -> float:
         try:
@@ -66,22 +60,13 @@ class LpSolution:
         return float(self.x[index])
 
 
-def solve_lp(
-    program: LinearProgram,
-    backend: str = "auto",
-    warm_names: Optional[List[str]] = None,
-) -> LpSolution:
+def solve_lp(program: LinearProgram, backend: str = "auto") -> LpSolution:
     """Solve the LP; ``backend`` is ``"auto"``, ``"scipy"`` or ``"simplex"``.
 
     ``auto`` prefers scipy and falls back to the built-in simplex only if
     scipy is not installed; a scipy without the HiGHS binding (< 1.15)
     fails every backend.  Raises :class:`SolverError` on infeasible or
-    unbounded problems, naming the HiGHS model status.  ``warm_names``
-    hints variables (by name) whose columns should seed the simplex
-    backend's starting basis — e.g. the ``basis_names`` of an incumbent
-    solution to a related program; names the program does not define are
-    ignored, and the scipy backend has no warm-start surface so the hint
-    is a no-op there.
+    unbounded problems, naming the HiGHS model status.
     """
     if backend not in ("auto", "scipy", "simplex"):
         raise SolverError(f"unknown backend {backend!r}")
@@ -90,12 +75,8 @@ def solve_lp(
     with telemetry.span(
         "lp-solve", stage="placement", variables=program.num_variables
     ) as span:
-        solution = _solve(program, backend, warm_names, span)
-        span.set(
-            backend=solution.backend,
-            objective=solution.objective,
-            warm_started=solution.warm_started,
-        )
+        solution = _solve(program, backend, span)
+        span.set(backend=solution.backend, objective=solution.objective)
     return solution
 
 
@@ -229,17 +210,11 @@ def _tolerance_violation(x, objective: float, slack, num_ub: int) -> Optional[st
     return None
 
 
-def _solve(
-    program: LinearProgram,
-    backend: str,
-    warm_names: Optional[List[str]],
-    span,
-) -> LpSolution:
+def _solve(program: LinearProgram, backend: str, span) -> LpSolution:
     # Before the clock: a first import of the binding is not solve time.
     core = _highs_core()
     # Wall-clock on purpose: LP solve cost reported by Table 5.
     started = time.perf_counter()  # lint: allow[R001]
-    names = program.variable_names
     if backend == "scipy" and core is None:
         raise SolverError("scipy is not installed")
     if backend != "simplex" and core is not None:
@@ -249,44 +224,21 @@ def _solve(
             objective=float(objective),
             solve_seconds=time.perf_counter() - started,  # lint: allow[R001]
             backend="scipy",
-            basis_names=(
-                [name for name, value in zip(names, x) if value > 1e-12]
-                if names
-                else []
-            ),
         )
-    warm_columns = None
-    if warm_names and names:
-        index_of = {name: position for position, name in enumerate(names)}
-        warm_columns = [
-            index_of[name] for name in warm_names if name in index_of
-        ]
     result = simplex_solve(
         program.c,
         program.a_ub,
         program.b_ub,
         program.a_eq,
         program.b_eq,
-        warm_columns=warm_columns,
         check_finite=False,  # _require_well_formed has
     )
     span.set(simplex_status=result.status, simplex_iterations=result.iterations)
     if not result.ok:
         raise SolverError(f"simplex failed: {result.status}")
-    num_vars = program.num_variables
     return LpSolution(
         x=result.x,
         objective=result.objective,
         solve_seconds=time.perf_counter() - started,  # lint: allow[R001]
         backend="simplex",
-        basis_names=(
-            [
-                names[column]
-                for column in result.basis_columns
-                if column < num_vars
-            ]
-            if names
-            else []
-        ),
-        warm_started=result.warm_started,
     )

@@ -11,6 +11,7 @@ from repro.core.runner import run_experiment
 from repro.errors import FaultError
 from repro.obs import instrument
 from repro.obs.sanitize import Sanitizer
+from repro.placement.plan import MovementReport
 from repro.systems.base import SystemConfig
 from repro.systems.registry import make_system
 from repro.wan.presets import uniform_sites
@@ -86,6 +87,22 @@ class TestDegradedReplan:
         assert controller._fractions is not None
         assert controller._fractions.get(dead, 0.0) == 0.0
         assert sum(controller._fractions.values()) == pytest.approx(1.0)
+
+    def test_degraded_movement_is_sanitized(self, monkeypatch):
+        topology = small_topology()
+        dead = topology.site_names[1]
+        controller = make_system(
+            "iridium", topology, CONFIG, chaos=outage_chaos(dead)
+        )
+        workload = make_workload(topology)
+        controller.prepare(workload)
+        monkeypatch.setattr(
+            "repro.core.controller.execute_plan",
+            lambda *args, **kwargs: MovementReport(scale_factor=0.0),
+        )
+        with instrument.instrumented(sanitizer=Sanitizer(mode="collect")) as obs:
+            controller.prepare_degraded(workload, [dead])
+        assert any("movement-lag" in v for v in obs.sanitizer.violations)
 
     def test_single_survivor_takes_everything(self):
         topology = small_topology()

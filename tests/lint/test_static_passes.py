@@ -74,6 +74,20 @@ class TestPassMechanics:
         payload = json.loads(out.read_text())
         assert [e["name"] for e in payload["entries"]] == ["_MEMO"]
 
+    def test_static_selection_runs_no_per_file_rule(self, tmp_path, capsys):
+        pkg = tmp_path / "demo"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("")
+        (pkg / "state.py").write_text(textwrap.dedent("""\
+            import random
+            _M = {}
+            def put(key):
+                _M[key] = random.random()
+            """))
+        assert main(["--select", "R010", "--format", "json", str(pkg)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [f["rule_id"] for f in payload["findings"]] == ["R010"]
+
     def test_pragma_suppresses_static_finding(self, tmp_path):
         # The per-file runner's rule: a pragma anywhere on a multi-line
         # simple statement counts, the closing line included.
@@ -147,6 +161,28 @@ class TestSharedStateExport:
             e for e in payload["entries"] if e["name"] == "_MEMO"
         )
         assert memo["justification"] == "demo fixture cache"
+
+
+    def test_moving_a_mutation_line_keeps_the_baseline_match(self, tmp_path):
+        from repro.lint.baseline import Baseline, BaselineEntry
+
+        (finding,) = _package(tmp_path, """\
+            _TABLE = {}
+            def put(key, value):
+                _TABLE[key] = value
+            """)
+        baseline = Baseline([BaselineEntry(
+            path=finding.path, rule_id=finding.rule_id,
+            message=finding.message, justification="demo table",
+        )])
+        (tmp_path / "demo" / "state.py").write_text(
+            "_TABLE = {}\ndef put(key, value):\n    key = str(key)\n"
+            "    _TABLE[key] = value\n"
+        )
+        moved, _ = shared_state_pass(ProjectGraph.build([str(tmp_path / "demo")]))
+        assert moved[0].line == finding.line
+        diff = baseline.check(moved)
+        assert (len(diff.known), diff.new, diff.stale) == (1, [], [])
 
 
 class TestRealTreeStaticClean:

@@ -376,7 +376,10 @@ def test_chaos_stream_equals_the_parent_commit(observed):
     sample (1988 events before); re-digested when Iridium's greedy
     stopped solving a task LP per candidate chunk: its three pricing
     ``lp-solve`` span pairs went and nothing else moved (1993 events
-    before, digest ``5c52f22a…``; see the next test)."""
+    before, digest ``5c52f22a…``; see the next test); re-digested when
+    the simplex warm start went: every ``lp-solve`` span-end lost its
+    ``warm_started`` flag and nothing else moved (digest ``6a1ab547…``
+    before; see ``test_the_flag_gives_back_the_warm_start_streams``)."""
     from repro.obs.telemetry import telemetry_digest
 
     events, _result = observed["chaos"]
@@ -384,37 +387,56 @@ def test_chaos_stream_equals_the_parent_commit(observed):
     assert telemetry_digest(events) == CHAOS_DIGEST
 
 
-#: The two runs' streams: events and digest at this commit, and at its
-#: parent, whose Iridium greedy priced each candidate chunk with a task LP.
-CHAOS_DIGEST = "6a1ab547b78e8f7d77cfe1da0eeb4f5b0e64cc1e16a399dc4df9b0bcb375f0d6"
+#: The two runs' streams: events and digest at this commit, the digest
+#: with the ``warm_started`` flag put back (the streams before the simplex
+#: warm start went), and the stream of the commit before those, whose
+#: Iridium greedy priced each candidate chunk with a task LP.
+CHAOS_DIGEST = "e0a09dd38224c3921c5398dbca46c289c9fd7e4503129df5025d1fe27391da46"
 STREAMS = {
     "benign": (
         None,
-        (1770, "8704dff4fef65e818a08d61588bb111fa23e611d77c7a7c5dbaa35406e275b8b"),
+        (1770, "17d1e3c9bd36e5f9fa96ae29c33254a23fad38fd54e2fa48ca2c7beed8dc51ae"),
+        "8704dff4fef65e818a08d61588bb111fa23e611d77c7a7c5dbaa35406e275b8b",
         (1776, "927085b87acfd0d0b8318e4715c996c5eb28b4e2181bbd52724b9bd2cabcf88d"),
     ),
     "chaos": (
         "flaky-wan",
         (1987, CHAOS_DIGEST),
+        "6a1ab547b78e8f7d77cfe1da0eeb4f5b0e64cc1e16a399dc4df9b0bcb375f0d6",
         (1993, "5c52f22a85ee6909655ca8eccb36f99fdf284fbe31120d911d0be6682d2a81d2"),
     ),
 }
 
 
 @pytest.mark.parametrize("run", sorted(STREAMS))
+def test_the_flag_gives_back_the_warm_start_streams(run, observed):
+    """Why the digests were re-pinned when the simplex warm start went:
+    put ``warm_started: False`` back on every ``lp-solve`` span-end and
+    the stream is the one pinned before, digest for digest."""
+    from repro.obs.telemetry import telemetry_digest
+    from tests.placement.reference_lp import with_warm_started
+
+    _profile, (count, _digest), previous, _parent = STREAMS[run]
+    events, _result = observed[run]
+    assert len(events) == count
+    assert telemetry_digest(with_warm_started(events)) == previous
+
+
+@pytest.mark.parametrize("run", sorted(STREAMS))
 def test_the_lp_priced_greedy_gives_back_the_parent_streams(run, golden, observed):
     """Why the goldens were re-captured, checked: with Iridium's greedy
-    priced by task LPs again (``reference_iridium_plan``) the run emits
-    its parent's stream, digest for digest; drop the events of those
-    pricing solves — ``lp-solve`` span pairs, nothing else — renumber
-    ``seq`` and it is this commit's stream, and its views are the golden."""
+    priced by task LPs again (``reference_iridium_plan``) and the
+    ``warm_started`` flag put back, the run emits that parent's stream,
+    digest for digest; drop the events of those pricing solves —
+    ``lp-solve`` span pairs, nothing else — renumber ``seq`` and it is
+    this commit's stream, and its views are the golden."""
     from repro.obs.telemetry import TelemetryEvent, telemetry_digest
-    from tests.placement.reference_lp import lp_priced_greedy
+    from tests.placement.reference_lp import lp_priced_greedy, with_warm_started
 
-    profile, (count, digest), parent = STREAMS[run]
+    profile, (count, digest), _previous, parent = STREAMS[run]
     with lp_priced_greedy() as pricing:
         events, result = _observe(profile)
-    assert (len(events), telemetry_digest(events)) == parent
+    assert (len(events), telemetry_digest(with_warm_started(events))) == parent
     assert len(pricing) == parent[0] - count
     priced = [events[seq] for seq in pricing]
     assert {(event.kind, event.attrs["name"]) for event in priced} == {

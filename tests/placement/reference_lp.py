@@ -22,23 +22,32 @@ Kept verbatim as the oracle for the code that replaced them:
   :func:`lp_priced_greedy` runs it in the planner's place and collects
   the events its pricing solves emit;
 - :func:`reference_simplex_solve` and its helpers are the two-phase
-  simplex with a row-by-row Python elimination loop at each of its four
+  simplex with a row-by-row Python elimination loop at each of its three
   pivot sites and an unconditional canonicalization pass in
-  :func:`reference_iterate`.
+  :func:`reference_iterate`;
+- :func:`with_warm_started` puts back the ``warm_started`` flag every
+  ``lp-solve`` span-end carried while the simplex could start from a
+  previous plan's basis.
 
 Slow, and obviously the textbook code.  ``tests/properties/
 test_placement_lp.py`` holds the production path to these bit for bit.
 """
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 from unittest import mock
 
 import numpy as np
 
 from repro.errors import PlacementError, SolverError
 from repro.obs import instrument
-from repro.placement.iridium import IridiumPlanner
+from repro.obs.telemetry import TelemetryEvent
+from repro.placement.iridium import (
+    CHUNK_FRACTION,
+    MAX_STEPS_PER_DATASET,
+    STALL_LIMIT,
+    IridiumPlanner,
+)
 from repro.placement.joint import PlacementDecision
 from repro.placement.lp import Moves
 from repro.placement.model import PlacementProblem
@@ -272,12 +281,11 @@ def reference_solve_task_lp(
     shuffle_bytes: Mapping[str, float],
     problem: PlacementProblem,
     backend: str = "auto",
-    warm_names: "Optional[List[str]]" = None,
 ) -> Tuple[Dict[str, float], float, LpSolution]:
     """``solve_task_lp`` as it was: the row loop, solved, normalized."""
     sites = problem.site_names
     program = reference_task_program(shuffle_bytes, problem)
-    solution = solve_lp(program, backend=backend, warm_names=warm_names)
+    solution = solve_lp(program, backend=backend)
     fractions = {
         site: max(0.0, float(solution.x[1 + position]))
         for position, site in enumerate(sites)
@@ -309,7 +317,7 @@ def reference_iridium_plan(
     problem: PlacementProblem,
     query_counts: Optional[Mapping[str, int]] = None,
 ) -> PlacementDecision:
-    """``IridiumPlanner.plan`` with ``planner``'s settings, LP-priced."""
+    """``IridiumPlanner.plan`` with ``planner``'s backend, LP-priced."""
     query_counts = query_counts or {}
     blind = PlacementProblem(
         topology=problem.topology,
@@ -360,14 +368,14 @@ def reference_iridium_plan(
     for dataset in ordered:
         stalled = 0
         committed_since_improvement: list = []
-        for _ in range(planner.max_steps_per_dataset):
+        for _ in range(MAX_STEPS_PER_DATASET):
             source = bottleneck_of(moves)
             available = remaining[(dataset, source)]
             if available <= 0:
                 break
             chunk = min(
                 available,
-                planner.chunk_fraction * max(blind.I(dataset, source), available),
+                CHUNK_FRACTION * max(blind.I(dataset, source), available),
                 up_budget[source],
             )
             if chunk <= 1e-9:  # nothing meaningful left to move
@@ -394,7 +402,7 @@ def reference_iridium_plan(
             else:
                 stalled += 1
                 committed_since_improvement.append((key, chunk, source, destination))
-                if stalled >= planner.stall_limit:
+                if stalled >= STALL_LIMIT:
                     # The speculative chunks never paid off: roll back.
                     for spec_key, spec_chunk, src, dst in committed_since_improvement:
                         residual = moves.get(spec_key, 0.0) - spec_chunk
@@ -417,6 +425,21 @@ def reference_iridium_plan(
         solve_seconds=solve_seconds,
         planner="iridium",
     )
+
+
+def with_warm_started(events: List[TelemetryEvent]) -> List[TelemetryEvent]:
+    """``events`` with ``warm_started: False`` on every ``lp-solve``
+    span-end, as ``solve_lp`` emitted them before the warm start went
+    (no run ever warm-started, so the flag was always False)."""
+    return [
+        TelemetryEvent(
+            seq=event.seq, kind=event.kind, t=event.t,
+            attrs={**event.attrs, "warm_started": False},
+        )
+        if event.kind == "span-end" and event.attrs["name"] == "lp-solve"
+        else event
+        for event in events
+    ]
 
 
 @contextmanager
@@ -449,101 +472,6 @@ def lp_priced_greedy() -> Iterator[List[int]]:
         yield pricing
 
 
-def _try_warm_basis(
-    tableau_a: np.ndarray,
-    b: np.ndarray,
-    hinted: Sequence[int],
-    slack_columns: Sequence[Tuple[int, int]],
-) -> Optional[Tuple[List[int], np.ndarray, np.ndarray]]:
-    """Crash a starting basis around the ``hinted`` structural columns.
-
-    The basic solution depends only on the chosen column *set*, so the
-    crash pivots every usable hinted column in first (each on its
-    largest-pivot unassigned row), then completes the basis with slack
-    columns — each remaining row preferring its own slack (from
-    ``slack_columns``: (row, column) pairs) before borrowing another.
-    Returns ``(basis, tableau, rhs)`` — the row-aligned basis plus the
-    canonicalized tableau copies — when that set spans the rows AND its
-    basic solution is feasible (b >= 0 after elimination); None means
-    fall back to ordinary phase 1.  (The canonical copies matter: the
-    crash pivots rows out of order, so re-canonicalizing the raw tableau
-    row-by-row could hit a transiently zero pivot.)
-    """
-    num_rows = tableau_a.shape[0]
-    work_a = tableau_a.copy()
-    work_b = b.copy()
-    assigned: dict = {}  # row -> basis column
-
-    def pivot_in(row: int, column: int) -> None:
-        assigned[row] = column
-        pivot = work_a[row, column]
-        work_a[row] /= pivot
-        work_b[row] /= pivot
-        for other in range(num_rows):
-            if other != row and abs(work_a[other, column]) > _TOL:
-                factor = work_a[other, column]
-                work_a[other] -= factor * work_a[row]
-                work_b[other] -= factor * work_b[row]
-
-    slack_of_row = dict(slack_columns)
-    remaining_hints = list(hinted)
-
-    # Slackless rows (equalities) can only hold structural columns, so
-    # they claim hinted pivots before anything else; a slackless row no
-    # hint can cover means the crash cannot span the rows — fall back.
-    for row in range(num_rows):
-        if row in slack_of_row:
-            continue
-        best_column = None
-        best_pivot = _TOL
-        for column in remaining_hints:
-            magnitude = abs(work_a[row, column])
-            if magnitude > best_pivot:
-                best_pivot = magnitude
-                best_column = column
-        if best_column is None:
-            return None
-        remaining_hints.remove(best_column)
-        pivot_in(row, best_column)
-
-    # Then the leftover hints: a degenerate hint (no usable pivot
-    # anywhere) is skipped rather than failing the whole crash.
-    for column in remaining_hints:
-        best_row = None
-        best_pivot = _TOL
-        for row in range(num_rows):
-            if row in assigned:
-                continue
-            magnitude = abs(work_a[row, column])
-            if magnitude > best_pivot:
-                best_pivot = magnitude
-                best_row = row
-        if best_row is not None:
-            pivot_in(best_row, column)
-
-    # Complete with slacks: own-row slack first, then any usable one.
-    used = set(assigned.values())
-    spare = [col for _, col in slack_columns if col not in used]
-    for row in range(num_rows):
-        if row in assigned:
-            continue
-        own = slack_of_row.get(row)
-        if own is not None and own not in used and abs(work_a[row, own]) > _TOL:
-            used.add(own)
-            pivot_in(row, own)
-            continue
-        for column in spare:
-            if column not in used and abs(work_a[row, column]) > _TOL:
-                used.add(column)
-                pivot_in(row, column)
-                break
-        else:
-            return None
-    if np.any(work_b < -_TOL):
-        return None  # hinted basis is infeasible here; phase 1 it is
-    return [assigned[row] for row in range(num_rows)], work_a, work_b
-
-
 def reference_simplex_solve(
     c: np.ndarray,
     a_ub: Optional[np.ndarray] = None,
@@ -551,15 +479,10 @@ def reference_simplex_solve(
     a_eq: Optional[np.ndarray] = None,
     b_eq: Optional[np.ndarray] = None,
     max_iterations: int = 20000,
-    warm_columns: Optional[Sequence[int]] = None,
     check_finite: bool = True,
 ) -> SimplexResult:
     """Two-phase simplex for the standard-form LP above.
 
-    ``warm_columns`` hints structural columns (e.g. the incumbent basis
-    of a related solve) to crash a starting basis from; when the hinted
-    basis — completed with slack columns — is feasible, phase 1 is
-    skipped.  An unusable hint silently falls back to the cold path.
     ``check_finite`` is accepted so this can stand in for
     ``simplex_solve`` under ``solve_lp``, and ignored: this solver checks
     no input for nan/inf.
@@ -610,26 +533,6 @@ def reference_simplex_solve(
             b[row] *= -1.0
 
     total_real = num_vars + num_slacks
-    warm_basis: Optional[List[int]] = None
-    if warm_columns is not None:
-        hinted: List[int] = []
-        seen = set()
-        for column in warm_columns:
-            if 0 <= column < total_real and column not in seen:
-                seen.add(column)
-                hinted.append(column)
-        slack_columns = [
-            (row, num_vars + position)
-            for position, row in enumerate(slack_rows)
-        ]
-        warm_basis = _try_warm_basis(tableau_a, b, hinted, slack_columns)
-    if warm_basis is not None:
-        basis, canonical_a, canonical_b = warm_basis
-        return _finish_phase2(
-            canonical_a, canonical_b, c, list(basis), num_vars,
-            max_iterations, 0, True,
-        )
-
     basis = [-1] * num_rows
     # A slack column can start basic if its coefficient stayed +1.
     for position, row in enumerate(slack_rows):
@@ -674,22 +577,6 @@ def reference_simplex_solve(
     else:
         iterations1 = 0
 
-    return _finish_phase2(
-        tableau_a, b, c, basis, num_vars, max_iterations, iterations1, False
-    )
-
-
-def _finish_phase2(
-    tableau_a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    basis: list,
-    num_vars: int,
-    max_iterations: int,
-    iterations1: int,
-    warm_started: bool,
-) -> SimplexResult:
-    """Run phase 2 from a feasible basis and package the result."""
     phase2_c = np.concatenate([c, np.zeros(tableau_a.shape[1] - num_vars)])
     status, iterations2 = reference_iterate(tableau_a, b, phase2_c, basis, max_iterations)
     x_full = np.zeros(tableau_a.shape[1])
@@ -703,7 +590,6 @@ def _finish_phase2(
         iterations1 + iterations2,
         status,
         basis_columns=list(basis),
-        warm_started=warm_started,
     )
 
 

@@ -145,7 +145,7 @@ class TestJointProperties:
     @given(problem=placement_problems())
     def test_joint_dominates_in_place(self, problem):
         in_place = InPlacePlanner().plan(problem)
-        joint = JointPlanner(max_rounds=3).plan(problem)
+        joint = JointPlanner().plan(problem)
         assert (
             joint.estimated_shuffle_seconds
             <= in_place.estimated_shuffle_seconds + 1e-6
@@ -154,6 +154,6 @@ class TestJointProperties:
     @settings(max_examples=10, deadline=None)
     @given(problem=placement_problems())
     def test_joint_fractions_valid(self, problem):
-        decision = JointPlanner(max_rounds=3).plan(problem)
+        decision = JointPlanner().plan(problem)
         assert sum(decision.reduce_fractions.values()) == pytest.approx(1.0)
         assert all(v >= -1e-9 for v in decision.reduce_fractions.values())

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import PlacementError
 from repro.placement.iridium import IridiumPlanner
-from repro.placement.joint import JointPlanner
+from repro.placement.joint import MAX_ROUNDS, JointPlanner
 from repro.placement.model import PlacementProblem
 from repro.placement.plan import (
     MovementPolicy,
@@ -87,10 +87,10 @@ class TestJointPlanner:
         assert sum(decision.reduce_fractions.values()) == pytest.approx(1.0)
 
     def test_converges_quickly(self):
-        # Total alternation rounds are bounded by max_rounds per start
+        # Total alternation rounds are bounded by MAX_ROUNDS per start
         # (in-place seed, uniform, two one-hot, heuristic warm start).
-        decision = JointPlanner(max_rounds=8).plan(make_problem())
-        assert decision.iterations <= 8 * 5
+        decision = JointPlanner().plan(make_problem())
+        assert decision.iterations <= MAX_ROUNDS * 5
 
     def test_dominates_heuristic_by_construction(self):
         from repro.placement.iridium import IridiumPlanner
@@ -147,10 +147,6 @@ class TestIridiumPlanner:
                 joint.estimated_shuffle_seconds
                 <= iridium.estimated_shuffle_seconds + 1e-6
             )
-
-    def test_bad_chunk_fraction(self):
-        with pytest.raises(ValueError):
-            IridiumPlanner(chunk_fraction=0.0)
 
     def test_query_counts_order_datasets(self):
         topology = make_problem().topology

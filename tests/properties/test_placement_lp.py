@@ -106,7 +106,7 @@ def assembled_program(solve, *args) -> LinearProgram:
     """The program ``solve(*args)`` hands to ``solve_lp``."""
     seen = []
 
-    def capture(program, backend="auto", warm_names=None):
+    def capture(program, backend="auto"):
         seen.append(program)
         x = np.zeros(program.num_variables)
         x[1:] = 1.0  # task LP fractions that normalize; data LP moves that count
@@ -330,15 +330,7 @@ def linear_programs(draw):
 
     a_ub, b_ub = block(5, st.sampled_from([0.0, 0.0, 1.0, 2.5]))
     a_eq, b_eq = block(2, st.just(0.0))
-    total = num_vars + (0 if a_ub is None else len(a_ub))
-    return dict(
-        c=np.array(draw(row)),
-        a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-        # Hints include slack columns, repeats and out-of-range indices.
-        warm_columns=draw(
-            st.none() | st.lists(st.integers(min_value=-1, max_value=total + 1), max_size=4)
-        ),
-    )
+    return dict(c=np.array(draw(row)), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
 
 
 def outcome(call, *args, **kwargs):
@@ -354,24 +346,17 @@ def result_fields(result):
         return result
     return (
         result.status, result.iterations, result.basis_columns,
-        result.warm_started, result.x.tobytes(), result.objective,
+        result.x.tobytes(), result.objective,
     )
 
 
 @settings(max_examples=400, deadline=None)
 @given(linear_programs())
 def test_simplex_is_the_scalar_loop_simplex(program):
-    def solve_both():
+    with np.errstate(all="ignore"):
         ours = outcome(simplex_solve, max_iterations=200, **program)
         expected = outcome(reference_simplex_solve, max_iterations=200, **program)
-        assert result_fields(ours) == result_fields(expected)
-        return ours
-
-    with np.errstate(all="ignore"):
-        first = solve_both()
-        if getattr(first, "ok", False):  # and again, warm, from its own final basis
-            program["warm_columns"] = first.basis_columns
-            solve_both()
+    assert result_fields(ours) == result_fields(expected)
 
 
 @st.composite
@@ -436,9 +421,9 @@ def full_size_programs():
     )
     handed = []
 
-    def spy(program, backend="auto", warm_names=None):
+    def spy(program, backend="auto"):
         handed.append(program)
-        return solve_lp(program, backend=backend, warm_names=warm_names)
+        return solve_lp(program, backend=backend)
 
     with mock.patch("repro.placement.lp.solve_lp", spy), \
             mock.patch("repro.placement.solver.simplex_solve", reference_simplex_solve):
@@ -451,18 +436,13 @@ def full_size_programs():
     return {"task": task, "data": data}
 
 
-def solve_cold_then_warm(program, c):
-    """Field-for-field against the scalar loop, cold and then warm-started
-    from its own final basis; returns the cold result."""
+def solve_like_the_scalar_loop(program, c):
+    """Field-for-field against the scalar loop; returns the result."""
     arguments = (c, program.a_ub, program.b_ub, program.a_eq, program.b_eq)
-    cold = simplex_solve(*arguments)
-    assert result_fields(cold) == result_fields(reference_simplex_solve(*arguments))
-    assert cold.ok
-    warm = simplex_solve(*arguments, warm_columns=cold.basis_columns)
-    expected = reference_simplex_solve(*arguments, warm_columns=cold.basis_columns)
-    assert result_fields(warm) == result_fields(expected)
-    assert warm.warm_started
-    return cold
+    result = simplex_solve(*arguments)
+    assert result_fields(result) == result_fields(reference_simplex_solve(*arguments))
+    assert result.ok
+    return result
 
 
 def costed_basics(result, c):
@@ -473,7 +453,7 @@ def costed_basics(result, c):
 def test_simplex_is_the_scalar_loop_at_full_size(full_size_programs, name):
     """Phase 2 of a placement LP prices from t's row alone."""
     program = full_size_programs[name]
-    result = solve_cold_then_warm(program, program.c)
+    result = solve_like_the_scalar_loop(program, program.c)
     assert costed_basics(result, program.c) == [1.0]
 
 
@@ -484,7 +464,7 @@ def test_one_costed_basic_row_that_is_not_one(full_size_programs):
     program = full_size_programs["data"]
     c = 0.3 * program.c
     c[1:1 + 90] = 1e-9  # x[d0][i->j]: the first n(n-1) = 90 columns after t
-    assert costed_basics(solve_cold_then_warm(program, c), c) == [0.3]
+    assert costed_basics(solve_like_the_scalar_loop(program, c), c) == [0.3]
 
 
 def test_two_costed_basic_rows_price_through_the_product(full_size_programs):
@@ -493,7 +473,7 @@ def test_two_costed_basic_rows_price_through_the_product(full_size_programs):
     program = full_size_programs["data"]
     c = program.c.copy()
     c[1:] = 1e-7
-    assert sorted(costed_basics(solve_cold_then_warm(program, c), c)) == [1e-7, 1.0]
+    assert sorted(costed_basics(solve_like_the_scalar_loop(program, c), c)) == [1e-7, 1.0]
 
 
 # ------------------------------------------------------------ whole planner
@@ -508,7 +488,6 @@ def decision_fields(decision, backend):
         decision.reduce_fractions,
         decision.estimated_shuffle_seconds,
         decision.iterations,
-        decision.task_basis,
     )
 
 
@@ -696,8 +675,8 @@ def test_planner_traffic_is_the_linprog_traffic():
     controller = make_system("bohr", topology, config)
     solved = []
 
-    def spy(program, backend="auto", warm_names=None):
-        solution = solve_lp(program, backend=backend, warm_names=warm_names)
+    def spy(program, backend="auto"):
+        solution = solve_lp(program, backend=backend)
         solved.append((program, backend, solution))
         return solution
 

@@ -94,22 +94,31 @@ class TestDeterminism:
         they delay split into 77 more samples (4125 events before);
         re-digested when Iridium's greedy stopped solving a task LP per
         candidate chunk: three ``lp-solve`` span pairs went and nothing
-        else moved (4202 events before; see the next test)."""
+        else moved (4202 events before; see the last test); re-digested
+        when the simplex warm start went: every ``lp-solve`` span-end lost
+        its ``warm_started`` flag and nothing else moved — put back, it
+        gives the digest pinned before (``be1603e9…``)."""
+        from tests.placement.reference_lp import with_warm_started
+
         _header, events = self.served(tmp_path, capsys)
         assert len(events) == 4196
         assert telemetry_digest(events) == SERVE_DIGEST
+        assert telemetry_digest(with_warm_started(events)) == (
+            "be1603e97677e586210f602d788023efea7229d80939b44beb7178e1ebd38061"
+        )
 
     def test_the_lp_priced_greedy_gives_back_the_parent_stream(self, tmp_path, capsys):
-        """With Iridium's greedy priced by task LPs again the run emits its
-        parent's stream (4202 events, digest ``d4ea21de…``); without the
-        events of those pricing solves — ``lp-solve`` span pairs, nothing
-        else — it is this commit's."""
-        from tests.placement.reference_lp import lp_priced_greedy
+        """With Iridium's greedy priced by task LPs again and the
+        ``warm_started`` flag put back, the run emits that parent's stream
+        (4202 events, digest ``d4ea21de…``); without the events of those
+        pricing solves — ``lp-solve`` span pairs, nothing else — it is
+        this commit's."""
+        from tests.placement.reference_lp import lp_priced_greedy, with_warm_started
 
         with lp_priced_greedy() as pricing:
             _header, events = self.served(tmp_path, capsys)
         assert len(events) == 4202
-        assert telemetry_digest(events) == (
+        assert telemetry_digest(with_warm_started(events)) == (
             "d4ea21de28b43f8977a8bf7da579f0fa4bdd356cda13eddc03b784f6a74d1759"
         )
         assert {(events[seq].kind, events[seq].attrs["name"]) for seq in pricing} == {
@@ -135,7 +144,7 @@ class TestDeterminism:
 
 
 #: ``repro serve --tenants 3 --queries 12 --seed 11 --cache-size 4``'s stream.
-SERVE_DIGEST = "be1603e97677e586210f602d788023efea7229d80939b44beb7178e1ebd38061"
+SERVE_DIGEST = "24e84c3cd44608d577a4f9b94439b4201cb1e95798a642f3012a2061601a1095"
 
 
 class TestAccounting:
