@@ -26,7 +26,7 @@ plain ``pytest benchmarks`` runs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import BenchError

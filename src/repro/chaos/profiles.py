@@ -27,7 +27,7 @@ Profiles (roughly ordered by hostility):
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.chaos.schedule import FaultEvent, FaultSchedule
 from repro.errors import FaultError

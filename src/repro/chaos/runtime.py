@@ -16,7 +16,6 @@ this module decides *how the system survives it*:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 

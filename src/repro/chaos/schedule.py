@@ -36,7 +36,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FaultError
 
@@ -224,12 +224,6 @@ class FaultSchedule:
     # ------------------------------------------------------------------
     # outages (consulted by the failure-aware runtime)
     # ------------------------------------------------------------------
-
-    def outage_sites(self) -> List[str]:
-        """Sites with a whole-site outage anywhere in the schedule."""
-        return sorted(
-            {event.site for event in self.events if event.kind == "site-outage"}
-        )
 
     def site_dead_at(self, site: str, now: float) -> bool:
         return any(

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.chaos.profiles import CHAOS_PROFILES
 from repro.core.report import render_qct_table, render_reduction_table

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.engine.job import JobResult, MapReduceEngine
-from repro.errors import ConfigurationError, FaultError
+from repro.errors import FaultError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chaos.runtime import ChaosConfig

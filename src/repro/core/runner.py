@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chaos.runtime import ChaosConfig
-from repro.core.controller import Controller, PreparationReport
+from repro.core.controller import PreparationReport
 from repro.engine.job import MapReduceEngine
 from repro.obs import instrument
 from repro.query.compiler import compile_query

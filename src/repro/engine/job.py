@@ -148,7 +148,6 @@ class MapReduceEngine:
         partition_records: int = 64,
         rdd_similarity: bool = False,
         dimsum_config: DimsumConfig = DimsumConfig(),
-        lan_bps: float = 10.0e9,
         seed: int = 7,
         faults: "Optional[FaultSchedule]" = None,
         stall_timeout_seconds: float = math.inf,
@@ -168,7 +167,6 @@ class MapReduceEngine:
         self.faults = faults
         self.scheduler = TransferScheduler(
             topology,
-            lan_bps=lan_bps,
             faults=faults,
             stall_timeout_seconds=stall_timeout_seconds,
         )

@@ -14,7 +14,7 @@ The join result size follows from the actual key multiplicities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from repro.engine.job import JobResult, MapReduceEngine
 from repro.engine.spec import MapReduceSpec

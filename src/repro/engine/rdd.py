@@ -10,7 +10,7 @@ partition, which is the local payoff of §4.1's pre-processing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Set, Tuple
+from typing import List, Sequence, Set
 
 from repro.errors import EngineError
 from repro.types import Key, Record, project_keys, records_bytes

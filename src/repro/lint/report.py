@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.lint.findings import Finding
 

@@ -8,7 +8,7 @@ dimension cubes.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence, Set
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.errors import CubeError
 from repro.olap.cube import CellAggregate, OLAPCube

@@ -12,7 +12,7 @@ tells the controller to fall back to the raw path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import CubeError, QueryError
 from repro.olap.cube import OLAPCube

@@ -15,7 +15,7 @@ Table 6 does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Iterable
 
 from repro.olap.cube import OLAPCube
 

@@ -7,7 +7,7 @@ the UDF example application computes genuine ranks end-to-end.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import QueryError
 from repro.types import Record, Schema

@@ -1,60 +1,20 @@
 """Locality sensitive hashing (§4.2, [18]).
 
-Two LSH schemes:
-
-- :class:`MinHashLSH` — banding over MinHash signatures, for set-valued
-  records (log keys).  Candidate pairs are those agreeing on at least one
-  band.
-- :class:`CosineLSH` — random-hyperplane signatures that compress
-  high-dimensional feature vectors (the paper's image datasets) into
-  short bit strings whose Hamming similarity tracks cosine similarity.
+:class:`CosineLSH` — random-hyperplane signatures that compress
+high-dimensional feature vectors (the paper's image datasets) into short
+bit strings whose Hamming similarity tracks cosine similarity.  The image
+workload (:mod:`repro.workloads.images`) keys its records on them.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import SimilarityError
-from repro.similarity.minhash import MinHasher, MinHashSignature
 from repro.util.rng import derive_rng
-
-
-class MinHashLSH:
-    """Banded MinHash index producing candidate similar pairs."""
-
-    def __init__(self, num_hashes: int = 64, bands: int = 16, seed: int = 7) -> None:
-        if bands < 1 or num_hashes % bands != 0:
-            raise SimilarityError(
-                f"bands ({bands}) must divide num_hashes ({num_hashes})"
-            )
-        self.hasher = MinHasher(num_hashes=num_hashes, seed=seed)
-        self.bands = bands
-        self.rows_per_band = num_hashes // bands
-
-    def candidate_pairs(
-        self, sets: Sequence[Iterable[object]]
-    ) -> Set[Tuple[int, int]]:
-        """Index all sets and return candidate (i, j) pairs with i < j."""
-        signatures = self.hasher.signatures(sets)
-        buckets: Dict[Tuple[int, Tuple[int, ...]], List[int]] = defaultdict(list)
-        for index, signature in enumerate(signatures):
-            for band in range(self.bands):
-                start = band * self.rows_per_band
-                chunk = signature.values[start : start + self.rows_per_band]
-                buckets[(band, chunk)].append(index)
-        pairs: Set[Tuple[int, int]] = set()
-        for members in buckets.values():
-            for position, left in enumerate(members):
-                for right in members[position + 1 :]:
-                    pairs.add((min(left, right), max(left, right)))
-        return pairs
-
-    def signature(self, items: Iterable[object]) -> MinHashSignature:
-        return self.hasher.signature(items)
 
 
 class CosineLSH:

@@ -8,7 +8,6 @@ fraction of a site's records the combiner can merge away.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from typing import Dict, Iterable, Mapping, Sequence, Set
 

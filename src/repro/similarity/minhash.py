@@ -1,8 +1,7 @@
 """MinHash signatures for Jaccard estimation.
 
-Used two ways: inside the Jaccard-modified DIMSUM (§6) — records collide
-when any of their m hash values match — and by :class:`MinHashLSH` to
-prune dissimilar pairs cheaply.
+Used inside the Jaccard-modified DIMSUM (§6): records collide when any
+of their m hash values match.
 
 :meth:`MinHasher.signatures` is the batched hot path: every distinct
 item is hashed once across all sets, the m×n permuted-hash matrices are
@@ -93,19 +92,6 @@ class MinHashSignature:
             1 for mine, theirs in zip(self.values, other.values) if mine == theirs
         )
         return matches / len(self.values)
-
-    def collides_with(self, other: "MinHashSignature") -> bool:
-        """True when any of the m hash slots agree (the DIMSUM map test).
-
-        Empty-set sentinels never collide — not with real signatures
-        (the sentinel is outside the hash range) and not with each other.
-        """
-        if self.is_empty or other.is_empty:
-            return False
-        return any(
-            mine == theirs for mine, theirs in zip(self.values, other.values)
-        )
-
 
 class MinHasher:
     """A family of m universal hash functions h(x) = (a·x + b) mod p."""

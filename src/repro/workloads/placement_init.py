@@ -9,8 +9,7 @@ inherent data locality from the data procurement process."
 from __future__ import annotations
 
 import enum
-import hashlib
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.errors import WorkloadError
 from repro.types import GeoDataset, Record, Schema

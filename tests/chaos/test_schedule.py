@@ -175,7 +175,6 @@ class TestScheduleComputeAndOutages:
                 blackout(site="a"),
             )
         )
-        assert schedule.outage_sites() == ["b"]
         assert not schedule.site_dead_at("b", 4.9)
         assert schedule.site_dead_at("b", 5.0)
         assert schedule.site_dead_at("b", 1e12)

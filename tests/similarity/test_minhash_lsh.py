@@ -1,4 +1,4 @@
-"""MinHash and LSH tests."""
+"""MinHash and cosine LSH tests."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimilarityError
-from repro.similarity.lsh import CosineLSH, MinHashLSH
+from repro.similarity.lsh import CosineLSH
 from repro.similarity.metrics import cosine_similarity, jaccard
 from repro.similarity.minhash import MinHasher
 
@@ -40,7 +40,6 @@ class TestMinHasher:
         empty = hasher.signature(set())
         full = hasher.signature({"x"})
         assert empty.estimate_jaccard(full) == 0.0
-        assert not empty.collides_with(full)
 
     def test_length_mismatch(self):
         with pytest.raises(SimilarityError):
@@ -58,27 +57,6 @@ class TestMinHasher:
         hasher = MinHasher(num_hashes=32, seed=5)
         sig = hasher.signature(items)
         assert sig.estimate_jaccard(sig) == 1.0
-        assert sig.collides_with(sig)
-
-
-class TestMinHashLSH:
-    def test_bands_must_divide(self):
-        with pytest.raises(SimilarityError):
-            MinHashLSH(num_hashes=64, bands=7)
-
-    def test_near_duplicates_are_candidates(self):
-        lsh = MinHashLSH(num_hashes=64, bands=32, seed=2)
-        base = set(range(100))
-        near = set(range(99)) | {1000}
-        far = set(range(5000, 5100))
-        pairs = lsh.candidate_pairs([base, near, far])
-        assert (0, 1) in pairs
-
-    def test_dissimilar_rarely_candidates(self):
-        lsh = MinHashLSH(num_hashes=64, bands=4, seed=2)
-        sets = [set(range(i * 1000, i * 1000 + 50)) for i in range(6)]
-        pairs = lsh.candidate_pairs(sets)
-        assert len(pairs) <= 2  # mostly pruned
 
 
 class TestCosineLSH:
